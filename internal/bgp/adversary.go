@@ -11,9 +11,7 @@
 package bgp
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
 	"stateowned/internal/topology"
 	"stateowned/internal/world"
@@ -98,36 +96,32 @@ func (c Campaign) tailLen() int32 {
 }
 
 // propagateHijack spreads one campaign's announcement through the graph
-// with the same three valley-free phases as Propagate, gated per AS:
+// with the same three valley-free phases as the kernel, gated per AS:
 // ROV deployers drop the invalid route outright, and for same-prefix
 // campaigns an AS adopts only where the candidate beats its honest
 // route under the standard comparator. Non-adopters never re-export, so
 // removing propagation paths (more ROV) can only lengthen or remove
 // downstream candidates — adoption is monotone non-increasing in the
-// deployment set. Returns the per-AS hijack routes (classNone where the
-// announcement was not adopted), or nil for inert campaigns.
-func propagateHijack(g *topology.Graph, honest *PathView, c Campaign, rov map[world.ASN]bool) []route {
-	if honest == nil || inert(g, c, rov) {
-		return nil
+// deployment set. s must hold the honest propagation toward c.Victim;
+// the per-AS hijack routes land in s.hij (classNone where the
+// announcement was not adopted), staged through s.peer and s's
+// frontiers. It reports false, computing nothing, for inert campaigns.
+func (s *Scratch) propagateHijack(g *topology.Graph, c Campaign, rov map[world.ASN]bool) bool {
+	if inert(g, c, rov) {
+		return false
 	}
 	hIdx, ok := g.Index(c.Hijacker)
 	if !ok {
-		return nil
+		return false
 	}
 	vIdx, _ := g.Index(c.Victim)
 	n := g.NumASes()
-	routes := make([]route, n)
+	honest := s.routes
+	routes := resetRoutes(s.hij, n)
+	peerRoutes := resetRoutes(s.peer, n)
+	s.hij, s.peer = routes, peerRoutes
 	routes[hIdx] = route{class: classCustomer, dist: c.tailLen(), next: -1}
 
-	better := func(a, b route) bool {
-		if a.class != b.class {
-			return a.class > b.class
-		}
-		if a.dist != b.dist {
-			return a.dist < b.dist
-		}
-		return a.next < b.next && b.next >= 0
-	}
 	adopt := func(p int, cand route) bool {
 		if p == vIdx || p == hIdx {
 			return false // the victim filters its own space; the hijacker originated
@@ -138,14 +132,14 @@ func propagateHijack(g *topology.Graph, honest *PathView, c Campaign, rov map[wo
 		if c.Kind == SubPrefix {
 			return true // longest-prefix match: no competition with the honest route
 		}
-		hr := honest.routes[p]
+		hr := honest[p]
 		return hr.class == classNone || better(cand, hr)
 	}
 
 	// Phase 1: the invalid route climbs provider edges from adopters.
-	queue := []int{hIdx}
+	queue, next := append(s.queue[:0], hIdx), s.next
 	for len(queue) > 0 {
-		var next []int
+		next = next[:0]
 		for _, cur := range queue {
 			for _, p := range g.ProviderIdx(cur) {
 				cand := route{class: classCustomer, dist: routes[cur].dist + 1, next: int32(cur)}
@@ -157,11 +151,10 @@ func propagateHijack(g *topology.Graph, honest *PathView, c Campaign, rov map[wo
 				}
 			}
 		}
-		queue = next
+		queue, next = next, queue
 	}
 
 	// Phase 2: one peer hop from customer-class adopters.
-	peerRoutes := make([]route, n)
 	for i := 0; i < n; i++ {
 		if routes[i].class != classCustomer {
 			continue
@@ -190,7 +183,7 @@ func propagateHijack(g *topology.Graph, honest *PathView, c Campaign, rov map[wo
 		}
 	}
 	for len(queue) > 0 {
-		var next []int
+		next = next[:0]
 		for _, cur := range queue {
 			for _, cidx := range g.CustomerIdx(cur) {
 				cand := route{class: classProvider, dist: routes[cur].dist + 1, next: int32(cur)}
@@ -204,9 +197,10 @@ func propagateHijack(g *topology.Graph, honest *PathView, c Campaign, rov map[wo
 				}
 			}
 		}
-		queue = next
+		queue, next = next, queue
 	}
-	return routes
+	s.queue, s.next = queue, next
+	return true
 }
 
 // Spread returns the ASes that adopt campaign c's announcement under the
@@ -214,14 +208,13 @@ func propagateHijack(g *topology.Graph, honest *PathView, c Campaign, rov map[wo
 // The metamorphic battery asserts this set shrinks as ROV deployment
 // grows; CollectPathsAdversary uses the identical propagation.
 func Spread(g *topology.Graph, c Campaign, rov map[world.ASN]bool) []world.ASN {
-	honest := Propagate(g, c.Victim)
-	routes := propagateHijack(g, honest, c, rov)
-	if routes == nil {
+	var s Scratch
+	if !s.Propagate(g, c.Victim) || !s.propagateHijack(g, c, rov) {
 		return nil
 	}
 	hIdx, _ := g.Index(c.Hijacker)
 	var out []world.ASN
-	for i, r := range routes {
+	for i, r := range s.hij {
 		if r.class != classNone && i != hIdx {
 			out = append(out, g.ASNAt(i))
 		}
@@ -230,35 +223,40 @@ func Spread(g *topology.Graph, c Campaign, rov map[world.ASN]bool) []world.ASN {
 	return out
 }
 
-// observedPath reconstructs what a monitor inside `from` reports for the
-// campaign's prefix: the walk to the hijacker plus the announcement's
-// claimed tail where the invalid route was adopted, the honest path
-// everywhere else.
-func observedPath(g *topology.Graph, honest *PathView, hij []route, c Campaign, from world.ASN) []world.ASN {
-	i, ok := g.Index(from)
-	if !ok {
-		return nil
+// observedLen is the length of appendObserved's path for dense index i
+// (-1: a monitor outside the graph, which observes nothing).
+func (s *Scratch) observedLen(i int, c *Campaign) int {
+	if i < 0 {
+		return 0
 	}
-	if hij == nil || hij[i].class == classNone {
-		return honest.Path(from)
+	if c == nil || s.hij[i].class == classNone {
+		return pathLen(s.routes, i)
 	}
-	var path []world.ASN
-	for {
-		path = append(path, g.ASNAt(i))
-		nxt := hij[i].next
-		if nxt < 0 {
-			break
-		}
-		i = int(nxt)
-		if len(path) > g.NumASes() {
-			return nil // defensive: cycle would be a propagation bug
-		}
+	n := pathLen(s.hij, i)
+	if n > 0 && c.Kind == ForgedPath {
+		n += len(c.Forged) + 1
 	}
-	if c.Kind == ForgedPath {
-		path = append(path, c.Forged...)
-		path = append(path, c.Victim)
+	return n
+}
+
+// appendObserved appends what a monitor inside dense index i reports
+// for the origin s last propagated: with a live campaign c (s.hij
+// computed by propagateHijack), the walk to the hijacker plus the
+// announcement's claimed tail where the invalid route was adopted; the
+// honest path everywhere else.
+func (s *Scratch) appendObserved(dst []world.ASN, g *topology.Graph, i int, c *Campaign) []world.ASN {
+	if i < 0 {
+		return dst
 	}
-	return path
+	if c == nil || s.hij[i].class == classNone {
+		return appendPath(dst, g, s.routes, i)
+	}
+	n := len(dst)
+	if dst = appendPath(dst, g, s.hij, i); len(dst) > n && c.Kind == ForgedPath {
+		dst = append(dst, c.Forged...)
+		dst = append(dst, c.Victim)
+	}
+	return dst
 }
 
 // CollectPathsAdversary is CollectPaths with an adversary in the control
@@ -277,63 +275,5 @@ func CollectPathsAdversary(g *topology.Graph, monitors []Monitor, origins []worl
 			byVictim[c.Victim] = c
 		}
 	}
-
-	mp := &MonitorPaths{Monitors: monitors, paths: make([]map[world.ASN][]world.ASN, len(monitors))}
-	for i := range mp.paths {
-		mp.paths[i] = make(map[world.ASN][]world.ASN)
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(origins) {
-		workers = len(origins)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	shards := make([][]map[world.ASN][]world.ASN, workers)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		shards[wi] = make([]map[world.ASN][]world.ASN, len(monitors))
-		for i := range shards[wi] {
-			shards[wi][i] = make(map[world.ASN][]world.ASN)
-		}
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			s := shards[wi]
-			for oi := wi; oi < len(origins); oi += workers {
-				origin := origins[oi]
-				view := Propagate(g, origin)
-				if view == nil {
-					continue
-				}
-				var hij []route
-				c, attacked := byVictim[origin]
-				if attacked {
-					hij = propagateHijack(g, view, c, adv.ROV)
-				}
-				for mi, m := range monitors {
-					var p []world.ASN
-					if hij != nil {
-						p = observedPath(g, view, hij, c, m.AS)
-					} else {
-						p = view.Path(m.AS)
-					}
-					if p != nil {
-						s[mi][origin] = p
-					}
-				}
-			}
-		}(wi)
-	}
-	wg.Wait()
-	for _, s := range shards {
-		for mi := range s {
-			for origin, p := range s[mi] {
-				mp.paths[mi][origin] = p
-			}
-		}
-	}
-	return mp
+	return collect(g, monitors, origins, workers, byVictim, adv.ROV)
 }

@@ -12,12 +12,13 @@
 package bgp
 
 import (
-	"runtime"
+	"fmt"
+	"slices"
 	"sort"
-	"sync"
 
 	"stateowned/internal/netaddr"
 	"stateowned/internal/rng"
+	"stateowned/internal/sched"
 	"stateowned/internal/topology"
 	"stateowned/internal/world"
 )
@@ -120,9 +121,9 @@ func ApplyOutages(monitors []Monitor, down func(Monitor) bool) (up []Monitor, da
 	return up, dark
 }
 
-func monitorID(i int) string {
-	return "rrc" + string(rune('0'+i/10)) + string(rune('0'+i%10))
-}
+// monitorID names monitor i as "rrc" plus its zero-padded decimal
+// index: rrc00–rrc99, then rrc100 and up.
+func monitorID(i int) string { return fmt.Sprintf("rrc%02d", i) }
 
 // routeClass encodes Gao-Rexford preference; higher is better.
 type routeClass int8
@@ -140,39 +141,69 @@ type route struct {
 	next  int32 // dense index of next hop (-1 at origin)
 }
 
-// PathView holds, for one origin AS, the best route state of every AS in
-// the graph; monitor paths are reconstructed from it.
-type PathView struct {
-	g      *topology.Graph
-	origin world.ASN
-	routes []route
+// better reports whether route a is preferred over b: higher class,
+// then shorter distance, then the lower next hop — the last only when
+// b has one, so an origin route is never displaced on a tie.
+func better(a, b route) bool {
+	if a.class != b.class {
+		return a.class > b.class
+	}
+	if a.dist != b.dist {
+		return a.dist < b.dist
+	}
+	return a.next < b.next && b.next >= 0
 }
 
-// Propagate computes valley-free best routes toward one origin for every
-// AS in the graph.
-func Propagate(g *topology.Graph, origin world.ASN) *PathView {
+// Scratch is one worker's reusable propagation state: the route array
+// a result lives in, the peer-route array phase 2 stages into, the
+// hijack overlay's route array, and two BFS frontiers. Propagate resets
+// and reuses them, so once a Scratch has seen the largest topology and
+// the widest frontiers it will meet, the kernel allocates nothing. A
+// Scratch belongs to one goroutine at a time; the zero value is ready
+// to use.
+type Scratch struct {
+	routes []route
+	peer   []route
+	hij    []route
+	queue  []int
+	next   []int
+}
+
+// resetRoutes returns rs resized to n entries, all classNone.
+func resetRoutes(rs []route, n int) []route {
+	if cap(rs) < n {
+		return make([]route, n)
+	}
+	rs = rs[:n]
+	clear(rs)
+	return rs
+}
+
+// Propagate is the propagation kernel: it computes valley-free best
+// routes toward one origin for every AS in the graph into s, replacing
+// the previous result. It reports false, leaving no result to read,
+// when the origin is not in the graph.
+//
+// The visit order is part of the result. Within a BFS layer a later
+// frontier entry reads the distance an earlier entry of the same layer
+// lowered, and phase 3 seeds its frontier with every routed AS in
+// dense-index order; reordering either changes the routes some ASes
+// keep, so both are load-bearing (TestKernelMatchesReference).
+func (s *Scratch) Propagate(g *topology.Graph, origin world.ASN) bool {
 	oIdx, ok := g.Index(origin)
 	if !ok {
-		return nil
+		return false
 	}
 	n := g.NumASes()
-	routes := make([]route, n)
+	routes := resetRoutes(s.routes, n)
+	peerRoutes := resetRoutes(s.peer, n)
+	s.routes, s.peer = routes, peerRoutes
 	routes[oIdx] = route{class: classCustomer, dist: 0, next: -1}
 
-	better := func(a, b route) bool { // is a better than b
-		if a.class != b.class {
-			return a.class > b.class
-		}
-		if a.dist != b.dist {
-			return a.dist < b.dist
-		}
-		return a.next < b.next && b.next >= 0
-	}
-
 	// Phase 1: customer routes climb provider edges (BFS by distance).
-	queue := []int{oIdx}
+	queue, next := append(s.queue[:0], oIdx), s.next
 	for len(queue) > 0 {
-		var next []int
+		next = next[:0]
 		for _, cur := range queue {
 			for _, p := range g.ProviderIdx(cur) {
 				cand := route{class: classCustomer, dist: routes[cur].dist + 1, next: int32(cur)}
@@ -184,11 +215,10 @@ func Propagate(g *topology.Graph, origin world.ASN) *PathView {
 				}
 			}
 		}
-		queue = next
+		queue, next = next, queue
 	}
 
 	// Phase 2: one peer hop from any AS holding a customer route.
-	peerRoutes := make([]route, n)
 	for i := 0; i < n; i++ {
 		if routes[i].class != classCustomer {
 			continue
@@ -218,7 +248,7 @@ func Propagate(g *topology.Graph, origin world.ASN) *PathView {
 		}
 	}
 	for len(queue) > 0 {
-		var next []int
+		next = next[:0]
 		for _, cur := range queue {
 			for _, c := range g.CustomerIdx(cur) {
 				cand := route{class: classProvider, dist: routes[cur].dist + 1, next: int32(cur)}
@@ -233,10 +263,75 @@ func Propagate(g *topology.Graph, origin world.ASN) *PathView {
 				}
 			}
 		}
-		queue = next
+		queue, next = next, queue
 	}
+	s.queue, s.next = queue, next
+	return true
+}
 
-	return &PathView{g: g, origin: origin, routes: routes}
+// PathLen returns the number of ASes on dense index i's path toward the
+// origin of the last Propagate, both ends inclusive — len of the
+// matching PathView.Path — or 0 when i has no route.
+func (s *Scratch) PathLen(i int) int { return pathLen(s.routes, i) }
+
+// NextHop returns the dense index of i's next hop toward the origin of
+// the last Propagate, or -1 at the origin itself. i must have a route
+// (PathLen(i) > 0).
+func (s *Scratch) NextHop(i int) int { return int(s.routes[i].next) }
+
+// pathLen counts the ASes on i's route to the origin, both ends
+// inclusive: 0 when i has no route, and 0 when the walk outgrows the
+// graph (a cycle would be a propagation bug; the path is then nil).
+func pathLen(routes []route, i int) int {
+	if routes[i].class == classNone {
+		return 0
+	}
+	n := 1
+	for nxt := routes[i].next; nxt >= 0; nxt = routes[nxt].next {
+		if n++; n > len(routes) {
+			return 0
+		}
+	}
+	return n
+}
+
+// appendPath appends i's AS path to the origin (i first, the origin
+// last) to dst, growing it once; dst is returned unchanged when i has
+// no path.
+func appendPath(dst []world.ASN, g *topology.Graph, routes []route, i int) []world.ASN {
+	n := pathLen(routes, i)
+	if n == 0 {
+		return dst
+	}
+	dst = slices.Grow(dst, n)
+	for {
+		dst = append(dst, g.ASNAt(i))
+		nxt := routes[i].next
+		if nxt < 0 {
+			return dst
+		}
+		i = int(nxt)
+	}
+}
+
+// PathView holds, for one origin AS, the best route state of every AS in
+// the graph; monitor paths are reconstructed from it.
+type PathView struct {
+	g      *topology.Graph
+	origin world.ASN
+	routes []route
+}
+
+// Propagate computes valley-free best routes toward one origin for every
+// AS in the graph. It runs the kernel on a fresh Scratch, whose route
+// array the returned view then owns; loops over many origins should
+// reuse one Scratch per worker instead.
+func Propagate(g *topology.Graph, origin world.ASN) *PathView {
+	var s Scratch
+	if !s.Propagate(g, origin) {
+		return nil
+	}
+	return &PathView{g: g, origin: origin, routes: s.routes}
 }
 
 // Reachable reports whether the AS has any route to the origin.
@@ -249,22 +344,10 @@ func (v *PathView) Reachable(from world.ASN) bool {
 // both ends), or nil if unreachable.
 func (v *PathView) Path(from world.ASN) []world.ASN {
 	i, ok := v.g.Index(from)
-	if !ok || v.routes[i].class == classNone {
+	if !ok {
 		return nil
 	}
-	var path []world.ASN
-	for {
-		path = append(path, v.g.ASNAt(i))
-		nxt := v.routes[i].next
-		if nxt < 0 {
-			break
-		}
-		i = int(nxt)
-		if len(path) > v.g.NumASes() {
-			return nil // defensive: cycle would be a propagation bug
-		}
-	}
-	return path
+	return appendPath(nil, v.g, v.routes, i)
 }
 
 // MonitorPaths is the collected RIB view: for each monitor, the preferred
@@ -278,63 +361,78 @@ type MonitorPaths struct {
 // CollectPaths propagates each origin and records the monitors' preferred
 // paths. Origins outside the graph are skipped.
 //
-// Per-origin propagations are independent, so they run on a bounded
-// worker pool of the given size (<= 0 selects GOMAXPROCS, 1 is fully
-// serial — the pipeline's Workers knob plumbs through here so a serial
-// run really is serial); results are merged deterministically (each
-// worker owns a disjoint slice of origins, and the merged maps are
-// keyed by origin).
+// Per-origin propagations are independent, so they run on
+// sched.ParallelFor with the given worker count (<= 0 selects
+// GOMAXPROCS, 1 is fully serial — the pipeline's Workers knob plumbs
+// through here so a serial run really is serial), one kernel Scratch
+// per worker.
 func CollectPaths(g *topology.Graph, monitors []Monitor, origins []world.ASN, workers int) *MonitorPaths {
+	return collect(g, monitors, origins, workers, nil, nil)
+}
+
+// MonitorIndices maps each monitor to its AS's dense index in g, or -1
+// for a monitor outside g (which observes no paths). Monitors sharing
+// an AS each keep their entry.
+func MonitorIndices(g *topology.Graph, monitors []Monitor) []int {
+	mon := make([]int, len(monitors))
+	for mi, m := range monitors {
+		if i, ok := g.Index(m.AS); ok {
+			mon[mi] = i
+		} else {
+			mon[mi] = -1
+		}
+	}
+	return mon
+}
+
+// collect is the one path collector behind CollectPaths and
+// CollectPathsAdversary. Each iteration owns origin oi's row — every
+// monitor's observed path toward it, carved from one exact-size backing
+// array — and the rows are then folded into per-monitor maps in origin
+// order, so the result is identical for every worker count. A campaign
+// against an origin is a per-origin overlay on the honest routes the
+// kernel just computed.
+func collect(g *topology.Graph, monitors []Monitor, origins []world.ASN, workers int, byVictim map[world.ASN]Campaign, rov map[world.ASN]bool) *MonitorPaths {
+	mon := MonitorIndices(g, monitors)
+	rows := make([][][]world.ASN, len(origins))
+	scratch := make([]Scratch, sched.Workers(workers))
+	sched.ParallelFor(workers, len(origins), func(w, oi int) {
+		s := &scratch[w]
+		if !s.Propagate(g, origins[oi]) {
+			return
+		}
+		var camp *Campaign
+		if c, attacked := byVictim[origins[oi]]; attacked && s.propagateHijack(g, c, rov) {
+			camp = &c
+		}
+		size := 0
+		for _, i := range mon {
+			size += s.observedLen(i, camp)
+		}
+		if size == 0 {
+			return
+		}
+		buf := make([]world.ASN, 0, size)
+		row := make([][]world.ASN, len(mon))
+		for mi, i := range mon {
+			start := len(buf)
+			if buf = s.appendObserved(buf, g, i, camp); len(buf) > start {
+				row[mi] = buf[start:len(buf):len(buf)]
+			}
+		}
+		rows[oi] = row
+	})
+
 	mp := &MonitorPaths{Monitors: monitors, paths: make([]map[world.ASN][]world.ASN, len(monitors))}
-	for i := range mp.paths {
-		mp.paths[i] = make(map[world.ASN][]world.ASN)
-	}
-
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(origins) {
-		workers = len(origins)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	type shard struct {
-		paths []map[world.ASN][]world.ASN
-	}
-	shards := make([]shard, workers)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		shards[wi].paths = make([]map[world.ASN][]world.ASN, len(monitors))
-		for i := range shards[wi].paths {
-			shards[wi].paths[i] = make(map[world.ASN][]world.ASN)
-		}
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			s := &shards[wi]
-			for oi := wi; oi < len(origins); oi += workers {
-				origin := origins[oi]
-				view := Propagate(g, origin)
-				if view == nil {
-					continue
-				}
-				for mi, m := range monitors {
-					if p := view.Path(m.AS); p != nil {
-						s.paths[mi][origin] = p
-					}
-				}
-			}
-		}(wi)
-	}
-	wg.Wait()
-	for _, s := range shards {
-		for mi := range s.paths {
-			for origin, p := range s.paths[mi] {
-				mp.paths[mi][origin] = p
+	for mi := range mp.paths {
+		// Sized for the common case: a monitor reaches nearly every origin.
+		m := make(map[world.ASN][]world.ASN, len(origins))
+		for oi, row := range rows {
+			if row != nil && row[mi] != nil {
+				m[origins[oi]] = row[mi]
 			}
 		}
+		mp.paths[mi] = m
 	}
 	return mp
 }

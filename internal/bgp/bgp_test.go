@@ -1,9 +1,11 @@
 package bgp
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"stateowned/internal/sched"
 	"stateowned/internal/topology"
 	"stateowned/internal/world"
 )
@@ -55,6 +57,23 @@ func TestSelectMonitors(t *testing.T) {
 		if ms[i].AS != ms2[i].AS {
 			t.Fatal("monitor selection not deterministic")
 		}
+	}
+
+	// Past two digits IDs stay "rrc" plus a decimal index, still unique.
+	large := SelectMonitors(testW, testG, 150)
+	if len(large) <= 100 {
+		t.Fatalf("150-monitor selection returned only %d monitors", len(large))
+	}
+	ids = map[string]bool{}
+	for i, m := range large {
+		digits, ok := strings.CutPrefix(m.ID, "rrc")
+		if !ok || digits == "" || strings.Trim(digits, "0123456789") != "" {
+			t.Fatalf("monitor %d has ID %q, want rrc followed by digits", i, m.ID)
+		}
+		if ids[m.ID] {
+			t.Fatalf("duplicate monitor ID %s", m.ID)
+		}
+		ids[m.ID] = true
 	}
 }
 
@@ -249,4 +268,18 @@ func TestCustomerPreference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCollectPathsWorkerPanicReachesCaller: path collection runs on
+// sched.ParallelFor, so a panic on a pool worker resurfaces on the
+// calling goroutine as a *sched.PanicError, where the pipeline's node
+// guard contains it, rather than killing the process. A nil topology
+// makes every worker's first Propagate panic.
+func TestCollectPathsWorkerPanicReachesCaller(t *testing.T) {
+	defer func() {
+		if _, ok := recover().(*sched.PanicError); !ok {
+			t.Fatal("collector worker panic did not reach the caller as a *sched.PanicError")
+		}
+	}()
+	CollectPaths(nil, nil, []world.ASN{1, 2, 3, 4}, 2)
 }

@@ -1,0 +1,192 @@
+package bgp
+
+import (
+	"reflect"
+	"testing"
+
+	"stateowned/internal/topology"
+	"stateowned/internal/world"
+)
+
+// referencePropagate is the propagation algorithm as it stood before the
+// kernel took it over, kept verbatim — fresh arrays and frontiers per
+// call — as the differential oracle for Scratch.Propagate.
+func referencePropagate(g *topology.Graph, origin world.ASN) *PathView {
+	oIdx, ok := g.Index(origin)
+	if !ok {
+		return nil
+	}
+	n := g.NumASes()
+	routes := make([]route, n)
+	routes[oIdx] = route{class: classCustomer, dist: 0, next: -1}
+
+	better := func(a, b route) bool { // is a better than b
+		if a.class != b.class {
+			return a.class > b.class
+		}
+		if a.dist != b.dist {
+			return a.dist < b.dist
+		}
+		return a.next < b.next && b.next >= 0
+	}
+
+	// Phase 1: customer routes climb provider edges (BFS by distance).
+	queue := []int{oIdx}
+	for len(queue) > 0 {
+		var next []int
+		for _, cur := range queue {
+			for _, p := range g.ProviderIdx(cur) {
+				cand := route{class: classCustomer, dist: routes[cur].dist + 1, next: int32(cur)}
+				if routes[p].class == classNone || better(cand, routes[p]) {
+					if routes[p].class == classNone {
+						next = append(next, p)
+					}
+					routes[p] = cand
+				}
+			}
+		}
+		queue = next
+	}
+
+	// Phase 2: one peer hop from any AS holding a customer route.
+	peerRoutes := make([]route, n)
+	for i := 0; i < n; i++ {
+		if routes[i].class != classCustomer {
+			continue
+		}
+		for _, p := range g.PeerIdx(i) {
+			if routes[p].class == classCustomer {
+				continue
+			}
+			cand := route{class: classPeer, dist: routes[i].dist + 1, next: int32(i)}
+			if peerRoutes[p].class == classNone || better(cand, peerRoutes[p]) {
+				peerRoutes[p] = cand
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		if peerRoutes[i].class == classPeer && routes[i].class == classNone {
+			routes[i] = peerRoutes[i]
+		}
+	}
+
+	// Phase 3: provider routes descend customer edges, BFS by distance
+	// from every routed AS.
+	queue = queue[:0]
+	for i := 0; i < n; i++ {
+		if routes[i].class != classNone {
+			queue = append(queue, i)
+		}
+	}
+	for len(queue) > 0 {
+		var next []int
+		for _, cur := range queue {
+			for _, c := range g.CustomerIdx(cur) {
+				cand := route{class: classProvider, dist: routes[cur].dist + 1, next: int32(cur)}
+				if routes[c].class == classNone {
+					routes[c] = cand
+					next = append(next, c)
+				} else if routes[c].class == classProvider && better(cand, routes[c]) {
+					routes[c] = cand
+					// Distance improvements do not re-propagate in this
+					// BFS-by-layers scheme; layering guarantees minimal
+					// distances within the provider class.
+				}
+			}
+		}
+		queue = next
+	}
+
+	return &PathView{g: g, origin: origin, routes: routes}
+}
+
+// referencePath is PathView.Path's walk as it stood before paths were
+// sized up front: append hop by hop, nil on a cycle.
+func referencePath(v *PathView, from world.ASN) []world.ASN {
+	i, ok := v.g.Index(from)
+	if !ok || v.routes[i].class == classNone {
+		return nil
+	}
+	var path []world.ASN
+	for {
+		path = append(path, v.g.ASNAt(i))
+		nxt := v.routes[i].next
+		if nxt < 0 {
+			break
+		}
+		i = int(nxt)
+		if len(path) > v.g.NumASes() {
+			return nil
+		}
+	}
+	return path
+}
+
+// kernelWorlds are the differential's topologies, large then small then
+// large again, so one Scratch is shrunk and then regrown within the
+// capacity the first world left it.
+var kernelWorlds = []struct {
+	seed  uint64
+	scale float64
+}{{7, 0.1}, {21, 0.04}, {42, 0.1}}
+
+// TestKernelMatchesReference runs one Scratch over every origin of every
+// kernel world and requires its per-AS (class, dist, next) to equal the
+// reference's exactly, along with every monitor's reconstructed path.
+// Any drift in visit order, tie-breaking or per-origin reset shows up
+// here before it can move a CTI sum.
+func TestKernelMatchesReference(t *testing.T) {
+	var s Scratch
+	sizes := make([]int, len(kernelWorlds))
+	for k, kw := range kernelWorlds {
+		w := world.Generate(world.Config{Seed: kw.seed, Scale: kw.scale})
+		g := topology.Build(w, topology.FinalYear)
+		sizes[k] = g.NumASes()
+		monitors := SelectMonitors(w, g, 0)
+		for _, origin := range g.ASes() {
+			want := referencePropagate(g, origin)
+			if !s.Propagate(g, origin) {
+				t.Fatalf("seed %d: kernel rejected active origin %d", kw.seed, origin)
+			}
+			if len(s.routes) != len(want.routes) {
+				t.Fatalf("seed %d origin %d: %d routes, want %d", kw.seed, origin, len(s.routes), len(want.routes))
+			}
+			for i, r := range want.routes {
+				if s.routes[i] != r {
+					t.Fatalf("seed %d origin %d: AS%d route %+v, reference %+v",
+						kw.seed, origin, g.ASNAt(i), s.routes[i], r)
+				}
+			}
+			got := &PathView{g: g, origin: origin, routes: s.routes}
+			for _, m := range monitors {
+				if p, wp := got.Path(m.AS), referencePath(want, m.AS); !reflect.DeepEqual(p, wp) {
+					t.Fatalf("seed %d origin %d: monitor %s path %v, reference %v", kw.seed, origin, m.ID, p, wp)
+				}
+			}
+		}
+		if s.Propagate(g, 4294967294) {
+			t.Fatalf("seed %d: kernel accepted an origin outside the graph", kw.seed)
+		}
+	}
+	if !(sizes[1] < sizes[2] && sizes[2] <= sizes[0]) {
+		t.Fatalf("kernel worlds sized %v; want large, small, then large within the first's size", sizes)
+	}
+}
+
+// TestKernelAllocationFree pins the kernel's point: on a warmed Scratch
+// a propagation allocates nothing, whichever origin it runs for.
+func TestKernelAllocationFree(t *testing.T) {
+	var s Scratch
+	origins := testG.ASes()
+	for _, o := range origins {
+		s.Propagate(testG, o)
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		s.Propagate(testG, origins[k%len(origins)])
+		k += 7
+	})
+	if allocs != 0 {
+		t.Fatalf("warmed kernel allocates %.1f times per origin, want 0", allocs)
+	}
+}

@@ -133,9 +133,9 @@ func (sh *ShardServer) Store() *snapshot.Store { return sh.store }
 // Status snapshots the shard's control-plane self-description.
 func (sh *ShardServer) Status() ShardStatus {
 	return ShardStatus{
-		Shard:     sh.src.shard,
-		Shards:    sh.src.part.Shards,
-		Partition: sh.src.part,
+		Shard:       sh.src.shard,
+		Shards:      sh.src.part.Shards,
+		Partition:   sh.src.part,
 		LiveGen:     sh.store.Current().Gen,
 		StagedGen:   sh.store.StagedGen(),
 		Retained:    sh.store.Retained(),

@@ -16,13 +16,16 @@
 // dataset layer, and the only query whose cost scales with the graph.
 //
 // Build rides internal/sched.ParallelFor: cone closure and dependency
-// scoring fan out per-AS, each iteration writing only its own slot, so
-// the compiled graph is bit-identical for every worker count — the
+// scoring fan out per-AS, each iteration writing only its own slot and
+// borrowing its worker's scratch, which starts every iteration reset,
+// so the compiled graph is bit-identical for every worker count — the
 // differential suite enforces this along with deep equality against
 // naive on-demand traversals of the raw topology.
 package graph
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -131,7 +134,7 @@ func Build(topo *topology.Graph, monitors []bgp.Monitor, orgs *as2org.Mapping, w
 	}
 
 	// Phase 1: classed adjacency, one sorted ASN slice per (AS, class).
-	sched.ParallelFor(workers, n, func(i int) {
+	sched.ParallelFor(workers, n, func(_, i int) {
 		a := topo.ASNAt(i)
 		g.adj[Provider][i] = sortedASNs(topo, topo.ProviderIdx(i))
 		g.adj[Customer][i] = sortedASNs(topo, topo.CustomerIdx(i))
@@ -148,55 +151,40 @@ func Build(topo *topology.Graph, monitors []bgp.Monitor, orgs *as2org.Mapping, w
 		}
 	})
 
+	// Phases 2 and 3 give each pool worker one scratch, reused across
+	// every AS that worker takes.
+	scratch := make([]buildScratch, sched.Workers(workers))
+
 	// Phase 2: customer-cone closure. Each iteration BFSes the dense
 	// customer edges and writes only its own slot.
-	sched.ParallelFor(workers, n, func(i int) {
-		g.cones[i] = coneOf(topo, i)
+	sched.ParallelFor(workers, n, func(w, i int) {
+		g.cones[i] = scratch[w].coneOf(topo, i)
 	})
 
 	// Phase 3: transit-dependency scores. One valley-free propagation
-	// per origin (the same routing model CTI's path collection runs);
-	// every monitor path toward origin i credits its transit hops.
-	sched.ParallelFor(workers, n, func(i int) {
-		view := bgp.Propagate(topo, topo.ASNAt(i))
-		if view == nil {
-			return
-		}
-		counts := map[world.ASN]int{}
-		total := 0
-		for _, m := range monitors {
-			p := view.Path(m.AS)
-			if p == nil {
-				continue
-			}
-			total++
-			// Transit hops exclude the monitor and the origin; a monitor
-			// that IS the origin contributes a length-1 path with none.
-			if len(p) < 3 {
-				continue
-			}
-			for _, t := range p[1 : len(p)-1] {
-				counts[t]++
-			}
-		}
+	// per origin (the same kernel CTI's path collection runs); every
+	// monitor path toward origin i credits its transit hops.
+	mon := bgp.MonitorIndices(topo, monitors)
+	sched.ParallelFor(workers, n, func(w, i int) {
+		s := &scratch[w]
+		total := s.observe(topo, mon, i)
 		g.observed[i] = total
-		if len(counts) == 0 {
-			return
-		}
-		deps := make([]Dependency, 0, len(counts))
-		for t, c := range counts {
-			deps = append(deps, Dependency{Transit: t, Score: float64(c) / float64(total), Paths: c})
-		}
-		sort.Slice(deps, func(x, y int) bool {
-			if deps[x].Paths != deps[y].Paths {
-				return deps[x].Paths > deps[y].Paths
-			}
-			return deps[x].Transit < deps[y].Transit
-		})
-		g.deps[i] = deps
+		g.deps[i] = s.ranking(topo, total)
 	})
 
 	return g
+}
+
+// buildScratch is one worker's reusable build state: the cone BFS's
+// seen set and queue, the propagation kernel's scratch, and a dense
+// per-AS transit counter that is reset through the list of indices it
+// touched. Between iterations seen is all false and counts all zero.
+type buildScratch struct {
+	seen    []bool
+	queue   []int
+	prop    bgp.Scratch
+	counts  []int32
+	touched []int32
 }
 
 // sortedASNs maps dense indices to their ASNs, sorted ascending.
@@ -214,28 +202,95 @@ func sortedASNs(topo *topology.Graph, idxs []int) []world.ASN {
 
 // coneOf BFSes the customer edges from i and returns the sorted cone,
 // self included.
-func coneOf(topo *topology.Graph, i int) []world.ASN {
-	seen := make([]bool, topo.NumASes())
-	seen[i] = true
-	queue := []int{i}
-	members := []int{i}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, c := range topo.CustomerIdx(cur) {
-			if !seen[c] {
-				seen[c] = true
+func (s *buildScratch) coneOf(topo *topology.Graph, i int) []world.ASN {
+	if len(s.seen) < topo.NumASes() {
+		s.seen = make([]bool, topo.NumASes())
+	}
+	s.seen[i] = true
+	queue := append(s.queue[:0], i)
+	for head := 0; head < len(queue); head++ {
+		for _, c := range topo.CustomerIdx(queue[head]) {
+			if !s.seen[c] {
+				s.seen[c] = true
 				queue = append(queue, c)
-				members = append(members, c)
 			}
 		}
 	}
-	out := make([]world.ASN, len(members))
-	for k, j := range members {
+	out := make([]world.ASN, len(queue))
+	for k, j := range queue {
 		out[k] = topo.ASNAt(j)
+		s.seen[j] = false
 	}
+	s.queue = queue
 	world.SortASNs(out)
 	return out
+}
+
+// observe propagates toward origin i and counts, into s.counts, how
+// many monitor paths toward i traverse each transit AS — the hops
+// strictly between the monitor and the origin — walking next-hop
+// indices instead of materializing paths. mon holds the monitors'
+// dense indices (bgp.MonitorIndices): each monitor contributes one
+// path, so an AS hosting two counts twice. It returns how many monitor
+// paths reached i; a monitor that is the origin contributes a length-1
+// path with no transits.
+func (s *buildScratch) observe(topo *topology.Graph, mon []int, i int) (total int) {
+	if len(s.counts) < topo.NumASes() {
+		s.counts = make([]int32, topo.NumASes())
+	}
+	s.prop.Propagate(topo, topo.ASNAt(i))
+	for _, m := range mon {
+		if m < 0 {
+			continue
+		}
+		hops := s.prop.PathLen(m)
+		if hops == 0 {
+			continue
+		}
+		total++
+		if hops < 3 {
+			continue
+		}
+		// The origin is the one hop without a next hop.
+		for t := s.prop.NextHop(m); s.prop.NextHop(t) >= 0; t = s.prop.NextHop(t) {
+			if s.counts[t] == 0 {
+				s.touched = append(s.touched, int32(t))
+			}
+			s.counts[t]++
+		}
+	}
+	return total
+}
+
+// ranking turns the counts observe left in s into the dependency
+// ranking of the origin it observed — Paths descending, ASN ascending —
+// and resets the counter for the next origin. It returns nil when no
+// monitor path had a transit hop.
+func (s *buildScratch) ranking(topo *topology.Graph, total int) []Dependency {
+	if len(s.touched) == 0 {
+		return nil
+	}
+	deps := make([]Dependency, len(s.touched))
+	for k, t := range s.touched {
+		c := int(s.counts[t])
+		deps[k] = Dependency{Transit: topo.ASNAt(int(t)), Score: float64(c) / float64(total), Paths: c}
+	}
+	s.resetCounts()
+	slices.SortFunc(deps, func(x, y Dependency) int {
+		if x.Paths != y.Paths {
+			return cmp.Compare(y.Paths, x.Paths)
+		}
+		return cmp.Compare(x.Transit, y.Transit)
+	})
+	return deps
+}
+
+// resetCounts zeroes the counter through the touched list.
+func (s *buildScratch) resetCounts() {
+	for _, t := range s.touched {
+		s.counts[t] = 0
+	}
+	s.touched = s.touched[:0]
 }
 
 // NumASes reports how many ASes the compiled graph covers.

@@ -313,6 +313,34 @@ func TestGraphWorkerIndependence(t *testing.T) {
 
 // TestGraphInCone cross-checks the binary-search membership test
 // against the materialized cones.
+// TestDependencyPhaseAllocationFree pins phase 3's per-origin work on a
+// warmed worker scratch: propagating one origin, walking every monitor's
+// next hops and counting transits allocates nothing. Only the ranking
+// slice the compiled graph keeps is allocated, by ranking.
+func TestDependencyPhaseAllocationFree(t *testing.T) {
+	topo, monitors, _ := substrate(diffSeeds[0])
+	mon := bgp.MonitorIndices(topo, monitors)
+	var s buildScratch
+	origin := -1
+	for i := 0; i < topo.NumASes(); i++ {
+		s.observe(topo, mon, i)
+		if origin < 0 && len(s.touched) > 0 {
+			origin = i
+		}
+		s.resetCounts()
+	}
+	if origin < 0 {
+		t.Fatal("no origin has a transit on any monitor path")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		s.observe(topo, mon, origin)
+		s.resetCounts()
+	})
+	if allocs != 0 {
+		t.Fatalf("phase 3 allocates %.1f times per origin on warmed scratch, want 0", allocs)
+	}
+}
+
 func TestGraphInCone(t *testing.T) {
 	topo, monitors, orgs := substrate(42)
 	g := Build(topo, monitors, orgs, 0)

@@ -372,22 +372,28 @@ func runNode(name string, fn func() error) NodeResult {
 	return res
 }
 
-// ParallelFor runs fn(0) … fn(n-1) on up to Workers(workers) pool
-// goroutines and returns when all have finished. The result is
-// deterministic as long as each iteration writes only i-owned state
-// (e.g. slot i of a results slice). A panic in any iteration is
-// re-raised on the calling goroutine once all iterations have settled
-// (lowest index wins, so even the choice of panic is deterministic) —
-// this keeps an enclosing panic guard, such as a Graph node wrapper,
-// able to contain it; a bare goroutine panic would kill the process.
-func ParallelFor(workers, n int, fn func(i int)) {
+// ParallelFor runs fn(w, 0) … fn(w, n-1) on up to Workers(workers) pool
+// goroutines and returns when all have finished. w is the index of the
+// pool goroutine running the iteration, in [0, Workers(workers)): no two
+// iterations with the same w ever run concurrently, so a caller can
+// hand each worker one reusable scratch (scratch[w]) without locking.
+// Which iterations a given w runs is up to the schedule, so scratch
+// must not carry state from one iteration into the next result. The
+// result is deterministic as long as each iteration writes only
+// i-owned state (e.g. slot i of a results slice). A panic in any
+// iteration is re-raised on the calling goroutine once all iterations
+// have settled (lowest index wins, so even the choice of panic is
+// deterministic) — this keeps an enclosing panic guard, such as a Graph
+// node wrapper, able to contain it; a bare goroutine panic would kill
+// the process.
+func ParallelFor(workers, n int, fn func(w, i int)) {
 	workers = Workers(workers)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -396,7 +402,7 @@ func ParallelFor(workers, n int, fn func(i int)) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
@@ -413,10 +419,10 @@ func ParallelFor(workers, n int, fn func(i int)) {
 							}
 						}
 					}()
-					fn(i)
+					fn(w, i)
 				}()
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	for _, p := range panics {

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -195,14 +196,40 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		n := 100
 		out := make([]int, n)
-		ParallelFor(workers, n, func(i int) { out[i] = i * i })
+		ParallelFor(workers, n, func(_, i int) { out[i] = i * i })
 		for i, v := range out {
 			if v != i*i {
 				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
 			}
 		}
 	}
-	ParallelFor(4, 0, func(int) { t.Fatal("fn called with n=0") })
+	ParallelFor(4, 0, func(_, _ int) { t.Fatal("fn called with n=0") })
+}
+
+// TestParallelForWorkerIndex pins the per-worker scratch contract: w
+// stays below the resolved pool size (and below n), and no two
+// iterations sharing a w ever overlap, so scratch[w] needs no lock.
+func TestParallelForWorkerIndex(t *testing.T) {
+	for _, tc := range []struct{ workers, n int }{{1, 50}, {3, 200}, {8, 5}} {
+		size := min(Workers(tc.workers), tc.n)
+		busy := make([]atomic.Bool, size)
+		var overlaps, outOfRange atomic.Int64
+		ParallelFor(tc.workers, tc.n, func(w, i int) {
+			if w < 0 || w >= size {
+				outOfRange.Add(1)
+				return
+			}
+			if busy[w].Swap(true) {
+				overlaps.Add(1)
+			}
+			runtime.Gosched()
+			busy[w].Store(false)
+		})
+		if outOfRange.Load() != 0 || overlaps.Load() != 0 {
+			t.Fatalf("workers=%d n=%d: %d out-of-range worker indices, %d overlapping uses",
+				tc.workers, tc.n, outOfRange.Load(), overlaps.Load())
+		}
+	}
 }
 
 // TestParallelForPanicReachesNodeGuard is the escape-hatch regression
@@ -212,7 +239,7 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 func TestParallelForPanicReachesNodeGuard(t *testing.T) {
 	g := New()
 	g.Add("fanout", func() error {
-		ParallelFor(4, 10, func(i int) {
+		ParallelFor(4, 10, func(_, i int) {
 			if i == 3 || i == 7 {
 				panic(fmt.Sprintf("iteration %d", i))
 			}

@@ -715,10 +715,10 @@ type ReadyResponse struct {
 	Generation int  `json:"generation"`
 	Reloading  bool `json:"reloading"`
 	// Degraded state of the reload gate (see ReloadStatus).
-	Degraded       bool           `json:"degraded"`
-	DegradedReason string         `json:"degraded_reason,omitempty"`
-	ReloadFailures int            `json:"reload_failures,omitempty"`
-	ReloadGaveUp   bool           `json:"reload_gave_up,omitempty"`
+	Degraded       bool   `json:"degraded"`
+	DegradedReason string `json:"degraded_reason,omitempty"`
+	ReloadFailures int    `json:"reload_failures,omitempty"`
+	ReloadGaveUp   bool   `json:"reload_gave_up,omitempty"`
 	// Incremental-rebuild reuse counters (cumulative over the store's
 	// lifetime), present only when the source rebuilds incrementally.
 	Incremental  bool   `json:"incremental,omitempty"`
@@ -738,10 +738,10 @@ type ReadyResponse struct {
 	ArchiveWriteFailures uint64         `json:"archive_write_failures,omitempty"`
 	ArchiveLastError     string         `json:"archive_last_error,omitempty"`
 	ChaosSeverity        float64        `json:"chaos_severity"`
-	Sources        []SourceStatus `json:"sources,omitempty"`
-	DegradedSrc    []string       `json:"degraded_sources,omitempty"`
-	Unavailable    []string       `json:"unavailable_sources,omitempty"`
-	DegradedStages []StageStatus  `json:"degraded_stages,omitempty"`
+	Sources              []SourceStatus `json:"sources,omitempty"`
+	DegradedSrc          []string       `json:"degraded_sources,omitempty"`
+	Unavailable          []string       `json:"unavailable_sources,omitempty"`
+	DegradedStages       []StageStatus  `json:"degraded_stages,omitempty"`
 }
 
 func (s *Server) handleReadyz(*http.Request) response {

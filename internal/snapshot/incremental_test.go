@@ -65,7 +65,7 @@ func chainStore(c chainCase, incremental bool) *Store {
 			Seed: c.seed, Scale: testScale, Workers: c.workers,
 			HijackSeverity: c.hijack, ROVFraction: c.rov,
 		},
-		Rates: c.rates,
+		Rates:       c.rates,
 		Retain:      chainGens + 1,
 		Incremental: incremental,
 		Validation:  &noGate,

@@ -417,7 +417,7 @@ func computeCTI(res *Result, cfg Config, plan faults.Plan, h *runner.Health, wor
 	// Per-country CTI computations are independent reads over the frozen
 	// path collection and geo snapshot: fan them out, each iteration
 	// owning its result slot, then assemble the map in canonical order.
-	sched.ParallelFor(workers, len(dirtyIdx), func(k int) {
+	sched.ParallelFor(workers, len(dirtyIdx), func(_, k int) {
 		i := dirtyIdx[k]
 		cc := ctiCountries[i]
 		scores := comp.Country(cc, perCountry[cc], res.Geo.NumPrefixes, res.Geo)
