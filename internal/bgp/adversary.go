@@ -225,11 +225,18 @@ func Spread(g *topology.Graph, c Campaign, rov map[world.ASN]bool) []world.ASN {
 
 // observedLen is the length of appendObserved's path for dense index i
 // (-1: a monitor outside the graph, which observes nothing).
-func (s *Scratch) observedLen(i int, c *Campaign) int {
-	if i < 0 {
+func (s *Scratch) observedLen(i int, c *Campaign, stub int) int {
+	switch {
+	case i < 0:
 		return 0
-	}
-	if c == nil || s.hij[i].class == classNone {
+	case i == stub:
+		return 1
+	case stub >= 0:
+		if n := pathLen(s.routes, i); n > 0 {
+			return n + 1
+		}
+		return 0
+	case c == nil || s.hij[i].class == classNone:
 		return pathLen(s.routes, i)
 	}
 	n := pathLen(s.hij, i)
@@ -240,15 +247,26 @@ func (s *Scratch) observedLen(i int, c *Campaign) int {
 }
 
 // appendObserved appends what a monitor inside dense index i reports
-// for the origin s last propagated: with a live campaign c (s.hij
-// computed by propagateHijack), the walk to the hijacker plus the
+// for the origin s last propagated, or — with stub >= 0 — for the
+// single-homed stub whose provider s last propagated: the provider's
+// path with the stub appended, and just the stub for a monitor inside
+// it (StubProvider). With a live campaign c (s.hij computed by
+// propagateHijack) it is the walk to the hijacker plus the
 // announcement's claimed tail where the invalid route was adopted; the
 // honest path everywhere else.
-func (s *Scratch) appendObserved(dst []world.ASN, g *topology.Graph, i int, c *Campaign) []world.ASN {
-	if i < 0 {
+func (s *Scratch) appendObserved(dst []world.ASN, g *topology.Graph, i int, c *Campaign, stub int) []world.ASN {
+	switch {
+	case i < 0:
 		return dst
-	}
-	if c == nil || s.hij[i].class == classNone {
+	case i == stub:
+		return append(dst, g.ASNAt(stub))
+	case stub >= 0:
+		n := len(dst)
+		if dst = appendPath(dst, g, s.routes, i); len(dst) > n {
+			dst = append(dst, g.ASNAt(stub))
+		}
+		return dst
+	case c == nil || s.hij[i].class == classNone:
 		return appendPath(dst, g, s.routes, i)
 	}
 	n := len(dst)

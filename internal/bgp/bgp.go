@@ -12,6 +12,7 @@
 package bgp
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -269,6 +270,40 @@ func (s *Scratch) Propagate(g *topology.Graph, origin world.ASN) bool {
 	return true
 }
 
+// StubProvider reports whether dense index i of g is a single-homed
+// stub — exactly one provider, no peers, no customers — and returns
+// that provider's dense index. A stub's routes are its provider's
+// routes with every distance one longer, the provider's next hop set
+// to the stub, and the stub as the origin. So every path toward the
+// stub is the path toward its provider with the stub appended, except
+// the one-hop path [stub] from the stub itself, and a caller holding
+// the provider's propagation needs no run of its own for the stub.
+// Propagate(stub) computes exactly those routes:
+//
+//   - Phase 1 from the stub reaches only its provider, at distance 1.
+//     It then runs the provider's own climb one layer later, frontier
+//     for frontier, so every customer route is the provider's route one
+//     hop longer. The stub is no AS's provider, so the climb never
+//     returns to it.
+//   - Phase 2 adds nothing at the stub, which has no peers. Phase 3
+//     seeds the stub as well, but adds nothing through it: it has no
+//     customers.
+//   - Adding 1 to every distance preserves every comparison better
+//     makes. Its next-hop guard (b.next >= 0) only protects an origin,
+//     and no candidate can reach the provider at distance 1 except from
+//     the stub, the one AS at distance 0.
+//
+// TestStubProviderMatchesReference checks the rule against the
+// reference propagation for every stub of the kernel worlds. A
+// multi-homed stub has no such shortcut: no one provider's routes are
+// its routes.
+func StubProvider(g *topology.Graph, i int) (provider int, ok bool) {
+	if ps := g.ProviderIdx(i); len(ps) == 1 && len(g.PeerIdx(i)) == 0 && len(g.CustomerIdx(i)) == 0 {
+		return ps[0], true
+	}
+	return -1, false
+}
+
 // PathLen returns the number of ASes on dense index i's path toward the
 // origin of the last Propagate, both ends inclusive — len of the
 // matching PathView.Path — or 0 when i has no route.
@@ -386,41 +421,70 @@ func MonitorIndices(g *topology.Graph, monitors []Monitor) []int {
 }
 
 // collect is the one path collector behind CollectPaths and
-// CollectPathsAdversary. Each iteration owns origin oi's row — every
-// monitor's observed path toward it, carved from one exact-size backing
-// array — and the rows are then folded into per-monitor maps in origin
-// order, so the result is identical for every worker count. A campaign
-// against an origin is a per-origin overlay on the honest routes the
-// kernel just computed.
+// CollectPathsAdversary. It runs the kernel once per distinct routing
+// tree: an unattacked single-homed stub reads its row off its
+// provider's propagation (StubProvider), every other origin propagates
+// itself. Each origin's row — every monitor's observed path toward it,
+// carved from one exact-size backing array — is owned by one origin
+// index, and the rows are then folded into per-monitor maps in origin
+// order, so the result is identical for every worker count and every
+// grouping. A campaign against an origin is a per-origin overlay on the
+// honest routes the kernel just computed; a campaign victim is never
+// collapsed into its provider, since the overlay needs the victim's
+// own honest routes.
 func collect(g *topology.Graph, monitors []Monitor, origins []world.ASN, workers int, byVictim map[world.ASN]Campaign, rov map[world.ASN]bool) *MonitorPaths {
 	mon := MonitorIndices(g, monitors)
-	rows := make([][][]world.ASN, len(origins))
-	scratch := make([]Scratch, sched.Workers(workers))
-	sched.ParallelFor(workers, len(origins), func(w, oi int) {
-		s := &scratch[w]
-		if !s.Propagate(g, origins[oi]) {
-			return
-		}
-		var camp *Campaign
-		if c, attacked := byVictim[origins[oi]]; attacked && s.propagateHijack(g, c, rov) {
-			camp = &c
-		}
-		size := 0
-		for _, i := range mon {
-			size += s.observedLen(i, camp)
-		}
-		if size == 0 {
-			return
-		}
-		buf := make([]world.ASN, 0, size)
-		row := make([][]world.ASN, len(mon))
-		for mi, i := range mon {
-			start := len(buf)
-			if buf = s.appendObserved(buf, g, i, camp); len(buf) > start {
-				row[mi] = buf[start:len(buf):len(buf)]
+	// src[oi] is the dense index the kernel propagates for origin oi (-1:
+	// outside g). Classifying on the pool keeps g's first use on a
+	// worker, where a panic reaches the caller as a *sched.PanicError.
+	src := make([]int, len(origins))
+	sched.ParallelFor(workers, len(origins), func(_, oi int) {
+		src[oi] = -1
+		if i, ok := g.Index(origins[oi]); ok {
+			src[oi] = i
+			if p, stub := StubProvider(g, i); stub {
+				if _, attacked := byVictim[origins[oi]]; !attacked {
+					src[oi] = p
+				}
 			}
 		}
-		rows[oi] = row
+	})
+	// order lists the routed origins grouped by src; group k is
+	// order[bounds[k]:bounds[k+1]].
+	order := make([]int, 0, len(origins))
+	for oi, i := range src {
+		if i >= 0 {
+			order = append(order, oi)
+		}
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(src[a], src[b]) })
+	var bounds []int
+	for k, oi := range order {
+		if k == 0 || src[oi] != src[order[k-1]] {
+			bounds = append(bounds, k)
+		}
+	}
+	bounds = append(bounds, len(order))
+
+	rows := make([][][]world.ASN, len(origins))
+	scratch := make([]Scratch, sched.Workers(workers))
+	sched.ParallelFor(workers, len(bounds)-1, func(w, k int) {
+		s := &scratch[w]
+		group := order[bounds[k]:bounds[k+1]]
+		p := src[group[0]]
+		s.Propagate(g, g.ASNAt(p))
+		for _, oi := range group {
+			// An origin other than the AS propagated is its stub.
+			stub, _ := g.Index(origins[oi])
+			if stub == p {
+				stub = -1
+			}
+			var camp *Campaign
+			if c, attacked := byVictim[origins[oi]]; attacked && s.propagateHijack(g, c, rov) {
+				camp = &c
+			}
+			rows[oi] = s.row(g, mon, camp, stub)
+		}
 	})
 
 	mp := &MonitorPaths{Monitors: monitors, paths: make([]map[world.ASN][]world.ASN, len(monitors))}
@@ -435,6 +499,29 @@ func collect(g *topology.Graph, monitors []Monitor, origins []world.ASN, workers
 		mp.paths[mi] = m
 	}
 	return mp
+}
+
+// row carves one origin's row from the routes s holds — monitor mi's
+// observed path at row[mi], all of them in one exact-size backing
+// array — or returns nil when no monitor observes a path. camp and
+// stub are as for appendObserved.
+func (s *Scratch) row(g *topology.Graph, mon []int, camp *Campaign, stub int) [][]world.ASN {
+	size := 0
+	for _, i := range mon {
+		size += s.observedLen(i, camp, stub)
+	}
+	if size == 0 {
+		return nil
+	}
+	buf := make([]world.ASN, 0, size)
+	row := make([][]world.ASN, len(mon))
+	for mi, i := range mon {
+		start := len(buf)
+		if buf = s.appendObserved(buf, g, i, camp, stub); len(buf) > start {
+			row[mi] = buf[start:len(buf):len(buf)]
+		}
+	}
+	return row
 }
 
 // Path returns monitor mi's preferred path to origin (nil if none).

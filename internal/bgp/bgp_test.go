@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -226,6 +227,102 @@ func TestCollectPaths(t *testing.T) {
 	}
 	if dup == 0 {
 		t.Error("expected at least one multi-monitor AS")
+	}
+}
+
+// TestCollectPathsMatchesPropagate is the collector's differential:
+// over every origin of the kernel worlds, each monitor's collected path
+// equals Propagate(origin).Path(monitor), so reading single-homed
+// stubs' rows off their providers' propagations changes no path. The
+// selected monitors are joined by one inside a stub, which observes
+// the one-hop path to that stub, and one outside the graph.
+func TestCollectPathsMatchesPropagate(t *testing.T) {
+	for _, kw := range kernelWorlds {
+		w := world.Generate(world.Config{Seed: kw.seed, Scale: kw.scale})
+		g := topology.Build(w, topology.FinalYear)
+		stub := -1
+		for i := 0; i < g.NumASes() && stub < 0; i++ {
+			if _, ok := StubProvider(g, i); ok {
+				stub = i
+			}
+		}
+		if stub < 0 {
+			t.Fatalf("seed %d: no single-homed stub to host a monitor", kw.seed)
+		}
+		monitors := append(SelectMonitors(w, g, 0),
+			Monitor{ID: "in-stub", AS: g.ASNAt(stub)}, Monitor{ID: "outside", AS: 4294967294})
+		origins := g.ASes()
+		mp := CollectPaths(g, monitors, origins, 2)
+		for _, o := range origins {
+			view := Propagate(g, o)
+			for mi, m := range monitors {
+				if got, want := mp.Path(mi, o), view.Path(m.AS); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: monitor %s toward AS%d collected %v, Propagate %v", kw.seed, m.ID, o, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCollectPathsAdversaryMatchesPerOrigin checks the collector's
+// grouping under campaigns against a reference that propagates every
+// origin itself and overlays its campaign: a single-homed stub that is
+// a campaign victim keeps its own propagation and overlay, and a stub
+// whose provider is a victim still reads the provider's honest routes.
+func TestCollectPathsAdversaryMatchesPerOrigin(t *testing.T) {
+	g := testG
+	monitors := SelectMonitors(testW, g, 0)
+	mon := MonitorIndices(g, monitors)
+	// live returns a campaign of the given kind against victim that some
+	// AS adopts.
+	live := func(kind CampaignKind, victim world.ASN) Campaign {
+		for _, h := range g.ASes() {
+			c := Campaign{Kind: kind, Victim: victim, Hijacker: h, Forged: []world.ASN{64512}}
+			if h != victim && len(Spread(g, c, nil)) > 0 {
+				return c
+			}
+		}
+		t.Fatalf("no hijacker wins a %s campaign against AS%d", kind, victim)
+		return Campaign{}
+	}
+	// The first stub is a victim; the second stub's provider is one.
+	var stubVictim, providerVictim Campaign
+	for i := 0; i < g.NumASes() && providerVictim.Victim == 0; i++ {
+		p, ok := StubProvider(g, i)
+		switch {
+		case !ok:
+		case stubVictim.Victim == 0:
+			stubVictim = live(ExactPrefix, g.ASNAt(i))
+		default:
+			providerVictim = live(ForgedPath, g.ASNAt(p))
+		}
+	}
+	adv := &Adversary{Campaigns: []Campaign{stubVictim, providerVictim}}
+	origins := g.ASes()
+	mp := CollectPathsAdversary(g, monitors, origins, 2, adv)
+	honest := CollectPaths(g, monitors, origins, 2)
+	var s Scratch
+	polluted := 0
+	for _, o := range origins {
+		s.Propagate(g, o)
+		var camp *Campaign
+		for _, c := range adv.Campaigns {
+			if c.Victim == o && s.propagateHijack(g, c, nil) {
+				camp = &c
+			}
+		}
+		for mi, i := range mon {
+			want := s.appendObserved(nil, g, i, camp, -1)
+			if got := mp.Path(mi, o); !reflect.DeepEqual(got, want) {
+				t.Fatalf("monitor %s toward AS%d collected %v, per-origin reference %v", monitors[mi].ID, o, got, want)
+			}
+			if o == stubVictim.Victim && !reflect.DeepEqual(want, honest.Path(mi, o)) {
+				polluted++
+			}
+		}
+	}
+	if polluted == 0 {
+		t.Fatal("the campaign against the stub polluted no monitor path; the check is vacuous")
 	}
 }
 

@@ -190,3 +190,57 @@ func TestKernelAllocationFree(t *testing.T) {
 		t.Fatalf("warmed kernel allocates %.1f times per origin, want 0", allocs)
 	}
 }
+
+// stubEdgeCases is a hand-shaped topology holding each near-stub a
+// generated world never does: AS10 has one provider and a peer, AS11
+// one provider and a customer (AS12), AS13 two providers. AS12 and AS14
+// are true single-homed stubs.
+var stubEdgeCases = topology.FromEdges(
+	[]world.ASN{1, 2, 3, 10, 11, 12, 13, 14},
+	[][2]world.ASN{{1, 2}, {1, 3}, {2, 10}, {2, 11}, {11, 12}, {2, 13}, {3, 13}, {3, 14}},
+	[][2]world.ASN{{10, 3}})
+
+// TestStubProviderMatchesReference proves StubProvider's rule for every
+// single-homed stub of the kernel worlds and of stubEdgeCases: the
+// provider's kernel routes, with every routed distance one longer, the
+// provider's next hop set to the stub and the stub as the origin, equal
+// referencePropagate(stub) on every AS. Accepting an AS with a peer, a
+// customer or a second provider as a stub breaks the equality.
+func TestStubProviderMatchesReference(t *testing.T) {
+	graphs := []*topology.Graph{stubEdgeCases}
+	for _, kw := range kernelWorlds {
+		w := world.Generate(world.Config{Seed: kw.seed, Scale: kw.scale})
+		graphs = append(graphs, topology.Build(w, topology.FinalYear))
+	}
+	var s Scratch
+	for k, g := range graphs {
+		stubs := 0
+		for stub := 0; stub < g.NumASes(); stub++ {
+			p, ok := StubProvider(g, stub)
+			if !ok {
+				continue
+			}
+			stubs++
+			want := referencePropagate(g, g.ASNAt(stub))
+			s.Propagate(g, g.ASNAt(p))
+			for i, r := range s.routes {
+				if r.class != classNone {
+					r.dist++
+				}
+				switch i {
+				case p:
+					r.next = int32(stub)
+				case stub:
+					r = route{class: classCustomer, dist: 0, next: -1}
+				}
+				if r != want.routes[i] {
+					t.Fatalf("graph %d stub AS%d via provider AS%d: AS%d derived route %+v, reference %+v",
+						k, g.ASNAt(stub), g.ASNAt(p), g.ASNAt(i), r, want.routes[i])
+				}
+			}
+		}
+		if stubs == 0 {
+			t.Fatalf("graph %d: no single-homed stubs to check", k)
+		}
+	}
+}

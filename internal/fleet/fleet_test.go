@@ -25,7 +25,10 @@ import (
 // neverAfter is the virtual timer for paths that must not fire in a
 // test: select on a nil channel blocks forever, so hedge timers and leg
 // deadlines stay silent unless a test drives them explicitly.
-func neverAfter(time.Duration) <-chan time.Time { return nil }
+func neverAfter(time.Duration) (<-chan time.Time, func() bool) { return nil, noStop }
+
+// noStop is the stop of a hand-fired After: there is no timer to stop.
+func noStop() bool { return false }
 
 // handlerTransport maps fake host names to in-process handlers, with a
 // per-host down flag (simulated crash: instant transport error) and an

@@ -76,8 +76,8 @@ type RouterOptions struct {
 	SearchLimit int
 
 	// After is the injectable timer all router waits run on (nil =
-	// time.After); tests drive hedging, leg deadlines and admission on a
-	// virtual clock through it.
+	// serve.TimerAfter); tests drive hedging, leg deadlines and
+	// admission on a virtual clock through it.
 	After serve.After
 
 	// Lifecycle carries the listener hardening for Serve.
@@ -182,7 +182,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		rt.searchLim = 10
 	}
 	if rt.after == nil {
-		rt.after = time.After
+		rt.after = serve.TimerAfter
 	}
 	if opts.Admission != nil {
 		rt.limiter = serve.NewLimiter(*opts.Admission, rt.after)
@@ -376,8 +376,10 @@ func (rt *Router) fetchLeg(ctx context.Context, shard int, path string) leg {
 	}
 	launch(false)
 	outstanding, hedged := 1, false
-	hedgeCh := rt.after(rt.hedgeAfter)
-	deadline := rt.after(rt.legTimeout)
+	hedgeCh, stopHedge := rt.after(rt.hedgeAfter)
+	defer stopHedge()
+	deadline, stopDeadline := rt.after(rt.legTimeout)
+	defer stopDeadline()
 	var lastErr leg
 	for {
 		select {

@@ -298,11 +298,11 @@ func TestRouterHedgeOnSlowLeg(t *testing.T) {
 		routerOpt: func(o *RouterOptions) {
 			o.HedgeAfter = hedgeAfter
 			o.LegTimeout = legTimeout
-			o.After = func(d time.Duration) <-chan time.Time {
+			o.After = func(d time.Duration) (<-chan time.Time, func() bool) {
 				if d == hedgeAfter {
-					return hedgeCh
+					return hedgeCh, noStop
 				}
-				return nil // deadlines never fire in this test
+				return nil, noStop // deadlines never fire in this test
 			}
 		},
 	})

@@ -16,8 +16,10 @@
 // dataset layer, and the only query whose cost scales with the graph.
 //
 // Build rides internal/sched.ParallelFor: cone closure and dependency
-// scoring fan out per-AS, each iteration writing only its own slot and
-// borrowing its worker's scratch, which starts every iteration reset,
+// scoring fan out per-AS, each iteration writing only slots no other
+// iteration writes (its own, plus its single-homed stub customers' in
+// the dependency phase) and borrowing its worker's scratch, which
+// starts every iteration reset,
 // so the compiled graph is bit-identical for every worker count — the
 // differential suite enforces this along with deep equality against
 // naive on-demand traversals of the raw topology.
@@ -162,14 +164,27 @@ func Build(topo *topology.Graph, monitors []bgp.Monitor, orgs *as2org.Mapping, w
 	})
 
 	// Phase 3: transit-dependency scores. One valley-free propagation
-	// per origin (the same kernel CTI's path collection runs); every
-	// monitor path toward origin i credits its transit hops.
+	// per non-stub AS (the same kernel CTI's path collection runs);
+	// every monitor path toward origin i credits its transit hops. A
+	// single-homed stub (bgp.StubProvider) is observed from its
+	// provider's routes in the provider's iteration, which writes the
+	// stub's slots too: a stub has one provider, so each slot still has
+	// exactly one writer.
 	mon := bgp.MonitorIndices(topo, monitors)
 	sched.ParallelFor(workers, n, func(w, i int) {
+		if _, stub := bgp.StubProvider(topo, i); stub {
+			return
+		}
 		s := &scratch[w]
-		total := s.observe(topo, mon, i)
-		g.observed[i] = total
-		g.deps[i] = s.ranking(topo, total)
+		s.prop.Propagate(topo, topo.ASNAt(i))
+		g.observed[i] = s.observe(topo, mon, i)
+		g.deps[i] = s.ranking(topo, g.observed[i])
+		for _, c := range topo.CustomerIdx(i) {
+			if _, stub := bgp.StubProvider(topo, c); stub {
+				g.observed[c] = s.observe(topo, mon, c)
+				g.deps[c] = s.ranking(topo, g.observed[c])
+			}
+		}
 	})
 
 	return g
@@ -226,33 +241,35 @@ func (s *buildScratch) coneOf(topo *topology.Graph, i int) []world.ASN {
 	return out
 }
 
-// observe propagates toward origin i and counts, into s.counts, how
-// many monitor paths toward i traverse each transit AS — the hops
-// strictly between the monitor and the origin — walking next-hop
-// indices instead of materializing paths. mon holds the monitors'
-// dense indices (bgp.MonitorIndices): each monitor contributes one
-// path, so an AS hosting two counts twice. It returns how many monitor
-// paths reached i; a monitor that is the origin contributes a length-1
-// path with no transits.
-func (s *buildScratch) observe(topo *topology.Graph, mon []int, i int) (total int) {
+// observe counts, into s.counts, how many monitor paths toward dense
+// index o traverse each transit AS — the hops strictly between the
+// monitor and o — walking the next-hop indices of the routes s.prop
+// holds instead of materializing paths. s.prop must hold the
+// propagation toward o or, for a single-homed stub o, toward o's
+// provider: o's paths are then the provider's with o appended
+// (bgp.StubProvider), so the walk runs through the provider, one more
+// transit. mon holds the monitors' dense indices
+// (bgp.MonitorIndices): each monitor contributes one path, so an AS
+// hosting two counts twice. It returns how many monitor paths reached
+// o; a monitor inside o contributes the one-hop path [o], which has no
+// transits.
+func (s *buildScratch) observe(topo *topology.Graph, mon []int, o int) (total int) {
 	if len(s.counts) < topo.NumASes() {
 		s.counts = make([]int32, topo.NumASes())
 	}
-	s.prop.Propagate(topo, topo.ASNAt(i))
 	for _, m := range mon {
-		if m < 0 {
+		if m == o {
+			total++
 			continue
 		}
-		hops := s.prop.PathLen(m)
-		if hops == 0 {
+		if m < 0 || s.prop.PathLen(m) == 0 {
 			continue
 		}
 		total++
-		if hops < 3 {
-			continue
-		}
-		// The origin is the one hop without a next hop.
-		for t := s.prop.NextHop(m); s.prop.NextHop(t) >= 0; t = s.prop.NextHop(t) {
+		// The walk ends at o, or past the provider of a stub o, which
+		// the propagation reaches as its origin, the one hop without a
+		// next hop.
+		for t := s.prop.NextHop(m); t >= 0 && t != o; t = s.prop.NextHop(t) {
 			if s.counts[t] == 0 {
 				s.touched = append(s.touched, int32(t))
 			}

@@ -87,52 +87,73 @@ func TestGraphDifferentialAdjacencyAndCones(t *testing.T) {
 // TestGraphDifferentialDependencies re-derives every AS's transit
 // dependency ranking from a fresh on-demand propagation and checks deep
 // equality — including the float scores, which must be the exact same
-// quotients.
+// quotients. It runs on the selected monitors and again with one more
+// monitor inside a single-homed stub, which SelectMonitors never picks
+// and which observes the one-hop path toward that stub.
 func TestGraphDifferentialDependencies(t *testing.T) {
 	for _, seed := range seedsUnderTest(t) {
-		topo, monitors, orgs := substrate(seed)
-		g := Build(topo, monitors, orgs, 1)
-		for i := 0; i < topo.NumASes(); i++ {
-			a := topo.ASNAt(i)
-			counts := map[world.ASN]int{}
-			total := 0
-			view := bgp.Propagate(topo, a)
-			if view != nil {
-				for _, m := range monitors {
-					p := view.Path(m.AS)
-					if p == nil {
-						continue
-					}
-					total++
-					for k := 1; k < len(p)-1; k++ {
-						counts[p[k]]++
-					}
+		topo, selected, orgs := substrate(seed)
+		stub := -1
+		for i := 0; i < topo.NumASes() && stub < 0; i++ {
+			if _, ok := bgp.StubProvider(topo, i); ok {
+				stub = i
+			}
+		}
+		if stub < 0 {
+			t.Fatalf("seed %d: no single-homed stub to host a monitor", seed)
+		}
+		withStub := append(selected[:len(selected):len(selected)], bgp.Monitor{ID: "in-stub", AS: topo.ASNAt(stub)})
+		for _, monitors := range [][]bgp.Monitor{selected, withStub} {
+			g := Build(topo, monitors, orgs, 1)
+			checkDependencies(t, seed, topo, monitors, g)
+		}
+	}
+}
+
+// checkDependencies compares g's dependency rankings with naive counts
+// over bgp.Propagate paths from the given monitors.
+func checkDependencies(t *testing.T, seed uint64, topo *topology.Graph, monitors []bgp.Monitor, g *Graph) {
+	t.Helper()
+	for i := 0; i < topo.NumASes(); i++ {
+		a := topo.ASNAt(i)
+		counts := map[world.ASN]int{}
+		total := 0
+		view := bgp.Propagate(topo, a)
+		if view != nil {
+			for _, m := range monitors {
+				p := view.Path(m.AS)
+				if p == nil {
+					continue
+				}
+				total++
+				for k := 1; k < len(p)-1; k++ {
+					counts[p[k]]++
 				}
 			}
-			if got := g.PathsObserved(a); got != total {
-				t.Fatalf("seed %d: AS%d PathsObserved = %d, want %d", seed, a, got, total)
+		}
+		if got := g.PathsObserved(a); got != total {
+			t.Fatalf("seed %d: AS%d PathsObserved = %d, want %d", seed, a, got, total)
+		}
+		got, ok := g.Upstreams(a)
+		if !ok {
+			t.Fatalf("seed %d: Upstreams(%d) not ok for an active AS", seed, a)
+		}
+		if len(got) != len(counts) {
+			t.Fatalf("seed %d: AS%d has %d upstreams, want %d", seed, a, len(got), len(counts))
+		}
+		// The compiled ranking is Score descending, ASN ascending on
+		// ties; verify order and content against the naive counts.
+		for k, d := range got {
+			if counts[d.Transit] != d.Paths {
+				t.Fatalf("seed %d: AS%d transit %d has %d paths, want %d", seed, a, d.Transit, d.Paths, counts[d.Transit])
 			}
-			got, ok := g.Upstreams(a)
-			if !ok {
-				t.Fatalf("seed %d: Upstreams(%d) not ok for an active AS", seed, a)
+			if d.Score != float64(d.Paths)/float64(total) {
+				t.Fatalf("seed %d: AS%d transit %d score %v != %d/%d", seed, a, d.Transit, d.Score, d.Paths, total)
 			}
-			if len(got) != len(counts) {
-				t.Fatalf("seed %d: AS%d has %d upstreams, want %d", seed, a, len(got), len(counts))
-			}
-			// The compiled ranking is Score descending, ASN ascending on
-			// ties; verify order and content against the naive counts.
-			for k, d := range got {
-				if counts[d.Transit] != d.Paths {
-					t.Fatalf("seed %d: AS%d transit %d has %d paths, want %d", seed, a, d.Transit, d.Paths, counts[d.Transit])
-				}
-				if d.Score != float64(d.Paths)/float64(total) {
-					t.Fatalf("seed %d: AS%d transit %d score %v != %d/%d", seed, a, d.Transit, d.Score, d.Paths, total)
-				}
-				if k > 0 {
-					prev := got[k-1]
-					if prev.Paths < d.Paths || (prev.Paths == d.Paths && prev.Transit >= d.Transit) {
-						t.Fatalf("seed %d: AS%d upstreams out of order at %d: %+v then %+v", seed, a, k, prev, d)
-					}
+			if k > 0 {
+				prev := got[k-1]
+				if prev.Paths < d.Paths || (prev.Paths == d.Paths && prev.Transit >= d.Transit) {
+					t.Fatalf("seed %d: AS%d upstreams out of order at %d: %+v then %+v", seed, a, k, prev, d)
 				}
 			}
 		}
@@ -311,36 +332,53 @@ func TestGraphWorkerIndependence(t *testing.T) {
 	}
 }
 
-// TestGraphInCone cross-checks the binary-search membership test
-// against the materialized cones.
 // TestDependencyPhaseAllocationFree pins phase 3's per-origin work on a
 // warmed worker scratch: propagating one origin, walking every monitor's
-// next hops and counting transits allocates nothing. Only the ranking
-// slice the compiled graph keeps is allocated, by ranking.
+// next hops and counting transits allocates nothing, and neither does
+// observing a single-homed stub off its provider's propagation. Only
+// the ranking slice the compiled graph keeps is allocated, by ranking.
 func TestDependencyPhaseAllocationFree(t *testing.T) {
 	topo, monitors, _ := substrate(diffSeeds[0])
 	mon := bgp.MonitorIndices(topo, monitors)
 	var s buildScratch
-	origin := -1
+	// For origin and stub alike: the AS propagated and the AS observed.
+	origin, stub := [2]int{-1, -1}, [2]int{-1, -1}
 	for i := 0; i < topo.NumASes(); i++ {
+		p, isStub := bgp.StubProvider(topo, i)
+		if !isStub {
+			p = i
+		}
+		s.prop.Propagate(topo, topo.ASNAt(p))
 		s.observe(topo, mon, i)
-		if origin < 0 && len(s.touched) > 0 {
-			origin = i
+		if len(s.touched) > 0 {
+			if isStub && stub[1] < 0 {
+				stub = [2]int{p, i}
+			} else if !isStub && origin[1] < 0 {
+				origin = [2]int{p, i}
+			}
 		}
 		s.resetCounts()
 	}
-	if origin < 0 {
-		t.Fatal("no origin has a transit on any monitor path")
+	if origin[1] < 0 || stub[1] < 0 {
+		t.Fatalf("no origin (%d) or no stub (%d) has a transit on any monitor path", origin[1], stub[1])
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		s.observe(topo, mon, origin)
-		s.resetCounts()
-	})
-	if allocs != 0 {
-		t.Fatalf("phase 3 allocates %.1f times per origin on warmed scratch, want 0", allocs)
+	for _, c := range []struct {
+		name string
+		pair [2]int
+	}{{"origin", origin}, {"stub", stub}} {
+		allocs := testing.AllocsPerRun(100, func() {
+			s.prop.Propagate(topo, topo.ASNAt(c.pair[0]))
+			s.observe(topo, mon, c.pair[1])
+			s.resetCounts()
+		})
+		if allocs != 0 {
+			t.Fatalf("phase 3 allocates %.1f times per %s on warmed scratch, want 0", allocs, c.name)
+		}
 	}
 }
 
+// TestGraphInCone cross-checks the binary-search membership test
+// against the materialized cones.
 func TestGraphInCone(t *testing.T) {
 	topo, monitors, orgs := substrate(42)
 	g := Build(topo, monitors, orgs, 0)

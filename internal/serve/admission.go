@@ -7,11 +7,21 @@ import (
 
 // After is the injectable timer the server's waiting paths run on: the
 // admission queue's deadline and the per-request handler budget both
-// wait on the channel it returns. Production uses time.After; tests
-// inject a hand-fired channel so overload scenarios are deterministic
-// and finish in microseconds — the same reason latency accounting runs
-// on the virtual-unit Clock.
-type After func(d time.Duration) <-chan time.Time
+// wait on the channel it returns and call stop once the wait is over.
+// Production uses TimerAfter; tests inject a hand-fired channel and a
+// no-op stop so overload scenarios are deterministic and finish in
+// microseconds — the same reason latency accounting runs on the
+// virtual-unit Clock.
+type After func(d time.Duration) (c <-chan time.Time, stop func() bool)
+
+// TimerAfter is the production After: a runtime timer and its Stop.
+// The module's go line keeps the pre-1.23 timer semantics, under which
+// a timer nobody stops stays live until it fires, so a request that
+// finishes early would otherwise leave its budget timer behind.
+func TimerAfter(d time.Duration) (<-chan time.Time, func() bool) {
+	t := time.NewTimer(d)
+	return t.C, t.Stop
+}
 
 // Admission-control bounds. The defaults are deliberately permissive:
 // they exist to survive floods, not to throttle normal traffic.
@@ -122,11 +132,11 @@ type Limiter struct {
 }
 
 // NewLimiter builds a limiter for the normalized config; after nil
-// selects time.After.
+// selects TimerAfter.
 func NewLimiter(cfg AdmissionConfig, after After) *Limiter {
 	cfg = cfg.Normalize()
 	if after == nil {
-		after = time.After
+		after = TimerAfter
 	}
 	return &Limiter{cfg: cfg, after: after, slots: make(chan struct{}, cfg.MaxInFlight)}
 }
@@ -163,11 +173,13 @@ func (l *Limiter) Acquire(cancel done) (release func(), v Verdict) {
 		l.queued--
 		l.mu.Unlock()
 	}()
+	expired, stop := l.after(l.cfg.QueueWait)
+	defer stop()
 	select {
 	case l.slots <- struct{}{}:
 		l.count(&l.admitted)
 		return l.release, Admitted
-	case <-l.after(l.cfg.QueueWait):
+	case <-expired:
 		l.count(&l.shedTimeout)
 		return nil, ShedTimeout
 	case <-cancel:

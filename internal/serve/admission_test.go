@@ -10,15 +10,18 @@ import (
 
 // neverFire is an After that never fires: queue waits and deadlines
 // block forever, making "the timer did not win" deterministic.
-func neverFire(time.Duration) <-chan time.Time { return nil }
+func neverFire(time.Duration) (<-chan time.Time, func() bool) { return nil, noStop }
 
 // instantFire is an After that has already fired: the timer always
 // wins any race it is allowed to win.
-func instantFire(time.Duration) <-chan time.Time {
+func instantFire(time.Duration) (<-chan time.Time, func() bool) {
 	ch := make(chan time.Time, 1)
 	ch <- time.Time{}
-	return ch
+	return ch, noStop
 }
+
+// noStop is the stop of a hand-fired After: there is no timer to stop.
+func noStop() bool { return false }
 
 func TestAdmissionConfigNormalize(t *testing.T) {
 	cases := []struct {
@@ -152,7 +155,7 @@ func TestLimiterConcurrencyBound(t *testing.T) {
 	// a real, very short queue wait) and prove admitted concurrency
 	// never exceeds MaxInFlight.
 	const maxInFlight = 4
-	l := NewLimiter(AdmissionConfig{MaxInFlight: maxInFlight, MaxQueue: 64, QueueWait: 5 * time.Millisecond}, time.After)
+	l := NewLimiter(AdmissionConfig{MaxInFlight: maxInFlight, MaxQueue: 64, QueueWait: 5 * time.Millisecond}, TimerAfter)
 	var (
 		mu      sync.Mutex
 		cur     int

@@ -49,7 +49,7 @@ type Options struct {
 	// (partial-work cancellation) and answers 504.
 	RequestTimeout time.Duration
 	// After is the timer the admission queue and request deadlines wait
-	// on (nil = time.After). Tests inject a hand-fired channel so
+	// on (nil = TimerAfter). Tests inject a hand-fired channel so
 	// overload runs are deterministic and near-instant.
 	After After
 
@@ -158,7 +158,7 @@ func NewDynamic(src Source, opts Options) *Server {
 		s.limit = 10
 	}
 	if s.after == nil {
-		s.after = time.After
+		s.after = TimerAfter
 	}
 	if opts.Admission != nil {
 		s.limiter = NewLimiter(*opts.Admission, s.after)
@@ -393,10 +393,12 @@ func (s *Server) dispatch(endpoint string, loadControlled bool, fn func(*http.Re
 		defer release() // the slot is freed when the work truly ends
 		done <- s.invoke(endpoint, fn, r.WithContext(ctx))
 	}()
+	expired, stop := s.after(budget)
+	defer stop()
 	select {
 	case resp := <-done:
 		return resp
-	case <-s.after(budget):
+	case <-expired:
 		cancel() // stop context-aware partial work
 		s.metrics.DeadlineExceeded(endpoint)
 		return errResponse(http.StatusGatewayTimeout,

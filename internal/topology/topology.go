@@ -259,17 +259,13 @@ func anchorServiceRegions() map[string][]string {
 
 // Build constructs the relationship graph for one snapshot year.
 func Build(w *world.World, year int) *Graph {
-	g := &Graph{Year: year, index: make(map[world.ASN]int)}
+	var asns []world.ASN
 	for _, asn := range w.ASNList {
 		if w.ASes[asn].Registered <= year {
-			g.index[asn] = len(g.asns)
-			g.asns = append(g.asns, asn)
+			asns = append(asns, asn)
 		}
 	}
-	n := len(g.asns)
-	g.providers = make([][]int, n)
-	g.customers = make([][]int, n)
-	g.peers = make([][]int, n)
+	g := newGraph(year, asns)
 
 	b := &builder{w: w, g: g, r: rng.New(w.Seed).Sub("topology")}
 	b.classify()
@@ -278,6 +274,39 @@ func Build(w *world.World, year int) *Graph {
 	b.wireGateways()
 	b.wireDomestic()
 	b.wirePeering()
+	return g
+}
+
+// newGraph returns an edgeless graph over asns, which it keeps, with
+// dense indices in their order.
+func newGraph(year int, asns []world.ASN) *Graph {
+	g := &Graph{Year: year, index: make(map[world.ASN]int, len(asns)), asns: asns}
+	for i, a := range asns {
+		g.index[a] = i
+	}
+	n := len(asns)
+	g.providers = make([][]int, n)
+	g.customers = make([][]int, n)
+	g.peers = make([][]int, n)
+	return g
+}
+
+// FromEdges builds a graph over the given ASNs from explicit
+// relationships — each link a [provider, customer] pair, each peering
+// an [a, b] pair — deduplicated and made symmetric as Build does. It
+// serves hand-shaped topologies in tests, where a generated world
+// cannot place an edge case precisely. Every ASN an edge names must be
+// listed.
+func FromEdges(asns []world.ASN, links, peerings [][2]world.ASN) *Graph {
+	sorted := append([]world.ASN(nil), asns...)
+	world.SortASNs(sorted)
+	g := newGraph(0, sorted)
+	for _, l := range links {
+		g.addEdge(g.index[l[0]], g.index[l[1]])
+	}
+	for _, p := range peerings {
+		g.addPeer(g.index[p[0]], g.index[p[1]])
+	}
 	return g
 }
 
