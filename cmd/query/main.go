@@ -31,10 +31,11 @@
 // what a cmd/serve instance with the same seeds serves for ?gen=N.
 //
 // -shards N is the fleet diagnostic: alongside the -asn answer it
-// prints which shard of an N-shard fleet owns the ASN, computed from
-// the same partition function a `serve -mode shard` fleet carves with.
-// It only makes sense per-ASN, so combining it with any other mode is
-// an error (graph answers are global; a country's ASes span shards).
+// prints which replica of an N-replica fleet the router asks first for
+// the ASN, computed from the same partition function a
+// `serve -mode shard` fleet routes /v1/asn reads with. It only makes
+// sense per-ASN, so combining it with any other mode is an error (only
+// /v1/asn reads have an affinity).
 package main
 
 import (
@@ -70,7 +71,7 @@ func main() {
 	hijackSeed := flag.Uint64("hijack-seed", 0, "campaign-roster seed (0 = derive from -seed)")
 	rovFraction := flag.Float64("rov-fraction", 0, "route-origin-validation deployment fraction in [0,1]")
 	gen := flag.Int("gen", 0, "dataset generation to answer from (0 = the pristine build)")
-	shards := flag.Int("shards", 0, "fleet diagnostic: also print which shard of an N-shard fleet owns -asn (0 = off)")
+	shards := flag.Int("shards", 0, "fleet diagnostic: also print which replica of an N-replica fleet the router asks first for -asn (0 = off)")
 	churnSeed := flag.Uint64("churn-seed", 0, "ownership-churn schedule seed (0 = derive from -seed)")
 	flag.Parse()
 	modes := 0
@@ -247,16 +248,16 @@ func queryASN(idx *serve.Index, target world.ASN) {
 	fmt.Printf("AS%d: no state ownership detected\n", target)
 }
 
-// queryShard prints the fleet-routing diagnostic: which shard of an
-// n-shard fleet owns the ASN, under the partition a fleet with these
-// seeds would carve.
+// queryShard prints the fleet-routing diagnostic: which replica of an
+// n-replica fleet the router asks first for the ASN, under the
+// partition a fleet with these seeds would compute.
 func queryShard(ds *expand.Dataset, n int, target world.ASN) {
 	part, err := fleet.ComputePartition(ds, n)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "query: %v\n", err)
 		os.Exit(2)
 	}
-	fmt.Printf("  fleet:         shard %d of %d owns AS%d (partition bounds %v)\n",
+	fmt.Printf("  fleet:         replica %d of %d is asked first for AS%d (partition bounds %v)\n",
 		part.ShardOf(target), n, target, part.Bounds)
 }
 

@@ -22,11 +22,12 @@ const maxArchiveRetain = 1024
 //
 //   - single: the classic all-in-one server (build the world, serve it,
 //     optionally hot-reload generations on a timer).
-//   - shard: one fleet shard — builds the world, serves its carved ASN
-//     partition plus the /fleet control plane, and advances generations
+//   - shard: one fleet replica — builds the world, serves the whole
+//     dataset plus the /fleet control plane, and advances generations
 //     only on the coordinator's two-phase orders (never on a timer).
-//   - router: the fleet front door — owns no data, scatter-gathers the
-//     shards listed in -shard-addrs and drives their coherent reloads.
+//   - router: the fleet front door — owns no data, sends each read to
+//     one of the replicas listed in -shard-addrs (failing over to the
+//     next) and drives their coherent reloads.
 type config struct {
 	mode string
 	addr string
@@ -82,7 +83,7 @@ func parseFlags(args []string, output io.Writer) (config, error) {
 	var shardAddrs string
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	fs.SetOutput(output)
-	fs.StringVar(&cfg.mode, "mode", "single", "process role: single (all-in-one), shard (one fleet partition + control plane), router (fleet front door)")
+	fs.StringVar(&cfg.mode, "mode", "single", "process role: single (all-in-one), shard (one fleet replica of the whole dataset + control plane), router (fleet front door)")
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address (host:port; port 0 picks an ephemeral port)")
 	fs.Uint64Var(&cfg.seed, "seed", 42, "world seed")
 	fs.Float64Var(&cfg.scale, "scale", 1.0, "world scale")
@@ -105,7 +106,7 @@ func parseFlags(args []string, output io.Writer) (config, error) {
 	fs.BoolVar(&cfg.incremental, "incremental", false, "rebuild generations incrementally: reuse the previous generation's artifacts for pipeline nodes whose inputs did not churn (byte-identical output, less rebuild work)")
 	fs.StringVar(&cfg.dataDir, "data-dir", "", "durable generation archive directory: every committed generation persists here (crash-consistent), and a restarted process warm-starts from the newest verified one ('' = memory only)")
 	fs.IntVar(&cfg.archiveRetain, "archive-retain", 0, "with -data-dir: how many generations stay archived on disk (0 = default; may exceed -generations)")
-	fs.IntVar(&cfg.shards, "shards", 0, "fleet size (shard mode: the partition's shard count; router mode: optional cross-check against -shard-addrs)")
+	fs.IntVar(&cfg.shards, "shards", 0, "fleet size (shard mode: the replica count, which sets the /v1/asn affinity ranges; router mode: optional cross-check against -shard-addrs)")
 	fs.IntVar(&cfg.shardIndex, "shard-index", -1, "shard mode: this shard's position in [0, -shards)")
 	fs.StringVar(&shardAddrs, "shard-addrs", "", "router mode: comma-separated shard base addresses, in shard order")
 	fs.DurationVar(&cfg.flipEvery, "flip-every", 0, "router mode: drive a coherent two-phase fleet reload on this cadence (0 = no automatic flips)")

@@ -16,15 +16,16 @@
 // nodes whose inputs did not churn — byte-identical output, reported on
 // /metrics as nodes_reused/nodes_rebuilt.
 //
-// The same binary also runs as a sharded fleet. -mode shard serves one
-// ASN-range partition of the dataset plus the /fleet two-phase control
-// plane; -mode router is the fleet's front door, scatter-gathering the
-// shards in -shard-addrs and (with -flip-every) driving their
-// generation-coherent reloads: stage everywhere behind each shard's
-// validation gate, commit only on unanimous acks, then flip the
-// router's generation pin. Shards rebuild every generation
-// deterministically from (seed, churn seed, generation), so a fleet
-// needs agreement on numbers, never state transfer.
+// The same binary also runs as a replicated fleet. -mode shard serves
+// one full replica of the dataset plus the /fleet two-phase control
+// plane; -mode router is the fleet's front door, sending each read to
+// one of the replicas in -shard-addrs (moving to the next when one is
+// lost) and (with -flip-every) driving their generation-coherent
+// reloads: stage everywhere behind each replica's validation gate,
+// commit only on unanimous acks, then flip the router's generation pin.
+// Replicas rebuild every generation deterministically from (seed, churn
+// seed, generation), so a fleet needs agreement on numbers, never state
+// transfer.
 //
 // Usage:
 //
@@ -219,9 +220,9 @@ func runSingle(ctx context.Context, cfg config, archive *durable.Archive, ln net
 	return srv.Serve(ctx, ln)
 }
 
-// runShard serves one partition of the fleet: the carved data plane,
-// the /full plane, and the two-phase control plane. Generations advance
-// only on the coordinator's stage/commit orders.
+// runShard serves one replica of the fleet: the data plane and the
+// two-phase control plane. Generations advance only on the
+// coordinator's stage/commit orders.
 func runShard(ctx context.Context, cfg config, archive *durable.Archive, ln net.Listener) error {
 	store := buildStore(cfg, archive)
 	part, err := fleet.ComputePartition(store.Current().Result.Dataset, cfg.shards)
@@ -244,10 +245,10 @@ func runRouter(ctx context.Context, cfg config, ln net.Listener) error {
 		clients[i] = fleet.ShardClient{Index: i, Base: base, HTTP: httpc}
 	}
 
-	// The partition is the shards' to declare (they carved it from the
-	// generation-0 dataset); the router adopts it from shard 0 and
-	// Bootstrap cross-checks every other shard against it. Shards build
-	// their world at startup, so poll patiently.
+	// The partition is the replicas' to declare (they compute it from
+	// the generation-0 dataset); the router adopts it from shard 0 and
+	// Bootstrap cross-checks every other replica against it. Replicas
+	// build their world at startup, so poll patiently.
 	part, err := adoptPartition(ctx, &clients[0], cfg.shards)
 	if err != nil {
 		return err

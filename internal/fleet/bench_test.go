@@ -8,11 +8,12 @@ import (
 	"stateowned/internal/serve"
 )
 
-// Router-overhead benchmarks: the same requests against a 2-shard
-// in-process fleet (router → handler transport → shard) and against a
+// Router-overhead benchmarks: the same requests against a 2-replica
+// in-process fleet (router → handler transport → replica) and against a
 // single-process server over the identical generation. The delta is
-// the price of the front door — scatter, coherence check, merge — with
-// no real network underneath, so it isolates the router's own work.
+// the price of the front door — pinning, one leg, coherence check —
+// with no real network underneath, so it isolates the router's own
+// work.
 
 func benchPaths(tb testing.TB, tf *testFleet) (asnPath0, countryPath, searchPath string) {
 	tb.Helper()

@@ -13,9 +13,9 @@ import (
 // will read — acks and statuses are small; anything larger is a bug.
 const maxControlBody = 1 << 20
 
-// ShardClient is the router's and coordinator's handle on one shard:
-// its position in the partition, its base URL, and the HTTP client to
-// reach it with. Tests swap HTTP's Transport for an in-process
+// ShardClient is the router's and coordinator's handle on one replica:
+// its position in the fleet, its base URL, and the HTTP client to reach
+// it with. Tests swap HTTP's Transport for an in-process
 // round-tripper, so the whole fleet runs without listeners.
 type ShardClient struct {
 	Index int
@@ -31,8 +31,8 @@ func (c *ShardClient) httpClient() *http.Client {
 }
 
 // Get issues a data-plane GET (path must start with "/") and returns
-// the raw response: the merge layer needs status, body and headers, not
-// a decoded struct.
+// the raw response: the router passes status, body and headers through,
+// not a decoded struct.
 func (c *ShardClient) Get(ctx context.Context, path string) (*http.Response, []byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
 	if err != nil {

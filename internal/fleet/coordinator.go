@@ -296,7 +296,7 @@ func (c *Coordinator) Bootstrap(ctx context.Context) (int, error) {
 		if s != sum {
 			return 0, fmt.Errorf(
 				"fleet bootstrap: recovered generation %d disagrees across shards: shard %d has dataset %s, shard %d has %s",
-				adopt, sumShard, sum[:12], i, s[:12])
+				adopt, sumShard, fingerprintPrefix(sum), i, fingerprintPrefix(s))
 		}
 	}
 	c.router.SetGen(adopt)
@@ -305,4 +305,14 @@ func (c *Coordinator) Bootstrap(ctx context.Context) (int, error) {
 	c.mu.Unlock()
 	c.publish()
 	return adopt, nil
+}
+
+// fingerprintPrefix shortens a dataset fingerprint for an error
+// message. Fingerprints arrive in replicas' /fleet/status JSON, so
+// their length is not trusted.
+func fingerprintPrefix(s string) string {
+	if len(s) > 12 {
+		return s[:12]
+	}
+	return s
 }

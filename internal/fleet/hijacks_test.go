@@ -33,8 +33,7 @@ func hijackProbePaths() []string {
 
 // TestHijacksByteIdentityAcrossShardCounts extends the fleet acceptance
 // check to the adversarial surface: with live campaigns, /v1/hijacks
-// answers — the report is global, never range-carved — must be
-// byte-identical between a single-process server and 1-, 2- and 4-shard
+// answers must be byte-identical between a single-process server and 1-, 2- and 4-shard
 // fleets, at generation 0 and after a two-phase flip.
 func TestHijacksByteIdentityAcrossShardCounts(t *testing.T) {
 	const (

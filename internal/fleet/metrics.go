@@ -2,17 +2,15 @@ package fleet
 
 import "sync/atomic"
 
-// Metrics is the router's fleet-level accounting: how much traffic is
-// fanning out, how it degrades (failed legs, hedges, partial answers)
-// and how the router defends itself (shed requests, breaker denials).
+// Metrics is the router's fleet-level accounting: how many legs the
+// traffic costs, how they fail (failed legs, hedges) and how the router
+// defends itself (shed requests, breaker denials).
 type Metrics struct {
 	requests       atomic.Uint64
 	shed           atomic.Uint64
-	fanouts        atomic.Uint64
 	legs           atomic.Uint64
 	legFailures    atomic.Uint64
 	hedges         atomic.Uint64
-	partials       atomic.Uint64
 	breakerDenials atomic.Uint64
 }
 
@@ -20,11 +18,9 @@ type Metrics struct {
 type MetricsSnapshot struct {
 	Requests       uint64 `json:"requests_total"`
 	Shed           uint64 `json:"shed_total"`
-	Fanouts        uint64 `json:"fanouts_total"`
 	Legs           uint64 `json:"legs_total"`
 	LegFailures    uint64 `json:"leg_failures_total"`
 	Hedges         uint64 `json:"hedges_total"`
-	Partials       uint64 `json:"partial_responses_total"`
 	BreakerDenials uint64 `json:"breaker_denials_total"`
 }
 
@@ -33,11 +29,9 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	return MetricsSnapshot{
 		Requests:       m.requests.Load(),
 		Shed:           m.shed.Load(),
-		Fanouts:        m.fanouts.Load(),
 		Legs:           m.legs.Load(),
 		LegFailures:    m.legFailures.Load(),
 		Hedges:         m.hedges.Load(),
-		Partials:       m.partials.Load(),
 		BreakerDenials: m.breakerDenials.Load(),
 	}
 }

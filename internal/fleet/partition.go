@@ -1,23 +1,21 @@
-// Package fleet is the sharded serving layer over the generational
-// dataset: N shard servers each hold one ASN-range partition of the
-// index, a thin router answers /v1/asn with single-shard fast-path
-// routing and /v1/search, /v1/country, /v1/org with scatter-gather and
-// a deterministic merge, and a two-phase coordinator keeps every
-// shard's generation coherent through hot reloads — all shards stage
-// generation g behind the snapshot validation gate, and the router
-// flips only after unanimous stage-acks and commits.
+// Package fleet is the replicated serving layer over the generational
+// dataset: N replica servers each serve the whole generation, a thin
+// router sends every /v1 read to exactly one of them, and a two-phase
+// coordinator keeps every replica's generation coherent through hot
+// reloads — all replicas stage generation g behind the snapshot
+// validation gate, and the router flips only after unanimous stage-acks
+// and commits.
 //
 // Robustness is the design center. The fleet never serves a
-// mixed-generation aggregate: the router pins every shard leg to its
-// own committed fleet generation, and legs answering from any other
+// mixed-generation answer: the router pins every leg to its own
+// committed fleet generation, and legs answering from any other
 // generation are discarded as incoherent. The fleet never turns a
-// minority shard failure into a total failure: per-shard circuit
-// breakers, per-leg deadlines carved from the request budget, and one
-// hedged retry for slow legs keep healthy shards answering, and a
-// query that lost a minority of its legs degrades to an explicit
-// partial envelope (206 + X-Shards-Failed) instead of a 500. And the
-// fleet never tears a reload: a shard that fails to stage quarantines
-// the whole flip while every shard keeps serving the previous
+// minority replica failure into a failed answer: per-replica circuit
+// breakers, per-leg deadlines carved from the request budget, one
+// hedged retry for slow legs, and a move to the next replica when a leg
+// is lost keep reads complete while any replica can answer. And the
+// fleet never tears a reload: a replica that fails to stage quarantines
+// the whole flip while every replica keeps serving the previous
 // generation — the snapshot store's last-known-good discipline, lifted
 // to fleet scope.
 package fleet
@@ -30,14 +28,14 @@ import (
 	"stateowned/internal/world"
 )
 
-// MaxShards bounds the fleet size: beyond it the per-request fan-out
-// cost dominates any partitioning win.
+// MaxShards bounds the fleet size.
 const MaxShards = 64
 
-// Partition is the fleet's ASN-range partition function: shard i owns
-// the half-open ASN range [Bounds[i], Bounds[i+1]) with Bounds[0]
-// implicitly 0 and the last range open-ended. Every router and every
-// shard must hold the identical partition — it is computed
+// Partition is the fleet's /v1/asn affinity: replica i is asked first
+// about the ASNs in its half-open range (see Bounds), so each replica's
+// response cache warms on its own range. It carves nothing: every
+// replica serves the whole generation. Every router and every
+// replica holds the identical partition — it is computed
 // deterministically from the generation-0 dataset (ComputePartition)
 // and cross-checked at bootstrap (Equal).
 type Partition struct {
@@ -73,15 +71,16 @@ func ComputePartition(ds *expand.Dataset, n int) (Partition, error) {
 	return p, nil
 }
 
-// ShardOf maps an ASN to the shard that owns it: binary search over the
-// split points. Total — every representable ASN maps to exactly one
-// shard, so the router can route /v1/asn without consulting any index.
+// ShardOf maps an ASN to the replica its range belongs to: binary
+// search over the split points. Total — every representable ASN maps to
+// exactly one replica, so the router picks a /v1/asn read's first
+// replica without consulting any index.
 func (p Partition) ShardOf(a world.ASN) int {
 	return sort.Search(len(p.Bounds), func(i int) bool { return a < p.Bounds[i] })
 }
 
 // Equal reports whether two partitions are identical — the bootstrap
-// cross-check that every shard and the router agree on ownership.
+// cross-check that every replica and the router agree on the affinity.
 func (p Partition) Equal(q Partition) bool {
 	if p.Shards != q.Shards || len(p.Bounds) != len(q.Bounds) {
 		return false
@@ -92,41 +91,4 @@ func (p Partition) Equal(q Partition) bool {
 		}
 	}
 	return true
-}
-
-// Carve builds shard's sub-dataset: the organizations and minority
-// records with at least one ASN in the shard's range, each kept whole
-// (full record, full ASN list). An organization whose ASNs span a range
-// boundary is therefore replicated onto every shard that owns one of
-// its ASNs — that is what makes the fast path complete (any owning
-// shard answers /v1/asn with the full sibling list) and the
-// scatter-gather merge exact (replicas are byte-identical, deduplicated
-// by OrgID). Relative order is preserved, so a sub-dataset is a
-// subsequence of the full dataset.
-func (p Partition) Carve(ds *expand.Dataset, shard int) *expand.Dataset {
-	if shard < 0 || shard >= p.Shards {
-		panic(fmt.Sprintf("fleet: carve shard %d of %d", shard, p.Shards))
-	}
-	sub := &expand.Dataset{}
-	owns := func(asns []world.ASN) bool {
-		for _, a := range asns {
-			if p.ShardOf(a) == shard {
-				return true
-			}
-		}
-		// Record with no ASNs at all: owned by shard 0 so it is not lost.
-		return len(asns) == 0 && shard == 0
-	}
-	for i := range ds.Organizations {
-		if owns(ds.ASNs[i].ASNs) {
-			sub.Organizations = append(sub.Organizations, ds.Organizations[i])
-			sub.ASNs = append(sub.ASNs, ds.ASNs[i])
-		}
-	}
-	for i := range ds.Minority {
-		if owns(ds.Minority[i].ASNs) {
-			sub.Minority = append(sub.Minority, ds.Minority[i])
-		}
-	}
-	return sub
 }

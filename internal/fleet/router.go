@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,23 +13,22 @@ import (
 	"sync/atomic"
 	"time"
 
-	"stateowned/internal/nameutil"
 	"stateowned/internal/runner"
 	"stateowned/internal/serve"
 	"stateowned/internal/world"
 )
 
-// ShardsFailedHeader names the shards whose legs were lost on a
-// degraded (206) or exhausted (503) fan-out, comma-separated.
+// ShardsFailedHeader names the replicas whose legs were lost when no
+// replica could answer a read (503), comma-separated.
 const ShardsFailedHeader = "X-Shards-Failed"
 
-// Router fan-out defaults.
+// Router defaults.
 const (
 	// DefaultRequestTimeout is the router's per-request budget.
 	DefaultRequestTimeout = 2 * time.Second
 	// DefaultBreakerProbeEvery is how often an open breaker lets a probe
-	// leg through (every Nth denial) so a recovered shard is rediscovered
-	// without waiting for an operator.
+	// leg through (every Nth denial) so a recovered replica is
+	// rediscovered without waiting for an operator.
 	DefaultBreakerProbeEvery = 8
 )
 
@@ -42,8 +40,8 @@ var (
 
 // RouterOptions configures a Router.
 type RouterOptions struct {
-	// Partition is the fleet's partition function; Shards must hold one
-	// client per partition shard, in shard order.
+	// Partition is the fleet's /v1/asn affinity; Shards must hold one
+	// client per replica, in shard order.
 	Partition Partition
 	Shards    []ShardClient
 	// InitialGen is the committed fleet generation the router starts
@@ -54,26 +52,21 @@ type RouterOptions struct {
 	Admission *serve.AdmissionConfig
 
 	// RequestTimeout is the full-request budget (0 = 2s). LegTimeout is
-	// the per-shard leg deadline carved from it (0 = RequestTimeout/2) —
-	// a leg that misses it is a failed leg, not a stalled request.
+	// the per-replica leg deadline carved from it (0 = RequestTimeout/2)
+	// — a leg that misses it is a failed leg, not a stalled request.
 	// HedgeAfter is how long a leg waits before duplicating itself to
-	// the same shard (0 = LegTimeout/4); transport-level errors hedge
+	// the same replica (0 = LegTimeout/4); transport-level errors hedge
 	// immediately.
 	RequestTimeout time.Duration
 	LegTimeout     time.Duration
 	HedgeAfter     time.Duration
 
-	// BreakerThreshold opens a shard's circuit after that many
+	// BreakerThreshold opens a replica's circuit after that many
 	// consecutive transport failures (0 = runner default of 4);
 	// BreakerProbeEvery lets every Nth denied leg through as a probe
 	// (0 = 8).
 	BreakerThreshold  int
 	BreakerProbeEvery int
-
-	// SearchLimit caps /v1/search results (<= 0 = 10); shards in the
-	// same fleet must be configured with the same limit for the merged
-	// top-K to equal the single-process top-K.
-	SearchLimit int
 
 	// After is the injectable timer all router waits run on (nil =
 	// serve.TimerAfter); tests drive hedging, leg deadlines and
@@ -84,14 +77,16 @@ type RouterOptions struct {
 	Lifecycle serve.LifecycleOptions
 }
 
-// Router is the fleet's front door. It owns the committed fleet
-// generation: every shard leg — fast path included — is pinned to it
-// with ?gen=, and a leg answering from any other generation is
-// discarded as incoherent, so no response ever mixes generations even
-// while a two-phase flip is mid-flight. Around that coherence core it
-// wraps the fan-out robustness: per-shard circuit breakers with probe
-// recovery, per-leg deadlines, one hedged retry, partial (206)
-// envelopes for minority leg loss, and router-level admission shedding.
+// Router is the fleet's front door. Every replica holds the whole
+// generation, so each /v1 read goes to exactly one replica and its
+// answer is passed through byte for byte. The router owns the committed
+// fleet generation: a read that names no generation is pinned to it
+// with ?gen=, and a 200 answering from any other generation is
+// discarded as incoherent, so no response mixes generations even while
+// a two-phase flip is mid-flight. Around that coherence core it wraps
+// failover: per-replica circuit breakers with probe recovery, per-leg
+// deadlines, one hedged retry, a move to the next replica when a leg is
+// lost, and router-level admission shedding.
 type Router struct {
 	part       Partition
 	shards     []*shardState
@@ -103,13 +98,12 @@ type Router struct {
 	legTimeout time.Duration
 	hedgeAfter time.Duration
 	probeEvery int
-	searchLim  int
 	life       serve.LifecycleOptions
-	rr         atomic.Uint64              // any-shard rotation cursor
+	rr         atomic.Uint64              // rotation cursor
 	flip       atomic.Pointer[FlipStatus] // coordinator's last report
 }
 
-// shardState is the router's per-shard fan-out state: the client plus a
+// shardState is the router's per-replica state: the client plus a
 // mutex-wrapped circuit breaker (runner.Breaker is not goroutine-safe)
 // with probe-through recovery.
 type shardState struct {
@@ -161,7 +155,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		legTimeout: opts.LegTimeout,
 		hedgeAfter: opts.HedgeAfter,
 		probeEvery: opts.BreakerProbeEvery,
-		searchLim:  opts.SearchLimit,
 		life:       opts.Lifecycle,
 		mux:        http.NewServeMux(),
 	}
@@ -178,9 +171,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	if rt.probeEvery <= 0 {
 		rt.probeEvery = DefaultBreakerProbeEvery
 	}
-	if rt.searchLim <= 0 {
-		rt.searchLim = 10
-	}
 	if rt.after == nil {
 		rt.after = serve.TimerAfter
 	}
@@ -196,27 +186,25 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	}
 	rt.gen.Store(int64(opts.InitialGen))
 	rt.mux.HandleFunc("GET /v1/asn/{asn}", rt.handle(rt.handleASN))
-	rt.mux.HandleFunc("GET /v1/country/{cc}", rt.handle(rt.handleCountry))
-	rt.mux.HandleFunc("GET /v1/org/{id}", rt.handle(rt.handleOrg))
-	rt.mux.HandleFunc("GET /v1/search", rt.handle(rt.handleSearch))
-	rt.mux.HandleFunc("GET /v1/dataset", rt.handle(rt.handleDataset))
-	rt.mux.HandleFunc("GET /v1/diff", rt.handle(rt.handleDiff))
-	rt.mux.HandleFunc("GET /v1/graph/neighbors/{asn}", rt.handle(func(r *http.Request) routerResponse {
-		return rt.handleGraph(r, "/v1/graph/neighbors/"+url.PathEscape(r.PathValue("asn")))
-	}))
-	rt.mux.HandleFunc("GET /v1/graph/upstreams/{asn}", rt.handle(func(r *http.Request) routerResponse {
-		return rt.handleGraph(r, "/v1/graph/upstreams/"+url.PathEscape(r.PathValue("asn")))
-	}))
-	rt.mux.HandleFunc("GET /v1/graph/cone/{asn}", rt.handle(func(r *http.Request) routerResponse {
-		return rt.handleGraph(r, "/v1/graph/cone/"+url.PathEscape(r.PathValue("asn")))
-	}))
-	rt.mux.HandleFunc("GET /v1/graph/path", rt.handle(func(r *http.Request) routerResponse {
-		return rt.handleGraph(r, "/v1/graph/path")
-	}))
-	// Hijack detections are global observations (like graph answers),
-	// served from any healthy shard's full plane.
-	rt.mux.HandleFunc("GET /v1/hijacks", rt.handle(func(r *http.Request) routerResponse {
-		return rt.handleGraph(r, "/v1/hijacks")
+	for _, pattern := range []string{
+		"GET /v1/country/{cc}",
+		"GET /v1/org/{id}",
+		"GET /v1/search",
+		"GET /v1/dataset",
+		"GET /v1/graph/neighbors/{asn}",
+		"GET /v1/graph/upstreams/{asn}",
+		"GET /v1/graph/cone/{asn}",
+		"GET /v1/graph/path",
+		"GET /v1/hijacks",
+	} {
+		rt.mux.HandleFunc(pattern, rt.handle(func(r *http.Request) routerResponse {
+			return rt.forward(r, rt.next(), true)
+		}))
+	}
+	// ?from= and ?to= name the generations a diff compares, and diff
+	// answers carry no X-Generation to check a pin against.
+	rt.mux.HandleFunc("GET /v1/diff", rt.handle(func(r *http.Request) routerResponse {
+		return rt.forward(r, rt.next(), false)
 	}))
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("GET /readyz", rt.handleReadyz)
@@ -305,7 +293,6 @@ func (rt *Router) write(w http.ResponseWriter, resp routerResponse) {
 			parts[i] = strconv.Itoa(s)
 		}
 		w.Header().Set(ShardsFailedHeader, strings.Join(parts, ","))
-		rt.metrics.partials.Add(1)
 	}
 	if resp.retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(resp.retryAfter))
@@ -314,37 +301,30 @@ func (rt *Router) write(w http.ResponseWriter, resp routerResponse) {
 	_, _ = w.Write(resp.body)
 }
 
-// pin resolves the generation this request's legs are pinned to: the
-// client's explicit ?gen= if present (time travel within the retention
-// ring), the router's committed fleet generation otherwise. The second
-// return is the already-formatted query value.
-func (rt *Router) pin(r *http.Request) (int, string, *routerResponse) {
-	if raw := r.URL.Query().Get("gen"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 0 {
-			resp := errRouterResponse(http.StatusBadRequest, fmt.Sprintf("invalid generation %q", raw))
-			return 0, "", &resp
-		}
-		return n, raw, nil
-	}
-	g := rt.Gen()
-	return g, strconv.Itoa(g), nil
-}
-
 // --- leg fetching ----------------------------------------------------------
 
-// doGet runs one HTTP attempt against a shard.
-func (rt *Router) doGet(ctx context.Context, shard int, path string, hedged bool) leg {
+// leg is one replica's answer to a read: either a response (status,
+// body, generation, Retry-After) or a transport-level error.
+type leg struct {
+	shard      int
+	status     int
+	body       []byte
+	gen        string
+	retryAfter int
+	err        error
+}
+
+// doGet runs one HTTP attempt against a replica.
+func (rt *Router) doGet(ctx context.Context, shard int, path string) leg {
 	resp, body, err := rt.shards[shard].client.Get(ctx, path)
 	if err != nil {
-		return leg{shard: shard, err: err, hedged: hedged}
+		return leg{shard: shard, err: err}
 	}
 	l := leg{
 		shard:  shard,
 		status: resp.StatusCode,
 		body:   body,
 		gen:    resp.Header.Get(serve.GenerationHeader),
-		hedged: hedged,
 	}
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		if n, err := strconv.Atoi(ra); err == nil {
@@ -354,12 +334,12 @@ func (rt *Router) doGet(ctx context.Context, shard int, path string, hedged bool
 	return l
 }
 
-// fetchLeg runs one shard leg of a fan-out: circuit-breaker gate, a
-// deadline carved from the request budget, and at most one hedged
-// retry — fired early on a transport error, or after the hedge delay
-// when the first attempt is merely slow. Any HTTP response (including a
-// 503 shed) closes the breaker: the shard is alive and talking.
-// Transport errors and leg deadlines feed it.
+// fetchLeg runs one replica leg: circuit-breaker gate, a deadline
+// carved from the request budget, and at most one hedged retry — fired
+// early on a transport error, or after the hedge delay when the first
+// attempt is merely slow. Any HTTP response (including a 503 shed)
+// closes the breaker: the replica is alive and talking. Transport
+// errors and leg deadlines feed it.
 func (rt *Router) fetchLeg(ctx context.Context, shard int, path string) leg {
 	rt.metrics.legs.Add(1)
 	ss := rt.shards[shard]
@@ -371,10 +351,10 @@ func (rt *Router) fetchLeg(ctx context.Context, shard int, path string) leg {
 	legCtx, cancel := context.WithCancel(ctx)
 	defer cancel() // unblocks any attempt still in flight when we return
 	resc := make(chan leg, 2)
-	launch := func(hedged bool) {
-		go func() { resc <- rt.doGet(legCtx, shard, path, hedged) }()
+	launch := func() {
+		go func() { resc <- rt.doGet(legCtx, shard, path) }()
 	}
-	launch(false)
+	launch()
 	outstanding, hedged := 1, false
 	hedgeCh, stopHedge := rt.after(rt.hedgeAfter)
 	defer stopHedge()
@@ -393,7 +373,7 @@ func (rt *Router) fetchLeg(ctx context.Context, shard int, path string) leg {
 			if !hedged {
 				hedged = true
 				rt.metrics.hedges.Add(1)
-				launch(true)
+				launch()
 				outstanding++
 				continue
 			}
@@ -407,7 +387,7 @@ func (rt *Router) fetchLeg(ctx context.Context, shard int, path string) leg {
 			if !hedged {
 				hedged = true
 				rt.metrics.hedges.Add(1)
-				launch(true)
+				launch()
 				outstanding++
 			}
 		case <-deadline:
@@ -421,278 +401,86 @@ func (rt *Router) fetchLeg(ctx context.Context, shard int, path string) leg {
 	}
 }
 
-// scatter fans one path out to every shard concurrently.
-func (rt *Router) scatter(ctx context.Context, path string) []leg {
-	rt.metrics.fanouts.Add(1)
-	legs := make([]leg, len(rt.shards))
-	var wg sync.WaitGroup
-	for i := range rt.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			legs[i] = rt.fetchLeg(ctx, i, path)
-		}(i)
+// --- routing ---------------------------------------------------------------
+
+// next advances the rotation cursor and returns the replica a read
+// starts at.
+func (rt *Router) next() int { return int(rt.rr.Add(1) % uint64(len(rt.shards))) }
+
+// handleASN starts an ASN read at the replica whose partition range
+// holds the ASN, so each replica's response cache warms on its own
+// range. A malformed ASN has no range; the replica it rotates to
+// answers the 400.
+func (rt *Router) handleASN(r *http.Request) routerResponse {
+	n, err := strconv.ParseUint(r.PathValue("asn"), 10, 32)
+	if err != nil {
+		return rt.forward(r, rt.next(), true)
 	}
-	wg.Wait()
-	return legs
+	return rt.forward(r, rt.part.ShardOf(world.ASN(n)), true)
 }
 
-// anyShard asks shards in rotation until one yields an HTTP response —
-// for fleet-wide answers (/v1/dataset, /v1/diff) any single shard's
-// full plane can serve. pin non-empty additionally requires coherence.
+// forward sends one /v1 read to exactly one replica, starting at start.
+// The raw path and query go through unchanged, so the replica validates
+// them and every answer — error envelopes included — is single-process
+// bytes. When pinned and the client named no generation, the read is
+// pinned to the committed fleet generation.
 //
-// A 404 is not the fleet's answer yet: after divergent recovery, shards
-// legitimately hold different archive histories (one disk died earlier
-// than another), so "I don't hold that generation/span" from one shard
-// may still be served by the next. Rotation continues past 404s and the
-// first one is returned only when no shard can do better — the fleet
-// answers 404 exactly when nobody holds it, independent of rotation
-// phase. Other statuses (400, 410, 503…) are deterministic verdicts
-// about the request itself and pass through from the first responder.
-func (rt *Router) anyShard(ctx context.Context, path, pin string) (leg, []int) {
-	start := int(rt.rr.Add(1))
+// One rule moves a read to the next replica: the leg was lost (transport
+// error, open breaker, leg deadline), the replica shed it (503), its 200
+// answered from a generation other than the pin, or it answered a 404
+// that is not the fleet's answer. A 404 without X-Generation means the
+// replica does not hold the generation asked for; a /v1/graph 404 may
+// come from a warm-started replica that serves no graph until its next
+// live build. After divergent recovery another replica may hold either,
+// so the first such 404 is returned only when no replica does better.
+// Every other answer, 404s included, is the fleet's answer. When every
+// replica is lost: 503 naming them, with the largest Retry-After.
+func (rt *Router) forward(r *http.Request, start int, pinned bool) routerResponse {
+	query, pin := r.URL.RawQuery, ""
+	if _, named := r.URL.Query()["gen"]; pinned && !named {
+		pin = strconv.Itoa(rt.Gen())
+		if query != "" {
+			query += "&"
+		}
+		query += "gen=" + pin
+	}
+	path := r.URL.EscapedPath()
+	if query != "" {
+		path += "?" + query
+	}
+	graph := strings.HasPrefix(r.URL.Path, "/v1/graph/")
+
 	var failed []int
 	var miss *leg
-	for i := 0; i < len(rt.shards); i++ {
+	retryAfter := 1
+	for i := range rt.shards {
+		if r.Context().Err() != nil {
+			break
+		}
 		shard := (start + i) % len(rt.shards)
-		l := rt.fetchLeg(ctx, shard, path)
-		if l.err != nil {
-			failed = append(failed, shard)
-			continue
-		}
-		if pin != "" && l.status == http.StatusOK && l.gen != pin {
-			failed = append(failed, shard)
-			continue
-		}
-		if l.status == http.StatusNotFound {
+		l := rt.fetchLeg(r.Context(), shard, path)
+		switch {
+		case l.err != nil:
+		case l.status == http.StatusServiceUnavailable:
+			retryAfter = max(retryAfter, l.retryAfter)
+		case l.status == http.StatusOK && pin != "" && l.gen != pin:
+		case l.status == http.StatusNotFound && (l.gen == "" || graph):
 			if miss == nil {
 				miss = &l
 			}
 			continue
+		default:
+			return routerResponse{status: l.status, body: l.body, gen: l.gen, retryAfter: l.retryAfter}
 		}
-		sort.Ints(failed)
-		return l, failed
+		failed = append(failed, shard)
+	}
+	if miss != nil {
+		return routerResponse{status: miss.status, body: miss.body, gen: miss.gen}
 	}
 	sort.Ints(failed) // rotation order is arbitrary; the wire contract is ascending
-	if miss != nil {
-		return *miss, failed
-	}
-	return leg{err: errors.New("fleet: no shard answered")}, failed
-}
-
-// --- endpoint handlers -----------------------------------------------------
-
-// handleASN is the single-shard fast path: the partition function names
-// the one shard that owns the ASN, and its (pinned, coherent) answer is
-// passed through byte for byte.
-func (rt *Router) handleASN(r *http.Request) routerResponse {
-	raw := r.PathValue("asn")
-	n, err := strconv.ParseUint(raw, 10, 32)
-	if err != nil || n == 0 {
-		return errRouterResponse(http.StatusBadRequest, fmt.Sprintf("invalid ASN %q", raw))
-	}
-	_, pinStr, errResp := rt.pin(r)
-	if errResp != nil {
-		return *errResp
-	}
-	shard := rt.part.ShardOf(world.ASN(n))
-	l := rt.fetchLeg(r.Context(), shard, "/v1/asn/"+raw+"?gen="+pinStr)
-	switch {
-	case l.err != nil:
-		resp := errRouterResponse(http.StatusServiceUnavailable,
-			fmt.Sprintf("shard %d unavailable", shard))
-		resp.shardsFailed = []int{shard}
-		return resp
-	case l.status == http.StatusOK && l.gen != pinStr:
-		resp := errRouterResponse(http.StatusServiceUnavailable,
-			fmt.Sprintf("shard %d answered generation %s, pinned %s", shard, l.gen, pinStr))
-		resp.shardsFailed = []int{shard}
-		return resp
-	default:
-		return routerResponse{status: l.status, body: l.body, gen: l.gen, retryAfter: l.retryAfter}
-	}
-}
-
-// handleCountry scatter-gathers every shard's slice of a country and
-// merges them deterministically.
-func (rt *Router) handleCountry(r *http.Request) routerResponse {
-	cc := serve.CanonicalCC(r.PathValue("cc"))
-	if len(cc) != 2 || cc[0] < 'A' || cc[0] > 'Z' || cc[1] < 'A' || cc[1] > 'Z' {
-		return errRouterResponse(http.StatusBadRequest, fmt.Sprintf("invalid country code %q", r.PathValue("cc")))
-	}
-	_, pinStr, errResp := rt.pin(r)
-	if errResp != nil {
-		return *errResp
-	}
-	legs := rt.scatter(r.Context(), "/v1/country/"+cc+"?gen="+pinStr)
-	cls := classify(legs, pinStr)
-	if cls.detErr != nil {
-		return routerResponse{status: cls.detErr.status, body: cls.detErr.body, gen: cls.detErr.gen}
-	}
-	if len(cls.ok) == 0 {
-		return rt.allLegsLost(cls)
-	}
-	body, err := mergeCountry(cc, cls.ok, cls.envelope())
-	if err != nil {
-		return errRouterResponse(http.StatusInternalServerError, "merging country responses")
-	}
-	return rt.mergedResponse(body, pinStr, cls)
-}
-
-// handleOrg scatters an organization lookup; the owning shards carry
-// whole replicas, so the first coherent 200 is the complete answer.
-func (rt *Router) handleOrg(r *http.Request) routerResponse {
-	_, pinStr, errResp := rt.pin(r)
-	if errResp != nil {
-		return *errResp
-	}
-	legs := rt.scatter(r.Context(), "/v1/org/"+url.PathEscape(r.PathValue("id"))+"?gen="+pinStr)
-	cls := classify(legs, pinStr)
-	if len(cls.ok) > 0 {
-		// A replica is the whole record: one coherent 200 is complete even
-		// if other shards were lost.
-		l := cls.ok[0]
-		return routerResponse{status: l.status, body: l.body, gen: l.gen}
-	}
-	if len(cls.failed) > 0 {
-		// The org may have lived on a lost shard; "not found" would be a
-		// lie. Degrade explicitly.
-		return rt.allLegsLost(cls)
-	}
-	if cls.detErr != nil {
-		return routerResponse{status: cls.detErr.status, body: cls.detErr.body, gen: cls.detErr.gen}
-	}
-	return errRouterResponse(http.StatusServiceUnavailable, "no shard answered")
-}
-
-// handleSearch scatter-gathers the fuzzy name search and merges the
-// per-shard top-K into the exact global top-K.
-func (rt *Router) handleSearch(r *http.Request) routerResponse {
-	q := r.URL.Query()
-	name := q.Get("name")
-	if nameutil.Normalize(name) == "" {
-		return errRouterResponse(http.StatusBadRequest, "missing or empty ?name= query")
-	}
-	limit := rt.searchLim
-	if rawLimit := q.Get("limit"); rawLimit != "" {
-		n, err := strconv.Atoi(rawLimit)
-		if err != nil || n <= 0 {
-			return errRouterResponse(http.StatusBadRequest, fmt.Sprintf("invalid ?limit=%s", rawLimit))
-		}
-		if n < limit {
-			limit = n
-		}
-	}
-	_, pinStr, errResp := rt.pin(r)
-	if errResp != nil {
-		return *errResp
-	}
-	vals := url.Values{}
-	vals.Set("name", name)
-	vals.Set("limit", strconv.Itoa(limit))
-	vals.Set("gen", pinStr)
-	legs := rt.scatter(r.Context(), "/v1/search?"+vals.Encode())
-	cls := classify(legs, pinStr)
-	if cls.detErr != nil {
-		return routerResponse{status: cls.detErr.status, body: cls.detErr.body, gen: cls.detErr.gen}
-	}
-	if len(cls.ok) == 0 {
-		return rt.allLegsLost(cls)
-	}
-	body, err := mergeSearch(cls.ok, limit, cls.envelope())
-	if err != nil {
-		return errRouterResponse(http.StatusInternalServerError, "merging search responses")
-	}
-	return rt.mergedResponse(body, pinStr, cls)
-}
-
-// handleDataset routes the full Listing-1 export to any healthy shard's
-// full plane — every shard builds the identical generation, so one
-// shard's export is the fleet's.
-func (rt *Router) handleDataset(r *http.Request) routerResponse {
-	_, pinStr, errResp := rt.pin(r)
-	if errResp != nil {
-		return *errResp
-	}
-	l, failed := rt.anyShard(r.Context(), FullPrefix+"/v1/dataset?gen="+pinStr, pinStr)
-	if l.err != nil {
-		resp := errRouterResponse(http.StatusServiceUnavailable, "no shard could serve the dataset")
-		resp.shardsFailed = failed
-		resp.retryAfter = 1
-		return resp
-	}
-	return routerResponse{status: l.status, body: l.body, gen: l.gen, retryAfter: l.retryAfter}
-}
-
-// handleDiff routes the churn audit to any healthy shard's full plane;
-// ?from= and ?to= name the generations, so the answer is deterministic
-// regardless of which shard runs it.
-func (rt *Router) handleDiff(r *http.Request) routerResponse {
-	path := FullPrefix + "/v1/diff"
-	if raw := r.URL.RawQuery; raw != "" {
-		path += "?" + raw
-	}
-	l, failed := rt.anyShard(r.Context(), path, "")
-	if l.err != nil {
-		resp := errRouterResponse(http.StatusServiceUnavailable, "no shard could serve the diff")
-		resp.shardsFailed = failed
-		resp.retryAfter = 1
-		return resp
-	}
-	return routerResponse{status: l.status, body: l.body, gen: l.gen, retryAfter: l.retryAfter}
-}
-
-// handleGraph routes one /v1/graph/* query to any healthy shard's full
-// plane — graph answers are global (relationships cross partition
-// boundaries), so they must never be range-carved; every shard holds
-// the identical compiled graph. When the client did not pin a
-// generation the router pins its committed fleet generation, so a
-// two-phase flip mid-request cannot mix generations. An explicit ?gen=
-// (even a malformed or empty one) passes through raw: the shard's own
-// pinning makes the answer deterministic, and its error envelopes stay
-// byte-identical to single-process serving.
-func (rt *Router) handleGraph(r *http.Request, subpath string) routerResponse {
-	q := r.URL.Query()
-	pin := ""
-	if _, ok := q["gen"]; !ok {
-		pin = strconv.Itoa(rt.Gen())
-		q.Set("gen", pin)
-	}
-	path := FullPrefix + subpath
-	if enc := q.Encode(); enc != "" {
-		path += "?" + enc
-	}
-	l, failed := rt.anyShard(r.Context(), path, pin)
-	if l.err != nil {
-		resp := errRouterResponse(http.StatusServiceUnavailable, "no shard could serve the graph query")
-		resp.shardsFailed = failed
-		resp.retryAfter = 1
-		return resp
-	}
-	return routerResponse{status: l.status, body: l.body, gen: l.gen, retryAfter: l.retryAfter}
-}
-
-// mergedResponse wraps a merged body: 200 when every leg contributed,
-// 206 + X-Shards-Failed when a minority was lost.
-func (rt *Router) mergedResponse(body []byte, pin string, cls classified) routerResponse {
-	resp := routerResponse{status: http.StatusOK, body: body, gen: pin}
-	if len(cls.failed) > 0 {
-		resp.status = http.StatusPartialContent
-		resp.shardsFailed = cls.failed
-		resp.retryAfter = cls.retryAfter
-	}
-	return resp
-}
-
-// allLegsLost is the every-leg-failed verdict: an explicit 503 naming
-// the lost shards — never a fabricated empty answer, never a 500.
-func (rt *Router) allLegsLost(cls classified) routerResponse {
-	resp := errRouterResponse(http.StatusServiceUnavailable, "all shards unavailable")
-	resp.shardsFailed = cls.failed
-	resp.retryAfter = cls.retryAfter
-	if resp.retryAfter <= 0 {
-		resp.retryAfter = 1
-	}
+	resp := errRouterResponse(http.StatusServiceUnavailable, "all replicas unavailable")
+	resp.shardsFailed = failed
+	resp.retryAfter = retryAfter
 	return resp
 }
 
@@ -703,8 +491,8 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // RouterStatus is the /readyz body: the committed fleet generation, the
-// partition, per-shard breaker state and the coordinator's latest flip
-// report.
+// partition, per-replica breaker state and the coordinator's latest
+// flip report.
 type RouterStatus struct {
 	Gen          int         `json:"gen"`
 	Partition    Partition   `json:"partition"`

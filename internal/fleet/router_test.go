@@ -3,7 +3,9 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -30,91 +32,109 @@ func asnPath(a world.ASN) string {
 	return "/v1/asn/" + strconv.FormatUint(uint64(a), 10)
 }
 
-// TestRouterPartialEnvelope proves pillar two's degraded-response
-// contract end to end: with one shard down, scatter endpoints answer
-// 206 from the survivors with X-Shards-Failed and a partial body
-// envelope, the fast path 503s only for ASNs the dead shard owns, and
-// once the shard returns, answers are byte-identical to the healthy
-// baseline (the envelope leaves no residue).
-func TestRouterPartialEnvelope(t *testing.T) {
-	// A high breaker threshold keeps the circuit out of this test: the
-	// down period costs several leg failures, and the point here is the
-	// envelope contract, not breaker behavior.
-	tf := buildFleet(t, fleetConfig{
-		shards:    2,
-		routerOpt: func(o *RouterOptions) { o.BreakerThreshold = 100 },
-	})
-	cc := tf.shards[0].Store().Current().World.Countries[0]
-	asn0 := tf.asnOnShard(t, 0)
-	asn1 := tf.asnOnShard(t, 1)
+// probeBattery is the router-level request set the failover tests
+// replay against a single-process server: every /v1 endpoint, an ASN
+// from each replica's range, misses (ASN, org, country, graph ASN) and
+// malformed input, so error envelopes are compared too.
+func (tf *testFleet) probeBattery(t testing.TB) []string {
+	t.Helper()
+	cur := tf.shards[0].Store().Current()
+	ds := cur.Result.Dataset
+	var paths []string
+	for shard := range tf.shards {
+		paths = append(paths, asnPath(tf.asnOnShard(t, shard)))
+	}
+	a := strconv.FormatUint(uint64(ds.AllASNs()[0]), 10)
+	b := strconv.FormatUint(uint64(ds.AllASNs()[len(ds.AllASNs())-1]), 10)
+	return append(paths,
+		"/v1/asn/49999", // never state-owned
+		"/v1/asn/notanumber",
+		"/v1/asn/"+a+"?gen=abc",
+		"/v1/asn/"+a+"?gen=99",
+		"/v1/country/"+cur.World.Countries[0],
+		"/v1/country/ZZ",
+		"/v1/country/notacountry",
+		"/v1/org/"+ds.Organizations[0].OrgID,
+		"/v1/org/ORG-NOPE",
+		"/v1/search?name=telecom",
+		"/v1/search?name=telecom&limit=3",
+		"/v1/search?name=zzzzqqqq",
+		"/v1/search",
+		"/v1/dataset",
+		"/v1/dataset?gen=0",
+		"/v1/diff?from=0&to=0",
+		"/v1/diff?from=0",
+		"/v1/graph/neighbors/"+a+"?class=provider",
+		"/v1/graph/upstreams/"+a,
+		"/v1/graph/cone/"+a,
+		"/v1/graph/cone/4294967294",
+		"/v1/graph/path?from="+a+"&to="+b,
+		"/v1/hijacks",
+	)
+}
 
-	baseline := tf.get("/v1/country/" + cc)
-	if baseline.Code != http.StatusOK {
-		t.Fatalf("healthy country: %d %s", baseline.Code, baseline.Body.String())
-	}
-	if h := baseline.Header().Get(ShardsFailedHeader); h != "" {
-		t.Fatalf("healthy country carries %s: %q", ShardsFailedHeader, h)
-	}
-
-	tf.transport.setDown("shard1", true)
-
-	// Scatter with a lost minority: degraded but explicit.
-	rec := tf.get("/v1/country/" + cc)
-	if rec.Code != http.StatusPartialContent {
-		t.Fatalf("country with shard 1 down: %d %s", rec.Code, rec.Body.String())
-	}
-	if h := rec.Header().Get(ShardsFailedHeader); h != "1" {
-		t.Fatalf("%s = %q, want \"1\"", ShardsFailedHeader, h)
-	}
-	var env struct {
-		Partial      bool  `json:"partial"`
-		ShardsFailed []int `json:"shards_failed"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
-		t.Fatal(err)
-	}
-	if !env.Partial || len(env.ShardsFailed) != 1 || env.ShardsFailed[0] != 1 {
-		t.Fatalf("partial envelope %+v", env)
-	}
-
-	// Fast path: the dead shard's ASNs are unavailable, everyone else's
-	// answer normally.
-	if rec := tf.get(asnPath(asn1)); rec.Code != http.StatusServiceUnavailable ||
-		rec.Header().Get(ShardsFailedHeader) != "1" {
-		t.Fatalf("asn on dead shard: %d %s %q", rec.Code, rec.Body.String(),
-			rec.Header().Get(ShardsFailedHeader))
-	}
-	if rec := tf.get(asnPath(asn0)); rec.Code != http.StatusOK {
-		t.Fatalf("asn on live shard: %d %s", rec.Code, rec.Body.String())
-	}
-
-	// Any-shard endpoints rotate around the dead shard.
-	for i := 0; i < 4; i++ {
-		if rec := tf.get("/v1/dataset"); rec.Code != http.StatusOK {
-			t.Fatalf("dataset with shard 1 down (attempt %d): %d", i, rec.Code)
+// matchesSingle replays paths through the router and fails on the
+// first answer whose status, body or X-Generation differs from the
+// single-process server's.
+func (tf *testFleet) matchesSingle(t *testing.T, single http.Handler, paths []string, stage string) {
+	t.Helper()
+	for _, path := range paths {
+		want := httptest.NewRecorder()
+		single.ServeHTTP(want, httptest.NewRequest(http.MethodGet, path, nil))
+		got := tf.get(path)
+		if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("%d replicas, %s: GET %s\nfleet (%d): %.300s\nsingle (%d): %.300s",
+				len(tf.shards), stage, path, got.Code, got.Body, want.Code, want.Body)
+		}
+		if g, w := got.Header().Get(serve.GenerationHeader), want.Header().Get(serve.GenerationHeader); g != w {
+			t.Fatalf("%d replicas, %s: GET %s X-Generation %q, single %q", len(tf.shards), stage, path, g, w)
+		}
+		if h := got.Header().Get(ShardsFailedHeader); h != "" {
+			t.Fatalf("%d replicas, %s: GET %s answered with %s %q", len(tf.shards), stage, path, ShardsFailedHeader, h)
 		}
 	}
+}
 
-	// Recovery: the partial envelope leaves no residue.
-	tf.transport.setDown("shard1", false)
-	rec = tf.get("/v1/country/" + cc)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("country after recovery: %d %s", rec.Code, rec.Body.String())
-	}
-	if h := rec.Header().Get(ShardsFailedHeader); h != "" {
-		t.Fatalf("recovered country still carries %s %q", ShardsFailedHeader, h)
-	}
-	if !bytes.Equal(rec.Body.Bytes(), baseline.Body.Bytes()) {
-		t.Fatal("recovered country body differs from the healthy baseline")
-	}
+// TestRouterMinorityLossAnswersComplete proves the replica contract:
+// with one of 2 and with one of 3 replicas down, every probe answers
+// with the single-process status and bytes — the read fails over to a
+// live replica instead of degrading. The dead replica's breaker opens
+// and its lost legs are counted; once it is back, a probe closes the
+// breaker and every probe still answers single-process bytes.
+func TestRouterMinorityLossAnswersComplete(t *testing.T) {
+	cfg := fleetConfig{seed: 42, scale: 0.05, retain: 8}
+	single := serve.NewDynamic(shardStore(cfg).Source(), serve.Options{})
+	for _, n := range []int{2, 3} {
+		cfg := cfg
+		cfg.shards = n
+		tf := buildFleet(t, cfg)
+		paths := tf.probeBattery(t)
+		tf.matchesSingle(t, single, paths, "healthy")
 
-	if m := tf.router.Metrics().Snapshot(); m.Partials == 0 || m.LegFailures == 0 {
-		t.Fatalf("metrics did not record the degradation: %+v", m)
+		down := n - 1
+		host := fmt.Sprintf("shard%d", down)
+		tf.transport.setDown(host, true)
+		tf.matchesSingle(t, single, paths, "one replica down")
+		if !tf.router.shards[down].open() {
+			t.Fatalf("%d replicas: the dead replica's breaker never opened", n)
+		}
+		if m := tf.router.Metrics().Snapshot(); m.LegFailures == 0 || m.BreakerDenials == 0 {
+			t.Fatalf("%d replicas: metrics did not record the lost legs: %+v", n, m)
+		}
+
+		tf.transport.setDown(host, false)
+		for i := 0; tf.router.shards[down].open(); i++ {
+			if i > 10*DefaultBreakerProbeEvery {
+				t.Fatalf("%d replicas: the revived replica's breaker never closed", n)
+			}
+			tf.get(asnPath(tf.asnOnShard(t, down)))
+		}
+		tf.matchesSingle(t, single, paths, "after revival")
 	}
 }
 
 // TestRouterAllShardsLost proves the every-leg-failed verdict: an
-// explicit 503 naming every shard, with a Retry-After hint — never a
+// explicit 503 naming every replica, with a Retry-After hint — never a
 // fabricated empty 200.
 func TestRouterAllShardsLost(t *testing.T) {
 	tf := buildFleet(t, fleetConfig{shards: 2})
@@ -143,66 +163,155 @@ func TestRouterAllShardsLost(t *testing.T) {
 	}
 }
 
-// TestRouterRetryAfterPropagation proves shard-side back-pressure
-// surfaces at the router: a shard answering 503 + Retry-After marks the
-// leg failed (partial answer) and the largest shard hint rides the
-// router's response — and the breaker does NOT open, because an HTTP
-// answer means the shard is alive.
+// shedResponse is a replica-side 503 with the given Retry-After hint.
+func shedResponse(retryAfter string) *http.Response {
+	body, _ := serve.JSONBody(serve.ErrorBody{Error: "overloaded", Status: 503})
+	return craftedResponse(http.StatusServiceUnavailable,
+		map[string]string{"Retry-After": retryAfter, "Content-Type": "application/json"},
+		string(body))
+}
+
+// TestRouterRetryAfterPropagation proves replica-side back-pressure at
+// the router: a replica answering 503 + Retry-After loses only its leg
+// — the read moves to the next replica, which answers 200 — and the
+// breaker does NOT open, because an HTTP answer means the replica is
+// alive. When every replica sheds, the router answers 503 with the
+// largest replica hint.
 func TestRouterRetryAfterPropagation(t *testing.T) {
 	tf := buildFleet(t, fleetConfig{shards: 2})
-	cc := tf.shards[0].Store().Current().World.Countries[0]
-	shedBody, _ := serve.JSONBody(serve.ErrorBody{Error: "overloaded", Status: 503})
-	tf.transport.setIntercept(func(req *http.Request) (*http.Response, bool) {
-		if req.URL.Host == "shard1" && strings.HasPrefix(req.URL.Path, "/v1/country/") {
-			return craftedResponse(http.StatusServiceUnavailable,
-				map[string]string{"Retry-After": "7", "Content-Type": "application/json"},
-				string(shedBody)), true
+	path := asnPath(tf.asnOnShard(t, 1)) // starts at replica 1
+	healthy := tf.get(path)
+	if healthy.Code != http.StatusOK {
+		t.Fatalf("healthy read: %d %s", healthy.Code, healthy.Body.String())
+	}
+	shedding := func(hints map[string]string) func(*http.Request) (*http.Response, bool) {
+		return func(req *http.Request) (*http.Response, bool) {
+			if ra, ok := hints[req.URL.Host]; ok && strings.HasPrefix(req.URL.Path, "/v1/") {
+				return shedResponse(ra), true
+			}
+			return nil, false
 		}
-		return nil, false
-	})
+	}
 
-	rec := tf.get("/v1/country/" + cc)
-	if rec.Code != http.StatusPartialContent {
-		t.Fatalf("country with shard 1 shedding: %d %s", rec.Code, rec.Body.String())
+	tf.transport.setIntercept(shedding(map[string]string{"shard1": "7"}))
+	rec := tf.get(path)
+	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), healthy.Body.Bytes()) {
+		t.Fatalf("read with replica 1 shedding: %d %s", rec.Code, rec.Body.String())
 	}
-	if ra := rec.Header().Get("Retry-After"); ra != "7" {
-		t.Fatalf("Retry-After = %q, want the shard's hint \"7\"", ra)
-	}
-	if h := rec.Header().Get(ShardsFailedHeader); h != "1" {
-		t.Fatalf("%s = %q, want \"1\"", ShardsFailedHeader, h)
+	if h := rec.Header().Get(ShardsFailedHeader); h != "" {
+		t.Fatalf("failed-over 200 carries %s %q", ShardsFailedHeader, h)
 	}
 	if tf.router.shards[1].open() {
-		t.Fatal("a shard-side 503 opened the breaker — back-pressure is not shard death")
+		t.Fatal("a replica-side 503 opened the breaker — back-pressure is not replica death")
+	}
+
+	tf.transport.setIntercept(shedding(map[string]string{"shard0": "3", "shard1": "7"}))
+	rec = tf.get(path)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("read with every replica shedding: %d %s", rec.Code, rec.Body.String())
+	}
+	if ra := rec.Header().Get("Retry-After"); ra != "7" {
+		t.Fatalf("Retry-After = %q, want the largest replica hint \"7\"", ra)
+	}
+	if h := rec.Header().Get(ShardsFailedHeader); h != "0,1" {
+		t.Fatalf("%s = %q, want \"0,1\"", ShardsFailedHeader, h)
 	}
 }
 
 // TestRouterIncoherentLegRejected proves the coherence core: a 200 leg
-// answering from a generation other than the pin is a torn read and
-// must be discarded, even on the single-shard fast path.
+// answering from a generation other than the pin is a torn read and is
+// discarded — the read moves to the next replica, and when no replica
+// answers coherently the router says so with a 503 instead of passing
+// the torn body through.
 func TestRouterIncoherentLegRejected(t *testing.T) {
 	tf := buildFleet(t, fleetConfig{shards: 2})
-	asn0 := tf.asnOnShard(t, 0)
+	path := asnPath(tf.asnOnShard(t, 0)) // starts at replica 0
+	healthy := tf.get(path)
+	tearing := func(hosts ...string) func(*http.Request) (*http.Response, bool) {
+		return func(req *http.Request) (*http.Response, bool) {
+			for _, h := range hosts {
+				if req.URL.Host == h && strings.HasPrefix(req.URL.Path, "/v1/asn/") {
+					return craftedResponse(http.StatusOK,
+						map[string]string{serve.GenerationHeader: "5", "Content-Type": "application/json"},
+						`{"asn": 1}`), true
+				}
+			}
+			return nil, false
+		}
+	}
+
+	tf.transport.setIntercept(tearing("shard0"))
+	rec := tf.get(path)
+	if rec.Code != http.StatusOK || rec.Header().Get(serve.GenerationHeader) != "0" ||
+		!bytes.Equal(rec.Body.Bytes(), healthy.Body.Bytes()) {
+		t.Fatalf("incoherent leg passed through: %d gen %q %s",
+			rec.Code, rec.Header().Get(serve.GenerationHeader), rec.Body.String())
+	}
+
+	tf.transport.setIntercept(tearing("shard0", "shard1"))
+	rec = tf.get(path)
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get(ShardsFailedHeader) != "0,1" {
+		t.Fatalf("every leg incoherent: %d %q %s", rec.Code, rec.Header().Get(ShardsFailedHeader), rec.Body.String())
+	}
+}
+
+// TestRouterMissesCostOneLeg proves that a 404 carrying X-Generation is
+// the fleet's answer, not a lost leg: on a healthy fleet a missing ASN,
+// an unknown org and an unknown country each cost exactly one leg.
+func TestRouterMissesCostOneLeg(t *testing.T) {
+	tf := buildFleet(t, fleetConfig{shards: 2})
+	paths := []string{"/v1/asn/49999", "/v1/asn/4294967294", "/v1/org/ORG-NOPE", "/v1/country/ZZ"}
+	for _, path := range paths {
+		for i := 0; i < len(tf.shards); i++ { // every rotation start
+			before := tf.router.Metrics().Snapshot().Legs
+			rec := tf.get(path)
+			if legs := tf.router.Metrics().Snapshot().Legs - before; legs != 1 {
+				t.Fatalf("GET %s (%d) cost %d legs, want 1", path, rec.Code, legs)
+			}
+		}
+	}
+}
+
+// TestRouterNotHeldMovesOn proves the two 404s that are not the fleet's
+// answer: one without X-Generation (the replica does not hold the
+// generation) and a /v1/graph one (a warm-started replica serves no
+// graph until its next live build). Both move the read to the next
+// replica, which answers.
+func TestRouterNotHeldMovesOn(t *testing.T) {
+	tf := buildFleet(t, fleetConfig{shards: 2})
+	asn := tf.asnOnShard(t, 0)
+	paths := []string{asnPath(asn), fmt.Sprintf("/v1/graph/cone/%d", asn)}
+	healthy := map[string][]byte{}
+	for _, p := range paths {
+		healthy[p] = tf.get(p).Body.Bytes()
+	}
 	tf.transport.setIntercept(func(req *http.Request) (*http.Response, bool) {
-		if req.URL.Host == "shard0" && strings.HasPrefix(req.URL.Path, "/v1/asn/") {
-			return craftedResponse(http.StatusOK,
-				map[string]string{serve.GenerationHeader: "5", "Content-Type": "application/json"},
-				`{"asn": 1}`), true
+		if req.URL.Host != "shard0" {
+			return nil, false
+		}
+		switch {
+		case strings.HasPrefix(req.URL.Path, "/v1/asn/"):
+			return craftedResponse(http.StatusNotFound, nil, `{"error": "unknown generation 0", "status": 404}`), true
+		case strings.HasPrefix(req.URL.Path, "/v1/graph/"):
+			return craftedResponse(http.StatusNotFound, map[string]string{serve.GenerationHeader: "0"},
+				`{"error": "graph index unavailable", "status": 404}`), true
 		}
 		return nil, false
 	})
-	rec := tf.get(asnPath(asn0))
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("incoherent fast-path leg passed through: %d %s", rec.Code, rec.Body.String())
-	}
-	if !strings.Contains(rec.Body.String(), "generation") {
-		t.Fatalf("incoherence 503 does not say why: %s", rec.Body.String())
+	for _, p := range paths {
+		for i := 0; i < len(tf.shards); i++ { // every rotation start
+			if rec := tf.get(p); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), healthy[p]) {
+				t.Fatalf("GET %s with replica 0 missing it: %d %s", p, rec.Code, rec.Body.String())
+			}
+		}
 	}
 }
 
 // TestRouterBreakerOpensAndProbes proves the breaker lifecycle: enough
-// consecutive transport failures open a shard's circuit (requests fail
-// fast without touching the transport), every Nth denial probes
-// through, and a successful probe closes the circuit.
+// consecutive transport failures open a replica's circuit (its legs
+// fail fast without touching the transport, and the read moves to the
+// next replica), every Nth denial probes through, and a successful
+// probe closes the circuit.
 func TestRouterBreakerOpensAndProbes(t *testing.T) {
 	tf := buildFleet(t, fleetConfig{
 		shards: 2,
@@ -211,32 +320,36 @@ func TestRouterBreakerOpensAndProbes(t *testing.T) {
 			o.BreakerProbeEvery = 3
 		},
 	})
-	asn1 := tf.asnOnShard(t, 1)
+	asn1 := tf.asnOnShard(t, 1) // starts at replica 1
 	tf.transport.setDown("shard1", true)
 
-	// Two failed fan-outs (each fetchLeg records one failure after its
-	// hedge also dies) trip the threshold-2 breaker.
+	// Two failed legs (each fetchLeg records one failure after its hedge
+	// also dies) trip the threshold-2 breaker; replica 0 answers both
+	// reads.
 	for i := 0; i < 2; i++ {
-		if rec := tf.get(asnPath(asn1)); rec.Code != http.StatusServiceUnavailable {
-			t.Fatalf("request %d against down shard: %d", i, rec.Code)
+		if rec := tf.get(asnPath(asn1)); rec.Code != http.StatusOK {
+			t.Fatalf("request %d against down replica: %d", i, rec.Code)
 		}
 	}
 	if !tf.router.shards[1].open() {
 		t.Fatal("breaker still closed after threshold failures")
 	}
 
-	// The shard recovers, but the breaker doesn't know yet: the next two
-	// requests are denied without touching the transport, and the third
-	// denial probes through, succeeds, and closes the circuit.
+	// The replica recovers, but the breaker doesn't know yet: the next
+	// two legs to it are denied without touching the transport (replica
+	// 0 answers), and the third denial probes through, succeeds, and
+	// closes the circuit.
 	tf.transport.setDown("shard1", false)
-	before := tf.router.Metrics().Snapshot().BreakerDenials
+	before := tf.router.Metrics().Snapshot()
 	for i := 0; i < 2; i++ {
-		if rec := tf.get(asnPath(asn1)); rec.Code != http.StatusServiceUnavailable {
-			t.Fatalf("denied request %d: %d, want fail-fast 503", i, rec.Code)
+		if rec := tf.get(asnPath(asn1)); rec.Code != http.StatusOK {
+			t.Fatalf("denied request %d: %d, want a failed-over 200", i, rec.Code)
 		}
 	}
-	if got := tf.router.Metrics().Snapshot().BreakerDenials; got != before+2 {
-		t.Fatalf("breaker denials %d, want %d", got, before+2)
+	m := tf.router.Metrics().Snapshot()
+	if m.BreakerDenials != before.BreakerDenials+2 || m.Legs != before.Legs+4 {
+		t.Fatalf("breaker denials %d and legs %d, want %d and %d",
+			m.BreakerDenials, m.Legs, before.BreakerDenials+2, before.Legs+4)
 	}
 	if rec := tf.get(asnPath(asn1)); rec.Code != http.StatusOK {
 		t.Fatalf("probe request: %d, want 200", rec.Code)
@@ -244,8 +357,12 @@ func TestRouterBreakerOpensAndProbes(t *testing.T) {
 	if tf.router.shards[1].open() {
 		t.Fatal("breaker still open after a successful probe")
 	}
+	before = tf.router.Metrics().Snapshot()
 	if rec := tf.get(asnPath(asn1)); rec.Code != http.StatusOK {
 		t.Fatalf("post-recovery request: %d", rec.Code)
+	}
+	if legs := tf.router.Metrics().Snapshot().Legs - before.Legs; legs != 1 {
+		t.Fatalf("post-recovery request cost %d legs, want 1", legs)
 	}
 }
 
@@ -434,8 +551,8 @@ func TestRouterOpsEndpoints(t *testing.T) {
 		t.Fatalf("unknown-route body %q (err %v)", rec.Body.String(), err)
 	}
 
-	// Kill both shards; threshold 1 opens both breakers after one
-	// fan-out, and readyz goes unready.
+	// Kill both replicas; threshold 1 opens both breakers after one read
+	// fails over across them, and readyz goes unready.
 	tf.transport.setDown("shard0", true)
 	tf.transport.setDown("shard1", true)
 	cc := tf.shards[0].Store().Current().World.Countries[0]

@@ -29,9 +29,8 @@ type sample struct {
 // time, a shard crash mid-flip, and a lost commit ack that splits the
 // shards' live generations. The invariants:
 //
-//   - No request ever sees a 500 or a torn read: every status is 200,
-//     206 or 503, every 200/206 names exactly one generation, and every
-//     206 names the shards it lost.
+//   - No request ever sees a 500 or a torn read: every status is 200
+//     or 503, and every 200 names exactly one generation.
 //   - Zero torn reads, proved by replay: every 200 body captured during
 //     the storm, re-requested afterwards pinned to its generation, is
 //     byte-identical — so each answer was a pure function of (path,
@@ -88,7 +87,7 @@ func TestSoakRollingReloadsUnderFire(t *testing.T) {
 				path := mix[(w+i)%len(mix)]
 				rec := tf.get(path)
 				switch rec.Code {
-				case http.StatusOK, http.StatusPartialContent:
+				case http.StatusOK:
 					if gens := rec.Header().Values(serve.GenerationHeader); len(gens) != 1 || gens[0] == "" {
 						t.Errorf("worker %d: %s answered %d with generations %v", w, path, rec.Code, gens)
 						return
@@ -97,12 +96,7 @@ func TestSoakRollingReloadsUnderFire(t *testing.T) {
 						t.Errorf("worker %d: %s answered %d with invalid JSON", w, path, rec.Code)
 						return
 					}
-					if rec.Code == http.StatusPartialContent &&
-						rec.Header().Get(ShardsFailedHeader) == "" {
-						t.Errorf("worker %d: %s answered 206 without %s", w, path, ShardsFailedHeader)
-						return
-					}
-					if rec.Code == http.StatusOK && i%5 == 0 && len(samples[w]) < 48 {
+					if i%5 == 0 && len(samples[w]) < 48 {
 						samples[w] = append(samples[w], sample{
 							path: path,
 							gen:  rec.Header().Get(serve.GenerationHeader),
@@ -110,8 +104,7 @@ func TestSoakRollingReloadsUnderFire(t *testing.T) {
 						})
 					}
 				case http.StatusServiceUnavailable:
-					// A lost fast-path shard, an all-legs-lost fan-out or a
-					// breaker denial: degraded, declared, allowed.
+					// No replica could answer coherently: declared, allowed.
 				default:
 					t.Errorf("worker %d: %s answered %d: %s", w, path, rec.Code, rec.Body.String())
 					return
@@ -160,8 +153,8 @@ func TestSoakRollingReloadsUnderFire(t *testing.T) {
 	waitMore(50)
 
 	// Act 3: shard 2 crashes outright; a flip attempted against the dead
-	// shard fails, and traffic degrades to partial answers while the
-	// survivors keep serving generation 1.
+	// shard fails, and traffic fails over to the survivors, which keep
+	// serving generation 1.
 	tf.transport.setDown("shard2", true)
 	if _, err := tf.coord.FlipOnce(ctx); err == nil {
 		t.Fatal("flip succeeded with a crashed shard")

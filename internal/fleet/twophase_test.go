@@ -2,10 +2,14 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"stateowned/internal/world"
 )
 
 // TestTwoPhaseHappyFlip proves the basic coherent reload: stage
@@ -196,5 +200,77 @@ func TestBootstrapAdoptsCommonGeneration(t *testing.T) {
 	}
 	if gen != 0 || tf.router.Gen() != 0 {
 		t.Fatalf("bootstrap adopted %d (router %d), want 0", gen, tf.router.Gen())
+	}
+}
+
+// TestCoordinatorRunBacksOffEveryFailure proves the reload loop never
+// stops waiting between failed flips: against a replica that cannot be
+// reached, 70 consecutive flips fail, and every sleep of the loop — past
+// the point where an unsaturated exponential backoff overflows — is at
+// least the flip cadence.
+func TestCoordinatorRunBacksOffEveryFailure(t *testing.T) {
+	const every = time.Second
+	clients := []ShardClient{{Base: "http://unreachable", HTTP: &http.Client{Transport: newHandlerTransport()}}}
+	rt, err := NewRouter(RouterOptions{Partition: Partition{Shards: 1}, Shards: clients, After: neverAfter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var sleeps []time.Duration
+	coord := NewCoordinator(rt, clients, CoordinatorOptions{
+		Sleep: func(_ context.Context, d time.Duration) {
+			sleeps = append(sleeps, d)
+			if len(sleeps) > 70 {
+				cancel()
+			}
+		},
+	})
+	coord.Run(ctx, every, nil)
+	if st := coord.Status(); st.ConsecutiveFailures != 70 || st.GaveUp {
+		t.Fatalf("flip status after the loop %+v, want 70 consecutive failures", st)
+	}
+	for i, d := range sleeps {
+		if d < every {
+			t.Fatalf("sleep %d after %d failed flips lasted %v, want at least %v", i, i, d, every)
+		}
+	}
+}
+
+// TestBootstrapToleratesShortFingerprints proves Bootstrap treats the
+// replicas' status JSON as outside input: fingerprints shorter than the
+// error message's 12-character prefix are refused with the
+// disagreement error instead of panicking the router at startup.
+func TestBootstrapToleratesShortFingerprints(t *testing.T) {
+	part := Partition{Shards: 2, Bounds: []world.ASN{1000}}
+	tr := newHandlerTransport()
+	tr.setIntercept(func(req *http.Request) (*http.Response, bool) {
+		i, sum := 0, "abc"
+		if req.URL.Host == "shard1" {
+			i, sum = 1, "abd"
+		}
+		body, err := json.Marshal(ShardStatus{
+			Shard: i, Shards: 2, Partition: part, StagedGen: -1,
+			Retained: []int{0}, DatasetSums: map[int]string{0: sum},
+		})
+		if err != nil {
+			return nil, true
+		}
+		return craftedResponse(http.StatusOK, nil, string(body)), true
+	})
+	hc := &http.Client{Transport: tr}
+	clients := []ShardClient{{Index: 0, Base: "http://shard0", HTTP: hc}, {Index: 1, Base: "http://shard1", HTTP: hc}}
+	rt, err := NewRouter(RouterOptions{Partition: part, Shards: clients, After: neverAfter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			t.Fatalf("Bootstrap panicked on short fingerprints: %v", p)
+		}
+	}()
+	_, err = NewCoordinator(rt, clients, CoordinatorOptions{}).Bootstrap(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "disagrees across shards") {
+		t.Fatalf("Bootstrap over fingerprints \"abc\" and \"abd\": %v", err)
 	}
 }

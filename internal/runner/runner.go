@@ -15,6 +15,7 @@ package runner
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -57,13 +58,22 @@ type Backoff struct {
 // attempts, delays 1, 2, 4 units.
 func DefaultBackoff() Backoff { return Backoff{MaxAttempts: 4, BaseUnits: 1, MaxUnits: 8} }
 
-// Delay returns the backoff after the given attempt (1-based).
+// Delay returns the backoff after the given attempt (1-based):
+// BaseUnits doubled per attempt, saturating at MaxUnits (at the largest
+// int when MaxUnits is 0) for any attempt count, however large.
 func (b Backoff) Delay(attempt int) int {
-	d := b.BaseUnits << (attempt - 1)
-	if b.MaxUnits > 0 && d > b.MaxUnits {
-		d = b.MaxUnits
+	limit := b.MaxUnits
+	if limit <= 0 {
+		limit = math.MaxInt
 	}
-	return d
+	d := b.BaseUnits
+	for ; attempt > 1 && d > 0 && d < limit; attempt-- {
+		if d > limit/2 {
+			return limit
+		}
+		d *= 2
+	}
+	return min(d, limit)
 }
 
 // Breaker is a per-source circuit breaker: after Threshold consecutive

@@ -108,6 +108,20 @@ func TestBackoffDelaysCapped(t *testing.T) {
 	}
 }
 
+// TestBackoffDelaySaturates proves the delay never leaves [BaseUnits,
+// MaxUnits] however many attempts pile up: a shift past the word width
+// would wrap to a negative delay at attempt 64 and to zero beyond it.
+func TestBackoffDelaySaturates(t *testing.T) {
+	b := Backoff{BaseUnits: 1, MaxUnits: 8}
+	for _, tc := range []struct{ attempt, want int }{
+		{1, 1}, {4, 8}, {63, 8}, {64, 8}, {65, 8}, {1000, 8},
+	} {
+		if d := b.Delay(tc.attempt); d != tc.want {
+			t.Errorf("Delay(%d) = %d, want %d", tc.attempt, d, tc.want)
+		}
+	}
+}
+
 func TestHealthAccounting(t *testing.T) {
 	h := NewHealth(0.4)
 	h.NoteDamage("whois", faults.Damage{Dropped: 10, Corrupted: 4})

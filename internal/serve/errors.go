@@ -19,9 +19,8 @@ type ErrorBody struct {
 
 // JSONBody encodes v exactly as the serving layer encodes every
 // response body: two-space indent, trailing newline. The fleet router
-// re-encodes merged scatter-gather results with this same encoder so a
-// complete (no shard failed) fleet answer is byte-identical to the
-// single-process answer.
+// encodes its own error envelopes with it, so they match the serving
+// layer's.
 func JSONBody(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)

@@ -117,7 +117,7 @@ func TestErrorEnvelopeShape(t *testing.T) {
 			}
 
 			// Canonical encoder: two-space indent, trailing newline — the
-			// byte-level contract the fleet merge relies on.
+			// byte-level contract the fleet router's envelopes share.
 			if !strings.HasSuffix(w.Body.String(), "}\n") {
 				t.Fatalf("body does not end with the canonical newline: %q", w.Body.String())
 			}

@@ -137,9 +137,7 @@ func BuildIndex(ds *expand.Dataset) *Index {
 	// Canonicalize per-country ordering: organizations by OrgID, minority
 	// records by (name, owner, share). Dataset assembly order is an
 	// artifact of pipeline internals; the canonical order is a stable API
-	// guarantee — and it is what lets the fleet router merge per-shard
-	// country answers deterministically (and byte-identically to a
-	// single-process answer) regardless of which shard replied first.
+	// guarantee.
 	for cc := range idx.countryOrgs {
 		orgs := idx.countryOrgs[cc]
 		sort.Slice(orgs, func(a, b int) bool {
@@ -270,12 +268,12 @@ type SearchHit struct {
 }
 
 // minSearchScore discards noise matches (a lone generic token scores
-// well under containment but identifies nothing). Full-scan fallback
-// candidates carry no token-overlap evidence, so they must clear the
-// higher bar — Jaro–Winkler alone scores unrelated strings ~0.4.
+// well under containment but identifies nothing). Full-scan candidates
+// carry no token-overlap evidence, so they must clear the higher
+// minScanScore — Jaro–Winkler alone scores unrelated strings ~0.4.
 const (
-	minSearchScore   = 0.35
-	minFallbackScore = 0.60
+	minSearchScore = 0.35
+	minScanScore   = 0.60
 )
 
 // Search finds the organizations whose names best match the query, using
@@ -286,18 +284,6 @@ const (
 // organization. Results are sorted by descending score, ties broken by
 // org ID, and truncated to limit (<=0 means 10).
 func (idx *Index) Search(query string, limit int) []SearchHit {
-	hits, _ := idx.SearchPartition(query, limit)
-	return hits
-}
-
-// SearchPartition is Search plus the fallback verdict: fallback is true
-// when no indexed organization shared a token with the query and the
-// hits came from the full-scan fallback at its higher floor. The fleet
-// router merges per-shard results on this flag: a shard that fell back
-// contributes hits only when every shard fell back — exactly the
-// single-index semantics, where the fallback never runs while any token
-// candidate exists.
-func (idx *Index) SearchPartition(query string, limit int) (_ []SearchHit, fallback bool) {
 	if limit <= 0 {
 		limit = 10
 	}
@@ -309,8 +295,7 @@ func (idx *Index) SearchPartition(query string, limit int) (_ []SearchHit, fallb
 	}
 	floor := minSearchScore
 	if len(cands) == 0 {
-		fallback = true
-		floor = minFallbackScore
+		floor = minScanScore
 		for i := range idx.ds.Organizations {
 			cands[i] = true
 		}
@@ -332,7 +317,7 @@ func (idx *Index) SearchPartition(query string, limit int) (_ []SearchHit, fallb
 	if len(hits) > limit {
 		hits = hits[:limit]
 	}
-	return hits, fallback
+	return hits
 }
 
 // CanonicalCC upper-cases a country code so that /v1/country/ao and

@@ -580,16 +580,10 @@ func (s *Server) handleCountry(v *View, r *http.Request) response {
 }
 
 // SearchResponse is the fuzzy-name search result list. Query echoes the
-// normalized form the results were computed from. Fallback reports that
-// no organization shared a token with the query and the hits came from
-// the full-scan fallback at its higher score floor — the fleet router
-// needs the flag to merge shard results with single-process semantics
-// (a shard with no token matches must not contribute fallback hits when
-// another shard had real token candidates).
+// normalized form the results were computed from.
 type SearchResponse struct {
-	Query    string            `json:"query"`
-	Hits     []SearchHitRecord `json:"hits"`
-	Fallback bool              `json:"fallback,omitempty"`
+	Query string            `json:"query"`
+	Hits  []SearchHitRecord `json:"hits"`
 }
 
 // SearchHitRecord is one scored search hit.
@@ -615,9 +609,8 @@ func (s *Server) handleSearch(v *View, r *http.Request) response {
 			limit = n
 		}
 	}
-	hits, fallback := v.Index.SearchPartition(name, limit)
-	body := SearchResponse{Query: nameutil.Normalize(name), Hits: []SearchHitRecord{}, Fallback: fallback}
-	for _, h := range hits {
+	body := SearchResponse{Query: nameutil.Normalize(name), Hits: []SearchHitRecord{}}
+	for _, h := range v.Index.Search(name, limit) {
 		body.Hits = append(body.Hits, SearchHitRecord{
 			Score: h.Score, Organization: h.Org.Record, ASNs: h.Org.ASNs,
 		})

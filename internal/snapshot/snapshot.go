@@ -625,17 +625,6 @@ func (s *Store) StagedGen() int {
 	return s.staged.Gen
 }
 
-// Staged returns the held staged generation (nil when none). The
-// generation is complete and validated but unpublished; the fleet
-// shard uses it to pre-carve its partition sub-index between the stage
-// ack and the commit order, so the post-commit request path never pays
-// the carve. Callers must treat it as immutable.
-func (s *Store) Staged() *Generation {
-	s.buildMu.Lock()
-	defer s.buildMu.Unlock()
-	return s.staged
-}
-
 // Advance builds and publishes the next generation, blocking until the
 // swap. Requests keep being served from the old generation for the
 // whole build; the cutover itself is one atomic store. A rebuild the
@@ -724,13 +713,7 @@ func (s *Store) Reload(ctx context.Context, every time.Duration, logf func(forma
 				<-ctx.Done()
 				return
 			}
-			// Backoff.Delay is 1-indexed by attempt; cap the input so a
-			// long outage cannot shift past the unit width.
-			attempt := d.Failures
-			if attempt > 16 {
-				attempt = 16
-			}
-			delay = time.Duration(s.val.Backoff.Delay(attempt)) * s.val.BackoffUnit
+			delay = time.Duration(s.val.Backoff.Delay(d.Failures)) * s.val.BackoffUnit
 		}
 		select {
 		case <-ctx.Done():
