@@ -56,10 +56,6 @@ type config struct {
 	reloadMaxChurn    float64
 	reloadMaxFailures int
 
-	// Incremental rebuilds (single and shard modes: anywhere a store
-	// builds generations).
-	incremental bool
-
 	// Durable archive (single and shard modes: anywhere a store owns
 	// data). dataDir enables crash-consistent persistence of every
 	// committed generation and warm-start recovery at boot;
@@ -103,7 +99,6 @@ func parseFlags(args []string, output io.Writer) (config, error) {
 	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", serve.DefaultDrainTimeout, "graceful-shutdown drain budget after SIGINT/SIGTERM")
 	fs.Float64Var(&cfg.reloadMaxChurn, "reload-max-churn", snapshot.DefaultMaxChurnFraction, "reload gate: quarantine a rebuilt generation whose state-owned ASN set churned more than this fraction (0 rejects any change; >= 1 disables the bound)")
 	fs.IntVar(&cfg.reloadMaxFailures, "reload-max-failures", 0, "reload gate: stop retrying after this many consecutive quarantined rebuilds and serve last-known-good until restart (0 = retry forever)")
-	fs.BoolVar(&cfg.incremental, "incremental", false, "rebuild generations incrementally: reuse the previous generation's artifacts for pipeline nodes whose inputs did not churn (byte-identical output, less rebuild work)")
 	fs.StringVar(&cfg.dataDir, "data-dir", "", "durable generation archive directory: every committed generation persists here (crash-consistent), and a restarted process warm-starts from the newest verified one ('' = memory only)")
 	fs.IntVar(&cfg.archiveRetain, "archive-retain", 0, "with -data-dir: how many generations stay archived on disk (0 = default; may exceed -generations)")
 	fs.IntVar(&cfg.shards, "shards", 0, "fleet size (shard mode: the replica count, which sets the /v1/asn affinity ranges; router mode: optional cross-check against -shard-addrs)")
@@ -220,7 +215,7 @@ func validateMode(cfg *config, set map[string]bool) error {
 		if err := reject("seed", "scale", "workers", "chaos", "chaos-seed", "churn-seed",
 			"hijack", "hijack-seed", "rov-fraction",
 			"generations", "cache", "reload-every", "reload-max-churn", "reload-max-failures",
-			"incremental", "shard-index", "data-dir", "archive-retain"); err != nil {
+			"shard-index", "data-dir", "archive-retain"); err != nil {
 			return err
 		}
 		if len(cfg.shardAddrs) == 0 {

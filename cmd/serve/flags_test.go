@@ -19,8 +19,6 @@ func TestParseFlagsModeValidation(t *testing.T) {
 	}{
 		{name: "default single", args: nil},
 		{name: "single with reload", args: []string{"-reload-every", "5s", "-generations", "6"}},
-		{name: "single incremental reload", args: []string{"-reload-every", "5s", "-incremental"}},
-		{name: "shard incremental", args: []string{"-mode", "shard", "-shards", "2", "-shard-index", "1", "-incremental"}},
 		{name: "shard", args: []string{"-mode", "shard", "-shards", "4", "-shard-index", "2"}},
 		{name: "shard with build flags", args: []string{"-mode", "shard", "-shards", "2", "-shard-index", "0", "-seed", "7", "-scale", "0.1"}},
 		{name: "router", args: []string{"-mode", "router", "-shard-addrs", "localhost:9001,localhost:9002"}},
@@ -44,10 +42,10 @@ func TestParseFlagsModeValidation(t *testing.T) {
 		{name: "router with cache", args: []string{"-mode", "router", "-shard-addrs", "a:1", "-cache", "16"}, wantErr: "-cache contradicts -mode router"},
 		{name: "router with reload gate", args: []string{"-mode", "router", "-shard-addrs", "a:1", "-reload-max-churn", "0.5"}, wantErr: "-reload-max-churn contradicts -mode router"},
 		{name: "router with shard-index", args: []string{"-mode", "router", "-shard-addrs", "a:1", "-shard-index", "0"}, wantErr: "-shard-index contradicts -mode router"},
-		{name: "router with incremental", args: []string{"-mode", "router", "-shard-addrs", "a:1", "-incremental"}, wantErr: "-incremental contradicts -mode router"},
 		{name: "router shard count mismatch", args: []string{"-mode", "router", "-shards", "3", "-shard-addrs", "a:1,b:2"}, wantErr: "-shards 3 contradicts -shard-addrs (2 addresses)"},
 		{name: "router empty addr", args: []string{"-mode", "router", "-shard-addrs", "a:1,,b:2"}, wantErr: "empty address"},
 		{name: "positional garbage", args: []string{"extra"}, wantErr: "unexpected arguments"},
+		{name: "incremental is unknown", args: []string{"-incremental"}, wantErr: "flag provided but not defined: -incremental"},
 		{name: "bad scale still caught", args: []string{"-scale", "0"}, wantErr: "invalid -scale"},
 		{name: "single with hijack", args: []string{"-hijack", "0.5", "-hijack-seed", "7", "-rov-fraction", "0.25"}},
 		{name: "shard with hijack", args: []string{"-mode", "shard", "-shards", "2", "-shard-index", "0", "-hijack", "1"}},

@@ -11,10 +11,10 @@
 // never paused; in-flight requests finish on the generation they
 // started on. ?gen=N pins a query to any generation still in the
 // retention ring (-generations), and /v1/diff?from=&to= audits the
-// ownership churn between two retained generations. -incremental makes
-// each rebuild reuse the previous generation's artifacts for pipeline
-// nodes whose inputs did not churn — byte-identical output, reported on
-// /metrics as nodes_reused/nodes_rebuilt.
+// ownership churn between two retained generations. Each rebuild reuses
+// the previous generation's artifacts for pipeline nodes whose inputs
+// did not churn — byte-identical output, reported on /metrics as
+// nodes_reused/nodes_rebuilt.
 //
 // The same binary also runs as a replicated fleet. -mode shard serves
 // one full replica of the dataset plus the /fleet two-phase control
@@ -30,7 +30,7 @@
 // Usage:
 //
 //	serve [-addr :8080] [-seed N] [-scale F] [-workers N] [-chaos F] [-chaos-seed N] [-cache N]
-//	      [-reload-every D] [-generations N] [-churn-seed N] [-incremental]
+//	      [-reload-every D] [-generations N] [-churn-seed N]
 //	      [-max-inflight N] [-queue-wait D] [-request-timeout D] [-drain-timeout D]
 //	      [-reload-max-churn F] [-reload-max-failures N]
 //	serve -mode shard -shards N -shard-index I [world and serving flags]
@@ -154,10 +154,9 @@ func buildStore(cfg config, archive *durable.Archive) *snapshot.Store {
 			HijackSeverity: cfg.hijack, HijackSeed: cfg.hijackSeed,
 			ROVFraction: cfg.rovFraction,
 		},
-		ChurnSeed:   cfg.churnSeed,
-		Retain:      cfg.generations,
-		Incremental: cfg.incremental,
-		Archive:     archive,
+		ChurnSeed: cfg.churnSeed,
+		Retain:    cfg.generations,
+		Archive:   archive,
 		Validation: &snapshot.Validation{
 			MaxChurnFraction: cfg.reloadMaxChurn,
 			MaxFailures:      cfg.reloadMaxFailures,

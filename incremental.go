@@ -1,16 +1,16 @@
 package stateowned
 
-// Incremental rebuild support: input fingerprints for every build-graph
+// Memoized rebuild support: input fingerprints for every build-graph
 // node, the artifact capture/restore adapters that let the scheduler
-// skip clean nodes, and the per-country CTI slice memo.
+// skip clean nodes, and the CTI node's cutoff.
 //
-// Fingerprints are computed from the caller-supplied world BEFORE the
-// graph runs, so memoization only engages on the Config.World path (the
-// snapshot store's churn-evolved rebuilds); a generated-world run
-// always builds from scratch. The projection a node's fingerprint
-// hashes must cover every byte the node reads — the differential
-// harness in internal/snapshot holds each node to that contract by
-// proving incremental chains byte-identical to full rebuilds.
+// Every run fingerprints its world before the graph runs and hands its
+// artifact cache to the next rebuild; a nil Config.Memo makes every
+// node dirty, which is the full build. The projection a node's
+// fingerprint hashes must cover every byte the node reads that its
+// dependencies do not carry — the differential harness in
+// internal/snapshot holds each node to that contract by proving
+// memoized chains byte-identical to memo-less rebuilds.
 
 import (
 	"stateowned/internal/as2org"
@@ -31,20 +31,12 @@ import (
 	"stateowned/internal/world"
 )
 
-// nodeFPs carries the per-node input fingerprints (and the shared input
-// projections the CTI slice memo reuses) for one memoized run.
-type nodeFPs struct {
-	cfg  sched.Fingerprint // config projection, mixed into every node
-	node map[string]sched.Fingerprint
-}
-
 // fingerprintInputs computes every node's input fingerprint from the
-// caller-supplied world and the run config. The config projection
-// covers everything that parameterizes a build EXCEPT Workers: output
-// is provably worker-count independent, so a memo recorded under one
-// pool size must stay valid under any other.
-func fingerprintInputs(cfg Config) *nodeFPs {
-	w := cfg.World
+// run's world and config. The config projection covers everything that
+// parameterizes a build EXCEPT Workers: output is provably worker-count
+// independent, so a memo recorded under one pool size must stay valid
+// under any other.
+func fingerprintInputs(cfg Config, w *world.World) map[string]sched.Fingerprint {
 	structFP := w.FingerprintStructure()
 	ownFP := w.FingerprintOwnership()
 	topoOwnFP := w.FingerprintTopologyOwnership()
@@ -87,41 +79,34 @@ func fingerprintInputs(cfg Config) *nodeFPs {
 		}
 		return h.Sum()
 	}
-	return &nodeFPs{
-		cfg: cfgFP,
-		node: map[string]sched.Fingerprint{
-			// The world node adopts cfg.World either way; its fingerprint
-			// covers the full content so zero churn leaves it clean.
-			"world": mk("node/world", structFP, ownFP),
-			// Topology reads structure plus the narrow two-bit ownership
-			// view; ownership churn outside that view leaves it clean.
-			"topology": mk("node/topology", structFP, topoOwnFP),
-			// These sources never read the equity graph.
-			"geo":       mk("node/geo", structFP),
-			"eyeballs":  mk("node/eyeballs", structFP),
-			"whois":     mk("node/whois", structFP),
-			"peeringdb": mk("node/peeringdb", structFP),
-			// AS2Org reads only the WHOIS artifact; its dirtying dep on the
-			// whois node covers that, the fingerprint covers the rest.
-			"as2org": mk("node/as2org", structFP),
-			// Orbis and the documents corpus read the full ownership view.
-			"orbis": mk("node/orbis", structFP, ownFP),
-			"docs":  mk("node/docs", structFP, ownFP),
-			// CTI reads the topology and geo artifacts (dirtying deps) plus
-			// world structure (country profiles) and config.
-			"cti": mk("node/cti", structFP),
-			// The adversary reads world structure (prefixes, ICT, ROV
-			// thresholds) and ownership (the detection report's ground
-			// truth); its dirtying deps on topology and cti carry the
-			// rest.
-			"hijack": mk("node/hijack", structFP, ownFP),
-			// The stages read only upstream artifacts; dirtying deps on
-			// every source (stage1) and the predecessor stage (2, 3) carry
-			// all content sensitivity.
-			"stage1": mk("node/stage1", structFP),
-			"stage2": mk("node/stage2"),
-			"stage3": mk("node/stage3"),
-		},
+	return map[string]sched.Fingerprint{
+		// Topology reads structure plus the narrow two-bit ownership
+		// view; ownership churn outside that view leaves it clean.
+		"topology": mk("node/topology", structFP, topoOwnFP),
+		// These sources never read the equity graph.
+		"geo":       mk("node/geo", structFP),
+		"eyeballs":  mk("node/eyeballs", structFP),
+		"whois":     mk("node/whois", structFP),
+		"peeringdb": mk("node/peeringdb", structFP),
+		// AS2Org reads only the WHOIS artifact; its dependency on the
+		// whois node covers that, the fingerprint covers the rest.
+		"as2org": mk("node/as2org", structFP),
+		// Orbis and the documents corpus read the full ownership view.
+		"orbis": mk("node/orbis", structFP, ownFP),
+		"docs":  mk("node/docs", structFP, ownFP),
+		// CTI reads the topology and geo artifacts (dependencies) plus
+		// world structure (country profiles) and config.
+		"cti": mk("node/cti", structFP),
+		// The adversary reads world structure (prefixes, ICT, ROV
+		// thresholds) and ownership (the detection report's ground
+		// truth); its dependencies on topology and cti carry the rest.
+		"hijack": mk("node/hijack", structFP, ownFP),
+		// The stages read only upstream artifacts; their dependencies on
+		// every source (stage1) and the predecessor stage (2, 3) carry
+		// all content sensitivity.
+		"stage1": mk("node/stage1", structFP),
+		"stage2": mk("node/stage2"),
+		"stage3": mk("node/stage3"),
 	}
 }
 
@@ -130,10 +115,9 @@ func fingerprintInputs(cfg Config) *nodeFPs {
 // it. get/set move the node's Result field(s); source names the Health
 // row the node owns ("" when it owns none).
 type nodeMemoIO struct {
-	source    string
-	cleanDeps []string
-	get       func(res *Result) any
-	set       func(res *Result, v any)
+	source string
+	get    func(res *Result) any
+	set    func(res *Result, v any)
 }
 
 // memoArtifact is the captured product of one node: its Result value,
@@ -148,42 +132,32 @@ type memoArtifact struct {
 	notes     []stageNote
 }
 
-// memoIO returns the artifact wiring for each memoizable node.
+// memoIO returns the artifact wiring for every build-graph node.
 func memoIO() map[string]nodeMemoIO {
-	fromWorld := []string{"world"}
 	return map[string]nodeMemoIO{
-		"world": {
-			// The world is adopted from cfg, not captured: restore re-runs
-			// the same assignment the build would, so Result.World always
-			// aliases the caller's current world object (memoization only
-			// engages when Config.World is non-nil).
-			get: func(*Result) any { return nil },
-			set: func(r *Result, _ any) { r.World = r.Config.World },
-		},
 		"topology": {
-			cleanDeps: fromWorld,
-			get:       func(r *Result) any { return r.Topology },
-			set:       func(r *Result, v any) { r.Topology, _ = v.(*topology.Graph) },
+			get: func(r *Result) any { return r.Topology },
+			set: func(r *Result, v any) { r.Topology, _ = v.(*topology.Graph) },
 		},
 		"geo": {
-			source: "geo", cleanDeps: fromWorld,
-			get: func(r *Result) any { return r.Geo },
-			set: func(r *Result, v any) { r.Geo, _ = v.(*geo.DB) },
+			source: "geo",
+			get:    func(r *Result) any { return r.Geo },
+			set:    func(r *Result, v any) { r.Geo, _ = v.(*geo.DB) },
 		},
 		"eyeballs": {
-			source: "eyeballs", cleanDeps: fromWorld,
-			get: func(r *Result) any { return r.Eyeballs },
-			set: func(r *Result, v any) { r.Eyeballs, _ = v.(*eyeballs.Dataset) },
+			source: "eyeballs",
+			get:    func(r *Result) any { return r.Eyeballs },
+			set:    func(r *Result, v any) { r.Eyeballs, _ = v.(*eyeballs.Dataset) },
 		},
 		"whois": {
-			source: "whois", cleanDeps: fromWorld,
-			get: func(r *Result) any { return r.WHOIS },
-			set: func(r *Result, v any) { r.WHOIS, _ = v.(*whois.Registry) },
+			source: "whois",
+			get:    func(r *Result) any { return r.WHOIS },
+			set:    func(r *Result, v any) { r.WHOIS, _ = v.(*whois.Registry) },
 		},
 		"peeringdb": {
-			source: "peeringdb", cleanDeps: fromWorld,
-			get: func(r *Result) any { return r.PeeringDB },
-			set: func(r *Result, v any) { r.PeeringDB, _ = v.(*peeringdb.DB) },
+			source: "peeringdb",
+			get:    func(r *Result) any { return r.PeeringDB },
+			set:    func(r *Result, v any) { r.PeeringDB, _ = v.(*peeringdb.DB) },
 		},
 		"as2org": {
 			source: "as2org",
@@ -191,23 +165,23 @@ func memoIO() map[string]nodeMemoIO {
 			set:    func(r *Result, v any) { r.AS2Org, _ = v.(*as2org.Mapping) },
 		},
 		"orbis": {
-			source: "orbis", cleanDeps: fromWorld,
-			get: func(r *Result) any { return r.Orbis },
-			set: func(r *Result, v any) { r.Orbis, _ = v.(*orbis.DB) },
+			source: "orbis",
+			get:    func(r *Result) any { return r.Orbis },
+			set:    func(r *Result, v any) { r.Orbis, _ = v.(*orbis.DB) },
 		},
 		"docs": {
-			source: "docs", cleanDeps: fromWorld,
-			get: func(r *Result) any { return r.Docs },
-			set: func(r *Result, v any) { r.Docs, _ = v.(*docsrc.Corpus) },
+			source: "docs",
+			get:    func(r *Result) any { return r.Docs },
+			set:    func(r *Result, v any) { r.Docs, _ = v.(*docsrc.Corpus) },
 		},
 		"cti": {
 			source: "bgp",
 			get: func(r *Result) any {
-				return &ctiArtifact{monitors: r.Monitors, top: r.CTITop, slices: r.ctiSlices}
+				return &ctiArtifact{monitors: r.Monitors, top: r.CTITop, fp: r.ctiFP}
 			},
 			set: func(r *Result, v any) {
 				a := v.(*ctiArtifact)
-				r.Monitors, r.CTITop, r.ctiSlices = a.monitors, a.top, a.slices
+				r.Monitors, r.CTITop, r.ctiFP = a.monitors, a.top, a.fp
 			},
 		},
 		"hijack": {
@@ -231,19 +205,11 @@ func memoIO() map[string]nodeMemoIO {
 
 // ctiArtifact is the CTI node's memoized product: the (possibly
 // outage-thinned) monitor set, the per-country top picks, and the
-// per-country slice memo the next rebuild checks before recomputing a
-// country.
+// cutoff fingerprint the next rebuild checks before recomputing them.
 type ctiArtifact struct {
 	monitors []bgp.Monitor
 	top      map[string][]world.ASN
-	slices   map[string]ctiSlice
-}
-
-// ctiSlice is one country's memoized CTI computation: the fingerprint
-// of everything the computation read and the resulting top picks.
-type ctiSlice struct {
-	fp    sched.Fingerprint
-	picks []world.ASN
+	fp       sched.Fingerprint
 }
 
 // prevCTIArtifact unwraps the previous generation's CTI artifact from
@@ -261,12 +227,28 @@ func prevCTIArtifact(m *sched.Memo) *ctiArtifact {
 	return ca
 }
 
+// ctiCutoff fingerprints everything the CTI computation reads once
+// its node re-runs: the node fingerprint (config and world structure,
+// which fix the country selection and every country's geolocation
+// slice), the built topology's full content, the live monitor set and
+// the adversary plan (zero when the adversary is off). A match proves
+// every country's picks unchanged, so the previous top picks are
+// reused whole; any difference recomputes every country.
+func ctiCutoff(nodeFP sched.Fingerprint, t *topology.Graph, monitors []bgp.Monitor, advFP sched.Fingerprint) sched.Fingerprint {
+	h := sched.NewHasher("cti/cutoff")
+	h.FP(nodeFP)
+	h.FP(topologyContentFP(t))
+	h.FP(monitorsContentFP(monitors))
+	h.FP(advFP)
+	return h.Sum()
+}
+
 // topologyContentFP hashes the built topology graph's full content:
 // year, active ASN list and the three adjacency structures in dense
 // order. Two topologies with equal content fingerprints yield identical
 // path collections for any monitor/origin set, which is what lets a
-// re-run CTI node prove its per-country slices unchanged even though
-// the topology node itself was rebuilt.
+// re-run CTI node prove its picks unchanged even though the topology
+// node itself was rebuilt.
 func topologyContentFP(t *topology.Graph) sched.Fingerprint {
 	h := sched.NewHasher("topology/content")
 	h.I64(int64(t.Year))

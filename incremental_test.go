@@ -1,17 +1,22 @@
 package stateowned
 
-// Run-level tests of the incremental rebuild path: artifact reuse on an
-// unchanged world, byte identity under churn, config-sensitivity of the
-// fingerprints, and exclusion of failed nodes from the memo.
+// Run-level tests of the memoized build: artifact reuse on an unchanged
+// world, byte identity under churn, config-sensitivity of the
+// fingerprints, exclusion of failed nodes from the memo, a generated
+// world against the same world passed in, and the CTI cutoff.
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"stateowned/internal/churn"
+	"stateowned/internal/faults"
+	"stateowned/internal/runner"
+	"stateowned/internal/topology"
 	"stateowned/internal/world"
 )
 
@@ -19,7 +24,7 @@ const incScale = 0.08
 
 // allNodes is every build-graph node, in declaration order.
 var allNodes = []string{
-	"world", "topology", "geo", "eyeballs", "whois", "peeringdb",
+	"topology", "geo", "eyeballs", "whois", "peeringdb",
 	"as2org", "orbis", "docs", "cti", "hijack", "stage1", "stage2", "stage3",
 }
 
@@ -63,10 +68,10 @@ func assertRunsEqual(t *testing.T, label string, a, b *Result) {
 // build functions.
 func TestIncrementalUnchangedWorldSkipsEveryNode(t *testing.T) {
 	w := incWorld(t, 42, 1)
-	cfg := Config{Seed: 42, Scale: incScale, World: w, CaptureMemo: true}
+	cfg := Config{Seed: 42, Scale: incScale, World: w}
 	first := Run(cfg)
 	if first.Memo == nil {
-		t.Fatal("CaptureMemo produced no memo")
+		t.Fatal("run captured no memo")
 	}
 	if len(first.Reused) != 0 {
 		t.Fatalf("first run reused nodes: %v", first.Reused)
@@ -87,11 +92,14 @@ func TestIncrementalUnchangedWorldSkipsEveryNode(t *testing.T) {
 	if second.World != w {
 		t.Error("restored run does not adopt the caller's world")
 	}
+	if !sameMap(second.CTITop, first.CTITop) {
+		t.Error("restored run recomputed the CTI picks instead of adopting them")
+	}
 }
 
 // TestIncrementalChurnByteIdentical is the run-level differential
-// proof: an incremental rebuild over a churn-evolved world must be
-// byte-identical to a from-scratch rebuild over an identically evolved
+// proof: a memoized rebuild over a churn-evolved world must be
+// byte-identical to a memo-less rebuild over an identically evolved
 // world, while actually reusing the churn-blind sources.
 func TestIncrementalChurnByteIdentical(t *testing.T) {
 	// Two independently constructed copies of the same evolved world:
@@ -103,10 +111,10 @@ func TestIncrementalChurnByteIdentical(t *testing.T) {
 
 		full := Run(Config{Seed: 21, Scale: incScale, World: evolved, Workers: workers})
 
-		r0 := Run(Config{Seed: 21, Scale: incScale, World: base, CaptureMemo: true, Workers: workers})
+		r0 := Run(Config{Seed: 21, Scale: incScale, World: base, Workers: workers})
 		inc := Run(Config{
 			Seed: 21, Scale: incScale, World: incWorld(t, 21, 2),
-			Memo: r0.Memo, CaptureMemo: true, Workers: workers,
+			Memo: r0.Memo, Workers: workers,
 		})
 		assertRunsEqual(t, "churned world", full, inc)
 
@@ -130,7 +138,7 @@ func TestIncrementalChurnByteIdentical(t *testing.T) {
 // fault episode into the new one).
 func TestIncrementalConfigChangeDirtiesEverything(t *testing.T) {
 	w := incWorld(t, 7, 1)
-	cfg := Config{Seed: 7, Scale: incScale, World: w, CaptureMemo: true, ChaosSeverity: 0.3, ChaosSeed: 11}
+	cfg := Config{Seed: 7, Scale: incScale, World: w, ChaosSeverity: 0.3, ChaosSeed: 11}
 	first := Run(cfg)
 
 	cfg.Memo = first.Memo
@@ -146,7 +154,7 @@ func TestIncrementalConfigChangeDirtiesEverything(t *testing.T) {
 // of it — the rebuilt chain must converge back to the pristine output.
 func TestIncrementalFailedNodeExcludedFromMemo(t *testing.T) {
 	w := incWorld(t, 42, 1)
-	cfg := Config{Seed: 42, Scale: incScale, World: w, CaptureMemo: true}
+	cfg := Config{Seed: 42, Scale: incScale, World: w}
 
 	restore := SetBuildHook(func(node string) {
 		if node == "orbis" {
@@ -181,9 +189,9 @@ func TestIncrementalFailedNodeExcludedFromMemo(t *testing.T) {
 // a Result must not pin the previous generation's artifacts.
 func TestMemoScrubbedFromResultConfig(t *testing.T) {
 	w := incWorld(t, 42, 0)
-	res := Run(Config{Seed: 42, Scale: incScale, World: w, CaptureMemo: true})
-	if res.Config.Memo != nil || res.Config.CaptureMemo {
-		t.Errorf("memo inputs survived on Result.Config: %+v", res.Config.Memo)
+	res := Run(Config{Seed: 42, Scale: incScale, World: w})
+	if res.Config.Memo != nil {
+		t.Errorf("memo input survived on Result.Config: %+v", res.Config.Memo)
 	}
 	res2 := Run(Config{Seed: 42, Scale: incScale, World: w, Memo: res.Memo})
 	if res2.Config.Memo != nil {
@@ -193,21 +201,131 @@ func TestMemoScrubbedFromResultConfig(t *testing.T) {
 
 // TestRenderExcludesIncrementalMetadata is the latent-determinism
 // guard: Health.Render (the diffable report) must not change when
-// Timings, Workers or reuse markers differ — otherwise incremental
-// metadata could leak into golden bytes.
+// Timings, Workers or reuse markers differ — otherwise memo metadata
+// could leak into golden bytes.
 func TestRenderExcludesIncrementalMetadata(t *testing.T) {
 	w := incWorld(t, 42, 1)
 	full := Run(Config{Seed: 42, Scale: incScale, World: w, Workers: 1})
-	inc0 := Run(Config{Seed: 42, Scale: incScale, World: w, CaptureMemo: true, Workers: 4})
+	inc0 := Run(Config{Seed: 42, Scale: incScale, World: w, Workers: 4})
 	inc := Run(Config{Seed: 42, Scale: incScale, World: w, Memo: inc0.Memo, Workers: 8})
 
 	if full.Health.Render() != inc.Health.Render() {
-		t.Error("Render differs between full and incremental runs over the same world")
+		t.Error("Render differs between full and memoized runs over the same world")
 	}
 	if r := inc.Health.Render(); strings.Contains(r, "reused") {
 		t.Errorf("Render leaks reuse metadata:\n%s", r)
 	}
 	if !strings.Contains(inc.Health.RenderTimings(), "reused") {
 		t.Error("RenderTimings does not surface reuse markers")
+	}
+}
+
+// sameMap reports whether two CTI pick maps are the same map object.
+func sameMap(a, b map[string][]world.ASN) bool {
+	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+}
+
+// TestRunGeneratedWorldMatchesSuppliedWorld: Run prepares the world
+// before the build graph, and where the world came from must not show.
+// A run that generates its world and a run handed the same world
+// produce the same bytes and memoize every node under the same
+// fingerprint.
+func TestRunGeneratedWorldMatchesSuppliedWorld(t *testing.T) {
+	for _, seed := range []uint64{7, 42} {
+		generated := Run(Config{Seed: seed, Scale: incScale})
+		supplied := Run(Config{Seed: seed, Scale: incScale,
+			World: world.Generate(world.Config{Seed: seed, Scale: incScale})})
+		label := fmt.Sprintf("seed %d", seed)
+		assertRunsEqual(t, label, generated, supplied)
+
+		nodes := generated.Memo.Nodes()
+		if len(nodes) != len(allNodes) || !reflect.DeepEqual(nodes, supplied.Memo.Nodes()) {
+			t.Fatalf("%s: memo nodes %v vs %v, want all %d nodes in both",
+				label, nodes, supplied.Memo.Nodes(), len(allNodes))
+		}
+		for _, n := range nodes {
+			a, _ := generated.Memo.Lookup(n)
+			b, _ := supplied.Memo.Lookup(n)
+			if a.FP != b.FP {
+				t.Errorf("%s: node %q memoized under %s vs %s", label, n, a.FP, b.FP)
+			}
+		}
+	}
+}
+
+// TestCTICutoff pins what the cti node's cutoff proves. Its node
+// fingerprint is held fixed here, so only the cutoff's own evidence —
+// topology content, monitor set, adversary plan — decides: a rebuilt
+// topology with identical content reuses the previous picks (the same
+// map object), while a different monitor set or an active adversary
+// recomputes every country, matching a computation with no previous
+// artifact at all.
+func TestCTICutoff(t *testing.T) {
+	w := incWorld(t, 42, 0)
+	cfg := Config{Seed: 42, Scale: incScale, World: w}
+	r0 := Run(cfg)
+	prev := prevCTIArtifact(r0.Memo)
+	if prev == nil || !sameMap(prev.top, r0.CTITop) || len(r0.CTITop) == 0 {
+		t.Fatal("the memo does not carry the run's CTI picks")
+	}
+	nodeFP := fingerprintInputs(cfg, w)["cti"]
+	compute := func(c Config, topo *topology.Graph, prev *ctiArtifact) map[string][]world.ASN {
+		res := &Result{World: w, Topology: topo, Geo: r0.Geo}
+		_, top, _ := computeCTI(res, c, faults.NewPlan(c.Seed, 0), runner.NewHealth(0), 2,
+			nodeFP, prev, func(string, bool, string) {})
+		return top
+	}
+
+	if top := compute(cfg, topology.Build(w, topology.FinalYear), prev); !sameMap(top, r0.CTITop) {
+		t.Error("a rebuilt topology with identical content recomputed the CTI picks")
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"monitors", Config{Seed: 42, Scale: incScale, World: w, Monitors: 25}},
+		{"adversary", Config{Seed: 42, Scale: incScale, World: w, HijackSeverity: 1}},
+	} {
+		top := compute(tc.cfg, r0.Topology, prev)
+		if sameMap(top, r0.CTITop) {
+			t.Errorf("%s changed, yet the previous CTI picks were reused", tc.name)
+		}
+		if want := compute(tc.cfg, r0.Topology, nil); !reflect.DeepEqual(top, want) {
+			t.Errorf("%s changed: picks differ from a computation with no previous artifact", tc.name)
+		}
+		if reflect.DeepEqual(top, r0.CTITop) {
+			t.Errorf("%s changed, yet every country's picks stayed the same: the case tests nothing", tc.name)
+		}
+	}
+}
+
+// TestCTICutoffAcrossChurn drives the cutoff through a churned chain:
+// whenever the topology node re-runs, the cti node reuses the previous
+// picks exactly when the rebuilt topology's content is unchanged. The
+// chain must include such a generation, or the test proves nothing.
+func TestCTICutoffAcrossChurn(t *testing.T) {
+	prev := Run(Config{Seed: 42, Scale: incScale, World: incWorld(t, 42, 0)})
+	cutoffs := 0
+	for g := 1; g <= 3; g++ { // generations 1 and 2 recompute, 3 hits the cutoff
+		res := Run(Config{Seed: 42, Scale: incScale, World: incWorld(t, 42, g), Memo: prev.Memo})
+		full := Run(Config{Seed: 42, Scale: incScale, World: incWorld(t, 42, g)})
+		assertRunsEqual(t, fmt.Sprintf("generation %d", g), full, res)
+		topoReused := false
+		for _, n := range res.Reused {
+			topoReused = topoReused || n == "topology"
+		}
+		if !topoReused {
+			same := topologyContentFP(res.Topology) == topologyContentFP(prev.Topology)
+			if reused := sameMap(res.CTITop, prev.CTITop); reused != same {
+				t.Errorf("generation %d: identical topology content %v, CTI picks reused %v", g, same, reused)
+			}
+			if same {
+				cutoffs++
+			}
+		}
+		prev = res
+	}
+	if cutoffs == 0 {
+		t.Fatal("no generation rebuilt its topology with identical content")
 	}
 }

@@ -22,12 +22,9 @@ type FlipStatus struct {
 	Flips  uint64 `json:"flips"`
 	Aborts uint64 `json:"aborts"`
 	// ConsecutiveFailures counts failed flips since the last success;
-	// LastError describes the newest one. GaveUp means the reload loop
-	// exhausted its failure budget and stopped — the fleet serves its
-	// last committed generation indefinitely.
+	// LastError describes the newest one.
 	ConsecutiveFailures int    `json:"consecutive_failures,omitempty"`
 	LastError           string `json:"last_error,omitempty"`
-	GaveUp              bool   `json:"gave_up,omitempty"`
 }
 
 // CoordinatorOptions configures the fleet reload coordinator.
@@ -36,11 +33,6 @@ type CoordinatorOptions struct {
 	// calls build a full generation, so this is a build budget, not a
 	// ping budget).
 	ControlTimeout time.Duration
-	// Backoff spaces retries after failed flips (zero value =
-	// runner.DefaultBackoff); MaxFailures stops the loop after that many
-	// consecutive failed flips (0 = never give up).
-	Backoff     runner.Backoff
-	MaxFailures int
 	// Sleep is the injectable wait (nil = time.Sleep-backed); tests run
 	// the reload loop on virtual time through it.
 	Sleep func(ctx context.Context, d time.Duration)
@@ -70,9 +62,6 @@ type Coordinator struct {
 func NewCoordinator(router *Router, shards []ShardClient, opts CoordinatorOptions) *Coordinator {
 	if opts.ControlTimeout <= 0 {
 		opts.ControlTimeout = 30 * time.Second
-	}
-	if opts.Backoff == (runner.Backoff{}) {
-		opts.Backoff = runner.DefaultBackoff()
 	}
 	if opts.Sleep == nil {
 		opts.Sleep = func(ctx context.Context, d time.Duration) {
@@ -172,7 +161,6 @@ func (c *Coordinator) FlipOnce(ctx context.Context) (int, error) {
 	c.status.Flips++
 	c.status.ConsecutiveFailures = 0
 	c.status.LastError = ""
-	c.status.GaveUp = false
 	c.mu.Unlock()
 	c.publish()
 	return target, nil
@@ -190,31 +178,16 @@ func (c *Coordinator) recordFailure(gen int, err error, aborted bool) {
 	c.publish()
 }
 
-// gaveUp marks the loop stopped after exhausting its failure budget.
-func (c *Coordinator) gaveUp() {
-	c.mu.Lock()
-	c.status.GaveUp = true
-	c.mu.Unlock()
-	c.publish()
-}
-
-// Run is the fleet reload loop: a flip attempt every `every`, backoff
-// after failures, give-up after MaxFailures consecutive failures —
-// the fleet-scope mirror of snapshot.Store.Reload.
+// Run is the fleet reload loop: a flip attempt every `every`, with
+// capped exponential backoff (runner.DefaultBackoff) after failures —
+// the fleet-scope mirror of snapshot.Store.Reload. It retries until ctx
+// ends.
 func (c *Coordinator) Run(ctx context.Context, every time.Duration, logf func(format string, args ...any)) {
+	backoff := runner.DefaultBackoff()
 	for {
 		delay := every
-		st := c.Status()
-		if st.ConsecutiveFailures > 0 {
-			if c.opts.MaxFailures > 0 && st.ConsecutiveFailures >= c.opts.MaxFailures {
-				c.gaveUp()
-				if logf != nil {
-					logf("fleet reload: giving up after %d consecutive failed flips (%s)",
-						st.ConsecutiveFailures, st.LastError)
-				}
-				return
-			}
-			delay = every * time.Duration(c.opts.Backoff.Delay(st.ConsecutiveFailures))
+		if n := c.Status().ConsecutiveFailures; n > 0 {
+			delay = every * time.Duration(backoff.Delay(n))
 		}
 		c.opts.Sleep(ctx, delay)
 		if ctx.Err() != nil {

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
 
 	"stateowned/internal/serve"
@@ -109,6 +110,69 @@ func TestFleetMatchesSingleAfterReload(t *testing.T) {
 		got := tf.get(path)
 		if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
 			t.Fatalf("%s: fleet (%d) %s\nvs single (%d) %s", path, got.Code, got.Body, want.Code, want.Body)
+		}
+	}
+}
+
+// TestIncrementalFleetFlipByteIdentical re-proves the differential
+// across two two-phase flips: the replicas stage each generation
+// through its parent's artifact memo, and fleet generations 1 and 2
+// must equal the single-process generations — record plane, graph
+// plane and /v1/diff, current and pinned with ?gen= to every
+// generation. Memo ≡ memo-less is proven in internal/snapshot.
+func TestIncrementalFleetFlipByteIdentical(t *testing.T) {
+	cfg := fleetConfig{seed: 21, scale: 0.05, shards: 2}
+	singleStore := shardStore(cfg)
+	tf := buildFleet(t, cfg)
+	for flip := 1; flip <= 2; flip++ {
+		singleStore.Advance()
+		if gen, err := tf.coord.FlipOnce(context.Background()); err != nil || gen != flip {
+			t.Fatalf("FlipOnce %d = %d, %v", flip, gen, err)
+		}
+	}
+	single := serve.NewDynamic(singleStore.Source(), serve.Options{})
+
+	// The replicas' staged builds must have run against a parent memo.
+	for i, sh := range tf.shards {
+		if _, reused, _, _ := sh.Store().IncrementalCounters(); reused == 0 {
+			t.Errorf("replica %d restored no build node across two flips", i)
+		}
+	}
+
+	ds := singleStore.Current().Result.Dataset
+	asns := ds.AllASNs()[:10]
+	var paths []string
+	for _, cc := range singleStore.Current().World.Countries {
+		paths = append(paths, "/v1/country/"+cc)
+	}
+	for _, a := range asns {
+		paths = append(paths, fmt.Sprintf("/v1/asn/%d", a))
+	}
+	first, last := asns[0], asns[len(asns)-1]
+	paths = append(paths,
+		"/v1/org/"+ds.Organizations[0].OrgID,
+		"/v1/search?name=telecom",
+		"/v1/dataset",
+		fmt.Sprintf("/v1/graph/neighbors/%d", first),
+		fmt.Sprintf("/v1/graph/cone/%d", first),
+		fmt.Sprintf("/v1/graph/path?from=%d&to=%d", first, last),
+		"/v1/diff?from=0&to=2",
+	)
+	for _, p := range paths {
+		sep := "?"
+		if strings.Contains(p, "?") {
+			sep = "&"
+		}
+		for _, path := range []string{p, p + sep + "gen=0", p + sep + "gen=1", p + sep + "gen=2"} {
+			want := httptest.NewRecorder()
+			single.ServeHTTP(want, httptest.NewRequest(http.MethodGet, path, nil))
+			got := tf.get(path)
+			if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+				t.Fatalf("%s: fleet (%d) %.300s\nvs single (%d) %.300s", path, got.Code, got.Body, want.Code, want.Body)
+			}
+			if g, w := got.Header().Get(serve.GenerationHeader), want.Header().Get(serve.GenerationHeader); g != w {
+				t.Fatalf("%s: X-Generation %q vs %q", path, g, w)
+			}
 		}
 	}
 }

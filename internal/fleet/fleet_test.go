@@ -120,15 +120,14 @@ type testFleet struct {
 
 // fleetConfig tweaks buildFleet.
 type fleetConfig struct {
-	seed        uint64
-	scale       float64
-	shards      int
-	retain      int
-	incremental bool
-	hijack      float64
-	rov         float64
-	routerOpt   func(*RouterOptions)
-	coordOpt    func(*CoordinatorOptions)
+	seed      uint64
+	scale     float64
+	shards    int
+	retain    int
+	hijack    float64
+	rov       float64
+	routerOpt func(*RouterOptions)
+	coordOpt  func(*CoordinatorOptions)
 }
 
 // shardStore builds one shard's snapshot store; every store in a fleet
@@ -140,8 +139,7 @@ func shardStore(cfg fleetConfig) *snapshot.Store {
 			Seed: cfg.seed, Scale: cfg.scale,
 			HijackSeverity: cfg.hijack, ROVFraction: cfg.rov,
 		},
-		Retain:      cfg.retain,
-		Incremental: cfg.incremental,
+		Retain: cfg.retain,
 	})
 }
 

@@ -44,9 +44,6 @@ type RouterOptions struct {
 	// client per replica, in shard order.
 	Partition Partition
 	Shards    []ShardClient
-	// InitialGen is the committed fleet generation the router starts
-	// pinning (normally adopted from Bootstrap).
-	InitialGen int
 
 	// Admission bounds router-level concurrency; nil admits everything.
 	Admission *serve.AdmissionConfig
@@ -184,7 +181,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 			br:     runner.NewBreaker(opts.BreakerThreshold),
 		})
 	}
-	rt.gen.Store(int64(opts.InitialGen))
 	rt.mux.HandleFunc("GET /v1/asn/{asn}", rt.handle(rt.handleASN))
 	for _, pattern := range []string{
 		"GET /v1/country/{cc}",

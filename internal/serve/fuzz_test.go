@@ -17,7 +17,10 @@ import (
 // segments. The handler's contract: never panic, answer only 200, 400
 // or 404, and always produce a JSON body — no matter what the path
 // parser hands it (overflow, signs, leading zeros, percent-escapes,
-// non-digits, empty).
+// non-digits, empty). And the response cache must never show: a cached
+// server asked for the path right after its zero-padded twin (the same
+// cache key once leading zeros are dropped) answers exactly what an
+// uncached server answers.
 func FuzzServeASNPath(f *testing.F) {
 	for _, seed := range []string{
 		"100", "101", "0", "00100", "007",
@@ -29,7 +32,8 @@ func FuzzServeASNPath(f *testing.F) {
 		f.Add(seed)
 	}
 
-	srv := New(BuildIndex(fixtureDataset()), Options{CacheSize: 8})
+	idx := BuildIndex(fixtureDataset())
+	uncached := New(idx, Options{})
 	f.Fuzz(func(t *testing.T, raw string) {
 		// Build the request the way a client would: escape the segment so
 		// arbitrary bytes survive URL parsing; skip inputs even the escaper
@@ -39,7 +43,7 @@ func FuzzServeASNPath(f *testing.F) {
 			t.Skip("unroutable request target")
 		}
 		w := httptest.NewRecorder()
-		srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil))
+		uncached.ServeHTTP(w, httptest.NewRequest(http.MethodGet, target, nil))
 
 		switch w.Code {
 		case http.StatusMovedPermanently:
@@ -55,6 +59,16 @@ func FuzzServeASNPath(f *testing.F) {
 		}
 		if !json.Valid(w.Body.Bytes()) {
 			t.Fatalf("GET %q: invalid JSON body %q", target, w.Body)
+		}
+
+		cached := New(idx, Options{CacheSize: 8})
+		twin := "/v1/asn/0" + url.PathEscape(raw)
+		cached.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, twin, nil))
+		c := httptest.NewRecorder()
+		cached.ServeHTTP(c, httptest.NewRequest(http.MethodGet, target, nil))
+		if c.Code != w.Code || c.Body.String() != w.Body.String() {
+			t.Fatalf("GET %q after %q: cached server answered %d %q, uncached %d %q",
+				target, twin, c.Code, c.Body, w.Code, w.Body)
 		}
 	})
 }

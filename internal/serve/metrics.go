@@ -155,7 +155,7 @@ type EndpointSnapshot struct {
 // BuildNodeTiming is one pipeline build node's measured wall time as
 // exposed on /metrics — the serving-side view of runner.NodeTiming.
 // Reused marks nodes that were restored from the previous generation's
-// artifact memo instead of executed (incremental rebuilds only).
+// artifact memo instead of executed.
 type BuildNodeTiming struct {
 	Node   string  `json:"node"`
 	WallMS float64 `json:"wall_ms"`
@@ -190,10 +190,8 @@ type Snapshot struct {
 	DegradedReason string            `json:"degraded_reason,omitempty"`
 	BuildWorkers   int               `json:"build_workers,omitempty"`
 	BuildNodes     []BuildNodeTiming `json:"build_nodes,omitempty"`
-	// Incremental-rebuild counters, copied from the source's
-	// ReloadStatus (absent for full-rebuild and static sources). All
-	// cumulative across rebuilds.
-	Incremental  bool   `json:"incremental,omitempty"`
+	// Memoized-rebuild counters, copied from the source's ReloadStatus
+	// (absent for static sources). All cumulative across rebuilds.
 	NodesReused  uint64 `json:"nodes_reused,omitempty"`
 	NodesRebuilt uint64 `json:"nodes_rebuilt,omitempty"`
 	IndexReuses  uint64 `json:"index_reuses,omitempty"`

@@ -31,8 +31,6 @@ type Options struct {
 	CacheSize int
 	// Clock drives latency accounting (nil = WallClock).
 	Clock Clock
-	// SearchLimit caps /v1/search results (<= 0 = 10).
-	SearchLimit int
 
 	// Admission enables load shedding on the /v1 endpoints: a bounded
 	// in-flight limiter with a short deadline-aware wait queue; excess
@@ -57,17 +55,11 @@ type Options struct {
 	// listener closes immediately and in-flight requests get this long
 	// to finish (0 = DefaultDrainTimeout).
 	DrainTimeout time.Duration
-	// ReadHeaderTimeout, WriteTimeout and IdleTimeout are applied to the
-	// http.Server in Serve (0 selects the package defaults); unset
-	// they'd let one slowloris client pin a connection forever.
-	ReadHeaderTimeout time.Duration
-	WriteTimeout      time.Duration
-	IdleTimeout       time.Duration
 }
 
-// Connection-lifecycle defaults for Serve's http.Server. These bound
-// the damage one misbehaving client can do to a connection: a client
-// that trickles header bytes (slowloris) is cut off at
+// Connection-lifecycle bounds for ServeHandler's http.Server. These
+// bound the damage one misbehaving client can do to a connection: a
+// client that trickles header bytes (slowloris) is cut off at
 // DefaultReadHeaderTimeout, a stalled reader at DefaultWriteTimeout,
 // an idle keep-alive at DefaultIdleTimeout.
 const (
@@ -87,6 +79,9 @@ const (
 	// DefaultIdleTimeout bounds idle keep-alive connections.
 	DefaultIdleTimeout = 120 * time.Second
 )
+
+// searchLimit caps /v1/search results; ?limit= may only lower it.
+const searchLimit = 10
 
 // GenerationHeader is the response header naming the generation a /v1
 // answer was served from. The hot-reload soak test keys its
@@ -113,17 +108,13 @@ type Server struct {
 	cache   *Cache
 	metrics *Metrics
 	mux     *http.ServeMux
-	limit   int
 
 	limiter *Limiter
 	after   After
 	// budgets maps endpoint name to its handler deadline (0 = none).
 	budgets map[string]time.Duration
 
-	drainTimeout      time.Duration
-	readHeaderTimeout time.Duration
-	writeTimeout      time.Duration
-	idleTimeout       time.Duration
+	drainTimeout time.Duration
 }
 
 // New assembles a Server over a single compiled Index: a static,
@@ -143,19 +134,12 @@ func New(idx *Index, opts Options) *Server {
 // from its immutable index.
 func NewDynamic(src Source, opts Options) *Server {
 	s := &Server{
-		src:               src,
-		cache:             NewCache(opts.CacheSize),
-		metrics:           NewMetrics(opts.Clock),
-		mux:               http.NewServeMux(),
-		limit:             opts.SearchLimit,
-		after:             opts.After,
-		drainTimeout:      opts.DrainTimeout,
-		readHeaderTimeout: opts.ReadHeaderTimeout,
-		writeTimeout:      opts.WriteTimeout,
-		idleTimeout:       opts.IdleTimeout,
-	}
-	if s.limit <= 0 {
-		s.limit = 10
+		src:          src,
+		cache:        NewCache(opts.CacheSize),
+		metrics:      NewMetrics(opts.Clock),
+		mux:          http.NewServeMux(),
+		after:        opts.After,
+		drainTimeout: opts.DrainTimeout,
 	}
 	if s.after == nil {
 		s.after = TimerAfter
@@ -230,21 +214,13 @@ func (s *Server) InvalidateGeneration(gen int) { s.cache.PurgeGeneration(gen) }
 // not an error). The http.Server runs with read-header, write and idle
 // timeouts so a slowloris client cannot pin a connection forever.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	return ServeHandler(ctx, ln, s, LifecycleOptions{
-		DrainTimeout:      s.drainTimeout,
-		ReadHeaderTimeout: s.readHeaderTimeout,
-		WriteTimeout:      s.writeTimeout,
-		IdleTimeout:       s.idleTimeout,
-	})
+	return ServeHandler(ctx, ln, s, LifecycleOptions{DrainTimeout: s.drainTimeout})
 }
 
-// LifecycleOptions bound an http.Server's connection lifecycle for
-// ServeHandler; zero fields select the package defaults.
+// LifecycleOptions bound an http.Server's shutdown for ServeHandler; a
+// zero DrainTimeout selects DefaultDrainTimeout.
 type LifecycleOptions struct {
-	DrainTimeout      time.Duration
-	ReadHeaderTimeout time.Duration
-	WriteTimeout      time.Duration
-	IdleTimeout       time.Duration
+	DrainTimeout time.Duration
 }
 
 // ServeHandler runs any handler with this package's hardened server
@@ -253,12 +229,15 @@ type LifecycleOptions struct {
 // shard and router servers ride the same lifecycle as the
 // single-process server.
 func ServeHandler(ctx context.Context, ln net.Listener, h http.Handler, opts LifecycleOptions) error {
-	drain := orDefault(opts.DrainTimeout, DefaultDrainTimeout)
+	drain := opts.DrainTimeout
+	if drain <= 0 {
+		drain = DefaultDrainTimeout
+	}
 	hs := &http.Server{
 		Handler:           h,
-		ReadHeaderTimeout: orDefault(opts.ReadHeaderTimeout, DefaultReadHeaderTimeout),
-		WriteTimeout:      orDefault(opts.WriteTimeout, DefaultWriteTimeout),
-		IdleTimeout:       orDefault(opts.IdleTimeout, DefaultIdleTimeout),
+		ReadHeaderTimeout: DefaultReadHeaderTimeout,
+		WriteTimeout:      DefaultWriteTimeout,
+		IdleTimeout:       DefaultIdleTimeout,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
@@ -276,14 +255,6 @@ func ServeHandler(ctx context.Context, ln net.Listener, h http.Handler, opts Lif
 	}
 	<-errc // always http.ErrServerClosed after Shutdown/Close
 	return nil
-}
-
-// orDefault substitutes def for an unset duration.
-func orDefault(d, def time.Duration) time.Duration {
-	if d <= 0 {
-		return def
-	}
-	return d
 }
 
 // response is a handler's materialized result, ready to write or cache.
@@ -422,15 +393,18 @@ func (s *Server) invoke(endpoint string, fn func(*http.Request) response, r *htt
 }
 
 // viewHandler wraps a /v1 handler with generation resolution and the
-// LRU response cache. Every /v1 response is a pure function of the
-// (generation, canonicalized request) pair — each generation's Index is
-// immutable — so hits and misses alike are cacheable, including
-// deterministic errors like a 400 for a malformed ASN. The generation
-// lands in the cache key (a swap can therefore never replay a stale
-// generation's answer) and tags the entry so eviction can purge it.
-// Responses produced after the request's context was canceled (a
-// deadline 504, or partial work cut off mid-handler) are never cached:
-// they are functions of timing, not of the (generation, request) pair.
+// LRU response cache. Every /v1 answer other than a 400 is a pure
+// function of the (generation, canonicalized request) pair — each
+// generation's Index is immutable — so hits and misses (404s) alike
+// are cacheable. A 400 is not: its body quotes the raw input, and
+// canonicalization maps distinct spellings ("00" and "0", "usa" and
+// "USA") to one key, so a cached 400 would answer one request with
+// another's text. The generation lands in the cache key (a swap can
+// therefore never replay a stale generation's answer) and tags the
+// entry so eviction can purge it. Responses produced after the
+// request's context was canceled (a deadline 504, or partial work cut
+// off mid-handler) are never cached either: they are functions of
+// timing, not of the (generation, request) pair.
 func (s *Server) viewHandler(endpoint string, fn func(*View, *http.Request) response) func(*http.Request) response {
 	return func(r *http.Request) response {
 		view, errResp := s.resolveView(r)
@@ -443,7 +417,7 @@ func (s *Server) viewHandler(endpoint string, fn func(*View, *http.Request) resp
 			return response{status: hit.Status, contentType: hit.ContentType, body: hit.Body, genHeader: gen}
 		}
 		resp := fn(view, r)
-		if r.Context().Err() == nil {
+		if resp.status != http.StatusBadRequest && r.Context().Err() == nil {
 			s.cache.Put(key, view.Gen, CachedResponse{Status: resp.status, ContentType: resp.contentType, Body: resp.body})
 		}
 		resp.genHeader = gen
@@ -599,7 +573,7 @@ func (s *Server) handleSearch(v *View, r *http.Request) response {
 	if nameutil.Normalize(name) == "" {
 		return errResponse(http.StatusBadRequest, "missing or empty ?name= query")
 	}
-	limit := s.limit
+	limit := searchLimit
 	if rawLimit := q.Get("limit"); rawLimit != "" {
 		n, err := strconv.Atoi(rawLimit)
 		if err != nil || n <= 0 {
@@ -714,9 +688,8 @@ type ReadyResponse struct {
 	DegradedReason string `json:"degraded_reason,omitempty"`
 	ReloadFailures int    `json:"reload_failures,omitempty"`
 	ReloadGaveUp   bool   `json:"reload_gave_up,omitempty"`
-	// Incremental-rebuild reuse counters (cumulative over the store's
-	// lifetime), present only when the source rebuilds incrementally.
-	Incremental  bool   `json:"incremental,omitempty"`
+	// Memoized-rebuild reuse counters (cumulative over the store's
+	// lifetime), absent for static sources.
 	NodesReused  uint64 `json:"nodes_reused,omitempty"`
 	NodesRebuilt uint64 `json:"nodes_rebuilt,omitempty"`
 	// Durable-archive state (see ReloadStatus): present only when the
@@ -746,7 +719,6 @@ func (s *Server) handleReadyz(*http.Request) response {
 		Generation: v.Gen, Reloading: rs.Reloading,
 		Degraded: rs.Degraded, DegradedReason: rs.Reason,
 		ReloadFailures: rs.ConsecutiveFailures, ReloadGaveUp: rs.GaveUp,
-		Incremental: rs.Incremental,
 		NodesReused: rs.NodesReused, NodesRebuilt: rs.NodesRebuilt,
 		Archive: rs.Archive, Recovered: rs.Recovered,
 		SegmentsVerified: rs.SegmentsVerified, SegmentsQuarantined: rs.SegmentsQuarantined,
@@ -796,7 +768,6 @@ func (s *Server) handleMetrics(*http.Request) response {
 	snap.Reloading = rs.Reloading
 	snap.Degraded = rs.Degraded
 	snap.DegradedReason = rs.Reason
-	snap.Incremental = rs.Incremental
 	snap.NodesReused = rs.NodesReused
 	snap.NodesRebuilt = rs.NodesRebuilt
 	snap.IndexReuses = rs.IndexReuses

@@ -215,11 +215,21 @@ func TestResponseCacheReplay(t *testing.T) {
 		t.Fatalf("canonicalized country lookups missed the cache: %+v", st)
 	}
 
-	// Deterministic errors are cached too.
+	// A 400 quotes the raw input, and equivalent spellings share a key,
+	// so a 400 is never cached...
 	do(t, s, "/v1/asn/abc")
 	do(t, s, "/v1/asn/abc")
+	if st = s.CacheStats(); st.Hits != 2 || st.Size != 2 {
+		t.Fatalf("a 400 went through the cache: %+v", st)
+	}
+	// ...while a 404 miss names only the canonical ASN and is replayed.
+	miss := do(t, s, "/v1/asn/0999999")
+	again := do(t, s, "/v1/asn/999999")
+	if miss.Code != http.StatusNotFound || again.Body.String() != miss.Body.String() {
+		t.Fatalf("miss replay: %d %s vs %s", miss.Code, miss.Body, again.Body)
+	}
 	if st = s.CacheStats(); st.Hits != 3 {
-		t.Fatalf("error replay missed the cache: %+v", st)
+		t.Fatalf("miss replay missed the cache: %+v", st)
 	}
 }
 

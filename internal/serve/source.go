@@ -89,14 +89,12 @@ type ReloadStatus struct {
 	// failure budget and stopped retrying.
 	ConsecutiveFailures int  `json:"consecutive_failures,omitempty"`
 	GaveUp              bool `json:"gave_up,omitempty"`
-	// Incremental reports that the source rebuilds generations through
-	// the dirty-set build graph; the counters below are cumulative
-	// across all rebuilds. NodesReused/NodesRebuilt count build-graph
+	// Memoized-rebuild counters, cumulative across all rebuilds (zero
+	// for static sources). NodesReused/NodesRebuilt count build-graph
 	// nodes restored from the previous generation's memo vs executed;
 	// IndexReuses/GraphReuses count whole compiled structures adopted
 	// unchanged. All of it is observability metadata — never part of
 	// dataset bytes or determinism comparisons.
-	Incremental  bool   `json:"incremental,omitempty"`
 	NodesReused  uint64 `json:"nodes_reused,omitempty"`
 	NodesRebuilt uint64 `json:"nodes_rebuilt,omitempty"`
 	IndexReuses  uint64 `json:"index_reuses,omitempty"`

@@ -20,7 +20,7 @@ func BenchmarkReloadSwap(b *testing.B) {
 		scale := scale
 		b.Run(fmt.Sprintf("scale%.2f", scale), func(b *testing.B) {
 			s := New(Options{Base: stateowned.Config{Seed: 7, Scale: scale}})
-			g := s.build(1) // prebuilt: the benchmark times only the cutover
+			g := s.build(1, s.Current()) // prebuilt: the benchmark times only the cutover
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.publish(g)
@@ -42,11 +42,11 @@ func BenchmarkAdvance(b *testing.B) {
 	}
 }
 
-// advanceScales spans the full-vs-incremental comparison; churnLevels
-// spans the dirtiness axis: zero churn is the incremental best case
-// (every node restored), default rates the operational case, heavy
-// rates approach the degenerate full rebuild. EXPERIMENTS.md records
-// the resulting speedup curve and its break-even point.
+// advanceScales spans the world sizes the advance, cold-start and
+// warm-start benchmarks compare; churnLevels spans the dirtiness axis:
+// zero churn is the memo's best case (every node restored), default
+// rates the operational case, heavy rates approach a full rebuild.
+// EXPERIMENTS.md records the resulting curve.
 var advanceScales = []float64{0.5, 1.0, 2.0}
 
 var churnLevels = []struct {
@@ -58,19 +58,19 @@ var churnLevels = []struct {
 	{"heavy", churn.Rates{Privatization: 0.15, Nationalization: 0.08, NewSubsidiary: 0.1}},
 }
 
-// benchAdvance times Advance cycles on a store, one full chain per
-// scale × churn cell.
-func benchAdvance(b *testing.B, incremental bool) {
+// BenchmarkAdvanceChurn times Advance cycles — each generation rebuilt
+// through its parent's artifact memo — on one chain per scale × churn
+// cell, and reports the fraction of build-graph nodes restored.
+func BenchmarkAdvanceChurn(b *testing.B) {
 	for _, scale := range advanceScales {
 		for _, cl := range churnLevels {
 			b.Run(fmt.Sprintf("scale%.1f/churn-%s", scale, cl.name), func(b *testing.B) {
 				gate := DefaultValidation()
 				gate.MaxChurnFraction = 1e9
 				s := New(Options{
-					Base:        stateowned.Config{Seed: 7, Scale: scale},
-					Rates:       cl.rates,
-					Incremental: incremental,
-					Validation:  &gate,
+					Base:       stateowned.Config{Seed: 7, Scale: scale},
+					Rates:      cl.rates,
+					Validation: &gate,
 				})
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -87,16 +87,6 @@ func benchAdvance(b *testing.B, incremental bool) {
 		}
 	}
 }
-
-// BenchmarkAdvanceFull is the baseline: every generation rebuilt from
-// scratch.
-func BenchmarkAdvanceFull(b *testing.B) { benchAdvance(b, false) }
-
-// BenchmarkAdvanceIncremental threads the artifact memo between
-// generations; the gap against BenchmarkAdvanceFull is the dirty-set
-// machinery's payoff at each churn level (and its fingerprint-hashing
-// overhead at the heavy end).
-func BenchmarkAdvanceIncremental(b *testing.B) { benchAdvance(b, true) }
 
 // BenchmarkColdStart is what a restarted process without -data-dir
 // pays before it can serve: the full generation-0 pipeline build.

@@ -128,12 +128,14 @@ func TestPanickingRebuildQuarantined(t *testing.T) {
 // the package-level build hook (the same seam the scheduler's own
 // containment tests use): the pipeline completes degraded with the
 // source unavailable, and the gate's Health.Ready invariant refuses to
-// publish the build.
+// publish the build. The crashing source is Orbis, which reads the
+// equity graph: churn dirties it, so it rebuilds (and fires the hook)
+// instead of restoring from the parent's memo.
 func TestPipelineFailureQuarantined(t *testing.T) {
 	s := gateStore(t, nil)
 	restore := stateowned.SetBuildHook(func(node string) {
-		if node == "eyeballs" {
-			panic("injected eyeballs outage")
+		if node == "orbis" {
+			panic("injected orbis outage")
 		}
 	})
 	defer restore()

@@ -1,9 +1,9 @@
 package snapshot
 
-// Golden pin of the seed-42 incremental generation chain. The fixture
-// records one compact row per generation — churn event counts, dataset
-// shape, and a SHA-256 of the exported dataset bytes — built through
-// the incremental path. Any cross-PR drift in world generation, churn
+// Golden pin of the seed-42 generation chain. The fixture records one
+// compact row per generation — churn event counts, dataset shape, the
+// number of memo-restored build nodes, and a SHA-256 of the exported
+// dataset bytes. Any cross-PR drift in world generation, churn
 // derivation, fingerprinting or artifact reuse shows up as a readable
 // first-diff naming the generation and field that moved.
 //
@@ -39,14 +39,13 @@ type chainRow struct {
 
 const goldenChainPath = "testdata/golden_chain_seed42.json"
 
-// buildChainRows advances a fresh incremental store through the chain
-// and summarizes each generation.
+// buildChainRows advances a fresh store through the chain and
+// summarizes each generation.
 func buildChainRows(t *testing.T) []chainRow {
 	t.Helper()
 	s := New(Options{
-		Base:        stateowned.Config{Seed: 42, Scale: testScale},
-		Retain:      chainGens + 1,
-		Incremental: true,
+		Base:   stateowned.Config{Seed: 42, Scale: testScale},
+		Retain: chainGens + 1,
 	})
 	for gen := 1; gen <= chainGens; gen++ {
 		if s.Advance() == nil {
@@ -74,7 +73,7 @@ func buildChainRows(t *testing.T) []chainRow {
 	return rows
 }
 
-// TestGoldenChainSeed42 compares the current incremental chain against
+// TestGoldenChainSeed42 compares the current chain against
 // the checked-in fixture, reporting the first divergent generation and
 // field rather than a blob diff.
 func TestGoldenChainSeed42(t *testing.T) {

@@ -1,14 +1,14 @@
 package snapshot
 
-// The incremental-rebuild differential proof harness. The claim under
-// test: a store advancing with Options.Incremental — reusing the
-// previous generation's memoized artifacts, compiled serving index and
-// graph plane wherever fingerprints prove the inputs unchanged — serves
-// a chain of generations byte-identical to a store that rebuilds each
-// generation from scratch. "Byte-identical" is measured at every
-// surface a client can see: exported dataset bytes, rendered analysis
-// tables, the health report, and the full /v1/* + /v1/graph/* HTTP
-// surface pinned per generation.
+// The memoized-rebuild differential proof harness. The claim under
+// test: a store advancing as it always does — reusing the previous
+// generation's memoized artifacts, compiled serving index and graph
+// plane wherever fingerprints prove the inputs unchanged — serves a
+// chain of generations byte-identical to a memo-less oracle that builds
+// every generation with a nil memo. "Byte-identical" is measured at
+// every surface a client can see: exported dataset bytes, rendered
+// analysis tables, the health report, and the full /v1/* + /v1/graph/*
+// HTTP surface pinned per generation.
 
 import (
 	"bytes"
@@ -34,7 +34,7 @@ type chainCase struct {
 	label   string
 
 	// Adversary knobs: a non-zero hijack severity runs the whole chain
-	// under seeded prefix-hijack campaigns, which the incremental path
+	// under seeded prefix-hijack campaigns, which the memoized chain
 	// must reproduce byte-identically too (/v1/hijacks is probed).
 	hijack float64
 	rov    float64
@@ -57,7 +57,7 @@ func negligibleRates() churn.Rates {
 
 // chainStore builds a store over the case's config, retaining the whole
 // chain so every generation stays pinnable for the HTTP comparison.
-func chainStore(c chainCase, incremental bool) *Store {
+func chainStore(c chainCase) *Store {
 	noGate := DefaultValidation()
 	noGate.MaxChurnFraction = 1e9 // severity is the axis under test, not the gate's opinion of it
 	return New(Options{
@@ -65,11 +65,40 @@ func chainStore(c chainCase, incremental bool) *Store {
 			Seed: c.seed, Scale: testScale, Workers: c.workers,
 			HijackSeverity: c.hijack, ROVFraction: c.rov,
 		},
-		Rates:       c.rates,
-		Retain:      chainGens + 1,
-		Incremental: incremental,
-		Validation:  &noGate,
+		Rates:      c.rates,
+		Retain:     chainGens + 1,
+		Validation: &noGate,
 	})
+}
+
+// advanceOracle builds the store's next generation with no parent — so
+// stateowned.Run gets a nil memo and builds every node — and publishes
+// it. It is the memo-less oracle the differential harness compares the
+// memoized chain against; it fails the test if the build reused
+// anything, so the comparison can never go vacuous.
+func advanceOracle(t *testing.T, s *Store) {
+	t.Helper()
+	g := s.build(s.Current().Gen+1, nil)
+	if g.Stats.NodesReused != 0 {
+		t.Fatalf("oracle generation %d reused %v", g.Gen, g.Stats.ReusedNodes)
+	}
+	s.publish(g)
+}
+
+// advanceBoth advances the memoized chain and the oracle in lockstep
+// through chainGens generations and returns how many nodes the
+// memoized chain restored in total.
+func advanceBoth(t *testing.T, memo, oracle *Store) int {
+	t.Helper()
+	reused := 0
+	for gen := 1; gen <= chainGens; gen++ {
+		if memo.Advance() == nil {
+			t.Fatalf("advance to generation %d quarantined: %v", gen, memo.Degraded())
+		}
+		advanceOracle(t, oracle)
+		reused += memo.Current().Stats.NodesReused
+	}
+	return reused
 }
 
 // renderedTables renders the three analysis tables — the human-facing
@@ -148,23 +177,23 @@ func pin(path string, gen int) string {
 
 // assertChainsEqual walks both stores generation by generation and
 // compares every observable surface.
-func assertChainsEqual(t *testing.T, full, inc *Store) {
+func assertChainsEqual(t *testing.T, oracle, memo *Store) {
 	t.Helper()
-	fullSrv := httptest.NewServer(serve.NewDynamic(full.Source(), serve.Options{}))
-	defer fullSrv.Close()
-	incSrv := httptest.NewServer(serve.NewDynamic(inc.Source(), serve.Options{}))
-	defer incSrv.Close()
+	oracleSrv := httptest.NewServer(serve.NewDynamic(oracle.Source(), serve.Options{}))
+	defer oracleSrv.Close()
+	memoSrv := httptest.NewServer(serve.NewDynamic(memo.Source(), serve.Options{}))
+	defer memoSrv.Close()
 
-	g0, _ := full.Lookup(0)
+	g0, _ := oracle.Lookup(0)
 	paths := probePaths(t, g0)
 	for gen := 0; gen <= chainGens; gen++ {
-		gf, stf := full.Lookup(gen)
-		gi, sti := inc.Lookup(gen)
+		gf, stf := oracle.Lookup(gen)
+		gi, sti := memo.Lookup(gen)
 		if stf != serve.GenOK || sti != serve.GenOK {
-			t.Fatalf("generation %d not retained (full=%d inc=%d)", gen, stf, sti)
+			t.Fatalf("generation %d not retained (oracle=%d memo=%d)", gen, stf, sti)
 		}
 		if !bytes.Equal(exportDataset(t, gf), exportDataset(t, gi)) {
-			t.Errorf("generation %d: dataset bytes differ between full and incremental rebuilds", gen)
+			t.Errorf("generation %d: dataset bytes differ between the oracle and the memoized chain", gen)
 		}
 		if renderedTables(gf) != renderedTables(gi) {
 			t.Errorf("generation %d: rendered analysis tables differ", gen)
@@ -178,10 +207,10 @@ func assertChainsEqual(t *testing.T, full, inc *Store) {
 		}
 		for _, p := range paths {
 			pp := pin(p, gen)
-			fs, fb := fetch(t, fullSrv, pp)
-			is, ib := fetch(t, incSrv, pp)
+			fs, fb := fetch(t, oracleSrv, pp)
+			is, ib := fetch(t, memoSrv, pp)
 			if fs != is || fb != ib {
-				t.Errorf("generation %d: GET %s diverges\nfull (%d): %.300s\nincremental (%d): %.300s",
+				t.Errorf("generation %d: GET %s diverges\noracle (%d): %.300s\nmemo (%d): %.300s",
 					gen, pp, fs, fb, is, ib)
 			}
 		}
@@ -189,23 +218,34 @@ func assertChainsEqual(t *testing.T, full, inc *Store) {
 	// /v1/diff spans generations — compare the audits across the chain.
 	for _, span := range [][2]int{{0, chainGens}, {1, 2}} {
 		p := fmt.Sprintf("/v1/diff?from=%d&to=%d", span[0], span[1])
-		fs, fb := fetch(t, fullSrv, p)
-		is, ib := fetch(t, incSrv, p)
+		fs, fb := fetch(t, oracleSrv, p)
+		is, ib := fetch(t, memoSrv, p)
 		if fs != is || fb != ib {
-			t.Errorf("GET %s diverges between full and incremental chains", p)
+			t.Errorf("GET %s diverges between the oracle and the memoized chain", p)
 		}
 	}
 }
 
-// TestIncrementalChainByteIdentical is the differential proof: for each
-// (seed, churn severity, worker count) case, an incremental chain is
-// observably identical to a full-rebuild chain at every generation,
+// TestIncrementalChainByteIdentical is the differential proof: for
+// every seed × churn severity × worker count, the memoized chain is
+// observably identical to the memo-less oracle at every generation,
 // while actually reusing work.
 func TestIncrementalChainByteIdentical(t *testing.T) {
-	cases := []chainCase{
-		{seed: 7, rates: churn.DefaultRates(), workers: 1, label: "seed7-default-serial"},
-		{seed: 21, rates: heavyRates(), workers: 4, label: "seed21-heavy-parallel"},
-		{seed: 42, rates: churn.DefaultRates(), workers: 4, label: "seed42-default-parallel"},
+	var cases []chainCase
+	for _, seed := range []uint64{7, 21, 42} {
+		for _, r := range []struct {
+			name  string
+			rates churn.Rates
+		}{{"default", churn.DefaultRates()}, {"heavy", heavyRates()}} {
+			for _, workers := range []int{1, 4} {
+				pool := "serial"
+				if workers > 1 {
+					pool = "parallel"
+				}
+				cases = append(cases, chainCase{seed: seed, rates: r.rates, workers: workers,
+					label: fmt.Sprintf("seed%d-%s-%s", seed, r.name, pool)})
+			}
+		}
 	}
 	for i, c := range cases {
 		c := c
@@ -213,27 +253,16 @@ func TestIncrementalChainByteIdentical(t *testing.T) {
 			if testing.Short() && i > 0 {
 				t.Skip("one differential case in -short mode")
 			}
-			full := chainStore(c, false)
-			inc := chainStore(c, true)
-			reusedTotal := 0
-			for gen := 1; gen <= chainGens; gen++ {
-				if full.Advance() == nil || inc.Advance() == nil {
-					t.Fatalf("advance to generation %d quarantined: full=%v inc=%v",
-						gen, full.Degraded(), inc.Degraded())
-				}
-				reusedTotal += inc.Current().Stats.NodesReused
-			}
-			assertChainsEqual(t, full, inc)
+			oracle, memo := chainStore(c), chainStore(c)
+			reusedTotal := advanceBoth(t, memo, oracle)
+			assertChainsEqual(t, oracle, memo)
 
-			// The equality must not be vacuous: the incremental chain has to
-			// have actually reused artifacts, and the full chain none.
+			// The equality must not be vacuous: the memoized chain has to
+			// have actually reused artifacts.
 			if reusedTotal == 0 {
-				t.Error("incremental chain reused zero nodes — the differential proof proved nothing")
+				t.Error("memoized chain reused zero nodes — the differential proof proved nothing")
 			}
-			if n := full.Current().Stats.NodesReused; n != 0 {
-				t.Errorf("full-rebuild chain reports %d reused nodes", n)
-			}
-			_, reused, _, _ := inc.IncrementalCounters()
+			_, reused, _, _ := memo.IncrementalCounters()
 			if int(reused) != reusedTotal {
 				t.Errorf("cumulative reuse counter %d != summed per-generation stats %d", reused, reusedTotal)
 			}
@@ -243,9 +272,9 @@ func TestIncrementalChainByteIdentical(t *testing.T) {
 
 // TestIncrementalHijackChainByteIdentical extends the differential
 // proof to adversarial chains: with seeded hijack campaigns active
-// (including a partially ROV-gated case), the incremental chain must
-// still match its full-rebuild twin at every surface — now including
-// /v1/hijacks — while continuing to reuse artifacts.
+// (including a partially ROV-gated case), the memoized chain must still
+// match the oracle at every surface — now including /v1/hijacks — while
+// continuing to reuse artifacts.
 func TestIncrementalHijackChainByteIdentical(t *testing.T) {
 	cases := []chainCase{
 		{seed: 42, rates: churn.DefaultRates(), workers: 4, hijack: 0.75, label: "seed42-hijack-open"},
@@ -257,24 +286,16 @@ func TestIncrementalHijackChainByteIdentical(t *testing.T) {
 			if testing.Short() && i > 0 {
 				t.Skip("one adversarial differential case in -short mode")
 			}
-			full := chainStore(c, false)
-			inc := chainStore(c, true)
-			reusedTotal := 0
-			for gen := 1; gen <= chainGens; gen++ {
-				if full.Advance() == nil || inc.Advance() == nil {
-					t.Fatalf("advance to generation %d quarantined: full=%v inc=%v",
-						gen, full.Degraded(), inc.Degraded())
-				}
-				reusedTotal += inc.Current().Stats.NodesReused
-			}
-			assertChainsEqual(t, full, inc)
+			oracle, memo := chainStore(c), chainStore(c)
+			reusedTotal := advanceBoth(t, memo, oracle)
+			assertChainsEqual(t, oracle, memo)
 			if reusedTotal == 0 {
-				t.Error("adversarial incremental chain reused zero nodes — the proof proved nothing")
+				t.Error("adversarial memoized chain reused zero nodes — the proof proved nothing")
 			}
 			// The battery must exercise a live adversary, not an empty report.
 			detections := 0
 			for gen := 0; gen <= chainGens; gen++ {
-				g, _ := full.Lookup(gen)
+				g, _ := oracle.Lookup(gen)
 				detections += len(g.Result.Hijacks.Detections)
 			}
 			if detections == 0 {
@@ -285,15 +306,14 @@ func TestIncrementalHijackChainByteIdentical(t *testing.T) {
 }
 
 // TestIncrementalZeroChurnSkipsEverything is the first metamorphic
-// property: when a generation's churn step moves nothing, the
-// incremental rebuild must execute zero pipeline nodes and adopt the
+// property: when a generation's churn step moves nothing, the rebuild
+// must execute zero pipeline nodes and adopt the
 // compiled index and graph wholesale — and still serve the identical
 // dataset under a fresh generation number.
 func TestIncrementalZeroChurnSkipsEverything(t *testing.T) {
 	s := New(Options{
-		Base:        stateowned.Config{Seed: 42, Scale: testScale},
-		Rates:       negligibleRates(),
-		Incremental: true,
+		Base:  stateowned.Config{Seed: 42, Scale: testScale},
+		Rates: negligibleRates(),
 	})
 	g0 := s.Current()
 	if n := g0.Stats.NodesReused; n != 0 {
@@ -343,9 +363,8 @@ func TestIncrementalZeroChurnSkipsEverything(t *testing.T) {
 // previous detection report — even with campaigns active.
 func TestIncrementalZeroChurnWithHijackSkipsEverything(t *testing.T) {
 	s := New(Options{
-		Base:        stateowned.Config{Seed: 42, Scale: testScale, HijackSeverity: 0.75, ROVFraction: 0.25},
-		Rates:       negligibleRates(),
-		Incremental: true,
+		Base:  stateowned.Config{Seed: 42, Scale: testScale, HijackSeverity: 0.75, ROVFraction: 0.25},
+		Rates: negligibleRates(),
 	})
 	g0 := s.Current()
 	if len(g0.Result.Hijacks.Detections) == 0 {
@@ -377,27 +396,26 @@ func TestIncrementalZeroChurnWithHijackSkipsEverything(t *testing.T) {
 
 // TestIncrementalFullChurnDegeneratesToRebuild is the second
 // metamorphic property: under saturation churn rates every
-// ownership-reading node must go dirty — the incremental machinery
-// degenerates to (and stays byte-identical with) a full rebuild, and
-// the compiled index cannot be adopted.
+// ownership-reading node must go dirty — the memoized chain degenerates
+// to (and stays byte-identical with) the memo-less oracle, and the
+// compiled index cannot be adopted.
 func TestIncrementalFullChurnDegeneratesToRebuild(t *testing.T) {
 	if testing.Short() {
 		t.Skip("saturation churn grows the world on every generation")
 	}
 	c := chainCase{seed: 7, rates: churn.Rates{Privatization: 1, Nationalization: 1, NewSubsidiary: 1}, workers: 2}
-	full := chainStore(c, false)
-	inc := chainStore(c, true)
+	oracle, memo := chainStore(c), chainStore(c)
 	for gen := 1; gen <= chainGens; gen++ {
-		if full.Advance() == nil || inc.Advance() == nil {
-			t.Fatalf("saturation advance to generation %d quarantined: full=%v inc=%v",
-				gen, full.Degraded(), inc.Degraded())
+		if memo.Advance() == nil {
+			t.Fatalf("saturation advance to generation %d quarantined: %v", gen, memo.Degraded())
 		}
-		st := inc.Current().Stats
+		advanceOracle(t, oracle)
+		st := memo.Current().Stats
 		reused := map[string]bool{}
 		for _, n := range st.ReusedNodes {
 			reused[n] = true
 		}
-		for _, n := range []string{"world", "orbis", "docs", "stage1", "stage2", "stage3"} {
+		for _, n := range []string{"orbis", "docs", "stage1", "stage2", "stage3"} {
 			if reused[n] {
 				t.Errorf("generation %d: ownership-reading node %q reused under saturation churn", gen, n)
 			}
@@ -406,22 +424,21 @@ func TestIncrementalFullChurnDegeneratesToRebuild(t *testing.T) {
 			t.Errorf("generation %d: index adopted although the dataset was rebuilt", gen)
 		}
 	}
-	if inc.Current().TotalEvents == 0 {
+	if memo.Current().TotalEvents == 0 {
 		t.Fatal("saturation rates produced no churn — the degeneration test tested nothing")
 	}
-	assertChainsEqual(t, full, inc)
+	assertChainsEqual(t, oracle, memo)
 }
 
 // TestIncrementalPinnedReadsDuringAdvance is the race regression test:
-// reused artifacts are shared between consecutive generations, so an
-// incremental rebuild mutating anything it reuses would be visible to a
+// reused artifacts are shared between consecutive generations, so a
+// memoized rebuild mutating anything it reuses would be visible to a
 // reader pinned to the previous generation — under -race, as a report;
 // under any mode, as a byte diff against the pre-advance observation.
 func TestIncrementalPinnedReadsDuringAdvance(t *testing.T) {
 	s := New(Options{
-		Base:        stateowned.Config{Seed: 21, Scale: testScale},
-		Retain:      chainGens + 1,
-		Incremental: true,
+		Base:   stateowned.Config{Seed: 21, Scale: testScale},
+		Retain: chainGens + 1,
 	})
 	hs := serve.NewDynamic(s.Source(), serve.Options{CacheSize: 0}) // no cache: every read hits the index
 	srv := httptest.NewServer(hs)
@@ -482,7 +499,7 @@ func TestIncrementalPinnedReadsDuringAdvance(t *testing.T) {
 	// observation even though later generations share its artifacts.
 	for _, p := range paths {
 		if _, body := fetch(t, srv, pin(p, 0)); body != before[p] {
-			t.Errorf("pinned gen-0 read of %s drifted after %d incremental advances", p, chainGens)
+			t.Errorf("pinned gen-0 read of %s drifted after %d memoized advances", p, chainGens)
 		}
 	}
 }

@@ -2,7 +2,8 @@
 // serving: it owns a sequence of (world, pipeline Result, serving
 // index) generations, evolves the ground-truth world between them with
 // the seeded ownership-churn model, rebuilds each generation through
-// the full hardened pipeline, and publishes the result to live HTTP
+// the hardened pipeline (reusing its parent's artifact memo wherever
+// the inputs did not churn), and publishes the result to live HTTP
 // traffic with a single atomic pointer swap — in-flight requests finish
 // on the generation they resolved, new requests see the new one, and
 // nothing is ever torn.
@@ -149,22 +150,17 @@ type Options struct {
 	// durability, never availability: the store keeps serving from
 	// memory and surfaces the failure counters on /readyz and /metrics.
 	Archive *durable.Archive
-	// Incremental turns on dirty-set rebuilds: each generation threads
-	// the previous generation's artifact memo through the pipeline's
-	// build graph, so only nodes whose input fingerprints changed under
-	// churn re-execute; everything else (including the compiled serving
-	// index and graph plane when their inputs are clean) is reused. The
-	// output is provably byte-identical to a full rebuild — the
-	// differential harness in this package's tests enforces it — and
-	// staged incremental builds pass the same validation gate and
-	// two-phase flip as full ones.
+	// Incremental is ignored: every generation rebuilds through its
+	// parent's artifact memo. Like fleet.FullPrefix, it stays only
+	// because the benchmark module (perfbench) still uses it.
 	Incremental bool
 }
 
 // BuildStats reports how much of one generation's build was reused from
-// its predecessor's artifact memo. Zero-valued for full rebuilds. Build
-// metadata only: never part of the dataset, rendered health, or
-// determinism comparisons.
+// its predecessor's artifact memo. Nothing is reused when the build has
+// no live parent (generation 0, or after a recovery). Build metadata
+// only: never part of the dataset, rendered health, or determinism
+// comparisons.
 type BuildStats struct {
 	// NodesTotal is how many build-graph nodes the pipeline has;
 	// NodesReused how many were restored from the memo instead of built.
@@ -197,9 +193,8 @@ type Generation struct {
 	// reach this one (empty for generation 0); TotalEvents is cumulative.
 	Events      []churn.Event
 	TotalEvents int
-	// Stats reports what an incremental build reused from its
-	// predecessor (zero-valued when Options.Incremental is off or no
-	// predecessor memo was available).
+	// Stats reports what the build reused from its predecessor (nothing
+	// when no predecessor memo was available).
 	Stats BuildStats
 	// Recovered marks a generation adopted from the durable archive at
 	// startup rather than built by this process. A recovered generation
@@ -235,9 +230,8 @@ type Store struct {
 	// reloading is true while a rebuild is in flight.
 	reloading atomic.Bool
 	swaps     atomic.Uint64
-	// Cumulative incremental-rebuild counters (zero when Incremental is
-	// off): build-graph nodes executed vs restored, and whole-structure
-	// index/graph adoptions.
+	// Cumulative rebuild counters: build-graph nodes executed vs
+	// restored, and whole-structure index/graph adoptions.
 	nodesBuilt  atomic.Uint64
 	nodesReused atomic.Uint64
 	indexReuses atomic.Uint64
@@ -340,7 +334,7 @@ func New(opts Options) *Store {
 	// A cold start (no archive, empty archive, or nothing verifiable)
 	// builds generation 0 as always.
 	if !s.adoptRecovered() {
-		s.publish(s.build(0))
+		s.publish(s.build(0, nil))
 	}
 	return s
 }
@@ -365,12 +359,16 @@ func (s *Store) churnSeed(g int) uint64 {
 }
 
 // build constructs generation gen from first principles: a fresh world
-// from the base config, gen seeded churn steps, then the full hardened
-// pipeline over the evolved world. Rebuilding from scratch (rather than
-// evolving the previous generation's world in place) keeps every
-// retained generation frozen and makes the content reproducible from
-// the generation number alone.
-func (s *Store) build(gen int) *Generation {
+// from the base config, gen seeded churn steps, then the hardened
+// pipeline over the evolved world. Rebuilding the world from scratch
+// (rather than evolving the previous generation's world in place) keeps
+// every retained generation frozen and makes the content reproducible
+// from the generation number alone.
+//
+// The pipeline reuses parent's artifact memo when parent is the
+// immediate predecessor; any other parent (or nil) builds every node.
+// Either way the bytes are the same — only the work differs.
+func (s *Store) build(gen int, parent *Generation) *Generation {
 	if s.buildHook != nil {
 		s.buildHook(gen)
 	}
@@ -384,24 +382,16 @@ func (s *Store) build(gen int) *Generation {
 	}
 	cfg.World = w
 
-	// Incremental path: thread the immediate predecessor's artifact memo
-	// through the build graph. Only a direct parent qualifies — after a
-	// generation gap (or for generation 0) the build falls back to full.
-	// World construction above is deliberately unchanged: the evolved
-	// world is rebuilt from first principles either way, so a
-	// generation's ground truth never depends on the reuse path.
-	var prev *Generation
-	if s.opts.Incremental {
-		cfg.CaptureMemo = true
-		if p := s.current.Load(); p != nil && p.Gen == gen-1 && p.Result != nil {
-			cfg.Memo = p.Result.Memo
-			prev = p
-		}
+	if parent != nil && (parent.Gen != gen-1 || parent.Result == nil) {
+		parent = nil
+	}
+	if parent != nil {
+		cfg.Memo = parent.Result.Memo
 	}
 	res := stateowned.Run(cfg)
 
 	st := BuildStats{NodesTotal: len(res.Health.Timings), NodesReused: len(res.Reused), ReusedNodes: res.Reused}
-	if prev != nil {
+	if parent != nil {
 		reused := make(map[string]bool, len(res.Reused))
 		for _, n := range res.Reused {
 			reused[n] = true
@@ -410,12 +400,12 @@ func (s *Store) build(gen int) *Generation {
 		// stage3 artifact (the identical dataset object) makes the
 		// previous index valid verbatim. The graph plane reads topology,
 		// the monitor set (the cti artifact) and AS2Org.
-		if reused["stage3"] && prev.Index != nil {
-			res.AdoptIndex(prev.Index)
+		if reused["stage3"] && parent.Index != nil {
+			res.AdoptIndex(parent.Index)
 			st.IndexReused = true
 		}
-		if reused["topology"] && reused["cti"] && reused["as2org"] && prev.view.Graph != nil {
-			res.AdoptGraph(prev.view.Graph)
+		if reused["topology"] && reused["cti"] && reused["as2org"] && parent.view.Graph != nil {
+			res.AdoptGraph(parent.view.Graph)
 			st.GraphReused = true
 		}
 	}
@@ -546,7 +536,7 @@ func (s *Store) stageLocked(gen int) error {
 	}
 	s.reloading.Store(true)
 	defer s.reloading.Store(false)
-	g, err := s.buildChecked(gen)
+	g, err := s.buildChecked(gen, prev)
 	if err == nil {
 		err = s.validate(prev, g)
 	}
@@ -639,13 +629,13 @@ func (s *Store) Advance() *Generation {
 // (broken source, corrupt stage — injected in tests via the build
 // hook) becomes a quarantinable error instead of taking down the
 // serving process.
-func (s *Store) buildChecked(gen int) (g *Generation, err error) {
+func (s *Store) buildChecked(gen int, parent *Generation) (g *Generation, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			g, err = nil, fmt.Errorf("rebuild panicked: %v", p)
 		}
 	}()
-	return s.build(gen), nil
+	return s.build(gen, parent), nil
 }
 
 // validate is the reload gate: the invariants a candidate generation
@@ -763,10 +753,9 @@ func (s *Store) Degraded() *Degradation { return s.degraded.Load() }
 // refused to publish (cumulative across recoveries).
 func (s *Store) Quarantines() uint64 { return s.quarantines.Load() }
 
-// IncrementalCounters reports the cumulative dirty-set rebuild
-// counters: build-graph nodes executed vs restored from a memo, and
-// whole compiled index/graph adoptions. All zero when the store runs
-// full rebuilds (Options.Incremental off).
+// IncrementalCounters reports the cumulative memoized-rebuild counters:
+// build-graph nodes executed vs restored from a memo, and whole
+// compiled index/graph adoptions.
 func (s *Store) IncrementalCounters() (nodesBuilt, nodesReused, indexReuses, graphReuses uint64) {
 	return s.nodesBuilt.Load(), s.nodesReused.Load(), s.indexReuses.Load(), s.graphReuses.Load()
 }
@@ -849,10 +838,7 @@ func (ss storeSource) ReloadStatus() serve.ReloadStatus {
 		st.ConsecutiveFailures = d.Failures
 		st.GaveUp = d.GaveUp
 	}
-	if ss.s.opts.Incremental {
-		st.Incremental = true
-		st.NodesRebuilt, st.NodesReused, st.IndexReuses, st.GraphReuses = ss.s.IncrementalCounters()
-	}
+	st.NodesRebuilt, st.NodesReused, st.IndexReuses, st.GraphReuses = ss.s.IncrementalCounters()
 	if a := ss.s.archive; a != nil {
 		st.Archive = true
 		if rg := ss.s.RecoveredGen(); rg >= 0 {

@@ -201,3 +201,43 @@ func TestStoreRejectsPrebuiltWorld(t *testing.T) {
 	w := world.Generate(world.Config{Seed: 1, Scale: 0.02})
 	New(Options{Base: stateowned.Config{Seed: 1, Scale: 0.02, World: w}})
 }
+
+// TestCacheNeverReplaysAnotherRequestsError walks pairs of requests
+// that share one response-cache key but spell their input differently
+// — leading zeros, letter case — across the record, graph and hijack
+// planes of a store-backed server. Asked right after its twin, each
+// request must get exactly what an uncached server answers it: a 400
+// quotes the raw input, so it may never be replayed for the twin.
+func TestCacheNeverReplaysAnotherRequestsError(t *testing.T) {
+	s := New(Options{Base: stateowned.Config{Seed: 42, Scale: testScale}})
+	cached := serve.NewDynamic(s.Source(), serve.Options{CacheSize: 64})
+	uncached := serve.NewDynamic(s.Source(), serve.Options{})
+	a := s.Current().Result.Dataset.AllASNs()[0]
+	pairs := [][2]string{
+		{"/v1/asn/00", "/v1/asn/0"},
+		{"/v1/country/usa", "/v1/country/USA"},
+		{"/v1/graph/neighbors/00", "/v1/graph/neighbors/0"},
+		{"/v1/graph/upstreams/00", "/v1/graph/upstreams/0"},
+		{"/v1/graph/cone/00", "/v1/graph/cone/0"},
+		{fmt.Sprintf("/v1/graph/neighbors/%d?class=Transit", a), fmt.Sprintf("/v1/graph/neighbors/%d?class=transit", a)},
+		{fmt.Sprintf("/v1/graph/path?from=00&to=%d", a), fmt.Sprintf("/v1/graph/path?from=0&to=%d", a)},
+		{fmt.Sprintf("/v1/graph/path?from=%d&to=00", a), fmt.Sprintf("/v1/graph/path?from=%d&to=0", a)},
+		{"/v1/hijacks?victim=00", "/v1/hijacks?victim=0"},
+		{"/v1/hijacks?cc=usa", "/v1/hijacks?cc=USA"},
+	}
+	get := func(h http.Handler, path string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		return w
+	}
+	for _, p := range pairs {
+		if first := get(cached, p[0]); first.Code != http.StatusBadRequest {
+			t.Fatalf("GET %s = %d, want the 400 the pair is about", p[0], first.Code)
+		}
+		got, want := get(cached, p[1]), get(uncached, p[1])
+		if got.Code != want.Code || got.Body.String() != want.Body.String() {
+			t.Errorf("GET %s after %s: cached %d %s, uncached %d %s",
+				p[1], p[0], got.Code, got.Body, want.Code, want.Body)
+		}
+	}
+}

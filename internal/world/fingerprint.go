@@ -5,8 +5,8 @@ import (
 	"stateowned/internal/sched"
 )
 
-// This file defines the canonical input projections the incremental
-// rebuild path fingerprints a world through. Three projections exist
+// This file defines the canonical input projections the memoized build
+// fingerprints a world through. Three projections exist
 // because the pipeline's sources read the world at three granularities:
 // everything except the equity graph (geo, eyeballs, WHOIS, PeeringDB),
 // the full derived ownership view (Orbis, the documents corpus), and

@@ -83,23 +83,28 @@ func SetBuildHook(fn func(node string)) (restore func()) {
 // runHardened is the degradation-aware pipeline runner, rebuilt on the
 // deterministic DAG scheduler: the five independent data sources (plus
 // WHOIS-derived AS2Org and topology-derived CTI) build concurrently on
-// a bounded pool after the shared world and topology substrates, while
-// the three classification stages remain a serial tail. Every node runs
-// behind the scheduler's panic guard (a panicking build degrades its
-// source instead of killing the run), record faults are injected and
-// quarantined inside the owning node so Health accounting is unchanged
-// from the serial pipeline, and per-node wall time lands in
-// Health.Timings.
+// a bounded pool over the shared world, while the three classification
+// stages remain a serial tail. Every node runs behind the scheduler's
+// panic guard (a panicking build degrades its source instead of killing
+// the run), record faults are injected and quarantined inside the
+// owning node so Health accounting is unchanged from the serial
+// pipeline, and per-node wall time lands in Health.Timings.
 //
-// The build graph (stage1 additionally depends on every source node):
+// The world is ready before the graph: the caller's (the snapshot
+// store's churn-evolved ground truth) or one generated from
+// Seed/Scale/Countries. Every node is fingerprinted over it up front
+// and memoized against Config.Memo, so a node whose inputs are
+// unchanged restores its previous artifact; a nil memo builds every
+// node. The build graph (stage1 additionally depends on every source
+// node):
 //
-//	world ─┬─ topology ──┬─ cti ── stage1 ── stage2 ── stage3
-//	       ├─ geo ───────┘
-//	       ├─ eyeballs
-//	       ├─ whois ──── as2org
-//	       ├─ peeringdb
-//	       ├─ orbis
-//	       └─ docs
+//	topology ──┬─ cti ─┬─ hijack
+//	geo ───────┘       └─ stage1 ── stage2 ── stage3
+//	eyeballs
+//	whois ──── as2org
+//	peeringdb
+//	orbis
+//	docs
 func runHardened(cfg Config, plan faults.Plan) *Result {
 	workers := sched.Workers(cfg.Workers)
 	h := runner.NewHealth(plan.Severity)
@@ -109,15 +114,12 @@ func runHardened(cfg Config, plan faults.Plan) *Result {
 	}
 	bo := runner.DefaultBackoff()
 
-	res := &Result{Config: cfg, Health: h}
-
-	// Incremental rebuilds engage only on the caller-supplied-world path
-	// (the snapshot store): fingerprints must be computable before the
-	// graph runs, which requires the world to already exist.
-	var fps *nodeFPs
-	if cfg.World != nil && (cfg.CaptureMemo || cfg.Memo != nil) {
-		fps = fingerprintInputs(cfg)
+	w := cfg.World
+	if w == nil {
+		w = world.Generate(world.Config{Seed: cfg.Seed, Scale: cfg.Scale, Countries: cfg.Countries})
 	}
+	res := &Result{Config: cfg, Health: h, World: w}
+	fps := fingerprintInputs(cfg, w)
 	memoWiring := memoIO()
 
 	// inject returns the per-source fault stream, or nil (keep all) when
@@ -131,13 +133,13 @@ func runHardened(cfg Config, plan faults.Plan) *Result {
 
 	// Graph assembly. Each add captures a per-node note buffer: nodes
 	// never call h.MarkStage directly, so the Stages list stays in
-	// canonical order under any execution interleaving. On an
-	// incremental run each node also gets its MemoSpec: the input
-	// fingerprint from fingerprintInputs and a capture/restore pair that
-	// moves the node's Result fields, its Health row and its buffered
-	// notes in and out of the artifact cache. The buildHook wraps only
-	// the real build fn — a restored node never fires it, which is what
-	// lets the metamorphic tests assert "zero nodes executed".
+	// canonical order under any execution interleaving. Each node also
+	// gets its MemoSpec: the input fingerprint from fingerprintInputs
+	// and a capture/restore pair that moves the node's Result fields,
+	// its Health row and its buffered notes in and out of the artifact
+	// cache. The buildHook wraps only the real build fn — a restored
+	// node never fires it, which is what lets the metamorphic tests
+	// assert "zero nodes executed".
 	g := sched.New()
 	var noteBufs []*[]stageNote
 	add := func(name string, fn func(mark func(string, bool, string)) error, deps ...string) {
@@ -152,13 +154,9 @@ func runHardened(cfg Config, plan faults.Plan) *Result {
 			}
 			return fn(mark)
 		}
-		io, memoizable := memoWiring[name]
-		if fps == nil || !memoizable {
-			g.Add(name, wrapped, deps...)
-			return
-		}
+		io := memoWiring[name]
 		g.AddMemo(name, sched.MemoSpec{
-			FP: fps.node[name],
+			FP: fps[name],
 			Capture: func() any {
 				a := memoArtifact{value: io.get(res), notes: append([]stageNote(nil), *buf...)}
 				if io.source != "" {
@@ -175,27 +173,13 @@ func runHardened(cfg Config, plan faults.Plan) *Result {
 				}
 				*buf = append([]stageNote(nil), a.notes...)
 			},
-			CleanDeps: io.cleanDeps,
 		}, wrapped, deps...)
 	}
 
-	add("world", func(func(string, bool, string)) error {
-		// A caller-supplied world (the snapshot store's churn-evolved
-		// ground truth) short-circuits generation; everything downstream
-		// is oblivious to where the world came from.
-		if cfg.World != nil {
-			res.World = cfg.World
-			return nil
-		}
-		res.World = world.Generate(world.Config{
-			Seed: cfg.Seed, Scale: cfg.Scale, Countries: cfg.Countries,
-		})
-		return nil
-	})
 	add("topology", func(func(string, bool, string)) error {
 		res.Topology = topology.Build(res.World, topology.FinalYear)
 		return nil
-	}, "world")
+	})
 
 	// Geolocation feed: build, then inject snapshot faults and run the
 	// validation pass so impossible assignments never reach the pipeline.
@@ -207,13 +191,13 @@ func runHardened(cfg Config, plan faults.Plan) *Result {
 			h.NoteQuarantined("geo", res.Geo.Quarantine())
 		}
 		return nil
-	}, "world")
+	})
 
 	add("eyeballs", func(func(string, bool, string)) error {
 		res.Eyeballs, _ = runner.Do(h, runner.NewBreaker(breakerThreshold), bo, "eyeballs",
 			func(int) (*eyeballs.Dataset, error) { return eyeballs.Build(res.World), nil })
 		return nil
-	}, "world")
+	})
 
 	add("whois", func(func(string, bool, string)) error {
 		res.WHOIS, _ = runner.Do(h, runner.NewBreaker(breakerThreshold), bo, "whois",
@@ -223,13 +207,13 @@ func runHardened(cfg Config, plan faults.Plan) *Result {
 			h.NoteQuarantined("whois", res.WHOIS.Quarantine())
 		}
 		return nil
-	}, "world")
+	})
 
 	add("peeringdb", func(func(string, bool, string)) error {
 		res.PeeringDB, _ = runner.Do(h, runner.NewBreaker(breakerThreshold), bo, "peeringdb",
 			func(int) (*peeringdb.DB, error) { return peeringdb.Build(res.World), nil })
 		return nil
-	}, "world")
+	})
 
 	// AS2Org is inferred from whatever WHOIS survived, so WHOIS damage
 	// propagates into sibling inference exactly as it would in the wild.
@@ -259,7 +243,7 @@ func runHardened(cfg Config, plan faults.Plan) *Result {
 			mark("stage1", true, "orbis unavailable; candidates ran without the O source")
 		}
 		return nil
-	}, "world")
+	})
 
 	add("docs", func(func(string, bool, string)) error {
 		res.Docs, _ = runner.Do(h, runner.NewBreaker(breakerThreshold), bo, "docs",
@@ -268,19 +252,15 @@ func runHardened(cfg Config, plan faults.Plan) *Result {
 			h.NoteDamage("docs", res.Docs.Degrade(in))
 		}
 		return nil
-	}, "world")
+	})
 
 	add("cti", func(mark func(string, bool, string)) error {
 		if cfg.DisableCTI {
 			res.CTITop = map[string][]world.ASN{}
-			res.ctiSlices = nil
 			return nil
 		}
-		var prevCTI *ctiArtifact
-		if fps != nil {
-			prevCTI = prevCTIArtifact(cfg.Memo)
-		}
-		res.Monitors, res.CTITop, res.ctiSlices = computeCTI(res, cfg, plan, h, workers, fps, prevCTI, mark)
+		res.Monitors, res.CTITop, res.ctiFP = computeCTI(res, cfg, plan, h, workers,
+			fps["cti"], prevCTIArtifact(cfg.Memo), mark)
 		return nil
 	}, "topology", "geo")
 
@@ -322,16 +302,8 @@ func runHardened(cfg Config, plan faults.Plan) *Result {
 		return nil
 	}, "stage2")
 
-	var results []sched.NodeResult
-	if fps != nil {
-		var next *sched.Memo
-		results, next = g.RunMemo(workers, cfg.Memo)
-		if cfg.CaptureMemo {
-			res.Memo = next
-		}
-	} else {
-		results = g.Run(workers)
-	}
+	results, next := g.RunMemo(workers, cfg.Memo)
+	res.Memo = next
 
 	// Post-run accounting, all in declaration (= canonical serial)
 	// order: flush each node's deferred stage notes, then translate a
@@ -361,11 +333,10 @@ func runHardened(cfg Config, plan faults.Plan) *Result {
 		}
 	}
 
-	// Scrub the memo inputs off the retained Config: a Result must never
+	// Scrub the memo input off the retained Config: a Result must never
 	// pin the previous generation's artifact cache (and through it, a
 	// transitive chain of every generation ever built).
 	res.Config.Memo = nil
-	res.Config.CaptureMemo = false
 
 	// Empty fallbacks for anything a panicked node failed to produce,
 	// mirroring the old guardStage contract: downstream consumers see an

@@ -122,19 +122,13 @@ type Config struct {
 	// is byte-identical to an honest one.
 	ROVFraction float64
 
-	// Memo supplies the previous build's artifact cache for an
-	// incremental rebuild: nodes whose input fingerprints match re-adopt
-	// the memoized artifact instead of rebuilding, provably without
-	// changing a byte of output. Only consulted when World is non-nil
-	// (the snapshot store's rebuild path) — a generated-world run always
-	// builds from scratch. The memo is not retained on the Result's
-	// Config (it is scrubbed after the run) so holding a Result never
-	// pins the previous generation's artifacts.
+	// Memo supplies the previous build's artifact cache: nodes whose
+	// input fingerprints match re-adopt the memoized artifact instead of
+	// rebuilding, provably without changing a byte of output. Nil builds
+	// every node. The memo is not retained on the Result's Config (it is
+	// scrubbed after the run) so holding a Result never pins the
+	// previous generation's artifacts.
 	Memo *sched.Memo
-	// CaptureMemo asks the run to capture its own artifact cache into
-	// Result.Memo for the next incremental rebuild. Like Memo it is
-	// only honored when World is non-nil.
-	CaptureMemo bool
 }
 
 // DefaultConfig is the configuration all experiments run with.
@@ -172,19 +166,19 @@ type Result struct {
 	// ran degraded. Always populated; all-healthy on a pristine run.
 	Health *runner.Health
 
-	// Memo is the artifact cache captured for the next incremental
-	// rebuild (Config.CaptureMemo); nil otherwise. Like Health.Timings it
-	// is build metadata: it must never feed into rendered output or
-	// determinism comparisons.
+	// Memo is the artifact cache captured for the next rebuild (pass it
+	// as the next run's Config.Memo). Like Health.Timings it is build
+	// metadata: it must never feed into rendered output or determinism
+	// comparisons.
 	Memo *sched.Memo
 	// Reused lists, in canonical node order, the build-graph nodes whose
 	// artifacts were restored from Config.Memo instead of rebuilt. Empty
 	// on a full build. Build metadata, like Memo.
 	Reused []string
 
-	// ctiSlices is the per-country CTI slice memo riding inside the cti
-	// node's artifact (see incremental.go).
-	ctiSlices map[string]ctiSlice
+	// ctiFP is the CTI cutoff fingerprint riding inside the cti node's
+	// artifact (see ctiCutoff).
+	ctiFP sched.Fingerprint
 
 	indexOnce sync.Once
 	index     *serve.Index
@@ -194,8 +188,8 @@ type Result struct {
 }
 
 // AdoptIndex pre-seeds the lazily compiled serving index with one built
-// from an identical dataset — the snapshot store calls it when an
-// incremental rebuild proved the dataset unchanged, so the previous
+// from an identical dataset — the snapshot store calls it when a
+// memoized rebuild proved the dataset unchanged, so the previous
 // generation's index (immutable, safe to share) serves the new one too.
 // A nil index, or an index already compiled, is ignored.
 func (r *Result) AdoptIndex(idx *serve.Index) {
@@ -262,11 +256,12 @@ const minMonitorQuorum = 2
 
 // computeCTI runs the transit-influence metric over the monitor paths for
 // every transit-dominated country (the paper applies CTI in 75 such
-// countries) and returns the monitor set and the per-country top-2
-// transit ASes. Under a fault plan, monitors go dark first: the surviving
-// set feeds CTI, and if it falls below quorum the whole source degrades
-// to unavailable (the pipeline then simply lacks the C source, the same
-// pathway as the DisableCTI ablation).
+// countries) and returns the monitor set, the per-country top-2
+// transit ASes and the cutoff fingerprint. Under a fault plan, monitors
+// go dark first: the surviving set feeds CTI, and if it falls below
+// quorum the whole source degrades to unavailable (the pipeline then
+// simply lacks the C source, the same pathway as the DisableCTI
+// ablation).
 //
 // workers bounds the internal fan-out (per-origin path collection,
 // per-country CTI — the per-country computations are independent, which
@@ -274,18 +269,14 @@ const minMonitorQuorum = 2
 // rather than straight into Health so the scheduler can flush them in
 // canonical node order regardless of execution interleaving.
 //
-// On an incremental rebuild (fps non-nil), the per-country computations
-// are memoized individually: each country's slice fingerprint covers
-// everything its computation reads — the config, the built topology's
-// full content, the live monitor set, and the country's geolocation
-// slice — and a country whose fingerprint matches the previous
-// generation's slice (prev) reuses its picks without collecting paths
-// for its origins. When the topology node re-ran but produced an
-// identical graph, every slice proves clean and the CTI re-run
-// degenerates to hashing.
+// When the node re-runs because the topology was rebuilt, the previous
+// generation's artifact (prev) is checked against the cutoff (see
+// ctiCutoff): a rebuilt topology with identical content, the same
+// monitors and the same adversary reuse the previous picks without
+// collecting a single path.
 func computeCTI(res *Result, cfg Config, plan faults.Plan, h *runner.Health, workers int,
-	fps *nodeFPs, prev *ctiArtifact,
-	mark func(stage string, degraded bool, note string)) ([]bgp.Monitor, map[string][]world.ASN, map[string]ctiSlice) {
+	nodeFP sched.Fingerprint, prev *ctiArtifact,
+	mark func(stage string, degraded bool, note string)) ([]bgp.Monitor, map[string][]world.ASN, sched.Fingerprint) {
 	monitors := bgp.SelectMonitors(res.World, res.Topology, cfg.Monitors)
 	if plan.Enabled() && plan.BGP.MonitorOutageRate > 0 {
 		inj := plan.Injector("bgp", faults.RecordSpec{DropRate: plan.BGP.MonitorOutageRate})
@@ -295,7 +286,7 @@ func computeCTI(res *Result, cfg Config, plan faults.Plan, h *runner.Health, wor
 		if len(monitors) < minMonitorQuorum {
 			h.MarkUnavailable("bgp", "monitor set below quorum")
 			mark("cti", true, "too few live monitors; CTI skipped")
-			return nil, map[string][]world.ASN{}, nil
+			return nil, map[string][]world.ASN{}, sched.Fingerprint{}
 		}
 	}
 
@@ -358,51 +349,14 @@ func computeCTI(res *Result, cfg Config, plan faults.Plan, h *runner.Health, wor
 		advFP = plan.Fingerprint()
 	}
 
-	// Slice memo: fingerprint each country's full read set and mark the
-	// countries whose previous-generation slice no longer matches.
-	reuse := fps != nil
-	var sliceFPs map[string]sched.Fingerprint
-	if reuse {
-		topoFP := topologyContentFP(res.Topology)
-		monFP := monitorsContentFP(monitors)
-		sliceFPs = make(map[string]sched.Fingerprint, len(ctiCountries))
-		for _, cc := range ctiCountries {
-			sh := sched.NewHasher("cti/slice")
-			sh.FP(fps.cfg)
-			sh.FP(topoFP)
-			sh.FP(monFP)
-			sh.FP(advFP) // zero when the adversary is off; cfg covers the knobs
-			sh.Str(cc)
-			sh.U64(res.Geo.TotalIn(cc))
-			sh.I64(int64(len(perCountry[cc])))
-			for _, o := range perCountry[cc] {
-				sh.U64(uint64(o))
-				np := res.Geo.NumPrefixes(o)
-				sh.I64(int64(np))
-				for pi := 0; pi < np; pi++ {
-					sh.U64(res.Geo.AddressesIn(o, pi, cc))
-				}
-			}
-			sliceFPs[cc] = sh.Sum()
-		}
-	}
-	ccPicks := make([][]world.ASN, len(ctiCountries))
-	var dirtyIdx []int
-	for i, cc := range ctiCountries {
-		if reuse && prev != nil {
-			if ps, ok := prev.slices[cc]; ok && ps.fp == sliceFPs[cc] {
-				ccPicks[i] = ps.picks
-				continue
-			}
-		}
-		dirtyIdx = append(dirtyIdx, i)
+	fp := ctiCutoff(nodeFP, res.Topology, monitors, advFP)
+	if prev != nil && prev.fp == fp {
+		return monitors, prev.top, fp
 	}
 
-	// Paths are only collected for the origins the dirty countries need;
-	// on a fully clean re-run the collection is empty.
 	originSet := map[world.ASN]bool{}
-	for _, i := range dirtyIdx {
-		for _, o := range perCountry[ctiCountries[i]] {
+	for _, cc := range ctiCountries {
+		for _, o := range perCountry[cc] {
 			originSet[o] = true
 		}
 	}
@@ -417,28 +371,21 @@ func computeCTI(res *Result, cfg Config, plan faults.Plan, h *runner.Health, wor
 	// Per-country CTI computations are independent reads over the frozen
 	// path collection and geo snapshot: fan them out, each iteration
 	// owning its result slot, then assemble the map in canonical order.
-	sched.ParallelFor(workers, len(dirtyIdx), func(_, k int) {
-		i := dirtyIdx[k]
+	ccPicks := make([][]world.ASN, len(ctiCountries))
+	sched.ParallelFor(workers, len(ctiCountries), func(_, i int) {
 		cc := ctiCountries[i]
 		scores := comp.Country(cc, perCountry[cc], res.Geo.NumPrefixes, res.Geo)
 		for _, s := range cti.TopK(scores, candidates.CTITopK) {
 			ccPicks[i] = append(ccPicks[i], s.AS)
 		}
 	})
-	var slices map[string]ctiSlice
-	if reuse {
-		slices = make(map[string]ctiSlice, len(ctiCountries))
-		for i, cc := range ctiCountries {
-			slices[cc] = ctiSlice{fp: sliceFPs[cc], picks: ccPicks[i]}
-		}
-	}
 	top := make(map[string][]world.ASN, len(ctiCountries))
 	for i, cc := range ctiCountries {
 		if len(ccPicks[i]) > 0 {
 			top[cc] = ccPicks[i]
 		}
 	}
-	return monitors, top, slices
+	return monitors, top, fp
 }
 
 // hijackConfig projects the adversary knobs for internal/hijack.
