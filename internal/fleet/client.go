@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+
+	"stateowned/internal/serve"
 )
 
 // maxControlBody bounds how much of a control-plane reply the client
@@ -50,37 +52,45 @@ func (c *ShardClient) Get(ctx context.Context, path string) (*http.Response, []b
 	return resp, body, nil
 }
 
-// control issues one POST to a control-plane path with a ?gen= operand
-// and decodes the ack. Non-2xx is an error carrying the shard's own
-// explanation (e.g. the validation-gate quarantine reason on a failed
-// stage).
-func (c *ShardClient) control(ctx context.Context, path string, gen int) (StageAck, error) {
-	url := c.Base + path + "?gen=" + strconv.Itoa(gen)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, nil)
+// call issues one control-plane request (path plus an optional raw
+// query) and decodes the 200 body into out. Any other status is an
+// error carrying the shard's own explanation (e.g. the validation-gate
+// quarantine reason on a failed stage).
+func (c *ShardClient) call(ctx context.Context, method, path, query string, out any) error {
+	url := c.Base + path
+	if query != "" {
+		url += "?" + query
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, nil)
 	if err != nil {
-		return StageAck{}, err
+		return err
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return StageAck{}, fmt.Errorf("shard %d: %w", c.Index, err)
+		return fmt.Errorf("shard %d: %w", c.Index, err)
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxControlBody))
 	if err != nil {
-		return StageAck{}, fmt.Errorf("shard %d: reading ack: %w", c.Index, err)
+		return fmt.Errorf("shard %d: reading %s: %w", c.Index, path, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
+		var e serve.ErrorBody
 		_ = json.Unmarshal(body, &e)
-		return StageAck{}, fmt.Errorf("shard %d: %s %d: %s", c.Index, path, resp.StatusCode, e.Error)
+		return fmt.Errorf("shard %d: %s %d: %s", c.Index, path, resp.StatusCode, e.Error)
 	}
+	if err := json.Unmarshal(body, out); err != nil {
+		return fmt.Errorf("shard %d: decoding %s: %w", c.Index, path, err)
+	}
+	return nil
+}
+
+// control issues one POST to a control-plane path with a ?gen= operand
+// and decodes the ack.
+func (c *ShardClient) control(ctx context.Context, path string, gen int) (StageAck, error) {
 	var ack StageAck
-	if err := json.Unmarshal(body, &ack); err != nil {
-		return StageAck{}, fmt.Errorf("shard %d: decoding ack: %w", c.Index, err)
-	}
-	return ack, nil
+	err := c.call(ctx, http.MethodPost, path, "gen="+strconv.Itoa(gen), &ack)
+	return ack, err
 }
 
 // Stage asks the shard to build and hold generation gen (phase one).
@@ -100,25 +110,7 @@ func (c *ShardClient) Abort(ctx context.Context, gen int) (StageAck, error) {
 
 // Status fetches the shard's control-plane self-description.
 func (c *ShardClient) Status(ctx context.Context) (ShardStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+StatusPath, nil)
-	if err != nil {
-		return ShardStatus{}, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return ShardStatus{}, fmt.Errorf("shard %d: %w", c.Index, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxControlBody))
-	if err != nil {
-		return ShardStatus{}, fmt.Errorf("shard %d: reading status: %w", c.Index, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return ShardStatus{}, fmt.Errorf("shard %d: status %d", c.Index, resp.StatusCode)
-	}
 	var st ShardStatus
-	if err := json.Unmarshal(body, &st); err != nil {
-		return ShardStatus{}, fmt.Errorf("shard %d: decoding status: %w", c.Index, err)
-	}
-	return st, nil
+	err := c.call(ctx, http.MethodGet, StatusPath, "", &st)
+	return st, err
 }

@@ -1,23 +1,31 @@
 package fleet
 
-import "sync/atomic"
+import (
+	"strings"
+	"sync/atomic"
 
-// Metrics is the router's fleet-level accounting: how many legs the
-// traffic costs, how they fail (failed legs, hedges) and how the router
-// defends itself (shed requests, breaker denials).
+	"stateowned/internal/serve"
+)
+
+// Metrics is the router's leg accounting — what its serve.Spine cannot
+// see: how many replica legs the traffic costs, how they fail (failed
+// legs, hedges) and how often an open breaker refused one. Requests,
+// statuses, latencies, shedding and panics live in the spine's request
+// registry.
 type Metrics struct {
-	requests       atomic.Uint64
-	shed           atomic.Uint64
+	registry       *serve.Metrics
 	legs           atomic.Uint64
 	legFailures    atomic.Uint64
 	hedges         atomic.Uint64
 	breakerDenials atomic.Uint64
 }
 
-// MetricsSnapshot is the /metrics JSON shape.
+// MetricsSnapshot is the /metrics "fleet" block. Requests is not part
+// of it — the registry rows carry it on the wire — but rides along so
+// legs per read can be computed from one snapshot.
 type MetricsSnapshot struct {
-	Requests       uint64 `json:"requests_total"`
-	Shed           uint64 `json:"shed_total"`
+	// Requests counts the router's /v1 reads in the spine's registry.
+	Requests       uint64 `json:"-"`
 	Legs           uint64 `json:"legs_total"`
 	LegFailures    uint64 `json:"leg_failures_total"`
 	Hedges         uint64 `json:"hedges_total"`
@@ -26,12 +34,16 @@ type MetricsSnapshot struct {
 
 // Snapshot reads the counters.
 func (m *Metrics) Snapshot() MetricsSnapshot {
-	return MetricsSnapshot{
-		Requests:       m.requests.Load(),
-		Shed:           m.shed.Load(),
+	snap := MetricsSnapshot{
 		Legs:           m.legs.Load(),
 		LegFailures:    m.legFailures.Load(),
 		Hedges:         m.hedges.Load(),
 		BreakerDenials: m.breakerDenials.Load(),
 	}
+	for _, e := range m.registry.Snapshot().Endpoints {
+		if strings.HasPrefix(e.Endpoint, "/v1/") {
+			snap.Requests += e.Requests
+		}
+	}
+	return snap
 }

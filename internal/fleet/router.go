@@ -13,23 +13,22 @@ import (
 	"sync/atomic"
 	"time"
 
-	"stateowned/internal/runner"
 	"stateowned/internal/serve"
 	"stateowned/internal/world"
 )
 
-// ShardsFailedHeader names the replicas whose legs were lost when no
-// replica could answer a read (503), comma-separated.
-const ShardsFailedHeader = "X-Shards-Failed"
-
 // Router defaults.
 const (
-	// DefaultRequestTimeout is the router's per-request budget.
+	// DefaultRequestTimeout is what the router's leg deadline and hedge
+	// delay derive from when RouterOptions.RequestTimeout is 0.
 	DefaultRequestTimeout = 2 * time.Second
 	// DefaultBreakerProbeEvery is how often an open breaker lets a probe
 	// leg through (every Nth denial) so a recovered replica is
 	// rediscovered without waiting for an operator.
 	DefaultBreakerProbeEvery = 8
+	// breakerFailures is how many consecutive lost legs open a
+	// replica's circuit.
+	breakerFailures = 4
 )
 
 // Leg-failure sentinels (classified, never written to the wire).
@@ -48,22 +47,13 @@ type RouterOptions struct {
 	// Admission bounds router-level concurrency; nil admits everything.
 	Admission *serve.AdmissionConfig
 
-	// RequestTimeout is the full-request budget (0 = 2s). LegTimeout is
-	// the per-replica leg deadline carved from it (0 = RequestTimeout/2)
-	// — a leg that misses it is a failed leg, not a stalled request.
-	// HedgeAfter is how long a leg waits before duplicating itself to
-	// the same replica (0 = LegTimeout/4); transport-level errors hedge
-	// immediately.
+	// RequestTimeout sizes the per-replica leg timers (0 =
+	// DefaultRequestTimeout): a leg that has not answered within half of
+	// it is a failed leg, not a stalled request, and a leg still silent
+	// after an eighth of it is duplicated once to the same replica
+	// (transport-level errors hedge immediately). The router enforces no
+	// whole-request budget: leg deadlines are its only timeout.
 	RequestTimeout time.Duration
-	LegTimeout     time.Duration
-	HedgeAfter     time.Duration
-
-	// BreakerThreshold opens a replica's circuit after that many
-	// consecutive transport failures (0 = runner default of 4);
-	// BreakerProbeEvery lets every Nth denied leg through as a probe
-	// (0 = 8).
-	BreakerThreshold  int
-	BreakerProbeEvery int
 
 	// After is the injectable timer all router waits run on (nil =
 	// serve.TimerAfter); tests drive hedging, leg deadlines and
@@ -82,62 +72,62 @@ type RouterOptions struct {
 // discarded as incoherent, so no response mixes generations even while
 // a two-phase flip is mid-flight. Around that coherence core it wraps
 // failover: per-replica circuit breakers with probe recovery, per-leg
-// deadlines, one hedged retry, a move to the next replica when a leg is
-// lost, and router-level admission shedding.
+// deadlines, one hedged retry, and a move to the next replica when a
+// leg is lost. Every route answers through a serve.Spine — admission
+// shedding, the panic barrier, the request registry and the one
+// writer, exactly as on a replica — without request budgets.
 type Router struct {
 	part       Partition
 	shards     []*shardState
 	gen        atomic.Int64
-	limiter    *serve.Limiter
+	spine      *serve.Spine
 	metrics    Metrics
-	mux        *http.ServeMux
 	after      serve.After
 	legTimeout time.Duration
 	hedgeAfter time.Duration
-	probeEvery int
 	life       serve.LifecycleOptions
 	rr         atomic.Uint64              // rotation cursor
 	flip       atomic.Pointer[FlipStatus] // coordinator's last report
 }
 
 // shardState is the router's per-replica state: the client plus a
-// mutex-wrapped circuit breaker (runner.Breaker is not goroutine-safe)
-// with probe-through recovery.
+// circuit breaker that opens after breakerFailures consecutive lost
+// legs, closes on any answer, and while open lets every
+// DefaultBreakerProbeEvery-th denied leg through as a probe.
 type shardState struct {
 	client ShardClient
 
-	mu      sync.Mutex
-	br      *runner.Breaker
-	denials int
+	mu       sync.Mutex
+	failures int // consecutive lost legs
+	denials  int // legs refused since the circuit opened
 }
 
-func (ss *shardState) allow(probeEvery int) bool {
+func (ss *shardState) allow() bool {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if ss.br.Allow() {
+	if ss.failures < breakerFailures {
 		return true
 	}
 	ss.denials++
-	return ss.denials%probeEvery == 0
+	return ss.denials%DefaultBreakerProbeEvery == 0
 }
 
 func (ss *shardState) success() {
 	ss.mu.Lock()
-	ss.br.Success()
-	ss.denials = 0
+	ss.failures, ss.denials = 0, 0
 	ss.mu.Unlock()
 }
 
 func (ss *shardState) failure() {
 	ss.mu.Lock()
-	ss.br.Failure()
+	ss.failures++
 	ss.mu.Unlock()
 }
 
 func (ss *shardState) open() bool {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	return ss.br.Open()
+	return ss.failures >= breakerFailures
 }
 
 // NewRouter assembles the fleet router.
@@ -146,42 +136,27 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		return nil, fmt.Errorf("fleet: %d shard clients for a %d-shard partition",
 			len(opts.Shards), opts.Partition.Shards)
 	}
-	rt := &Router{
-		part:       opts.Partition,
-		after:      opts.After,
-		legTimeout: opts.LegTimeout,
-		hedgeAfter: opts.HedgeAfter,
-		probeEvery: opts.BreakerProbeEvery,
-		life:       opts.Lifecycle,
-		mux:        http.NewServeMux(),
-	}
 	reqTimeout := opts.RequestTimeout
 	if reqTimeout <= 0 {
 		reqTimeout = DefaultRequestTimeout
 	}
-	if rt.legTimeout <= 0 {
-		rt.legTimeout = reqTimeout / 2
-	}
-	if rt.hedgeAfter <= 0 {
-		rt.hedgeAfter = rt.legTimeout / 4
-	}
-	if rt.probeEvery <= 0 {
-		rt.probeEvery = DefaultBreakerProbeEvery
+	rt := &Router{
+		part:       opts.Partition,
+		after:      opts.After,
+		legTimeout: reqTimeout / 2,
+		hedgeAfter: reqTimeout / 8,
+		life:       opts.Lifecycle,
 	}
 	if rt.after == nil {
 		rt.after = serve.TimerAfter
 	}
-	if opts.Admission != nil {
-		rt.limiter = serve.NewLimiter(*opts.Admission, rt.after)
-	}
+	rt.spine = serve.NewSpine(nil, opts.Admission, rt.after, nil)
+	rt.metrics.registry = rt.spine.Metrics()
 	for i, c := range opts.Shards {
 		c.Index = i
-		rt.shards = append(rt.shards, &shardState{
-			client: c,
-			br:     runner.NewBreaker(opts.BreakerThreshold),
-		})
+		rt.shards = append(rt.shards, &shardState{client: c})
 	}
-	rt.mux.HandleFunc("GET /v1/asn/{asn}", rt.handle(rt.handleASN))
+	rt.spine.Handle("GET /v1/asn/{asn}", true, rt.handleASN)
 	for _, pattern := range []string{
 		"GET /v1/country/{cc}",
 		"GET /v1/org/{id}",
@@ -193,21 +168,17 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 		"GET /v1/graph/path",
 		"GET /v1/hijacks",
 	} {
-		rt.mux.HandleFunc(pattern, rt.handle(func(r *http.Request) routerResponse {
+		rt.spine.Handle(pattern, true, func(r *http.Request) serve.Response {
 			return rt.forward(r, rt.next(), true)
-		}))
+		})
 	}
 	// ?from= and ?to= name the generations a diff compares, and diff
 	// answers carry no X-Generation to check a pin against.
-	rt.mux.HandleFunc("GET /v1/diff", rt.handle(func(r *http.Request) routerResponse {
+	rt.spine.Handle("GET /v1/diff", true, func(r *http.Request) serve.Response {
 		return rt.forward(r, rt.next(), false)
-	}))
-	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("GET /readyz", rt.handleReadyz)
-	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	rt.mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		serve.WriteError(w, http.StatusNotFound, fmt.Sprintf("no route for %s %s", r.Method, r.URL.Path))
 	})
+	rt.spine.Handle("GET /readyz", false, rt.handleReadyz)
+	rt.spine.Handle("GET /metrics", false, rt.handleMetrics)
 	return rt, nil
 }
 
@@ -219,15 +190,16 @@ func (rt *Router) Gen() int { return int(rt.gen.Load()) }
 // store: requests in flight keep their already-resolved pin.
 func (rt *Router) SetGen(gen int) { rt.gen.Store(int64(gen)) }
 
-// Metrics exposes the router's fleet accounting.
+// Metrics exposes the router's leg accounting; its snapshots also count
+// the /v1 reads in the spine's request registry.
 func (rt *Router) Metrics() *Metrics { return &rt.metrics }
 
 // setFlipStatus records the coordinator's latest flip report for
 // /readyz.
 func (rt *Router) setFlipStatus(st FlipStatus) { rt.flip.Store(&st) }
 
-// ServeHTTP routes one request.
-func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
+// ServeHTTP routes one request through the spine.
+func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.spine.ServeHTTP(w, r) }
 
 // Serve runs the router on ln with the hardened lifecycle until ctx is
 // canceled.
@@ -235,79 +207,14 @@ func (rt *Router) Serve(ctx context.Context, ln net.Listener) error {
 	return serve.ServeHandler(ctx, ln, rt, rt.life)
 }
 
-// routerResponse is a materialized router answer; handlers build one
-// and only the spine writes, mirroring the single-process server's
-// containment discipline.
-type routerResponse struct {
-	status       int
-	body         []byte
-	gen          string
-	shardsFailed []int
-	retryAfter   int
-}
-
-func errRouterResponse(status int, msg string) routerResponse {
-	body, _ := serve.JSONBody(serve.ErrorBody{Error: msg, Status: status})
-	return routerResponse{status: status, body: body}
-}
-
-// handle is the router's containment spine: admission shedding, panic
-// isolation, single-writer response emission.
-func (rt *Router) handle(fn func(*http.Request) routerResponse) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rt.metrics.requests.Add(1)
-		release, verdict := rt.limiter.Acquire(r.Context().Done())
-		if verdict != serve.Admitted {
-			rt.metrics.shed.Add(1)
-			resp := errRouterResponse(http.StatusServiceUnavailable, "router overloaded, retry later")
-			resp.retryAfter = rt.limiter.RetryAfterSeconds()
-			rt.write(w, resp)
-			return
-		}
-		defer release()
-		resp := func() (resp routerResponse) {
-			defer func() {
-				if p := recover(); p != nil {
-					resp = errRouterResponse(http.StatusInternalServerError, "internal error")
-				}
-			}()
-			return fn(r)
-		}()
-		rt.write(w, resp)
-	}
-}
-
-// write emits a materialized response.
-func (rt *Router) write(w http.ResponseWriter, resp routerResponse) {
-	w.Header().Set("Content-Type", "application/json")
-	if resp.gen != "" {
-		w.Header().Set(serve.GenerationHeader, resp.gen)
-	}
-	if len(resp.shardsFailed) > 0 {
-		parts := make([]string, len(resp.shardsFailed))
-		for i, s := range resp.shardsFailed {
-			parts[i] = strconv.Itoa(s)
-		}
-		w.Header().Set(ShardsFailedHeader, strings.Join(parts, ","))
-	}
-	if resp.retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(resp.retryAfter))
-	}
-	w.WriteHeader(resp.status)
-	_, _ = w.Write(resp.body)
-}
-
 // --- leg fetching ----------------------------------------------------------
 
 // leg is one replica's answer to a read: either a response (status,
 // body, generation, Retry-After) or a transport-level error.
 type leg struct {
-	shard      int
-	status     int
-	body       []byte
-	gen        string
-	retryAfter int
-	err        error
+	shard int
+	resp  serve.Response
+	err   error
 }
 
 // doGet runs one HTTP attempt against a replica.
@@ -316,15 +223,15 @@ func (rt *Router) doGet(ctx context.Context, shard int, path string) leg {
 	if err != nil {
 		return leg{shard: shard, err: err}
 	}
-	l := leg{
-		shard:  shard,
-		status: resp.StatusCode,
-		body:   body,
-		gen:    resp.Header.Get(serve.GenerationHeader),
-	}
+	l := leg{shard: shard, resp: serve.Response{
+		Status:      resp.StatusCode,
+		ContentType: "application/json",
+		Body:        body,
+		Gen:         resp.Header.Get(serve.GenerationHeader),
+	}}
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		if n, err := strconv.Atoi(ra); err == nil {
-			l.retryAfter = n
+			l.resp.RetryAfter = n
 		}
 	}
 	return l
@@ -339,7 +246,7 @@ func (rt *Router) doGet(ctx context.Context, shard int, path string) leg {
 func (rt *Router) fetchLeg(ctx context.Context, shard int, path string) leg {
 	rt.metrics.legs.Add(1)
 	ss := rt.shards[shard]
-	if !ss.allow(rt.probeEvery) {
+	if !ss.allow() {
 		rt.metrics.breakerDenials.Add(1)
 		rt.metrics.legFailures.Add(1)
 		return leg{shard: shard, err: errBreakerOpen}
@@ -407,7 +314,7 @@ func (rt *Router) next() int { return int(rt.rr.Add(1) % uint64(len(rt.shards)))
 // holds the ASN, so each replica's response cache warms on its own
 // range. A malformed ASN has no range; the replica it rotates to
 // answers the 400.
-func (rt *Router) handleASN(r *http.Request) routerResponse {
+func (rt *Router) handleASN(r *http.Request) serve.Response {
 	n, err := strconv.ParseUint(r.PathValue("asn"), 10, 32)
 	if err != nil {
 		return rt.forward(r, rt.next(), true)
@@ -431,7 +338,7 @@ func (rt *Router) handleASN(r *http.Request) routerResponse {
 // so the first such 404 is returned only when no replica does better.
 // Every other answer, 404s included, is the fleet's answer. When every
 // replica is lost: 503 naming them, with the largest Retry-After.
-func (rt *Router) forward(r *http.Request, start int, pinned bool) routerResponse {
+func (rt *Router) forward(r *http.Request, start int, pinned bool) serve.Response {
 	query, pin := r.URL.RawQuery, ""
 	if _, named := r.URL.Query()["gen"]; pinned && !named {
 		pin = strconv.Itoa(rt.Gen())
@@ -447,7 +354,7 @@ func (rt *Router) forward(r *http.Request, start int, pinned bool) routerRespons
 	graph := strings.HasPrefix(r.URL.Path, "/v1/graph/")
 
 	var failed []int
-	var miss *leg
+	var miss *serve.Response
 	retryAfter := 1
 	for i := range rt.shards {
 		if r.Context().Err() != nil {
@@ -457,34 +364,34 @@ func (rt *Router) forward(r *http.Request, start int, pinned bool) routerRespons
 		l := rt.fetchLeg(r.Context(), shard, path)
 		switch {
 		case l.err != nil:
-		case l.status == http.StatusServiceUnavailable:
-			retryAfter = max(retryAfter, l.retryAfter)
-		case l.status == http.StatusOK && pin != "" && l.gen != pin:
-		case l.status == http.StatusNotFound && (l.gen == "" || graph):
+		case l.resp.Status == http.StatusServiceUnavailable:
+			retryAfter = max(retryAfter, l.resp.RetryAfter)
+		case l.resp.Status == http.StatusOK && pin != "" && l.resp.Gen != pin:
+		case l.resp.Status == http.StatusNotFound && (l.resp.Gen == "" || graph):
 			if miss == nil {
-				miss = &l
+				miss = &l.resp
 			}
 			continue
 		default:
-			return routerResponse{status: l.status, body: l.body, gen: l.gen, retryAfter: l.retryAfter}
+			return l.resp
 		}
 		failed = append(failed, shard)
 	}
 	if miss != nil {
-		return routerResponse{status: miss.status, body: miss.body, gen: miss.gen}
+		return *miss
 	}
 	sort.Ints(failed) // rotation order is arbitrary; the wire contract is ascending
-	resp := errRouterResponse(http.StatusServiceUnavailable, "all replicas unavailable")
-	resp.shardsFailed = failed
-	resp.retryAfter = retryAfter
+	names := make([]string, len(failed))
+	for i, shard := range failed {
+		names[i] = strconv.Itoa(shard)
+	}
+	resp := serve.ErrorResponse(http.StatusServiceUnavailable, "all replicas unavailable")
+	resp.ShardsFailed = strings.Join(names, ",")
+	resp.RetryAfter = retryAfter
 	return resp
 }
 
 // --- ops endpoints ---------------------------------------------------------
-
-func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	serve.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
 
 // RouterStatus is the /readyz body: the committed fleet generation, the
 // partition, per-replica breaker state and the coordinator's latest
@@ -496,7 +403,7 @@ type RouterStatus struct {
 	Flip         *FlipStatus `json:"flip,omitempty"`
 }
 
-func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
+func (rt *Router) handleReadyz(*http.Request) serve.Response {
 	st := RouterStatus{Gen: rt.Gen(), Partition: rt.part, Flip: rt.flip.Load()}
 	for i, ss := range rt.shards {
 		if ss.open() {
@@ -509,18 +416,21 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if len(st.BreakersOpen) == len(rt.shards) && len(rt.shards) > 0 {
 		status = http.StatusServiceUnavailable
 	}
-	serve.WriteJSON(w, status, st)
+	return serve.JSONResponse(status, st)
 }
 
-// RouterMetrics is the /metrics body.
+// RouterMetrics is the /metrics body: the spine's request registry,
+// the router's admission accounting and the fleet leg block.
 type RouterMetrics struct {
-	Fleet     MetricsSnapshot      `json:"fleet"`
+	serve.RequestStats
 	Admission serve.AdmissionStats `json:"admission"`
+	Fleet     MetricsSnapshot      `json:"fleet"`
 }
 
-func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	serve.WriteJSON(w, http.StatusOK, RouterMetrics{
-		Fleet:     rt.metrics.Snapshot(),
-		Admission: rt.limiter.Stats(),
+func (rt *Router) handleMetrics(*http.Request) serve.Response {
+	return serve.JSONResponse(http.StatusOK, RouterMetrics{
+		RequestStats: rt.spine.Metrics().Snapshot(),
+		Admission:    rt.spine.AdmissionStats(),
+		Fleet:        rt.metrics.Snapshot(),
 	})
 }

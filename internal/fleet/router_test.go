@@ -89,8 +89,8 @@ func (tf *testFleet) matchesSingle(t *testing.T, single http.Handler, paths []st
 		if g, w := got.Header().Get(serve.GenerationHeader), want.Header().Get(serve.GenerationHeader); g != w {
 			t.Fatalf("%d replicas, %s: GET %s X-Generation %q, single %q", len(tf.shards), stage, path, g, w)
 		}
-		if h := got.Header().Get(ShardsFailedHeader); h != "" {
-			t.Fatalf("%d replicas, %s: GET %s answered with %s %q", len(tf.shards), stage, path, ShardsFailedHeader, h)
+		if h := got.Header().Get(serve.ShardsFailedHeader); h != "" {
+			t.Fatalf("%d replicas, %s: GET %s answered with %s %q", len(tf.shards), stage, path, serve.ShardsFailedHeader, h)
 		}
 	}
 }
@@ -147,8 +147,8 @@ func TestRouterAllShardsLost(t *testing.T) {
 		if rec.Code != http.StatusServiceUnavailable {
 			t.Fatalf("%s with all shards down: %d %s", path, rec.Code, rec.Body.String())
 		}
-		if h := rec.Header().Get(ShardsFailedHeader); h != "0,1" {
-			t.Fatalf("%s: %s = %q, want \"0,1\"", path, ShardsFailedHeader, h)
+		if h := rec.Header().Get(serve.ShardsFailedHeader); h != "0,1" {
+			t.Fatalf("%s: %s = %q, want \"0,1\"", path, serve.ShardsFailedHeader, h)
 		}
 		if ra := rec.Header().Get("Retry-After"); ra == "" {
 			t.Fatalf("%s: shed without Retry-After", path)
@@ -198,8 +198,8 @@ func TestRouterRetryAfterPropagation(t *testing.T) {
 	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), healthy.Body.Bytes()) {
 		t.Fatalf("read with replica 1 shedding: %d %s", rec.Code, rec.Body.String())
 	}
-	if h := rec.Header().Get(ShardsFailedHeader); h != "" {
-		t.Fatalf("failed-over 200 carries %s %q", ShardsFailedHeader, h)
+	if h := rec.Header().Get(serve.ShardsFailedHeader); h != "" {
+		t.Fatalf("failed-over 200 carries %s %q", serve.ShardsFailedHeader, h)
 	}
 	if tf.router.shards[1].open() {
 		t.Fatal("a replica-side 503 opened the breaker — back-pressure is not replica death")
@@ -213,8 +213,8 @@ func TestRouterRetryAfterPropagation(t *testing.T) {
 	if ra := rec.Header().Get("Retry-After"); ra != "7" {
 		t.Fatalf("Retry-After = %q, want the largest replica hint \"7\"", ra)
 	}
-	if h := rec.Header().Get(ShardsFailedHeader); h != "0,1" {
-		t.Fatalf("%s = %q, want \"0,1\"", ShardsFailedHeader, h)
+	if h := rec.Header().Get(serve.ShardsFailedHeader); h != "0,1" {
+		t.Fatalf("%s = %q, want \"0,1\"", serve.ShardsFailedHeader, h)
 	}
 }
 
@@ -250,8 +250,8 @@ func TestRouterIncoherentLegRejected(t *testing.T) {
 
 	tf.transport.setIntercept(tearing("shard0", "shard1"))
 	rec = tf.get(path)
-	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get(ShardsFailedHeader) != "0,1" {
-		t.Fatalf("every leg incoherent: %d %q %s", rec.Code, rec.Header().Get(ShardsFailedHeader), rec.Body.String())
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get(serve.ShardsFailedHeader) != "0,1" {
+		t.Fatalf("every leg incoherent: %d %q %s", rec.Code, rec.Header().Get(serve.ShardsFailedHeader), rec.Body.String())
 	}
 }
 
@@ -313,20 +313,17 @@ func TestRouterNotHeldMovesOn(t *testing.T) {
 // next replica), every Nth denial probes through, and a successful
 // probe closes the circuit.
 func TestRouterBreakerOpensAndProbes(t *testing.T) {
-	tf := buildFleet(t, fleetConfig{
-		shards: 2,
-		routerOpt: func(o *RouterOptions) {
-			o.BreakerThreshold = 2
-			o.BreakerProbeEvery = 3
-		},
-	})
+	tf := buildFleet(t, fleetConfig{shards: 2})
 	asn1 := tf.asnOnShard(t, 1) // starts at replica 1
 	tf.transport.setDown("shard1", true)
 
-	// Two failed legs (each fetchLeg records one failure after its hedge
-	// also dies) trip the threshold-2 breaker; replica 0 answers both
-	// reads.
-	for i := 0; i < 2; i++ {
+	// breakerFailures failed legs (each fetchLeg records one failure
+	// after its hedge also dies) trip the breaker; replica 0 answers
+	// every read.
+	for i := 0; i < breakerFailures; i++ {
+		if tf.router.shards[1].open() {
+			t.Fatalf("breaker open after %d failures, threshold %d", i, breakerFailures)
+		}
 		if rec := tf.get(asnPath(asn1)); rec.Code != http.StatusOK {
 			t.Fatalf("request %d against down replica: %d", i, rec.Code)
 		}
@@ -336,20 +333,21 @@ func TestRouterBreakerOpensAndProbes(t *testing.T) {
 	}
 
 	// The replica recovers, but the breaker doesn't know yet: the next
-	// two legs to it are denied without touching the transport (replica
-	// 0 answers), and the third denial probes through, succeeds, and
-	// closes the circuit.
+	// legs to it are denied without touching the transport (replica 0
+	// answers), and the DefaultBreakerProbeEvery-th denial probes
+	// through, succeeds, and closes the circuit.
 	tf.transport.setDown("shard1", false)
 	before := tf.router.Metrics().Snapshot()
-	for i := 0; i < 2; i++ {
+	const denied = DefaultBreakerProbeEvery - 1
+	for i := 0; i < denied; i++ {
 		if rec := tf.get(asnPath(asn1)); rec.Code != http.StatusOK {
 			t.Fatalf("denied request %d: %d, want a failed-over 200", i, rec.Code)
 		}
 	}
 	m := tf.router.Metrics().Snapshot()
-	if m.BreakerDenials != before.BreakerDenials+2 || m.Legs != before.Legs+4 {
+	if m.BreakerDenials != before.BreakerDenials+denied || m.Legs != before.Legs+2*denied {
 		t.Fatalf("breaker denials %d and legs %d, want %d and %d",
-			m.BreakerDenials, m.Legs, before.BreakerDenials+2, before.Legs+4)
+			m.BreakerDenials, m.Legs, before.BreakerDenials+denied, before.Legs+2*denied)
 	}
 	if rec := tf.get(asnPath(asn1)); rec.Code != http.StatusOK {
 		t.Fatalf("probe request: %d, want 200", rec.Code)
@@ -401,9 +399,11 @@ func TestRouterHedgeOnTransportError(t *testing.T) {
 // duplicated when the hedge timer fires, and the duplicate's answer
 // serves the request while the stalled attempt is abandoned.
 func TestRouterHedgeOnSlowLeg(t *testing.T) {
+	// The hedge fires after an eighth of the request timeout, the leg
+	// deadline after half of it.
 	const (
-		hedgeAfter = 1 * time.Second
-		legTimeout = 2 * time.Second
+		requestTimeout = 8 * time.Second
+		hedgeAfter     = requestTimeout / 8
 	)
 	hedgeCh := make(chan time.Time)
 	stall := make(chan struct{})   // holds the first attempt open
@@ -413,8 +413,7 @@ func TestRouterHedgeOnSlowLeg(t *testing.T) {
 	tf := buildFleet(t, fleetConfig{
 		shards: 2,
 		routerOpt: func(o *RouterOptions) {
-			o.HedgeAfter = hedgeAfter
-			o.LegTimeout = legTimeout
+			o.RequestTimeout = requestTimeout
 			o.After = func(d time.Duration) (<-chan time.Time, func() bool) {
 				if d == hedgeAfter {
 					return hedgeCh, noStop
@@ -459,9 +458,10 @@ func TestRouterHedgeOnSlowLeg(t *testing.T) {
 }
 
 // TestRouterAdmissionShed proves pillar three at the router: with
-// MaxInFlight 1 and no queue, a second concurrent request is shed with
-// 503 + Retry-After while the first (wedged in a shard call) still
-// completes normally.
+// MaxInFlight 1 and no queue, a second concurrent request is shed by
+// the spine with serve's 503 envelope + Retry-After, counted in the
+// registry's shed_total, while the first (wedged in a shard call)
+// still completes normally.
 func TestRouterAdmissionShed(t *testing.T) {
 	tf := buildFleet(t, fleetConfig{
 		shards: 2,
@@ -495,28 +495,35 @@ func TestRouterAdmissionShed(t *testing.T) {
 	if ra := rec.Header().Get("Retry-After"); ra != "1" {
 		t.Fatalf("shed Retry-After = %q, want \"1\"", ra)
 	}
-	if !strings.Contains(rec.Body.String(), "router overloaded") {
-		t.Fatalf("shed body: %s", rec.Body.String())
+	var eb serve.ErrorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Status != http.StatusServiceUnavailable || eb.Error == "" {
+		t.Fatalf("shed body %q is not the 503 envelope (err %v)", rec.Body.String(), err)
 	}
 
 	close(wedge)
 	if code := <-first; code != http.StatusOK {
 		t.Fatalf("admitted request: %d", code)
 	}
-	if m := tf.router.Metrics().Snapshot(); m.Shed != 1 {
-		t.Fatalf("shed metric %d, want 1", m.Shed)
+	var m RouterMetrics
+	if err := json.Unmarshal(tf.get("/metrics").Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.ShedTotal != 1 || m.Admission.ShedQueueFull != 1 {
+		t.Fatalf("shed_total %d, admission %+v, want one shed", m.ShedTotal, m.Admission)
 	}
 }
 
 // TestRouterOpsEndpoints proves the ops surface: healthz is
 // unconditional, readyz reports the fleet generation and degrades to
-// 503 only when every breaker is open, metrics returns the fleet and
-// admission snapshots, and unknown routes get the JSON error envelope.
+// 503 only when every breaker is open, metrics returns the spine's
+// registry beside the admission and fleet leg blocks, and unknown
+// routes get the JSON error envelope.
 func TestRouterOpsEndpoints(t *testing.T) {
-	tf := buildFleet(t, fleetConfig{
-		shards:    2,
-		routerOpt: func(o *RouterOptions) { o.BreakerThreshold = 1 },
-	})
+	tf := buildFleet(t, fleetConfig{shards: 2})
+	asn := tf.asnOnShard(t, 0)
+	if rec := tf.get(asnPath(asn)); rec.Code != http.StatusOK {
+		t.Fatalf("read: %d", rec.Code)
+	}
 
 	if rec := tf.get("/healthz"); rec.Code != http.StatusOK {
 		t.Fatalf("healthz: %d", rec.Code)
@@ -541,6 +548,33 @@ func TestRouterOpsEndpoints(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
 		t.Fatal(err)
 	}
+	var asnRow *serve.EndpointSnapshot
+	for i := range m.Endpoints {
+		if m.Endpoints[i].Endpoint == "/v1/asn" {
+			asnRow = &m.Endpoints[i]
+		}
+	}
+	if asnRow == nil || asnRow.Requests != 1 || asnRow.ByStatus["200"] != 1 || m.Fleet.Legs != 1 {
+		t.Fatalf("/metrics registry row %+v, fleet block %+v", asnRow, m.Fleet)
+	}
+	var top, fleetBlock map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &top); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(top["fleet"], &fleetBlock); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"in_flight", "requests", "endpoints", "shed_total", "shed_fraction",
+		"deadline_exceeded_total", "panics_total", "admission", "fleet"} {
+		if _, ok := top[k]; !ok {
+			t.Errorf("/metrics lacks %q", k)
+		}
+	}
+	for _, k := range []string{"requests_total", "shed_total"} {
+		if _, ok := fleetBlock[k]; ok {
+			t.Errorf("/metrics fleet block still carries %q", k)
+		}
+	}
 
 	rec = tf.get("/v2/nope")
 	if rec.Code != http.StatusNotFound {
@@ -551,12 +585,14 @@ func TestRouterOpsEndpoints(t *testing.T) {
 		t.Fatalf("unknown-route body %q (err %v)", rec.Body.String(), err)
 	}
 
-	// Kill both replicas; threshold 1 opens both breakers after one read
-	// fails over across them, and readyz goes unready.
+	// Kill both replicas; every read fails over across both, so
+	// breakerFailures reads open both breakers, and readyz goes unready.
 	tf.transport.setDown("shard0", true)
 	tf.transport.setDown("shard1", true)
 	cc := tf.shards[0].Store().Current().World.Countries[0]
-	tf.get("/v1/country/" + cc)
+	for i := 0; i < breakerFailures; i++ {
+		tf.get("/v1/country/" + cc)
+	}
 	rec = tf.get("/readyz")
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz with every breaker open: %d %s", rec.Code, rec.Body.String())

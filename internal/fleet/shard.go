@@ -63,7 +63,7 @@ type StageAck struct {
 // generation) — so replicas need no state transfer, only agreement on
 // the generation number — one data plane serving the whole generation
 // exactly as a single-process server does, and the two-phase control
-// plane the coordinator drives.
+// plane the coordinator drives, registered on the data plane's spine.
 type ShardServer struct {
 	store *snapshot.Store
 	part  Partition
@@ -76,8 +76,17 @@ type ShardServer struct {
 // NewShardServer assembles replica `index` of the fleet over a built
 // snapshot store. The partition carves nothing; the replica reports it
 // on /fleet/status for Bootstrap's cross-check. The serve options
-// configure the data plane (admission, deadlines, cache).
+// configure the data plane (admission, deadlines, cache); the control
+// plane answers through the same spine, outside admission control and
+// without deadlines — a stage call builds a whole generation.
 func NewShardServer(store *snapshot.Store, part Partition, index int, opts serve.Options) *ShardServer {
+	return newShardServer(store, store.Source(), part, index, opts)
+}
+
+// newShardServer is NewShardServer with the data plane answering from
+// src, a view of the store's source (tests wrap it to wedge a
+// data-plane request).
+func newShardServer(store *snapshot.Store, src serve.Source, part Partition, index int, opts serve.Options) *ShardServer {
 	if index < 0 || index >= part.Shards {
 		panic(fmt.Sprintf("fleet: shard index %d out of range [0, %d)", index, part.Shards))
 	}
@@ -85,23 +94,25 @@ func NewShardServer(store *snapshot.Store, part Partition, index int, opts serve
 		store: store,
 		part:  part,
 		index: index,
-		data:  serve.NewDynamic(store.Source(), opts),
+		data:  serve.NewDynamic(src, opts),
 		mux:   http.NewServeMux(),
 		life:  serve.LifecycleOptions{DrainTimeout: opts.DrainTimeout},
 	}
 	// A generation leaving the retention ring takes its cached responses
 	// with it.
 	store.OnEvict(sh.data.InvalidateGeneration)
-	sh.mux.HandleFunc("POST "+StagePath, sh.handleStage)
-	sh.mux.HandleFunc("POST "+CommitPath, sh.handleCommit)
-	sh.mux.HandleFunc("POST "+AbortPath, sh.handleAbort)
-	sh.mux.HandleFunc("GET "+StatusPath, sh.handleStatus)
+	sh.data.Handle("POST "+StagePath, false, sh.handleStage)
+	sh.data.Handle("POST "+CommitPath, false, sh.handleCommit)
+	sh.data.Handle("POST "+AbortPath, false, sh.handleAbort)
+	sh.data.Handle("GET "+StatusPath, false, func(*http.Request) serve.Response {
+		return serve.JSONResponse(http.StatusOK, sh.Status())
+	})
 	sh.mux.Handle(FullPrefix+"/", http.StripPrefix(FullPrefix, sh.data))
 	sh.mux.Handle("/", sh.data)
 	return sh
 }
 
-// ServeHTTP dispatches between the control plane and the data plane.
+// ServeHTTP dispatches between the /full alias and the spine.
 func (sh *ShardServer) ServeHTTP(w http.ResponseWriter, r *http.Request) { sh.mux.ServeHTTP(w, r) }
 
 // Serve runs the shard on ln with the hardened server lifecycle until
@@ -143,53 +154,44 @@ func genParam(r *http.Request) (int, error) {
 // can serve gen and awaits commit"; a 409 means the gate quarantined
 // the build (the body carries the reason) and the coordinator must
 // abort the flip fleet-wide.
-func (sh *ShardServer) handleStage(w http.ResponseWriter, r *http.Request) {
+func (sh *ShardServer) handleStage(r *http.Request) serve.Response {
 	gen, err := genParam(r)
 	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, err.Error())
-		return
+		return serve.ErrorResponse(http.StatusBadRequest, err.Error())
 	}
 	if err := sh.store.Stage(gen); err != nil {
-		serve.WriteError(w, http.StatusConflict, err.Error())
-		return
+		return serve.ErrorResponse(http.StatusConflict, err.Error())
 	}
-	serve.WriteJSON(w, http.StatusOK, StageAck{
-		Shard: sh.index, Gen: gen, Live: sh.store.Current().Gen, Done: true,
-	})
+	return sh.ack(gen, true)
 }
 
 // handleCommit is phase two: publish the staged generation with one
 // atomic swap. Idempotent — re-committing an already-live generation
 // acks — so a coordinator retrying after a lost ack converges.
-func (sh *ShardServer) handleCommit(w http.ResponseWriter, r *http.Request) {
+func (sh *ShardServer) handleCommit(r *http.Request) serve.Response {
 	gen, err := genParam(r)
 	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, err.Error())
-		return
+		return serve.ErrorResponse(http.StatusBadRequest, err.Error())
 	}
 	if _, err := sh.store.Commit(gen); err != nil {
-		serve.WriteError(w, http.StatusConflict, err.Error())
-		return
+		return serve.ErrorResponse(http.StatusConflict, err.Error())
 	}
-	serve.WriteJSON(w, http.StatusOK, StageAck{
-		Shard: sh.index, Gen: gen, Live: sh.store.Current().Gen, Done: true,
-	})
+	return sh.ack(gen, true)
 }
 
 // handleAbort discards a staged generation; the fleet keeps serving the
 // live one. Always acks: aborting nothing is not an error.
-func (sh *ShardServer) handleAbort(w http.ResponseWriter, r *http.Request) {
+func (sh *ShardServer) handleAbort(r *http.Request) serve.Response {
 	gen, err := genParam(r)
 	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, err.Error())
-		return
+		return serve.ErrorResponse(http.StatusBadRequest, err.Error())
 	}
-	dropped := sh.store.AbortStage(gen)
-	serve.WriteJSON(w, http.StatusOK, StageAck{
-		Shard: sh.index, Gen: gen, Live: sh.store.Current().Gen, Done: dropped,
-	})
+	return sh.ack(gen, sh.store.AbortStage(gen))
 }
 
-func (sh *ShardServer) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	serve.WriteJSON(w, http.StatusOK, sh.Status())
+// ack is the 200 answer to a control order on generation gen.
+func (sh *ShardServer) ack(gen int, done bool) serve.Response {
+	return serve.JSONResponse(http.StatusOK, StageAck{
+		Shard: sh.index, Gen: gen, Live: sh.store.Current().Gen, Done: done,
+	})
 }

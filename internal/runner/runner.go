@@ -1,9 +1,8 @@
 // Package runner is the degradation-aware execution substrate for the
-// pipeline: retry with deterministic backoff for transient faults,
-// per-source circuit breakers that trip a repeatedly failing source into
-// "unavailable", and a structured Health report recording per-source
-// status, records lost or quarantined, retries spent and stages that ran
-// degraded. The contract it enforces is the production one: the pipeline
+// pipeline: retry with deterministic backoff for transient faults, a
+// source whose attempts run out tripped into "unavailable", and a
+// structured Health report recording per-source status, records lost
+// or quarantined, retries spent and stages that ran degraded. The contract it enforces is the production one: the pipeline
 // completes on whatever sources survive, reports what it lost, and never
 // panics.
 //
@@ -75,35 +74,6 @@ func (b Backoff) Delay(attempt int) int {
 	}
 	return min(d, limit)
 }
-
-// Breaker is a per-source circuit breaker: after Threshold consecutive
-// failures the circuit opens and the source is treated as unavailable;
-// any success closes it again.
-type Breaker struct {
-	Threshold int
-	failures  int
-}
-
-// NewBreaker returns a breaker that opens after threshold consecutive
-// failures (<=0 selects the default of 4).
-func NewBreaker(threshold int) *Breaker {
-	if threshold <= 0 {
-		threshold = 4
-	}
-	return &Breaker{Threshold: threshold}
-}
-
-// Allow reports whether another attempt may be made.
-func (b *Breaker) Allow() bool { return b.failures < b.Threshold }
-
-// Open reports whether the circuit has tripped.
-func (b *Breaker) Open() bool { return !b.Allow() }
-
-// Success records a successful attempt, closing the circuit.
-func (b *Breaker) Success() { b.failures = 0 }
-
-// Failure records one failed attempt.
-func (b *Breaker) Failure() { b.failures++ }
 
 // SourceHealth is one data source's row of the Health report.
 type SourceHealth struct {
@@ -385,30 +355,28 @@ func (h *Health) RenderTimings() string {
 }
 
 // Do executes one substrate build under the hardened contract: up to
-// Backoff.MaxAttempts attempts, retrying only transient failures, with
-// the breaker consulted before every attempt. On success it returns
-// (value, true); when the breaker trips or a permanent error occurs it
-// records the source as unavailable and returns (zero, false) — the
-// caller degrades gracefully instead of propagating the failure.
-func Do[T any](h *Health, br *Breaker, bo Backoff, source string, build func(attempt int) (T, error)) (T, bool) {
+// Backoff.MaxAttempts attempts, retrying only transient failures. On
+// success it returns (value, true); when the attempts run out or a
+// permanent error occurs it records the source as unavailable and
+// returns (zero, false) — the caller degrades gracefully instead of
+// propagating the failure.
+func Do[T any](h *Health, bo Backoff, source string, build func(attempt int) (T, error)) (T, bool) {
 	sh := h.Source(source)
 	var zero T
-	for attempt := 1; attempt <= bo.MaxAttempts && br.Allow(); attempt++ {
+	for attempt := 1; attempt <= bo.MaxAttempts; attempt++ {
 		sh.Attempts = attempt
 		v, err := build(attempt)
 		if err == nil {
-			br.Success()
 			if sh.Retries > 0 {
 				sh.degrade(Degraded)
 			}
 			return v, true
 		}
-		br.Failure()
 		sh.LastError = err.Error()
 		if !faults.IsTransient(err) {
 			break
 		}
-		if attempt < bo.MaxAttempts && br.Allow() {
+		if attempt < bo.MaxAttempts {
 			sh.Retries++
 			sh.BackoffUnits += bo.Delay(attempt)
 		}

@@ -10,7 +10,7 @@ import (
 
 func TestDoSucceedsFirstAttempt(t *testing.T) {
 	h := NewHealth(0)
-	v, ok := Do(h, NewBreaker(0), DefaultBackoff(), "geo", func(int) (int, error) { return 7, nil })
+	v, ok := Do(h, DefaultBackoff(), "geo", func(int) (int, error) { return 7, nil })
 	if !ok || v != 7 {
 		t.Fatalf("Do = (%v, %v), want (7, true)", v, ok)
 	}
@@ -23,7 +23,7 @@ func TestDoSucceedsFirstAttempt(t *testing.T) {
 func TestDoRetriesTransientThenRecovers(t *testing.T) {
 	h := NewHealth(0.3)
 	calls := 0
-	v, ok := Do(h, NewBreaker(0), DefaultBackoff(), "orbis", func(attempt int) (string, error) {
+	v, ok := Do(h, DefaultBackoff(), "orbis", func(attempt int) (string, error) {
 		calls++
 		if attempt <= 2 {
 			return "", &faults.TransientError{Source: "orbis", Attempt: attempt}
@@ -51,9 +51,8 @@ func TestDoRetriesTransientThenRecovers(t *testing.T) {
 
 func TestDoTripsBreakerOnPersistentTimeouts(t *testing.T) {
 	h := NewHealth(0.9)
-	br := NewBreaker(0)
 	calls := 0
-	_, ok := Do(h, br, DefaultBackoff(), "orbis", func(attempt int) (int, error) {
+	_, ok := Do(h, DefaultBackoff(), "orbis", func(attempt int) (int, error) {
 		calls++
 		return 0, &faults.TransientError{Source: "orbis", Attempt: attempt}
 	})
@@ -62,9 +61,6 @@ func TestDoTripsBreakerOnPersistentTimeouts(t *testing.T) {
 	}
 	if calls != DefaultBackoff().MaxAttempts {
 		t.Errorf("build called %d times, want %d", calls, DefaultBackoff().MaxAttempts)
-	}
-	if !br.Open() {
-		t.Error("breaker not open after exhausting attempts")
 	}
 	if h.Source("orbis").Status != Unavailable {
 		t.Error("source not marked unavailable")
@@ -77,24 +73,12 @@ func TestDoTripsBreakerOnPersistentTimeouts(t *testing.T) {
 func TestDoStopsOnPermanentError(t *testing.T) {
 	h := NewHealth(0)
 	calls := 0
-	_, ok := Do(h, NewBreaker(0), DefaultBackoff(), "whois", func(int) (int, error) {
+	_, ok := Do(h, DefaultBackoff(), "whois", func(int) (int, error) {
 		calls++
 		return 0, errors.New("schema violation")
 	})
 	if ok || calls != 1 {
 		t.Fatalf("permanent error retried: ok=%v calls=%d", ok, calls)
-	}
-}
-
-func TestDoRespectsOpenBreaker(t *testing.T) {
-	h := NewHealth(0)
-	br := NewBreaker(2)
-	br.Failure()
-	br.Failure()
-	calls := 0
-	_, ok := Do(h, br, DefaultBackoff(), "geo", func(int) (int, error) { calls++; return 1, nil })
-	if ok || calls != 0 {
-		t.Fatalf("open breaker still admitted attempts: ok=%v calls=%d", ok, calls)
 	}
 }
 

@@ -88,8 +88,8 @@ func TestAddMemoPanics(t *testing.T) {
 }
 
 // TestRunMemoNilPrevMatchesRun: with no prior memo every node is dirty,
-// so RunMemo behaves exactly like Run and the returned memo captures
-// every memoizable node.
+// so RunMemo is the full build — every node runs once — and the
+// returned memo captures every node.
 func TestRunMemoNilPrevMatchesRun(t *testing.T) {
 	fps := [3]Fingerprint{testFP("a"), testFP("b"), testFP("c")}
 	m := newMemoGraph(fps)

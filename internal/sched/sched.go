@@ -1,16 +1,17 @@
 // Package sched is the deterministic build-graph scheduler the pipeline
 // runs its substrate builds on. A Graph declares the dependency DAG
-// explicitly — every node names the nodes it needs — and Run executes
-// ready nodes on a bounded worker pool. Determinism is the design
-// constraint the whole package bends around:
+// explicitly — every node names the nodes it needs — and RunMemo
+// executes ready nodes on a bounded worker pool, restoring clean nodes
+// from the previous run's memo. Determinism is the design constraint
+// the whole package bends around:
 //
 //   - dependencies must already be declared when a node is added, so
 //     cycles are unrepresentable and declaration order is a topological
 //     order — the canonical serial execution order;
-//   - the ready queue is ordered by declaration index, so Run(1)
+//   - the ready queue is ordered by declaration index, so one worker
 //     executes nodes in exactly that serial order on the calling
-//     goroutine, and Run(n) merely overlaps independent nodes without
-//     changing what any node computes;
+//     goroutine, and n workers merely overlap independent nodes
+//     without changing what any node computes;
 //   - every node runs behind a panic guard, so a panicking build on a
 //     pool goroutine is contained as a node error instead of killing
 //     the process (a recover in the caller cannot reach a goroutine's
@@ -51,8 +52,8 @@ func (e *PanicError) Error() string {
 // the error (or guarded panic) it produced. Wall times are measurement,
 // not simulation — they vary run to run and must never feed back into
 // pipeline output. Reused marks a node whose artifact was restored from
-// the previous run's memo instead of being rebuilt (RunMemo only); like
-// Wall it is metadata and must never feed back into output.
+// the previous run's memo instead of being rebuilt; like Wall it is
+// metadata and must never feed back into output.
 type NodeResult struct {
 	Name   string
 	Wall   time.Duration
@@ -80,12 +81,12 @@ type node struct {
 	name string
 	fn   func() error
 	deps []int
-	memo *MemoSpec
+	memo MemoSpec
 }
 
-// Graph is a build DAG under construction. Declare nodes with Add, then
-// execute with Run. A Graph is not safe for concurrent mutation; Run
-// may be called once the graph is fully declared.
+// Graph is a build DAG under construction. Declare nodes with AddMemo,
+// then execute with RunMemo. A Graph is not safe for concurrent
+// mutation; RunMemo may be called once the graph is fully declared.
 type Graph struct {
 	nodes  []node
 	byName map[string]int
@@ -94,18 +95,26 @@ type Graph struct {
 // New returns an empty graph.
 func New() *Graph { return &Graph{byName: map[string]int{}} }
 
-// Add declares a node computing fn after all deps. Dependencies must
-// already be declared: that makes cycles unrepresentable by
-// construction and declaration order a topological order. Add panics on
-// a duplicate name, a nil fn, or an undeclared dependency — the graph
-// is static program structure, so these are programming errors, not
-// runtime conditions.
-func (g *Graph) Add(name string, fn func() error, deps ...string) {
+// AddMemo declares a node computing fn after all deps, with the
+// MemoSpec that lets RunMemo skip it when its input fingerprint is
+// unchanged from the previous run. Dependencies must already be
+// declared: that makes cycles unrepresentable by construction and
+// declaration order a topological order. AddMemo panics on a duplicate
+// name, a nil fn, an undeclared dependency, a zero fingerprint or a
+// nil Capture/Restore — the graph is static program structure, so
+// these are programming errors, not runtime conditions.
+func (g *Graph) AddMemo(name string, spec MemoSpec, fn func() error, deps ...string) {
 	if _, dup := g.byName[name]; dup {
 		panic(fmt.Sprintf("sched: duplicate node %q", name))
 	}
 	if fn == nil {
 		panic(fmt.Sprintf("sched: node %q has nil fn", name))
+	}
+	if spec.FP.IsZero() {
+		panic(fmt.Sprintf("sched: memo node %q has zero fingerprint", name))
+	}
+	if spec.Capture == nil || spec.Restore == nil {
+		panic(fmt.Sprintf("sched: memo node %q needs Capture and Restore", name))
 	}
 	idxs := make([]int, len(deps))
 	for i, d := range deps {
@@ -116,26 +125,8 @@ func (g *Graph) Add(name string, fn func() error, deps ...string) {
 		idxs[i] = di
 	}
 	g.byName[name] = len(g.nodes)
-	g.nodes = append(g.nodes, node{name: name, fn: fn, deps: idxs})
+	g.nodes = append(g.nodes, node{name: name, fn: fn, deps: idxs, memo: spec})
 }
-
-// AddMemo declares a node like Add and attaches a MemoSpec so RunMemo
-// can skip it when its input fingerprint is unchanged from the previous
-// run. spec.FP must be non-zero and spec.Capture/Restore non-nil.
-// Nodes added with plain Add are always dirty under RunMemo.
-func (g *Graph) AddMemo(name string, spec MemoSpec, fn func() error, deps ...string) {
-	if spec.FP.IsZero() {
-		panic(fmt.Sprintf("sched: memo node %q has zero fingerprint", name))
-	}
-	if spec.Capture == nil || spec.Restore == nil {
-		panic(fmt.Sprintf("sched: memo node %q needs Capture and Restore", name))
-	}
-	g.Add(name, fn, deps...)
-	g.nodes[len(g.nodes)-1].memo = &spec
-}
-
-// Len reports how many nodes are declared.
-func (g *Graph) Len() int { return len(g.nodes) }
 
 // Workers resolves a worker-count config: n <= 0 selects GOMAXPROCS.
 func Workers(n int) int {
@@ -145,25 +136,17 @@ func Workers(n int) int {
 	return n
 }
 
-// Run executes the graph on up to Workers(workers) pool goroutines and
-// returns one NodeResult per node, in declaration order. With one
-// worker, nodes run on the calling goroutine in declaration order — the
-// canonical serial schedule. With more, whenever several nodes are
-// ready the lowest declaration index starts first, so the assignment of
-// work to time is the only thing concurrency changes.
-func (g *Graph) Run(workers int) []NodeResult {
-	fns := make([]func() error, len(g.nodes))
-	for i := range g.nodes {
-		fns[i] = g.nodes[i].fn
-	}
-	return g.exec(workers, fns)
-}
-
-// RunMemo executes the graph incrementally against the previous run's
-// memo and returns the per-node results plus the next memo. A node is
-// dirty — and re-executes its declared fn — when it has no MemoSpec,
-// the memo holds no artifact under its name, its fingerprint differs
-// from the memoized one, or any of its dependencies is itself dirty. A
+// RunMemo executes the graph on up to Workers(workers) pool goroutines
+// against the previous run's memo and returns one NodeResult per node,
+// in declaration order, plus the next memo. With one worker, nodes run
+// on the calling goroutine in declaration order — the canonical serial
+// schedule. With more, whenever several nodes are ready the lowest
+// declaration index starts first, so the assignment of work to time is
+// the only thing concurrency changes.
+//
+// A node is dirty — and re-executes its declared fn — when the memo
+// holds no artifact under its name, its fingerprint differs from the
+// memoized one, or any of its dependencies is itself dirty. A
 // clean node instead runs its Restore over the memoized artifact, under
 // the same scheduler slot, ordering, timing and panic guard as a real
 // build — so scheduling is identical and a panicking Restore degrades
@@ -174,8 +157,8 @@ func (g *Graph) Run(workers int) []NodeResult {
 // the exclusion propagates to dependents along every edge — a node
 // built downstream of a failed dependency may have consumed degraded
 // state, so its artifact must not seed the next generation.
-// Passing a nil prev dirties every node, making RunMemo(w, nil)
-// behaviorally identical to Run(w).
+// Passing a nil prev dirties every node: RunMemo(w, nil) is the full
+// build.
 func (g *Graph) RunMemo(workers int, prev *Memo) ([]NodeResult, *Memo) {
 	dirty := g.dirtySet(prev)
 	fns := make([]func() error, len(g.nodes))
@@ -200,7 +183,7 @@ func (g *Graph) RunMemo(workers int, prev *Memo) ([]NodeResult, *Memo) {
 		if !dirty[i] {
 			results[i].Reused = true
 		}
-		if n.memo == nil || results[i].Err != nil {
+		if results[i].Err != nil {
 			continue
 		}
 		ok := true
@@ -226,10 +209,6 @@ func (g *Graph) dirtySet(prev *Memo) []bool {
 	dirty := make([]bool, len(g.nodes))
 	for i := range g.nodes {
 		n := &g.nodes[i]
-		if n.memo == nil {
-			dirty[i] = true
-			continue
-		}
 		if art, ok := prev.Lookup(n.name); !ok || art.FP != n.memo.FP {
 			dirty[i] = true
 			continue

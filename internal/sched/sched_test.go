@@ -10,14 +10,30 @@ import (
 	"testing"
 )
 
+// add declares a node under a fingerprint of its own name with inert
+// Capture/Restore: with no previous memo, every node builds.
+func add(g *Graph, name string, fn func() error, deps ...string) {
+	g.AddMemo(name, MemoSpec{
+		FP:      testFP(name),
+		Capture: func() any { return nil },
+		Restore: func(any) {},
+	}, fn, deps...)
+}
+
+// run is the full build: RunMemo with no previous memo.
+func run(g *Graph, workers int) []NodeResult {
+	results, _ := g.RunMemo(workers, nil)
+	return results
+}
+
 // diamond declares the classic diamond DAG (a -> b,c -> d) and records
 // execution order into a synchronized log.
 func diamond(log *orderLog) *Graph {
 	g := New()
-	g.Add("a", log.fn("a"))
-	g.Add("b", log.fn("b"), "a")
-	g.Add("c", log.fn("c"), "a")
-	g.Add("d", log.fn("d"), "b", "c")
+	add(g, "a", log.fn("a"))
+	add(g, "b", log.fn("b"), "a")
+	add(g, "c", log.fn("c"), "a")
+	add(g, "d", log.fn("d"), "b", "c")
 	return g
 }
 
@@ -44,7 +60,7 @@ func (l *orderLog) got() []string {
 func TestSerialRunsInDeclarationOrder(t *testing.T) {
 	var log orderLog
 	g := diamond(&log)
-	results := g.Run(1)
+	results := run(g, 1)
 	want := []string{"a", "b", "c", "d"}
 	if got := log.got(); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("serial order = %v, want %v", got, want)
@@ -66,7 +82,7 @@ func TestParallelRespectsDependencies(t *testing.T) {
 	for _, workers := range []int{2, 4, 16} {
 		var log orderLog
 		g := diamond(&log)
-		g.Run(workers)
+		run(g, workers)
 		got := log.got()
 		if len(got) != 4 {
 			t.Fatalf("workers=%d: ran %d nodes, want 4 (%v)", workers, len(got), got)
@@ -91,18 +107,18 @@ func TestParallelActuallyOverlaps(t *testing.T) {
 	aStarted := make(chan struct{})
 	bStarted := make(chan struct{})
 	g := New()
-	g.Add("a", func() error {
+	add(g, "a", func() error {
 		close(aStarted)
 		<-bStarted
 		return nil
 	})
-	g.Add("b", func() error {
+	add(g, "b", func() error {
 		close(bStarted)
 		<-aStarted
 		return nil
 	})
 	done := make(chan []NodeResult)
-	go func() { done <- g.Run(2) }()
+	go func() { done <- run(g, 2) }()
 	results := <-done
 	for _, r := range results {
 		if r.Err != nil {
@@ -117,9 +133,9 @@ func TestReadyQueuePrefersDeclarationIndex(t *testing.T) {
 	var log orderLog
 	g := New()
 	for i := 0; i < 5; i++ {
-		g.Add(fmt.Sprintf("n%d", i), log.fn(fmt.Sprintf("n%d", i)))
+		add(g, fmt.Sprintf("n%d", i), log.fn(fmt.Sprintf("n%d", i)))
 	}
-	g.Run(1)
+	run(g, 1)
 	if got := strings.Join(log.got(), ","); got != "n0,n1,n2,n3,n4" {
 		t.Fatalf("ready order = %s", got)
 	}
@@ -129,10 +145,10 @@ func TestPanicContainedAndSiblingsRun(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int32
 		g := New()
-		g.Add("boom", func() error { panic("injected build panic") })
-		g.Add("ok", func() error { ran.Add(1); return nil })
-		g.Add("after-boom", func() error { ran.Add(1); return nil }, "boom")
-		results := g.Run(workers)
+		add(g, "boom", func() error { panic("injected build panic") })
+		add(g, "ok", func() error { ran.Add(1); return nil })
+		add(g, "after-boom", func() error { ran.Add(1); return nil }, "boom")
+		results := run(g, workers)
 		var pe *PanicError
 		if !errors.As(results[0].Err, &pe) {
 			t.Fatalf("workers=%d: boom error = %v, want PanicError", workers, results[0].Err)
@@ -156,8 +172,8 @@ func TestPanicContainedAndSiblingsRun(t *testing.T) {
 func TestNodeErrorsReported(t *testing.T) {
 	sentinel := errors.New("fetch failed")
 	g := New()
-	g.Add("a", func() error { return sentinel })
-	results := g.Run(2)
+	add(g, "a", func() error { return sentinel })
+	results := run(g, 2)
 	if !errors.Is(results[0].Err, sentinel) {
 		t.Fatalf("err = %v, want %v", results[0].Err, sentinel)
 	}
@@ -174,13 +190,13 @@ func TestAddValidation(t *testing.T) {
 		fn()
 	}
 	g := New()
-	g.Add("a", func() error { return nil })
-	mustPanic("duplicate", func() { g.Add("a", func() error { return nil }) })
-	mustPanic("unknown dep", func() { g.Add("b", func() error { return nil }, "missing") })
-	mustPanic("nil fn", func() { g.Add("c", nil) })
+	add(g, "a", func() error { return nil })
+	mustPanic("duplicate", func() { add(g, "a", func() error { return nil }) })
+	mustPanic("unknown dep", func() { add(g, "b", func() error { return nil }, "missing") })
+	mustPanic("nil fn", func() { add(g, "c", nil) })
 	// Cycles are unrepresentable: a dep must already exist, so a node
 	// can never reach itself. Forward references panic as unknown deps.
-	mustPanic("self dep", func() { g.Add("d", func() error { return nil }, "d") })
+	mustPanic("self dep", func() { add(g, "d", func() error { return nil }, "d") })
 }
 
 func TestWorkersResolution(t *testing.T) {
@@ -238,7 +254,7 @@ func TestParallelForWorkerIndex(t *testing.T) {
 // Graph node wrapper can contain it.
 func TestParallelForPanicReachesNodeGuard(t *testing.T) {
 	g := New()
-	g.Add("fanout", func() error {
+	add(g, "fanout", func() error {
 		ParallelFor(4, 10, func(_, i int) {
 			if i == 3 || i == 7 {
 				panic(fmt.Sprintf("iteration %d", i))
@@ -246,7 +262,7 @@ func TestParallelForPanicReachesNodeGuard(t *testing.T) {
 		})
 		return nil
 	})
-	results := g.Run(2)
+	results := run(g, 2)
 	var pe *PanicError
 	if !errors.As(results[0].Err, &pe) {
 		t.Fatalf("err = %v, want PanicError", results[0].Err)
@@ -261,7 +277,7 @@ func TestParallelForPanicReachesNodeGuard(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	if got := New().Run(4); len(got) != 0 {
+	if got := run(New(), 4); len(got) != 0 {
 		t.Fatalf("empty graph returned %v", got)
 	}
 }

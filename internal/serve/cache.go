@@ -5,15 +5,6 @@ import (
 	"sync"
 )
 
-// CachedResponse is one materialized HTTP response body held by the
-// cache: everything needed to replay the response without re-running the
-// handler.
-type CachedResponse struct {
-	Status      int
-	ContentType string
-	Body        []byte
-}
-
 // Cache is a bounded LRU response cache keyed on the canonicalized
 // request, with hit/miss accounting. A nil *Cache (or capacity <= 0) is
 // a valid always-miss cache, so handlers never branch on "caching off".
@@ -37,7 +28,7 @@ type Cache struct {
 type cacheEntry struct {
 	key string
 	gen int
-	val CachedResponse
+	val Response
 }
 
 // NewCache creates an LRU cache bounded to capacity entries; capacity
@@ -57,16 +48,16 @@ func NewCache(capacity int) *Cache {
 // Get returns the cached response for key and promotes it to most
 // recently used. The returned body is shared — callers must not mutate
 // it (handlers only ever write it out).
-func (c *Cache) Get(key string) (CachedResponse, bool) {
+func (c *Cache) Get(key string) (Response, bool) {
 	if c == nil {
-		return CachedResponse{}, false
+		return Response{}, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		c.misses++
-		return CachedResponse{}, false
+		return Response{}, false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
@@ -79,7 +70,7 @@ func (c *Cache) Get(key string) (CachedResponse, bool) {
 // refused: the filler raced PurgeGeneration (it resolved its view, then
 // the generation was evicted and purged while the handler ran) and its
 // entry would otherwise outlive the purge as unreclaimable dead weight.
-func (c *Cache) Put(key string, gen int, v CachedResponse) {
+func (c *Cache) Put(key string, gen int, v Response) {
 	if c == nil {
 		return
 	}

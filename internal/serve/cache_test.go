@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-func respBody(s string) CachedResponse {
-	return CachedResponse{Status: 200, ContentType: "application/json", Body: []byte(s)}
+func respBody(s string) Response {
+	return Response{Status: 200, ContentType: "application/json", Body: []byte(s)}
 }
 
 func TestCacheHitMiss(t *testing.T) {

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"net/http"
 )
 
 // ErrorBody is the canonical JSON error envelope: every /v1 error
@@ -18,9 +17,7 @@ type ErrorBody struct {
 }
 
 // JSONBody encodes v exactly as the serving layer encodes every
-// response body: two-space indent, trailing newline. The fleet router
-// encodes its own error envelopes with it, so they match the serving
-// layer's.
+// response body: two-space indent, trailing newline.
 func JSONBody(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -29,32 +26,4 @@ func JSONBody(v any) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// WriteJSON writes v as an indented JSON response — the response-writer
-// form of jsonResponse for handlers that live outside this package's
-// containment spine (the fleet router and shard control plane).
-func WriteJSON(w http.ResponseWriter, status int, v any) {
-	body, err := JSONBody(v)
-	if err != nil {
-		WriteError(w, http.StatusInternalServerError, "encoding response")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
-}
-
-// WriteError writes the canonical error envelope.
-func WriteError(w http.ResponseWriter, status int, msg string) {
-	body, err := JSONBody(ErrorBody{Error: msg, Status: status})
-	if err != nil {
-		// The envelope itself cannot fail to encode; keep a last-resort
-		// plain body anyway rather than panicking in an error path.
-		http.Error(w, msg, status)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
 }

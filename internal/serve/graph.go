@@ -93,33 +93,33 @@ type GraphPathResponse struct {
 // graphFor extracts the generation's compiled graph, materializing the
 // canonical 404 for sources that carry none (static index-only
 // sources).
-func graphFor(v *View) (*graph.Graph, response) {
+func graphFor(v *View) (*graph.Graph, Response) {
 	if v.Graph == nil {
-		return nil, errResponse(http.StatusNotFound,
+		return nil, ErrorResponse(http.StatusNotFound,
 			"graph index unavailable: this source serves no topology graph")
 	}
-	return v.Graph, response{}
+	return v.Graph, Response{}
 }
 
 // parseGraphASN parses an ASN path or query parameter for the graph
 // endpoints. Unlike /v1/asn (whose 404 carries a full ASNResponse
 // body), every graph error is the unified envelope.
-func parseGraphASN(raw string) (world.ASN, response) {
+func parseGraphASN(raw string) (world.ASN, Response) {
 	n, err := strconv.ParseUint(raw, 10, 32)
 	if err != nil || n == 0 {
-		return 0, errResponse(http.StatusBadRequest, fmt.Sprintf("invalid ASN %q", raw))
+		return 0, ErrorResponse(http.StatusBadRequest, fmt.Sprintf("invalid ASN %q", raw))
 	}
-	return world.ASN(n), response{}
+	return world.ASN(n), Response{}
 }
 
 // inactiveASN is the graph plane's unknown-AS answer: the ASN parses
 // but is not in this generation's topology snapshot.
-func inactiveASN(a world.ASN) response {
-	return errResponse(http.StatusNotFound,
+func inactiveASN(a world.ASN) Response {
+	return ErrorResponse(http.StatusNotFound,
 		fmt.Sprintf("AS%d is not in this generation's topology", a))
 }
 
-func (s *Server) handleGraphNeighbors(v *View, r *http.Request) response {
+func (s *Server) handleGraphNeighbors(v *View, r *http.Request) Response {
 	g, errResp := graphFor(v)
 	if g == nil {
 		return errResp
@@ -134,11 +134,11 @@ func (s *Server) handleGraphNeighbors(v *View, r *http.Request) response {
 	if raw := r.URL.Query().Get("class"); raw != "" {
 		c, ok := graph.ParseClass(raw)
 		if !ok {
-			return errResponse(http.StatusBadRequest,
+			return ErrorResponse(http.StatusBadRequest,
 				fmt.Sprintf("unknown relationship class %q (want provider, customer, peer or sibling)", raw))
 		}
 		ns, _ := g.Neighbors(a, c)
-		return jsonResponse(http.StatusOK, GraphNeighborClassResponse{
+		return JSONResponse(http.StatusOK, GraphNeighborClassResponse{
 			ASN: a, Class: c.String(), Count: len(ns), Neighbors: ASNList(ns),
 		})
 	}
@@ -146,13 +146,13 @@ func (s *Server) handleGraphNeighbors(v *View, r *http.Request) response {
 	cust, _ := g.Neighbors(a, graph.Customer)
 	peer, _ := g.Neighbors(a, graph.Peer)
 	sibs, _ := g.Neighbors(a, graph.Sibling)
-	return jsonResponse(http.StatusOK, GraphNeighborsResponse{
+	return JSONResponse(http.StatusOK, GraphNeighborsResponse{
 		ASN: a, Providers: ASNList(prov), Customers: ASNList(cust),
 		Peers: ASNList(peer), Siblings: ASNList(sibs),
 	})
 }
 
-func (s *Server) handleGraphUpstreams(v *View, r *http.Request) response {
+func (s *Server) handleGraphUpstreams(v *View, r *http.Request) Response {
 	g, errResp := graphFor(v)
 	if g == nil {
 		return errResp
@@ -168,12 +168,12 @@ func (s *Server) handleGraphUpstreams(v *View, r *http.Request) response {
 	if deps == nil {
 		deps = []graph.Dependency{}
 	}
-	return jsonResponse(http.StatusOK, GraphUpstreamsResponse{
+	return JSONResponse(http.StatusOK, GraphUpstreamsResponse{
 		ASN: a, PathsObserved: g.PathsObserved(a), Monitors: g.NumMonitors(), Upstreams: deps,
 	})
 }
 
-func (s *Server) handleGraphCone(v *View, r *http.Request) response {
+func (s *Server) handleGraphCone(v *View, r *http.Request) Response {
 	g, errResp := graphFor(v)
 	if g == nil {
 		return errResp
@@ -186,12 +186,12 @@ func (s *Server) handleGraphCone(v *View, r *http.Request) response {
 		return inactiveASN(a)
 	}
 	cone := g.Cone(a)
-	return jsonResponse(http.StatusOK, GraphConeResponse{
+	return JSONResponse(http.StatusOK, GraphConeResponse{
 		ASN: a, Size: len(cone), Members: ASNList(cone),
 	})
 }
 
-func (s *Server) handleGraphPath(v *View, r *http.Request) response {
+func (s *Server) handleGraphPath(v *View, r *http.Request) Response {
 	g, errResp := graphFor(v)
 	if g == nil {
 		return errResp
@@ -199,7 +199,7 @@ func (s *Server) handleGraphPath(v *View, r *http.Request) response {
 	q := r.URL.Query()
 	rawFrom, rawTo := q.Get("from"), q.Get("to")
 	if rawFrom == "" || rawTo == "" {
-		return errResponse(http.StatusBadRequest, "need both ?from= and ?to= ASNs")
+		return ErrorResponse(http.StatusBadRequest, "need both ?from= and ?to= ASNs")
 	}
 	from, errResp := parseGraphASN(rawFrom)
 	if from == 0 {
@@ -221,7 +221,7 @@ func (s *Server) handleGraphPath(v *View, r *http.Request) response {
 		body.Hops = len(p) - 1
 		body.Path = p
 	}
-	return jsonResponse(http.StatusOK, body)
+	return JSONResponse(http.StatusOK, body)
 }
 
 // canonASNParam numerically normalizes an ASN query value for cache

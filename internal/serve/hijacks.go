@@ -24,15 +24,15 @@ type HijacksResponse struct {
 // hijacksFor extracts the generation's detection report, materializing
 // the canonical 404 for sources that carry none (static index-only
 // sources, mirroring graphFor).
-func hijacksFor(v *View) (*hijack.Report, response) {
+func hijacksFor(v *View) (*hijack.Report, Response) {
 	if v.Hijacks == nil {
-		return nil, errResponse(http.StatusNotFound,
+		return nil, ErrorResponse(http.StatusNotFound,
 			"hijack detection unavailable: this source serves no routing observations")
 	}
-	return v.Hijacks, response{}
+	return v.Hijacks, Response{}
 }
 
-func (s *Server) handleHijacks(v *View, r *http.Request) response {
+func (s *Server) handleHijacks(v *View, r *http.Request) Response {
 	rep, errResp := hijacksFor(v)
 	if rep == nil {
 		return errResp
@@ -43,7 +43,7 @@ func (s *Server) handleHijacks(v *View, r *http.Request) response {
 	if raw := q.Get("victim"); raw != "" {
 		n, err := strconv.ParseUint(raw, 10, 32)
 		if err != nil || n == 0 {
-			return errResponse(http.StatusBadRequest, fmt.Sprintf("invalid ASN %q", raw))
+			return ErrorResponse(http.StatusBadRequest, fmt.Sprintf("invalid ASN %q", raw))
 		}
 		victim = n
 	}
@@ -51,14 +51,14 @@ func (s *Server) handleHijacks(v *View, r *http.Request) response {
 	if raw := q.Get("cc"); raw != "" {
 		cc = CanonicalCC(raw)
 		if len(cc) != 2 || cc[0] < 'A' || cc[0] > 'Z' || cc[1] < 'A' || cc[1] > 'Z' {
-			return errResponse(http.StatusBadRequest, fmt.Sprintf("invalid country code %q", raw))
+			return ErrorResponse(http.StatusBadRequest, fmt.Sprintf("invalid country code %q", raw))
 		}
 	}
 	crossBorder := -1 // -1 = no filter
 	if raw := q.Get("cross_border"); raw != "" {
 		b, err := strconv.ParseBool(raw)
 		if err != nil {
-			return errResponse(http.StatusBadRequest, fmt.Sprintf("invalid cross_border value %q (want true or false)", raw))
+			return ErrorResponse(http.StatusBadRequest, fmt.Sprintf("invalid cross_border value %q (want true or false)", raw))
 		}
 		if b {
 			crossBorder = 1
@@ -85,7 +85,7 @@ func (s *Server) handleHijacks(v *View, r *http.Request) response {
 		body.Detections = append(body.Detections, d)
 	}
 	body.Count = len(body.Detections)
-	return jsonResponse(http.StatusOK, body)
+	return JSONResponse(http.StatusOK, body)
 }
 
 // canonBoolParam normalizes a boolean query value for cache keys: every

@@ -52,7 +52,6 @@ type Index struct {
 	countryOrgs     map[string][]int // operating CC -> organization indices
 	countryMinority map[string][]int // CC -> minority-record indices
 
-	normNames []string         // per-org normalized name (search scoring)
 	nameToken map[string][]int // normalized token -> organization indices
 }
 
@@ -78,7 +77,6 @@ func BuildIndex(ds *expand.Dataset) *Index {
 		orgByID:         make(map[string]int, len(ds.Organizations)),
 		countryOrgs:     make(map[string][]int),
 		countryMinority: make(map[string][]int),
-		normNames:       make([]string, len(ds.Organizations)),
 		nameToken:       make(map[string][]int),
 	}
 	var maxASN world.ASN
@@ -117,7 +115,6 @@ func BuildIndex(ds *expand.Dataset) *Index {
 		for _, a := range ds.ASNs[i].ASNs {
 			setHandle(a, func(h uint32) uint32 { return h&minorityFlag | uint32(i+1) })
 		}
-		idx.normNames[i] = nameutil.Normalize(org.OrgName)
 		seen := map[string]bool{}
 		for _, tok := range nameutil.Tokens(org.OrgName) {
 			if !seen[tok] {

@@ -43,10 +43,10 @@ type endpointStats struct {
 	panics           uint64
 }
 
-// Metrics is the serve-metrics registry: per-endpoint request counts and
-// latency histograms (virtual units), plus an in-flight gauge. Cache
-// accounting lives on the Cache itself and is merged into snapshots by
-// the server.
+// Metrics is the request registry a Spine keeps: per-endpoint request
+// counts and latency histograms (virtual units), plus an in-flight
+// gauge. Cache accounting lives on the Cache itself and is merged into
+// the server's /metrics body by the server.
 type Metrics struct {
 	clock Clock
 
@@ -162,15 +162,13 @@ type BuildNodeTiming struct {
 	Reused bool    `json:"reused,omitempty"`
 }
 
-// Snapshot is the full registry state at one instant, the JSON body of
-// /metrics. BuildWorkers and BuildNodes describe the pipeline run that
-// produced the served dataset (filled by the server when it holds a
-// health report; absent otherwise).
-type Snapshot struct {
+// RequestStats is the registry state at one instant: the request
+// accounting every /metrics body — single-process server, fleet
+// replica and fleet router alike — carries.
+type RequestStats struct {
 	InFlight  int                `json:"in_flight"`
 	Requests  uint64             `json:"requests"`
 	Endpoints []EndpointSnapshot `json:"endpoints"`
-	Cache     CacheStats         `json:"cache"`
 	// Overload-policy totals across endpoints: ShedFraction is
 	// ShedTotal / Requests — the headline "how much load are we
 	// refusing" number the soak tests and dashboards read.
@@ -178,45 +176,31 @@ type Snapshot struct {
 	ShedFraction          float64 `json:"shed_fraction"`
 	DeadlineExceededTotal uint64  `json:"deadline_exceeded_total"`
 	PanicsTotal           uint64  `json:"panics_total"`
-	// Admission is the limiter's own accounting (absent when admission
-	// control is off).
-	Admission *AdmissionStats `json:"admission,omitempty"`
-	// Generation is the live dataset generation at snapshot time;
-	// Reloading reports whether a rebuild was in flight; Degraded (with
-	// DegradedReason) that the reload gate is serving last-known-good.
-	Generation     int               `json:"generation"`
-	Reloading      bool              `json:"reloading"`
-	Degraded       bool              `json:"degraded"`
-	DegradedReason string            `json:"degraded_reason,omitempty"`
-	BuildWorkers   int               `json:"build_workers,omitempty"`
-	BuildNodes     []BuildNodeTiming `json:"build_nodes,omitempty"`
-	// Memoized-rebuild counters, copied from the source's ReloadStatus
-	// (absent for static sources). All cumulative across rebuilds.
-	NodesReused  uint64 `json:"nodes_reused,omitempty"`
-	NodesRebuilt uint64 `json:"nodes_rebuilt,omitempty"`
-	IndexReuses  uint64 `json:"index_reuses,omitempty"`
-	GraphReuses  uint64 `json:"graph_reuses,omitempty"`
-	// Durable-archive counters, copied from the source's ReloadStatus
-	// (absent for memory-only sources). Recovered/RecoveredGen report a
-	// warm start adopted from the archive.
-	Archive   bool `json:"archive,omitempty"`
-	Recovered bool `json:"recovered,omitempty"`
-	// Pointer for the same reason as ReadyResponse.RecoveredGen: a warm
-	// start onto generation 0 must not disappear behind omitempty.
-	RecoveredGen         *int   `json:"recovered_gen,omitempty"`
-	SegmentsVerified     uint64 `json:"segments_verified,omitempty"`
-	SegmentsQuarantined  uint64 `json:"segments_quarantined,omitempty"`
-	ArchiveWrites        uint64 `json:"archive_writes,omitempty"`
-	ArchiveWriteFailures uint64 `json:"archive_write_failures,omitempty"`
 }
 
-// Snapshot captures the registry (endpoints sorted by name for a stable
-// JSON body; cache stats are filled in by the caller that owns the
-// cache).
-func (m *Metrics) Snapshot() Snapshot {
+// Snapshot is the server's /metrics body: the registry's
+// RequestStats, cache and admission accounting, the live generation
+// with the source's ReloadStatus, and the build profile of the
+// pipeline run that produced it (BuildWorkers and BuildNodes, absent
+// without a health report).
+type Snapshot struct {
+	RequestStats
+	Cache CacheStats `json:"cache"`
+	// Admission is the limiter's own accounting (absent when admission
+	// control is off).
+	Admission  *AdmissionStats `json:"admission,omitempty"`
+	Generation int             `json:"generation"`
+	ReloadStatus
+	BuildWorkers int               `json:"build_workers,omitempty"`
+	BuildNodes   []BuildNodeTiming `json:"build_nodes,omitempty"`
+}
+
+// Snapshot captures the registry, endpoints sorted by name for a
+// stable JSON body.
+func (m *Metrics) Snapshot() RequestStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	snap := Snapshot{InFlight: m.inflight}
+	snap := RequestStats{InFlight: m.inflight}
 	names := append([]string(nil), m.order...)
 	sort.Strings(names)
 	for _, name := range names {

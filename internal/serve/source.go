@@ -71,8 +71,8 @@ type View struct {
 	Hijacks *hijack.Report
 }
 
-// ReloadStatus is a source's rebuild-state report, surfaced verbatim
-// on /readyz and /metrics. Degraded means the last rebuild (or several)
+// ReloadStatus is a source's rebuild-state report, embedded verbatim
+// in the /readyz and /metrics bodies and a replica's /fleet/status. Degraded means the last rebuild (or several)
 // was quarantined by the validation gate and the source is serving its
 // last-known-good generation — the server stays ready (it is still
 // answering) but operators can see why the dataset stopped advancing.
@@ -81,9 +81,9 @@ type ReloadStatus struct {
 	// generation keeps serving (and /readyz stays green) while it runs.
 	Reloading bool `json:"reloading"`
 	// Degraded reports that the newest rebuild failed validation (or
-	// panicked) and was quarantined; Reason says why.
-	Degraded bool   `json:"degraded"`
-	Reason   string `json:"degraded_reason,omitempty"`
+	// panicked) and was quarantined; DegradedReason says why.
+	Degraded       bool   `json:"degraded"`
+	DegradedReason string `json:"degraded_reason,omitempty"`
 	// ConsecutiveFailures counts quarantined rebuilds since the last
 	// successful swap; GaveUp means the reload loop exhausted its
 	// failure budget and stopped retrying.
@@ -101,14 +101,15 @@ type ReloadStatus struct {
 	GraphReuses  uint64 `json:"graph_reuses,omitempty"`
 	// Archive reports that the source persists generations to the
 	// durable on-disk archive. Recovered means this process warm-started
-	// from it, with RecoveredGen the newest adopted generation (the
-	// field is elided when zero; Recovered disambiguates a recovered
-	// generation 0). The counters mirror the archive's write/verify/
+	// from it, with RecoveredGen the newest adopted generation (a
+	// pointer, so a warm start onto generation 0 still serializes
+	// instead of vanishing behind omitempty). The counters mirror the
+	// archive's write/verify/
 	// quarantine ledger, and ArchiveLastError is the most recent write
 	// failure — durability degraded, serving unaffected.
 	Archive              bool   `json:"archive,omitempty"`
 	Recovered            bool   `json:"recovered,omitempty"`
-	RecoveredGen         int    `json:"recovered_gen,omitempty"`
+	RecoveredGen         *int   `json:"recovered_gen,omitempty"`
 	SegmentsVerified     uint64 `json:"segments_verified,omitempty"`
 	SegmentsQuarantined  uint64 `json:"segments_quarantined,omitempty"`
 	ArchiveWrites        uint64 `json:"archive_writes,omitempty"`

@@ -202,15 +202,12 @@ func (tc *timerCtl) fire() { tc.ch <- time.Time{} }
 // then — at MaxFailures — a terminal GaveUp state with no further
 // rebuild attempts.
 func TestReloadBackoffAndGiveUp(t *testing.T) {
-	const unit = time.Minute
 	tc := newTimerCtl()
 	s := New(Options{
 		Base: stateowned.Config{Seed: 7, Scale: testScale},
 		Validation: &Validation{
 			MaxChurnFraction: 0, // every advance quarantines
 			MaxFailures:      3,
-			Backoff:          runner.Backoff{MaxAttempts: 1, BaseUnits: 1, MaxUnits: 60},
-			BackoffUnit:      unit,
 		},
 		After: tc.after,
 	})
@@ -223,9 +220,9 @@ func TestReloadBackoffAndGiveUp(t *testing.T) {
 		s.Reload(ctx, time.Hour, nil)
 	}()
 
-	// Failure n waits Delay(n)*unit before attempt n+1: 1m, 2m after
+	// Failure n waits Delay(n) seconds before attempt n+1: 1s, 2s after
 	// the initial 1h cadence wait.
-	wantDelays := []time.Duration{time.Hour, 1 * unit, 2 * unit}
+	wantDelays := []time.Duration{time.Hour, 1 * time.Second, 2 * time.Second}
 	for i := range wantDelays {
 		calls := tc.waitCalls(t, i+1)
 		if calls[i] != wantDelays[i] {
@@ -266,7 +263,7 @@ func TestReloadRecovers(t *testing.T) {
 	tc := newTimerCtl()
 	s := New(Options{
 		Base:       stateowned.Config{Seed: 7, Scale: testScale},
-		Validation: &Validation{MaxChurnFraction: 1, BackoffUnit: time.Second},
+		Validation: &Validation{MaxChurnFraction: 1},
 		After:      tc.after,
 	})
 	s.SetBuildHook(func(gen int) { panic("transient rebuild fault") })
@@ -381,7 +378,7 @@ func TestServeLastKnownGoodUnderFailingRebuild(t *testing.T) {
 	if err := json.Unmarshal(body, &ready); err != nil {
 		t.Fatalf("readyz body: %v", err)
 	}
-	if !ready.Degraded || ready.DegradedReason == "" || ready.Generation != 1 || ready.ReloadFailures != 1 {
+	if !ready.Degraded || ready.DegradedReason == "" || ready.Generation != 1 || ready.ConsecutiveFailures != 1 {
 		t.Fatalf("readyz = %+v, want degraded on generation 1", ready)
 	}
 

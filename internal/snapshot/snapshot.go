@@ -39,6 +39,10 @@ import (
 	"stateowned/internal/world"
 )
 
+// yearsPerGen is how many simulated years of churn separate
+// consecutive generations.
+const yearsPerGen = 1
+
 // DefaultRetain is the retention-ring size when Options.Retain is 0:
 // the live generation plus three predecessors stay pinnable.
 const DefaultRetain = 4
@@ -68,19 +72,13 @@ type Validation struct {
 	// tolerates before giving up (serving last-known-good forever and
 	// reporting GaveUp). 0 = retry forever.
 	MaxFailures int
-	// Backoff paces rebuild retries after a quarantine: the n-th
-	// consecutive failure waits Backoff.Delay(n) * BackoffUnit before
-	// the next attempt (capped exponential, reusing the pipeline
-	// runner's arithmetic). Zero value = DefaultReloadBackoff.
-	Backoff runner.Backoff
-	// BackoffUnit converts backoff units to wall time (0 = 1s).
-	BackoffUnit time.Duration
 }
 
 // DefaultReloadBackoff is the retry pacing for quarantined rebuilds:
-// delays 1, 2, 4, 8, ... units capped at 60 (one minute at the default
-// unit). MaxAttempts is unused here — the retry budget is
-// Validation.MaxFailures.
+// the n-th consecutive failure waits Delay(n) seconds — 1, 2, 4, 8,
+// ... capped at 60 — before the next attempt (capped exponential,
+// reusing the pipeline runner's arithmetic). MaxAttempts is unused
+// here — the retry budget is Validation.MaxFailures.
 func DefaultReloadBackoff() runner.Backoff {
 	return runner.Backoff{MaxAttempts: 1, BaseUnits: 1, MaxUnits: 60}
 }
@@ -88,27 +86,17 @@ func DefaultReloadBackoff() runner.Backoff {
 // DefaultValidation is the gate policy used when Options.Validation is
 // nil.
 func DefaultValidation() Validation {
-	return Validation{
-		MaxChurnFraction: DefaultMaxChurnFraction,
-		Backoff:          DefaultReloadBackoff(),
-		BackoffUnit:      time.Second,
-	}
+	return Validation{MaxChurnFraction: DefaultMaxChurnFraction}
 }
 
-// normalize fills a Validation's zero-valued pacing fields and clamps
-// nonsense (negative churn bounds or failure budgets) into range.
+// normalize clamps nonsense (negative churn bounds or failure budgets)
+// into range.
 func (v Validation) normalize() Validation {
 	if v.MaxChurnFraction < 0 {
 		v.MaxChurnFraction = 0
 	}
 	if v.MaxFailures < 0 {
 		v.MaxFailures = 0
-	}
-	if v.Backoff == (runner.Backoff{}) {
-		v.Backoff = DefaultReloadBackoff()
-	}
-	if v.BackoffUnit <= 0 {
-		v.BackoffUnit = time.Second
 	}
 	return v
 }
@@ -123,9 +111,6 @@ type Options struct {
 	// world (0 = derive from Base.Seed), so one world can be replayed
 	// under different churn histories.
 	ChurnSeed uint64
-	// YearsPerGen is how many simulated years of churn separate
-	// consecutive generations (0 = 1).
-	YearsPerGen int
 	// Rates sets the churn event probabilities (zero value = DefaultRates).
 	Rates churn.Rates
 	// Retain bounds the generation ring: how many generations (including
@@ -258,15 +243,16 @@ type Store struct {
 	recSpans map[[2]int]*churn.Audit
 
 	// buildMu serializes builders (Advance is safe to call concurrently,
-	// advances just queue) and guards failures and staged; mu guards the
-	// retention ring.
+	// advances just queue) and guards failures and writes to staged; mu
+	// guards the retention ring.
 	buildMu  sync.Mutex
 	failures int // consecutive quarantined rebuilds
 	// staged is a generation that passed the validation gate but has not
 	// been published — the fleet's two-phase reload holds it here between
 	// the stage ack and the commit order. Invisible to readers until
-	// Commit publishes it.
-	staged *Generation
+	// Commit publishes it. Written under buildMu, read lock-free, so a
+	// status probe never waits out a build.
+	staged atomic.Pointer[Generation]
 	mu     sync.RWMutex
 	ring   []*Generation
 
@@ -303,9 +289,6 @@ func New(opts Options) *Store {
 	}
 	if opts.Base.Scale <= 0 {
 		opts.Base.Scale = 1.0
-	}
-	if opts.YearsPerGen <= 0 {
-		opts.YearsPerGen = 1
 	}
 	if opts.Rates == (churn.Rates{}) {
 		opts.Rates = churn.DefaultRates()
@@ -377,7 +360,7 @@ func (s *Store) build(gen int, parent *Generation) *Generation {
 	var events []churn.Event
 	total := 0
 	for i := 1; i <= gen; i++ {
-		events = churn.Evolve(w, s.opts.YearsPerGen, s.churnSeed(i), s.opts.Rates)
+		events = churn.Evolve(w, yearsPerGen, s.churnSeed(i), s.opts.Rates)
 		total += len(events)
 	}
 	cfg.World = w
@@ -438,7 +421,7 @@ func (s *Store) build(gen int, parent *Generation) *Generation {
 			Seed:        cfg.Seed,
 			Scale:       cfg.Scale,
 			ChurnSeed:   s.opts.ChurnSeed,
-			YearsPerGen: s.opts.YearsPerGen,
+			YearsPerGen: yearsPerGen,
 			Events:      len(events),
 			TotalEvents: total,
 		},
@@ -531,9 +514,10 @@ func (s *Store) stageLocked(gen int) error {
 	if gen <= prev.Gen {
 		return nil // already published — nothing to stage
 	}
-	if s.staged != nil && s.staged.Gen == gen {
+	if st := s.staged.Load(); st != nil && st.Gen == gen {
 		return nil // already staged — idempotent re-ack
 	}
+	s.staged.Store(nil) // a held different generation is replaced either way
 	s.reloading.Store(true)
 	defer s.reloading.Store(false)
 	g, err := s.buildChecked(gen, prev)
@@ -541,7 +525,6 @@ func (s *Store) stageLocked(gen int) error {
 		err = s.validate(prev, g)
 	}
 	if err != nil {
-		s.staged = nil
 		s.quarantines.Add(1)
 		s.failures++
 		s.degraded.Store(&Degradation{
@@ -551,7 +534,7 @@ func (s *Store) stageLocked(gen int) error {
 		})
 		return fmt.Errorf("generation %d quarantined: %w", gen, err)
 	}
-	s.staged = g
+	s.staged.Store(g)
 	return nil
 }
 
@@ -573,16 +556,12 @@ func (s *Store) commitLocked(gen int) (*Generation, error) {
 	if s.current.Load().Gen >= gen {
 		return nil, nil // already live — idempotent re-ack
 	}
-	if s.staged == nil || s.staged.Gen != gen {
-		have := -1
-		if s.staged != nil {
-			have = s.staged.Gen
-		}
+	g := s.staged.Load()
+	if g == nil || g.Gen != gen {
 		return nil, fmt.Errorf("commit generation %d: not staged (staged: %d, live: %d)",
-			gen, have, s.current.Load().Gen)
+			gen, s.StagedGen(), s.current.Load().Gen)
 	}
-	g := s.staged
-	s.staged = nil
+	s.staged.Store(nil)
 	s.failures = 0
 	s.degraded.Store(nil)
 	s.publish(g)
@@ -597,22 +576,21 @@ func (s *Store) commitLocked(gen int) (*Generation, error) {
 func (s *Store) AbortStage(gen int) bool {
 	s.buildMu.Lock()
 	defer s.buildMu.Unlock()
-	if s.staged == nil || (gen >= 0 && s.staged.Gen != gen) {
+	if st := s.staged.Load(); st == nil || (gen >= 0 && st.Gen != gen) {
 		return false
 	}
-	s.staged = nil
+	s.staged.Store(nil)
 	return true
 }
 
 // StagedGen reports the generation currently staged-but-unpublished,
-// or -1 when none is.
+// or -1 when none is — including while a stage build is still running.
+// It never waits on a build.
 func (s *Store) StagedGen() int {
-	s.buildMu.Lock()
-	defer s.buildMu.Unlock()
-	if s.staged == nil {
-		return -1
+	if g := s.staged.Load(); g != nil {
+		return g.Gen
 	}
-	return s.staged.Gen
+	return -1
 }
 
 // Advance builds and publishes the next generation, blocking until the
@@ -684,7 +662,7 @@ func churnFraction(prev, g *Generation) float64 {
 
 // Reload advances generations on a fixed cadence until ctx is
 // canceled, containing rebuild failures: a quarantined generation is
-// retried under capped exponential backoff (Validation.Backoff) while
+// retried under capped exponential backoff (DefaultReloadBackoff) while
 // the store keeps serving last-known-good, and after
 // Validation.MaxFailures consecutive quarantines (0 = never) the loop
 // parks — serving the last good generation forever with GaveUp raised
@@ -703,7 +681,7 @@ func (s *Store) Reload(ctx context.Context, every time.Duration, logf func(forma
 				<-ctx.Done()
 				return
 			}
-			delay = time.Duration(s.val.Backoff.Delay(d.Failures)) * s.val.BackoffUnit
+			delay = time.Duration(DefaultReloadBackoff().Delay(d.Failures)) * time.Second
 		}
 		select {
 		case <-ctx.Done():
@@ -834,7 +812,7 @@ func (ss storeSource) ReloadStatus() serve.ReloadStatus {
 	st := serve.ReloadStatus{Reloading: ss.s.Reloading()}
 	if d := ss.s.Degraded(); d != nil {
 		st.Degraded = true
-		st.Reason = d.Reason
+		st.DegradedReason = d.Reason
 		st.ConsecutiveFailures = d.Failures
 		st.GaveUp = d.GaveUp
 	}
@@ -843,7 +821,7 @@ func (ss storeSource) ReloadStatus() serve.ReloadStatus {
 		st.Archive = true
 		if rg := ss.s.RecoveredGen(); rg >= 0 {
 			st.Recovered = true
-			st.RecoveredGen = rg
+			st.RecoveredGen = &rg
 		}
 		c := a.Counters()
 		st.SegmentsVerified = c.SegmentsVerified

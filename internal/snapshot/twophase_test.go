@@ -3,6 +3,7 @@ package snapshot
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"stateowned"
 	"stateowned/internal/serve"
@@ -49,6 +50,44 @@ func TestStageHoldsUnpublished(t *testing.T) {
 	}
 	if _, st := s.Lookup(1); st != serve.GenOK {
 		t.Fatal("committed generation not in the retention ring")
+	}
+}
+
+// TestStagedGenAnswersDuringStage proves the status probe never waits
+// out a build: while a stage build is parked inside the pipeline,
+// StagedGen answers at once with -1 (nothing staged yet) and the store
+// reports the rebuild in flight; once the build finishes it reports the
+// staged generation.
+func TestStagedGenAnswersDuringStage(t *testing.T) {
+	s := twoPhaseStore(t)
+	parked, release := make(chan struct{}), make(chan struct{})
+	s.SetBuildHook(func(int) {
+		close(parked)
+		<-release
+	})
+	staged := make(chan error, 1)
+	go func() { staged <- s.Stage(1) }()
+	<-parked
+
+	answered := make(chan int, 1)
+	go func() { answered <- s.StagedGen() }()
+	select {
+	case got := <-answered:
+		if got != -1 {
+			t.Errorf("StagedGen() = %d while the stage build runs, want -1", got)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("StagedGen() blocked behind the running stage build")
+	}
+	if !s.Reloading() {
+		t.Error("the parked stage build is not reported as reloading")
+	}
+	close(release)
+	if err := <-staged; err != nil {
+		t.Fatalf("stage: %v", err)
+	}
+	if got := s.StagedGen(); got != 1 {
+		t.Fatalf("StagedGen() = %d after the stage, want 1", got)
 	}
 }
 

@@ -21,11 +21,6 @@ import (
 	"stateowned/internal/world"
 )
 
-// breakerThreshold is the per-source circuit breaker: after this many
-// consecutive failed fetch attempts the source trips to unavailable and
-// the pipeline completes on whatever survives.
-const breakerThreshold = 4
-
 // sourceOrder fixes the Health report's row order regardless of which
 // source is touched first.
 var sourceOrder = []string{
@@ -34,7 +29,7 @@ var sourceOrder = []string{
 
 // Run executes the full reproduction. With ChaosSeverity > 0 it runs
 // under a seeded fault plan: sources are built through the hardened
-// runner (retry with deterministic backoff, circuit breakers), corrupt
+// runner (retry with deterministic backoff), corrupt
 // records are quarantined by validation passes, unavailable sources fall
 // back to the matching ablation pathway, and Result.Health reports the
 // degradation. With ChaosSeverity == 0 the same code path runs with a
@@ -184,7 +179,7 @@ func runHardened(cfg Config, plan faults.Plan) *Result {
 	// Geolocation feed: build, then inject snapshot faults and run the
 	// validation pass so impossible assignments never reach the pipeline.
 	add("geo", func(func(string, bool, string)) error {
-		res.Geo, _ = runner.Do(h, runner.NewBreaker(breakerThreshold), bo, "geo",
+		res.Geo, _ = runner.Do(h, bo, "geo",
 			func(int) (*geo.DB, error) { return geo.Build(res.World), nil })
 		if in := inject("geo", plan.Geo); in != nil {
 			h.NoteDamage("geo", res.Geo.Degrade(in))
@@ -194,13 +189,13 @@ func runHardened(cfg Config, plan faults.Plan) *Result {
 	})
 
 	add("eyeballs", func(func(string, bool, string)) error {
-		res.Eyeballs, _ = runner.Do(h, runner.NewBreaker(breakerThreshold), bo, "eyeballs",
+		res.Eyeballs, _ = runner.Do(h, bo, "eyeballs",
 			func(int) (*eyeballs.Dataset, error) { return eyeballs.Build(res.World), nil })
 		return nil
 	})
 
 	add("whois", func(func(string, bool, string)) error {
-		res.WHOIS, _ = runner.Do(h, runner.NewBreaker(breakerThreshold), bo, "whois",
+		res.WHOIS, _ = runner.Do(h, bo, "whois",
 			func(int) (*whois.Registry, error) { return whois.Build(res.World), nil })
 		if in := inject("whois", plan.WHOIS); in != nil {
 			h.NoteDamage("whois", res.WHOIS.Degrade(in))
@@ -210,7 +205,7 @@ func runHardened(cfg Config, plan faults.Plan) *Result {
 	})
 
 	add("peeringdb", func(func(string, bool, string)) error {
-		res.PeeringDB, _ = runner.Do(h, runner.NewBreaker(breakerThreshold), bo, "peeringdb",
+		res.PeeringDB, _ = runner.Do(h, bo, "peeringdb",
 			func(int) (*peeringdb.DB, error) { return peeringdb.Build(res.World), nil })
 		return nil
 	})
@@ -218,18 +213,18 @@ func runHardened(cfg Config, plan faults.Plan) *Result {
 	// AS2Org is inferred from whatever WHOIS survived, so WHOIS damage
 	// propagates into sibling inference exactly as it would in the wild.
 	add("as2org", func(func(string, bool, string)) error {
-		res.AS2Org, _ = runner.Do(h, runner.NewBreaker(breakerThreshold), bo, "as2org",
+		res.AS2Org, _ = runner.Do(h, bo, "as2org",
 			func(int) (*as2org.Mapping, error) { return as2org.Infer(res.WHOIS), nil })
 		return nil
 	}, "whois")
 
 	// Orbis is the transiently failing source: the plan's first Timeouts
 	// attempts fail and runner.Do retries them with backoff. If the retry
-	// budget or the breaker runs out, the run degrades to the same path as
+	// budget runs out, the run degrades to the same path as
 	// the DisableOrbis ablation (stage 1 without the O source).
 	add("orbis", func(mark func(string, bool, string)) error {
 		orbisIn := inject("orbis", plan.Orbis.Records)
-		orbisDB, orbisOK := runner.Do(h, runner.NewBreaker(breakerThreshold), bo, "orbis",
+		orbisDB, orbisOK := runner.Do(h, bo, "orbis",
 			func(attempt int) (*orbis.DB, error) {
 				return orbis.Fetch(res.World, attempt, plan.Orbis.Timeouts, orbisIn)
 			})
@@ -246,7 +241,7 @@ func runHardened(cfg Config, plan faults.Plan) *Result {
 	})
 
 	add("docs", func(func(string, bool, string)) error {
-		res.Docs, _ = runner.Do(h, runner.NewBreaker(breakerThreshold), bo, "docs",
+		res.Docs, _ = runner.Do(h, bo, "docs",
 			func(int) (*docsrc.Corpus, error) { return docsrc.Build(res.World), nil })
 		if in := inject("docs", plan.Docs); in != nil {
 			h.NoteDamage("docs", res.Docs.Degrade(in))
