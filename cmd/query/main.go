@@ -138,22 +138,21 @@ func main() {
 		res := stateowned.Run(base)
 		idx, ds, graphOf, rep = res.Index(), res.Dataset, res.Graph, res.Hijacks
 	} else {
-		// A churned generation: the snapshot store rebuilds the world
+		// A churned generation: the snapshot store evolves the world
 		// through -gen seeded churn steps, exactly what a cmd/serve
-		// instance with the same seeds answers for ?gen=N.
-		store := snapshot.New(snapshot.Options{
-			Base:      base,
-			ChurnSeed: *churnSeed,
-			Retain:    *gen + 1,
-		})
+		// instance with the same seeds answers for ?gen=N. Generation N
+		// is the live one when the loop ends; the default ring keeps only
+		// a few predecessors resident on the way. A quarantined advance
+		// would leave the store on its last good generation forever.
+		store := snapshot.New(snapshot.Options{Base: base, ChurnSeed: *churnSeed})
 		for store.Current().Gen < *gen {
-			store.Advance()
+			if store.Advance() == nil {
+				fmt.Fprintf(os.Stderr, "query: generation %d quarantined: %s\n",
+					store.Current().Gen+1, store.Degraded().Reason)
+				os.Exit(1)
+			}
 		}
-		g, st := store.Lookup(*gen)
-		if st != serve.GenOK {
-			fmt.Fprintf(os.Stderr, "query: generation %d unavailable\n", *gen)
-			os.Exit(2)
-		}
+		g := store.Current()
 		idx, ds, graphOf, rep = g.Index, g.Result.Dataset, g.Result.Graph, g.Result.Hijacks
 	}
 

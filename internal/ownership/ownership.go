@@ -112,6 +112,47 @@ func NewGraph() *Graph {
 	}
 }
 
+// Clone returns an independent copy of the graph: mutating either one
+// never shows in the other. Entity records are immutable once added, so
+// the copy shares them; the holding lists are copied, because
+// RemoveHolding rewrites a list's backing array in place. The resolved
+// control memo is shared too — resolve replaces the memo rather than
+// updating it — so a clone of a resolved graph answers ControlOf without
+// a fixpoint until its first mutation. Safe to call while other
+// goroutines read g.
+func (g *Graph) Clone() *Graph {
+	c := &Graph{
+		entities: make(map[EntityID]*Entity, len(g.entities)),
+		inbound:  cloneHoldings(g.inbound),
+		outbound: cloneHoldings(g.outbound),
+	}
+	for id, e := range g.entities {
+		c.entities[id] = e
+	}
+	g.resolveMu.Lock()
+	c.control, c.dirty = g.control, g.dirty
+	g.resolveMu.Unlock()
+	return c
+}
+
+// cloneHoldings copies every holding list into one backing array. Each
+// list's capacity ends at its length, so an append on the copy moves
+// that list out instead of overwriting its neighbour.
+func cloneHoldings(m map[EntityID][]Holding) map[EntityID][]Holding {
+	n := 0
+	for _, hs := range m {
+		n += len(hs)
+	}
+	all := make([]Holding, 0, n)
+	out := make(map[EntityID][]Holding, len(m))
+	for id, hs := range m {
+		start := len(all)
+		all = append(all, hs...)
+		out[id] = all[start:len(all):len(all)]
+	}
+	return out
+}
+
 // AddEntity registers an entity. It returns an error on duplicate IDs or
 // empty countries for government units.
 func (g *Graph) AddEntity(e Entity) error {
@@ -283,11 +324,18 @@ func (g *Graph) resolve() {
 			if e.Kind == KindGovernment {
 				continue
 			}
-			agg := make(map[string]float64)
+			// Most entities have no state-controlled holder; they keep a
+			// nil share map (ControlOf hands callers an empty one), so a
+			// resolved memo — which every retained generation's graph
+			// holds — carries no empty map per entity.
+			var agg map[string]float64
 			for _, h := range g.inbound[id] {
 				hc, ok := control[h.Holder]
 				if !ok || !hc.Controlled() {
 					continue
+				}
+				if agg == nil {
+					agg = make(map[string]float64)
 				}
 				agg[hc.Controller] += h.Share
 			}

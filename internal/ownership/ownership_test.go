@@ -1,6 +1,8 @@
 package ownership
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -285,5 +287,125 @@ func TestControlMonotonicity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// cloneFixture is a small graph with every control pattern the churn
+// model touches: a direct majority, fund aggregation, an indirect
+// subsidiary chain and a private-majority incumbent.
+func cloneFixture() *Graph {
+	g := NewGraph()
+	for _, e := range []Entity{
+		{ID: "gov-NO", Kind: KindGovernment, Name: "Norway", Country: "NO"},
+		{ID: "gov-MY", Kind: KindGovernment, Name: "Malaysia", Country: "MY"},
+		{ID: "gov-QA", Kind: KindGovernment, Name: "Qatar", Country: "QA"},
+		{ID: "telenor", Kind: KindCompany, Name: "Telenor", Country: "NO"},
+		{ID: "khazanah", Kind: KindFund, Name: "Khazanah", Country: "MY"},
+		{ID: "epf", Kind: KindFund, Name: "EPF", Country: "MY"},
+		{ID: "tm", Kind: KindCompany, Name: "Telekom Malaysia", Country: "MY"},
+		{ID: "ooredoo", Kind: KindCompany, Name: "Ooredoo", Country: "QA"},
+		{ID: "ooredoo-tn", Kind: KindCompany, Name: "Ooredoo Tunisie", Country: "TN"},
+		{ID: "float", Kind: KindPrivate, Name: "Free float", Country: "NO"},
+		{ID: "fiji-tel", Kind: KindCompany, Name: "Fiji Telecom", Country: "FJ"},
+		{ID: "fiji-inv", Kind: KindPrivate, Name: "Fiji investors", Country: "FJ"},
+	} {
+		g.MustAddEntity(e)
+	}
+	for _, h := range []Holding{
+		{Holder: "gov-NO", Target: "telenor", Share: 0.547},
+		{Holder: "float", Target: "telenor", Share: 0.453},
+		{Holder: "gov-MY", Target: "khazanah", Share: 1},
+		{Holder: "gov-MY", Target: "epf", Share: 1},
+		{Holder: "khazanah", Target: "tm", Share: 0.26},
+		{Holder: "epf", Target: "tm", Share: 0.28},
+		{Holder: "float", Target: "tm", Share: 0.46},
+		{Holder: "gov-QA", Target: "ooredoo", Share: 0.68},
+		{Holder: "float", Target: "ooredoo", Share: 0.32},
+		{Holder: "ooredoo", Target: "ooredoo-tn", Share: 0.75},
+		{Holder: "fiji-inv", Target: "fiji-tel", Share: 0.8},
+	} {
+		g.MustAddHolding(h)
+	}
+	return g
+}
+
+// churnLike applies the mutations the churn model makes — a
+// privatization (state holdings removed, a new buyer takes them) and a
+// nationalization (the private majority moves to a new government
+// unit) — plus a stake added to lists nothing was removed from, which
+// must grow them without touching any other list.
+func churnLike(g *Graph) {
+	removed := g.RemoveHolding("gov-NO", "telenor")
+	g.MustAddEntity(Entity{ID: "buyer-telenor", Kind: KindPrivate, Name: "Telenor private investors", Country: "NO"})
+	g.MustAddHolding(Holding{Holder: "buyer-telenor", Target: "telenor", Share: removed})
+	g.RemoveHolding("khazanah", "tm")
+	share := g.RemoveHolding("fiji-inv", "fiji-tel")
+	g.MustAddEntity(Entity{ID: "gov-FJ", Kind: KindGovernment, Name: "Government of FJ", Country: "FJ"})
+	g.MustAddHolding(Holding{Holder: "gov-FJ", Target: "fiji-tel", Share: share})
+	g.MustAddHolding(Holding{Holder: "gov-QA", Target: "ooredoo-tn", Share: 0.1})
+}
+
+// graphState renders every entity, its holder and holding lists and its
+// resolved control, so two graphs compare equal exactly when no reader
+// can tell them apart.
+func graphState(g *Graph) string {
+	var b strings.Builder
+	for _, id := range g.Entities() {
+		e, _ := g.Entity(id)
+		c := g.ControlOf(id)
+		fmt.Fprintf(&b, "%s %v %s %s | %q %.6f", id, e.Kind, e.Name, e.Country, c.Controller, c.Share)
+		countries := make([]string, 0, len(c.StateShares))
+		for cc := range c.StateShares {
+			countries = append(countries, cc)
+		}
+		sort.Strings(countries)
+		for _, cc := range countries {
+			fmt.Fprintf(&b, " %s=%.6f", cc, c.StateShares[cc])
+		}
+		b.WriteString(" | in:")
+		for _, h := range g.inbound[id] {
+			fmt.Fprintf(&b, " %s=%.6f", h.Holder, h.Share)
+		}
+		b.WriteString(" | out:")
+		for _, h := range g.outbound[id] {
+			fmt.Fprintf(&b, " %s=%.6f", h.Target, h.Share)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestCloneIndependence is the contract parent-evolved generations rest
+// on: a clone's mutations never reach its parent (which keeps serving
+// pinned reads), two clones of one parent never see each other's
+// writes (a staged build that is aborted and staged again), and the
+// same operations on a clone and on the original reach equal graphs.
+func TestCloneIndependence(t *testing.T) {
+	parent := cloneFixture()
+	before := graphState(parent) // resolves the control memo the clones share
+	a, b := parent.Clone(), parent.Clone()
+	if got := graphState(a); got != before {
+		t.Fatalf("fresh clone differs from its parent:\n%s\nwant:\n%s", got, before)
+	}
+
+	churnLike(a)
+	if !a.ControlOf("fiji-tel").Controlled() || a.ControlOf("telenor").Controlled() {
+		t.Fatal("the mutations did not move control on the clone; the test is vacuous")
+	}
+	if got := graphState(parent); got != before {
+		t.Errorf("mutating a clone changed its parent:\n%s\nwant:\n%s", got, before)
+	}
+	if got := graphState(b); got != before {
+		t.Errorf("mutating one clone changed its sibling:\n%s\nwant:\n%s", got, before)
+	}
+
+	churnLike(b)
+	want := graphState(a)
+	if got := graphState(b); got != want {
+		t.Errorf("the same operations on two clones diverged:\n%s\nwant:\n%s", got, want)
+	}
+	churnLike(parent)
+	if got := graphState(parent); got != want {
+		t.Errorf("the same operations on the original and on a clone diverged:\n%s\nwant:\n%s", got, want)
 	}
 }

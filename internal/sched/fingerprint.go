@@ -149,14 +149,6 @@ func (m *Memo) Lookup(name string) (Artifact, bool) {
 	return a, ok
 }
 
-// Len reports how many artifacts the memo holds.
-func (m *Memo) Len() int {
-	if m == nil {
-		return 0
-	}
-	return len(m.nodes)
-}
-
 // Nodes returns the memoized node names in sorted order.
 func (m *Memo) Nodes() []string {
 	if m == nil {

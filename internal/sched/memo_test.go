@@ -213,7 +213,7 @@ func TestRunMemoPanickingRestoreIsGuarded(t *testing.T) {
 	if !results[0].Reused {
 		t.Error("result not marked Reused (the restore path ran)")
 	}
-	if next.Len() != 0 {
+	if len(next.Nodes()) != 0 {
 		t.Errorf("panicked restore left %v in the memo", next.Nodes())
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"stateowned/internal/report"
 )
 
 // Clock supplies monotonically non-decreasing time in virtual units.
@@ -231,21 +229,4 @@ func (m *Metrics) Snapshot() RequestStats {
 		snap.ShedFraction = float64(snap.ShedTotal) / float64(snap.Requests)
 	}
 	return snap
-}
-
-// Render formats a snapshot as a plain-text table with a per-endpoint
-// latency-histogram sparkline, in the house report style.
-func (s Snapshot) Render() string {
-	t := report.NewTable(
-		fmt.Sprintf("Serve metrics (%d requests, %d in flight, cache hit ratio %.2f)",
-			s.Requests, s.InFlight, s.Cache.HitRatio),
-		"endpoint", "requests", "mean", "max", "latency histogram")
-	for _, es := range s.Endpoints {
-		vals := make([]float64, len(es.Histogram))
-		for i, n := range es.Histogram {
-			vals[i] = float64(n)
-		}
-		t.AddRow(es.Endpoint, es.Requests, es.MeanUnits, es.MaxUnits, report.Sparkline(vals))
-	}
-	return t.String()
 }

@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -265,11 +264,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if snap.Cache.Hits == 0 {
 		t.Fatalf("cache accounting missing from snapshot: %+v", snap.Cache)
-	}
-
-	// The snapshot renders with sparklines without panicking.
-	if out := snap.Render(); !strings.Contains(out, "/v1/asn") {
-		t.Fatalf("render output missing endpoint:\n%s", out)
 	}
 
 	// Without a health report the build-timing fields stay absent.

@@ -88,6 +88,31 @@ func BenchmarkAdvanceChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkAdvanceAtGeneration times one Advance deep into a chain:
+// the store advances to generation g untimed, then each iteration times
+// the next Advance. Every advance evolves its live parent's world by
+// one churn step, so the cost must not grow with g; EXPERIMENTS.md
+// records g = 1, 10 and 50.
+func BenchmarkAdvanceAtGeneration(b *testing.B) {
+	for _, gen := range []int{1, 10, 50} {
+		b.Run(fmt.Sprintf("scale0.5/gen%d", gen), func(b *testing.B) {
+			s := New(Options{Base: stateowned.Config{Seed: 7, Scale: 0.5}})
+			for s.Current().Gen < gen {
+				if s.Advance() == nil {
+					b.Fatalf("advance quarantined: %v", s.Degraded())
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if s.Advance() == nil {
+					b.Fatalf("advance quarantined: %v", s.Degraded())
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkColdStart is what a restarted process without -data-dir
 // pays before it can serve: the full generation-0 pipeline build.
 func BenchmarkColdStart(b *testing.B) {

@@ -92,6 +92,38 @@ func TestChurnBoundQuarantines(t *testing.T) {
 	}
 }
 
+// TestQuarantineVerdictRemembered proves a retried rejection costs no
+// rebuild: the churn-bound verdict is a pure function of (generation,
+// live parent), so three quarantines of generation 1 build it once,
+// while still counting every failure and raising the degraded state.
+// A different generation over the same parent is a different question
+// and builds.
+func TestQuarantineVerdictRemembered(t *testing.T) {
+	s := gateStore(t, &Validation{MaxChurnFraction: 0})
+	builds := 0
+	s.SetBuildHook(func(int) { builds++ })
+	for i := 1; i <= 3; i++ {
+		if _, err := s.TryAdvance(); err == nil || !strings.Contains(err.Error(), "churn") {
+			t.Fatalf("attempt %d: %v, want the churn-bound quarantine", i, err)
+		}
+		if d := s.Degraded(); d == nil || d.Failures != i || d.FailedGen != 1 {
+			t.Fatalf("attempt %d: degraded state %+v", i, d)
+		}
+	}
+	if builds != 1 {
+		t.Errorf("%d builds across 3 quarantines of one generation, want 1", builds)
+	}
+	if q := s.Quarantines(); q != 3 {
+		t.Errorf("quarantines = %d, want 3", q)
+	}
+	if err := s.Stage(2); err == nil {
+		t.Fatal("generation 2 staged under a zero churn bound")
+	}
+	if builds != 2 {
+		t.Errorf("%d builds after staging generation 2, want 2", builds)
+	}
+}
+
 // TestPanickingRebuildQuarantined wedges the store's build hook into a
 // panic: the rebuild must be contained (no process crash), counted as
 // a quarantine, and the store must recover — hook removed, the next

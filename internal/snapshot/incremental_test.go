@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -22,6 +23,7 @@ import (
 	"stateowned"
 	"stateowned/internal/analysis"
 	"stateowned/internal/churn"
+	"stateowned/internal/sched"
 	"stateowned/internal/serve"
 )
 
@@ -86,10 +88,12 @@ func advanceOracle(t *testing.T, s *Store) {
 }
 
 // advanceBoth advances the memoized chain and the oracle in lockstep
-// through chainGens generations and returns how many nodes the
+// through chainGens generations, comparing every generation's rendered
+// analysis tables while it is live, and returns how many nodes the
 // memoized chain restored in total.
 func advanceBoth(t *testing.T, memo, oracle *Store) int {
 	t.Helper()
+	assertLiveTablesEqual(t, oracle, memo)
 	reused := 0
 	for gen := 1; gen <= chainGens; gen++ {
 		if memo.Advance() == nil {
@@ -97,8 +101,24 @@ func advanceBoth(t *testing.T, memo, oracle *Store) int {
 		}
 		advanceOracle(t, oracle)
 		reused += memo.Current().Stats.NodesReused
+		assertLiveTablesEqual(t, oracle, memo)
 	}
 	return reused
+}
+
+// assertLiveTablesEqual compares the live generations' rendered
+// analysis tables. The tables render from the build's substrates, which
+// only the live generation keeps, so the chain differential compares
+// them generation by generation as the chains advance.
+func assertLiveTablesEqual(t *testing.T, oracle, memo *Store) {
+	t.Helper()
+	gf, gi := oracle.Current(), memo.Current()
+	if gf.Gen != gi.Gen {
+		t.Fatalf("chains out of step: oracle at generation %d, memo at %d", gf.Gen, gi.Gen)
+	}
+	if renderedTables(gf) != renderedTables(gi) {
+		t.Errorf("generation %d: rendered analysis tables differ", gi.Gen)
+	}
 }
 
 // renderedTables renders the three analysis tables — the human-facing
@@ -176,7 +196,9 @@ func pin(path string, gen int) string {
 }
 
 // assertChainsEqual walks both stores generation by generation and
-// compares every observable surface.
+// compares every observable surface a retained generation serves; the
+// rendered analysis tables were compared while each generation was
+// live (assertLiveTablesEqual).
 func assertChainsEqual(t *testing.T, oracle, memo *Store) {
 	t.Helper()
 	oracleSrv := httptest.NewServer(serve.NewDynamic(oracle.Source(), serve.Options{}))
@@ -194,9 +216,6 @@ func assertChainsEqual(t *testing.T, oracle, memo *Store) {
 		}
 		if !bytes.Equal(exportDataset(t, gf), exportDataset(t, gi)) {
 			t.Errorf("generation %d: dataset bytes differ between the oracle and the memoized chain", gen)
-		}
-		if renderedTables(gf) != renderedTables(gi) {
-			t.Errorf("generation %d: rendered analysis tables differ", gen)
 		}
 		if gf.Result.Health.Render() != gi.Result.Health.Render() {
 			t.Errorf("generation %d: rendered health differs", gen)
@@ -405,11 +424,13 @@ func TestIncrementalFullChurnDegeneratesToRebuild(t *testing.T) {
 	}
 	c := chainCase{seed: 7, rates: churn.Rates{Privatization: 1, Nationalization: 1, NewSubsidiary: 1}, workers: 2}
 	oracle, memo := chainStore(c), chainStore(c)
+	assertLiveTablesEqual(t, oracle, memo)
 	for gen := 1; gen <= chainGens; gen++ {
 		if memo.Advance() == nil {
 			t.Fatalf("saturation advance to generation %d quarantined: %v", gen, memo.Degraded())
 		}
 		advanceOracle(t, oracle)
+		assertLiveTablesEqual(t, oracle, memo)
 		st := memo.Current().Stats
 		reused := map[string]bool{}
 		for _, n := range st.ReusedNodes {
@@ -431,10 +452,14 @@ func TestIncrementalFullChurnDegeneratesToRebuild(t *testing.T) {
 }
 
 // TestIncrementalPinnedReadsDuringAdvance is the race regression test:
-// reused artifacts are shared between consecutive generations, so a
-// memoized rebuild mutating anything it reuses would be visible to a
-// reader pinned to the previous generation — under -race, as a report;
-// under any mode, as a byte diff against the pre-advance observation.
+// reused artifacts are shared between consecutive generations, and each
+// generation's world shares its parent's structure and clones its
+// parent's ownership graph while /v1/diff reads it, so a rebuild
+// mutating anything it shares would be visible to a reader pinned to
+// the previous generation — under -race, as a report; under any mode,
+// as a byte diff against the pre-advance observation. The same bytes
+// must come back once the generation is superseded and its ring slot
+// trimmed to what serving reads (assertEvolvedAndTrimmed).
 func TestIncrementalPinnedReadsDuringAdvance(t *testing.T) {
 	s := New(Options{
 		Base:   stateowned.Config{Seed: 21, Scale: testScale},
@@ -444,7 +469,9 @@ func TestIncrementalPinnedReadsDuringAdvance(t *testing.T) {
 	srv := httptest.NewServer(hs)
 	defer srv.Close()
 
-	paths := probePaths(t, s.Current())
+	g0 := s.Current()
+	fp0 := g0.World.FingerprintOwnership()
+	paths := append(probePaths(t, g0), "/v1/diff?from=0&to=0")
 	before := make(map[string]string, len(paths))
 	for _, p := range paths {
 		_, before[p] = fetch(t, srv, pin(p, 0))
@@ -501,5 +528,61 @@ func TestIncrementalPinnedReadsDuringAdvance(t *testing.T) {
 		if _, body := fetch(t, srv, pin(p, 0)); body != before[p] {
 			t.Errorf("pinned gen-0 read of %s drifted after %d memoized advances", p, chainGens)
 		}
+	}
+	assertEvolvedAndTrimmed(t, s, g0, fp0)
+}
+
+// sameMap reports whether two maps are one map.
+func sameMap(a, b any) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
+
+// assertEvolvedAndTrimmed checks the shape a chain of advances from g0
+// leaves behind: every later generation's world shares g0's structure
+// and owns its ownership graph; building them left g0's ownership
+// (fingerprint fp0, taken while g0 was live) untouched while the chain's
+// moved; and g0's ring slot is a trimmed copy — no memo, no substrates,
+// still everything serving reads — while the published g0 is unchanged.
+func assertEvolvedAndTrimmed(t *testing.T, s *Store, g0 *Generation, fp0 sched.Fingerprint) {
+	t.Helper()
+	w0 := g0.World
+	parent := w0
+	for gen := 1; gen <= s.Current().Gen; gen++ {
+		g, st := s.Lookup(gen)
+		if st != serve.GenOK {
+			t.Fatalf("generation %d not retained", gen)
+		}
+		w := g.World
+		if !sameMap(w.Operators, w0.Operators) || !sameMap(w.ASes, w0.ASes) || !sameMap(w.Profiles, w0.Profiles) {
+			t.Errorf("generation %d's world was regenerated, not evolved from its live parent's", gen)
+		}
+		if w.Graph == parent.Graph {
+			t.Errorf("generation %d evolved its parent's ownership graph in place", gen)
+		}
+		parent = w
+	}
+	if w0.FingerprintOwnership() != fp0 {
+		t.Error("later generations' builds changed generation 0's ownership")
+	}
+	if s.Current().World.FingerprintOwnership() == fp0 {
+		t.Error("ownership never moved along the chain; the checks above are vacuous")
+	}
+
+	r0, _ := s.Lookup(0)
+	if r0 == g0 {
+		t.Fatal("superseded generation 0 kept its ring slot untrimmed")
+	}
+	if g0.Result.Memo == nil || g0.Result.Topology == nil {
+		t.Error("trimming mutated the published generation 0")
+	}
+	res := r0.Result
+	if res.Memo != nil || res.Topology != nil || res.Geo != nil || res.WHOIS != nil || res.Orbis != nil ||
+		res.Docs != nil || res.Candidates != nil || res.Confirmation != nil {
+		t.Error("superseded generation 0 still carries build state")
+	}
+	if r0.World != w0 || r0.Index != g0.Index || res.Dataset != g0.Result.Dataset ||
+		res.Index() != g0.Index || res.Graph() != g0.View().Graph {
+		t.Error("superseded generation 0 lost something serving reads")
+	}
+	if s.Current().Result.Memo == nil {
+		t.Error("the live generation has no memo to build its successor from")
 	}
 }

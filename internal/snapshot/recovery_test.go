@@ -289,6 +289,13 @@ func TestWarmStartByteIdentity(t *testing.T) {
 	if !bytes.Equal(exportDataset(t, gLive), exportDataset(t, gRec)) {
 		t.Errorf("resumed generation %d dataset differs from the uncrashed store's", next)
 	}
+	// The uncrashed store evolved its live parent's world by one step; the
+	// recovered parent has no world, so the resumed store replayed the
+	// chain from a fresh one. Both must reach the same ground truth.
+	if gRec.World.FingerprintStructure() != gLive.World.FingerprintStructure() ||
+		gRec.World.FingerprintOwnership() != gLive.World.FingerprintOwnership() {
+		t.Errorf("resumed generation %d: the replayed world differs from the evolved one", next)
+	}
 	// The graph plane is back for the live-built generation...
 	for _, p := range graphPaths {
 		pp := pin(p, next)

@@ -15,12 +15,23 @@
 // with a bounded ring of retained generations for pinned queries and
 // an audit diff between any two retained generations.
 //
-// Determinism is load-bearing: generation g's world is rebuilt from
-// scratch as Generate(Base) + g seeded Evolve steps, so a generation's
-// content is a pure function of (Base config, churn seed, g) —
-// independent of worker count, reload timing, and map iteration order.
-// The differential tests enforce this against golden files and offline
-// churn audits.
+// Advancing costs one churn step, not g: generation g's world is its
+// live parent's world evolved by one seeded Evolve step — the
+// parent's immutable structure shared, its ownership graph cloned — so
+// the parent stays frozen for the readers pinned to it. Only where no
+// live-built parent exists (generation 0, a parent recovered from the
+// archive, the differential oracle) is the world rebuilt from scratch
+// as Generate(Base) + g steps. Determinism is load-bearing: both paths
+// must reach the same world, so a generation's content is a pure
+// function of (Base config, churn seed, g) — independent of worker
+// count, reload timing, map iteration order and of which path built
+// it. That is a tested property, not a construction: the world-level
+// and memo-vs-oracle chain differentials, the golden chain and the
+// offline churn audits enforce it.
+//
+// Once a generation is superseded its ring slot keeps only what serving
+// reads (see Generation); the build state — substrates, stage results
+// and the artifact memo — stays with the live generation alone.
 package snapshot
 
 import (
@@ -164,13 +175,29 @@ type BuildStats struct {
 // ground truth, the pipeline Result built over it, the compiled serving
 // index, and the churn events that separate it from its predecessor.
 // All fields are frozen once the generation is published.
+//
+// A published Generation is never mutated. When a newer generation
+// goes live, the superseded one's ring slot is replaced by a trimmed
+// copy that keeps what serving, /v1/diff and the archive read — the
+// index, the view (graph plane, health, hijacks, provenance), the churn
+// events, the build stats, the world and a minimal Result — and lets
+// the build state go. Readers that resolved the untrimmed value keep it
+// until they finish.
 type Generation struct {
 	// Gen is the generation number; 0 is the initial build with no churn
 	// applied.
 	Gen int
-	// World is this generation's ground truth.
+	// World is this generation's ground truth. A live-built generation
+	// shares its parent's immutable structure (operators, ASes, country
+	// profiles and their iteration orders) and owns its ownership graph,
+	// a clone of the parent's evolved by one churn step. Nil for a
+	// generation recovered from the archive.
 	World *world.World
-	// Result is the full pipeline output built over World.
+	// Result is the pipeline output built over World. The live
+	// generation carries all of it, including the artifact memo the next
+	// build reuses; a superseded or recovered generation carries only
+	// Dataset, Health and Hijacks, with the index and the graph plane
+	// adopted so Result.Index and Result.Graph still answer.
 	Result *stateowned.Result
 	// Index is the compiled serving index (Result.Index(), memoized).
 	Index *serve.Index
@@ -194,6 +221,22 @@ type Generation struct {
 	recSpans []durable.AuditSpan
 
 	view serve.View
+}
+
+// superseded returns the copy of g that stays in the ring once a newer
+// generation is live: everything serving, /v1/diff, the archive and
+// pinned reads use, none of the build state (substrates, stage results,
+// memo). g itself is left untouched for the readers still holding it.
+func (g *Generation) superseded() *Generation {
+	if g.Recovered {
+		return g // restored from the archive: it carries no build state
+	}
+	res := &stateowned.Result{Dataset: g.Result.Dataset, Health: g.Result.Health, Hijacks: g.Result.Hijacks}
+	res.AdoptIndex(g.Index)
+	res.AdoptGraph(g.view.Graph)
+	t := *g
+	t.Result = res
+	return &t
 }
 
 // View returns the generation as the serving layer sees it.
@@ -247,6 +290,10 @@ type Store struct {
 	// guards the retention ring.
 	buildMu  sync.Mutex
 	failures int // consecutive quarantined rebuilds
+	// verdict is the gate's last rejection of a deterministic build,
+	// answered again without rebuilding when the same (generation, live
+	// parent) is retried. Guarded by buildMu; cleared on commit.
+	verdict *verdict
 	// staged is a generation that passed the validation gate but has not
 	// been published — the fleet's two-phase reload holds it here between
 	// the stage ack and the commit order. Invisible to readers until
@@ -262,6 +309,13 @@ type Store struct {
 	// build — a test seam for injecting failing or panicking rebuilds
 	// into the gate (mirrors the pipeline's node-level hook).
 	buildHook func(gen int)
+}
+
+// verdict is a remembered gate rejection: generation gen built over
+// live generation parent failed validation with err.
+type verdict struct {
+	gen, parent int
+	err         error
 }
 
 // Degradation is the reload gate's published failure state: why the
@@ -341,12 +395,19 @@ func (s *Store) churnSeed(g int) uint64 {
 	return s.churnBase.Sub(fmt.Sprintf("generation/%d", g)).Uint64()
 }
 
-// build constructs generation gen from first principles: a fresh world
-// from the base config, gen seeded churn steps, then the hardened
-// pipeline over the evolved world. Rebuilding the world from scratch
-// (rather than evolving the previous generation's world in place) keeps
-// every retained generation frozen and makes the content reproducible
-// from the generation number alone.
+// build constructs generation gen: its world, then the hardened
+// pipeline over it.
+//
+// With a live-built parent (one that carries its world) the world is
+// the parent's, evolved: successor shares the parent's immutable
+// structure and clones its ownership graph, and the churn steps from
+// parent.Gen to gen — one for the immediate successor — run on the
+// clone, so the parent stays frozen for the readers pinned to it and an
+// advance costs one step however long the chain. With no such parent
+// (generation 0, a recovered parent, or the differential oracle's nil)
+// the world is replayed from first principles: a fresh world from the
+// base config and gen seeded churn steps. Both reach the same world;
+// the world-level and chain differentials hold them to it.
 //
 // The pipeline reuses parent's artifact memo when parent is the
 // immediate predecessor; any other parent (or nil) builds every node.
@@ -356,10 +417,15 @@ func (s *Store) build(gen int, parent *Generation) *Generation {
 		s.buildHook(gen)
 	}
 	cfg := s.opts.Base
-	w := world.Generate(world.Config{Seed: cfg.Seed, Scale: cfg.Scale, Countries: cfg.Countries})
+	var w *world.World
+	from, total := 0, 0
+	if parent != nil && parent.World != nil && parent.Gen < gen {
+		w, from, total = successor(parent.World), parent.Gen, parent.TotalEvents
+	} else {
+		w = world.Generate(world.Config{Seed: cfg.Seed, Scale: cfg.Scale, Countries: cfg.Countries})
+	}
 	var events []churn.Event
-	total := 0
-	for i := 1; i <= gen; i++ {
+	for i := from + 1; i <= gen; i++ {
 		events = churn.Evolve(w, yearsPerGen, s.churnSeed(i), s.opts.Rates)
 		total += len(events)
 	}
@@ -429,12 +495,28 @@ func (s *Store) build(gen int, parent *Generation) *Generation {
 	return g
 }
 
+// successor returns a world for the generation after w's that churn
+// may evolve without touching w: the struct is copied, so the operator,
+// AS and profile maps and the iteration-order slices — which churn
+// never writes — are shared, and the ownership graph, which it does
+// write, is cloned.
+func successor(w *world.World) *world.World {
+	next := *w
+	next.Graph = w.Graph.Clone()
+	return &next
+}
+
 // publish makes g the live generation and trims the retention ring,
 // notifying the eviction hook (outside the lock) for each generation
-// that fell off.
+// that fell off. The generation g supersedes keeps its ring slot as the
+// trimmed copy superseded returns, so only the live generation holds a
+// build's memo and substrates.
 func (s *Store) publish(g *Generation) {
 	var evicted []int
 	s.mu.Lock()
+	if n := len(s.ring); n > 0 {
+		s.ring[n-1] = s.ring[n-1].superseded()
+	}
 	s.ring = append(s.ring, g)
 	s.current.Store(g) // the swap: new requests see g from here on
 	for len(s.ring) > s.opts.Retain {
@@ -520,10 +602,7 @@ func (s *Store) stageLocked(gen int) error {
 	s.staged.Store(nil) // a held different generation is replaced either way
 	s.reloading.Store(true)
 	defer s.reloading.Store(false)
-	g, err := s.buildChecked(gen, prev)
-	if err == nil {
-		err = s.validate(prev, g)
-	}
+	g, err := s.buildValidated(gen, prev)
 	if err != nil {
 		s.quarantines.Add(1)
 		s.failures++
@@ -563,6 +642,7 @@ func (s *Store) commitLocked(gen int) (*Generation, error) {
 	}
 	s.staged.Store(nil)
 	s.failures = 0
+	s.verdict = nil
 	s.degraded.Store(nil)
 	s.publish(g)
 	return g, nil
@@ -601,6 +681,31 @@ func (s *Store) StagedGen() int {
 func (s *Store) Advance() *Generation {
 	g, _ := s.TryAdvance()
 	return g
+}
+
+// buildValidated builds generation gen over the live generation prev
+// and runs it through the validation gate. A rejected build is a pure
+// function of (gen, prev), so its verdict is remembered with that pair
+// and a retry of the pair — Reload's backoff step, the coordinator's
+// re-stage — is answered from it without building again. A build that
+// panicked, or whose pipeline contained a node panic (the node, and
+// every node downstream of it, is then missing from the memo), is
+// never remembered: a panic may heal.
+func (s *Store) buildValidated(gen int, prev *Generation) (*Generation, error) {
+	if v := s.verdict; v != nil && v.gen == gen && v.parent == prev.Gen {
+		return nil, v.err
+	}
+	g, err := s.buildChecked(gen, prev)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.validate(prev, g); err != nil {
+		if len(g.Result.Memo.Nodes()) == g.Stats.NodesTotal {
+			s.verdict = &verdict{gen: gen, parent: prev.Gen, err: err}
+		}
+		return nil, err
+	}
+	return g, nil
 }
 
 // buildChecked runs build with a panic barrier: a crashing rebuild
@@ -663,7 +768,9 @@ func churnFraction(prev, g *Generation) float64 {
 // Reload advances generations on a fixed cadence until ctx is
 // canceled, containing rebuild failures: a quarantined generation is
 // retried under capped exponential backoff (DefaultReloadBackoff) while
-// the store keeps serving last-known-good, and after
+// the store keeps serving last-known-good — a retry of a deterministic
+// rejection is answered from its remembered verdict, not rebuilt
+// (buildValidated) — and after
 // Validation.MaxFailures consecutive quarantines (0 = never) the loop
 // parks — serving the last good generation forever with GaveUp raised
 // — rather than burning CPU on a rebuild that will not heal. logf
