@@ -105,19 +105,43 @@ const (
 	identityTokenBar = 0.65
 )
 
-// SameCompany reports whether two names (both operating in country cc)
-// plausibly denote the same company. Both stage-1 candidate merging and
-// stage-2 document matching use this predicate.
-func SameCompany(a, b, cc string) bool {
-	sa, sb := stripCountryTokens(a, cc), stripCountryTokens(b, cc)
-	if sa != "" && sb != "" {
-		a, b = sa, sb
+// Identity is a company name prepared for the same-company predicate
+// inside one country: the full name, prepared, and — when stripping the
+// country's name words leaves any — the stripped name, prepared. The
+// stripped string is tokenized again rather than reusing the kept
+// tokens, because stripping can expose a new trailing legal suffix
+// ("Mobile Co Nigeria" strips to "mobile co", which normalizes to
+// "mobile") or bring single letters together ("a Nigeria b" strips to
+// "a b", which normalizes to "ab").
+type Identity struct {
+	Name     nameutil.Name // the full name
+	stripped nameutil.Name
+	strips   bool // stripping left at least one token
+}
+
+// NewIdentity prepares a company name operating in country cc.
+func NewIdentity(name, cc string) Identity {
+	id := Identity{Name: nameutil.Prepare(name)}
+	if s := stripCountryTokens(name, cc); s != "" {
+		id.stripped, id.strips = nameutil.Prepare(s), true
 	}
-	if nameutil.JaroWinkler(nameutil.Normalize(a), nameutil.Normalize(b)) >= identityJWBar {
+	return id
+}
+
+// Same reports whether two names prepared for the same country plausibly
+// denote the same company. Both stage-1 candidate merging and stage-2
+// document matching use this predicate. The stripped forms are compared
+// only when both names keep a word after stripping.
+func (a Identity) Same(b Identity) bool {
+	x, y := a.Name, b.Name
+	if a.strips && b.strips {
+		x, y = a.stripped, b.stripped
+	}
+	if nameutil.JaroWinkler(x.Norm, y.Norm) >= identityJWBar {
 		return true
 	}
-	return nameutil.Similarity(a, b) >= identitySimBar &&
-		nameutil.TokenSetSimilarity(a, b) >= identityTokenBar
+	return x.Similarity(y) >= identitySimBar &&
+		x.TokenSetSimilarity(y) >= identityTokenBar
 }
 
 // stripCountryTokens removes the country's name words from a company name
@@ -443,10 +467,12 @@ func mergeCandidates(cands []Company) []Company {
 			return group[i].Name < group[j].Name
 		})
 		var merged []Company
+		var anchors []Identity // aligned with merged
 		for _, c := range group {
+			id := NewIdentity(c.Name, cc)
 			placed := false
 			for i := range merged {
-				if SameCompany(merged[i].Name, c.Name, cc) {
+				if anchors[i].Same(id) {
 					merged[i].Sources = merged[i].Sources.Union(c.Sources)
 					merged[i].ASNs = unionASNs(merged[i].ASNs, c.ASNs)
 					merged[i].OrgIDs = unionStrings(merged[i].OrgIDs, c.OrgIDs)
@@ -456,6 +482,7 @@ func mergeCandidates(cands []Company) []Company {
 			}
 			if !placed {
 				merged = append(merged, c)
+				anchors = append(anchors, id)
 			}
 		}
 		out = append(out, merged...)

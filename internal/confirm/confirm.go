@@ -130,7 +130,7 @@ func scopeCheck(name string) (string, bool) {
 
 // Run executes stage 2 on the stage-1 candidates.
 func Run(in Inputs, cands []candidates.Company) *Result {
-	a := &analyst{in: in, visited: map[string]bool{}}
+	a := &analyst{in: in}
 	a.buildNameIndex()
 	res := &Result{}
 
@@ -249,54 +249,83 @@ func sortResult(res *Result) {
 }
 
 type analyst struct {
-	in      Inputs
-	visited map[string]bool
+	in Inputs
 
-	// name index for reverse company-to-AS mapping
-	orgNames   []string
-	orgASNs    [][]world.ASN
-	orgCountry []string
+	// Registry names for the reverse company-to-AS mapping, bucketed by
+	// country in registry order. A country's names are prepared the
+	// first time that country is queried (orgIdents); most countries
+	// never are.
+	orgs      map[string][]registryName
+	orgIdents map[string][]candidates.Identity
+
+	// idents memoizes the prepared identity of every candidate, alias
+	// and document name the analyst compares, per country.
+	idents map[identKey]candidates.Identity
 }
 
+type registryName struct {
+	name string
+	asns []world.ASN
+}
+
+type identKey struct{ name, country string }
+
 func (a *analyst) buildNameIndex() {
+	a.orgs = make(map[string][]registryName)
+	a.orgIdents = make(map[string][]candidates.Identity)
+	a.idents = make(map[identKey]candidates.Identity)
 	for _, orgID := range a.in.WHOIS.Orgs() {
 		asns := a.in.WHOIS.ASNsOfOrg(orgID)
 		if len(asns) == 0 {
 			continue
 		}
 		rec, _ := a.in.WHOIS.Lookup(asns[0])
-		a.orgNames = append(a.orgNames, rec.OrgName)
-		a.orgASNs = append(a.orgASNs, asns)
-		a.orgCountry = append(a.orgCountry, rec.Country)
+		a.orgs[rec.Country] = append(a.orgs[rec.Country], registryName{rec.OrgName, asns})
 		// PeeringDB brand names index the same ASNs under fresher names.
 		if e, ok := a.in.PeeringDB.Lookup(asns[0]); ok {
-			a.orgNames = append(a.orgNames, e.Name)
-			a.orgASNs = append(a.orgASNs, asns)
-			a.orgCountry = append(a.orgCountry, rec.Country)
+			a.orgs[rec.Country] = append(a.orgs[rec.Country], registryName{e.Name, asns})
 		}
 	}
+}
+
+// identity returns the prepared identity of a name in a country.
+func (a *analyst) identity(name, country string) candidates.Identity {
+	k := identKey{name, country}
+	id, ok := a.idents[k]
+	if !ok {
+		id = candidates.NewIdentity(name, country)
+		a.idents[k] = id
+	}
+	return id
 }
 
 // mapNameToASNs resolves a company name to ASNs registered in the
 // country (§6 runs §4.2's mapping "in reverse"). The match must pass the
 // same-company predicate; the best-scoring passing record wins.
 func (a *analyst) mapNameToASNs(name, country string) []world.ASN {
+	orgs := a.orgs[country]
+	ids, ok := a.orgIdents[country]
+	if !ok {
+		ids = make([]candidates.Identity, len(orgs))
+		for i, o := range orgs {
+			ids[i] = candidates.NewIdentity(o.name, country)
+		}
+		a.orgIdents[country] = ids
+	}
+	q := a.identity(name, country)
 	best, bestScore := -1, 0.0
-	for i, n := range a.orgNames {
-		if a.orgCountry[i] != country {
+	for i, id := range ids {
+		if !q.Same(id) {
 			continue
 		}
-		if !candidates.SameCompany(name, n, country) {
-			continue
-		}
-		if s := nameutil.Similarity(name, n); s > bestScore {
+		if s := q.Name.Similarity(id.Name); s > bestScore {
 			best, bestScore = i, s
 		}
 	}
 	if best < 0 {
 		return nil
 	}
-	return append([]world.ASN(nil), a.orgASNs[best]...)
+	return append([]world.ASN(nil), orgs[best].asns...)
 }
 
 type verification struct {
@@ -431,11 +460,12 @@ func (a *analyst) bestOwnershipDoc(names []string, country string) (docsrc.Docum
 	var best docsrc.Document
 	found := false
 	for _, name := range names {
+		q := a.identity(name, country)
 		for _, d := range a.in.Docs.Search(name, country) {
 			if !d.Source.Authoritative() || !d.StatesOwnership {
 				continue
 			}
-			if !candidates.SameCompany(name, d.CompanyName, country) {
+			if !q.Same(a.identity(d.CompanyName, country)) {
 				continue
 			}
 			if p := int(d.Source); p < bestPriority {
@@ -455,11 +485,12 @@ func (a *analyst) subsidiaries(c Confirmed) []docsrc.SubsidiaryRef {
 	seen := map[string]bool{}
 	var out []docsrc.SubsidiaryRef
 	for _, name := range a.aliases(c.Company) {
+		q := a.identity(name, c.Company.Country)
 		for _, d := range a.in.Docs.Search(name, c.Company.Country) {
 			if d.Source != docsrc.CompanyWebsite && d.Source != docsrc.AnnualReport {
 				continue
 			}
-			if !candidates.SameCompany(name, d.CompanyName, c.Company.Country) {
+			if !q.Same(a.identity(d.CompanyName, c.Company.Country)) {
 				continue
 			}
 			for _, ref := range d.Subsidiaries {

@@ -120,9 +120,13 @@ type CountryListing struct {
 
 // Corpus is the frozen document universe.
 type Corpus struct {
-	docs  []Document
-	byOp  map[string][]int
-	names []string // normalized company-name index, aligned with docs
+	docs []Document
+	byOp map[string][]int
+	// names[i] is docs[i].CompanyName prepared for matching; byCountry
+	// lists each country's document indices in ascending order, so a
+	// search scores only the documents of its country.
+	names     []nameutil.Name
+	byCountry map[string][]int
 
 	fhListings   map[string]CountryListing
 	wikiListings map[string]CountryListing
@@ -157,14 +161,18 @@ func Build(w *world.World) *Corpus {
 	return c
 }
 
-// reindex rebuilds the by-operator and normalized-name indices from the
-// docs slice (after Build, and again after degradation removes docs).
+// reindex rebuilds the by-operator, by-country and prepared-name indices
+// from the docs slice (after Build, and again after degradation removes
+// docs).
 func (c *Corpus) reindex() {
 	c.byOp = make(map[string][]int)
-	c.names = c.names[:0]
-	for i, d := range c.docs {
+	c.byCountry = make(map[string][]int)
+	c.names = make([]nameutil.Name, len(c.docs))
+	for i := range c.docs {
+		d := &c.docs[i]
 		c.byOp[d.OperatorID] = append(c.byOp[d.OperatorID], i)
-		c.names = append(c.names, nameutil.Normalize(d.CompanyName))
+		c.byCountry[d.Country] = append(c.byCountry[d.Country], i)
+		c.names[i] = nameutil.Prepare(d.CompanyName)
 	}
 }
 
@@ -410,13 +418,19 @@ func hasUSPresence(w *world.World, op *world.Operator) bool {
 // buildListings assembles the Freedom House and Wikipedia country-level
 // company lists used as candidate sources.
 func (c *Corpus) buildListings(w *world.World, r *rng.Stream) {
+	// One pass over the operators, in ID order within each country.
+	byCountry := make(map[string][]*world.Operator)
+	for _, id := range w.OperatorIDs {
+		op := w.Operators[id]
+		byCountry[op.Country] = append(byCountry[op.Country], op)
+	}
 	for _, cc := range w.Countries {
 		prof := w.Profiles[cc]
 		cr := r.Sub("cc/" + cc)
 		var fh, wiki CountryListing
 		fh = CountryListing{Source: FreedomHouse, Country: cc}
 		wiki = CountryListing{Source: Wikipedia, Country: cc}
-		for _, op := range w.OperatorsIn(cc) {
+		for _, op := range byCountry[cc] {
 			if op.Kind == world.KindEnterprise || op.QuietGateway {
 				continue
 			}
@@ -502,17 +516,24 @@ func privateQuote(lang string) string {
 // most similar first. This is how the mechanized analyst "googles" a
 // candidate company.
 func (c *Corpus) Search(name, country string) []Document {
+	q := nameutil.Prepare(name)
 	type hit struct {
 		idx   int
 		score float64
 	}
 	var hits []hit
-	for i, d := range c.docs {
-		if country != "" && d.Country != country {
-			continue
-		}
-		if s := nameutil.Similarity(name, d.CompanyName); s >= 0.72 {
+	score := func(i int) {
+		if s := q.Similarity(c.names[i]); s >= 0.72 {
 			hits = append(hits, hit{i, s})
+		}
+	}
+	if country == "" {
+		for i := range c.names {
+			score(i)
+		}
+	} else {
+		for _, i := range c.byCountry[country] {
+			score(i)
 		}
 	}
 	sort.Slice(hits, func(i, j int) bool {

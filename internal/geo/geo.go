@@ -31,6 +31,10 @@ type DB struct {
 	prefixes map[world.ASN][]netaddr.Prefix
 	totals   map[string]uint64
 	accuracy map[string]float64
+	// byCountry[cc] is CountryOrigins(cc). Build, Degrade and Quarantine
+	// rebuild it as their last step, never lazily: a published DB is
+	// shared read-only between generations.
+	byCountry map[string][]Triplet
 }
 
 // Build geolocates every prefix of the world.
@@ -88,7 +92,29 @@ func Build(w *world.World) *DB {
 			db.totals[assigned] += p.NumAddresses()
 		}
 	}
+	db.bucket()
 	return db
+}
+
+// bucket groups the per-origin address counts by country, each country's
+// origins by descending address count, then ascending origin.
+func (d *DB) bucket() {
+	d.byCountry = make(map[string][]Triplet)
+	for origin, per := range d.perOrigin {
+		for cc, n := range per {
+			if n > 0 {
+				d.byCountry[cc] = append(d.byCountry[cc], Triplet{origin, cc, n})
+			}
+		}
+	}
+	for _, out := range d.byCountry {
+		sort.Slice(out, func(i, j int) bool {
+			if out[i].Addresses != out[j].Addresses {
+				return out[i].Addresses > out[j].Addresses
+			}
+			return out[i].Origin < out[j].Origin
+		})
+	}
 }
 
 // Locate returns the assigned country of a prefix ("" if unknown).
@@ -156,6 +182,7 @@ func (d *DB) Degrade(in *faults.Injector) faults.Damage {
 			}
 		}
 	}
+	d.bucket()
 	return in.Damage()
 }
 
@@ -175,6 +202,7 @@ func (d *DB) Quarantine() int {
 			}
 		}
 	}
+	d.bucket()
 	return n
 }
 
@@ -235,19 +263,6 @@ func (d *DB) OriginAddressesIn(origin world.ASN, country string) uint64 {
 func (d *DB) TotalIn(country string) uint64 { return d.totals[country] }
 
 // CountryOrigins returns the origins with any address space geolocated to
-// the country, sorted by descending address count.
-func (d *DB) CountryOrigins(country string) []Triplet {
-	var out []Triplet
-	for origin, per := range d.perOrigin {
-		if n := per[country]; n > 0 {
-			out = append(out, Triplet{origin, country, n})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Addresses != out[j].Addresses {
-			return out[i].Addresses > out[j].Addresses
-		}
-		return out[i].Origin < out[j].Origin
-	})
-	return out
-}
+// the country, sorted by descending address count, then ascending origin.
+// The slice is shared: callers must not modify it.
+func (d *DB) CountryOrigins(country string) []Triplet { return d.byCountry[country] }

@@ -45,7 +45,7 @@ func FuzzSimilarity(f *testing.F) {
 // normalization, ranked matching — with one arbitrary query, enforcing
 // the invariants the AS-to-company mapper and the serve index's fuzzy
 // search rely on: no panics, tokens lower-cased and whitespace-free,
-// idempotent normalization, in-range BestMatch results.
+// idempotent normalization, similarity scores in [0,1].
 func FuzzSearchName(f *testing.F) {
 	for _, seed := range []string{
 		"Telecom Argentina S.A.",
@@ -82,15 +82,10 @@ func FuzzSearchName(f *testing.F) {
 			t.Fatalf("Normalize not idempotent on %q: %q -> %q", name, norm, got)
 		}
 
-		idx, score := BestMatch(name, []string{"Telecom Argentina S.A.", "Antel", name})
-		if idx < 0 || idx > 2 {
-			t.Fatalf("BestMatch(%q) index %d out of range", name, idx)
-		}
-		if score < 0 || score > 1 {
-			t.Fatalf("BestMatch(%q) score %v out of [0,1]", name, score)
-		}
-		if idx, score := BestMatch(name, nil); idx != -1 || score != 0 {
-			t.Fatalf("BestMatch(%q, nil) = (%d, %v), want (-1, 0)", name, idx, score)
+		for _, other := range []string{"Telecom Argentina S.A.", "Antel", name} {
+			if s := Similarity(name, other); s < 0 || s > 1 {
+				t.Fatalf("Similarity(%q, %q) = %v out of [0,1]", name, other, s)
+			}
 		}
 	})
 }
@@ -107,5 +102,18 @@ func FuzzTokens(f *testing.F) {
 				t.Fatalf("empty token from %q", s)
 			}
 		}
+	})
+}
+
+// FuzzPreparedMatchesReference holds the prepared comparisons to the
+// pre-change string functions on arbitrary name pairs.
+func FuzzPreparedMatchesReference(f *testing.F) {
+	for _, a := range edgeNames {
+		f.Add(a, "Telecom Argentina S.A.")
+	}
+	f.Add("Telecom Telecom", "Telecom")
+	f.Add("a Nigeria b", "ab")
+	f.Fuzz(func(t *testing.T, a, b string) {
+		checkPrepared(t, a, b)
 	})
 }

@@ -138,39 +138,73 @@ func Tokens(name string) []string {
 // normalized tokens joined by single spaces.
 func Normalize(name string) string { return strings.Join(Tokens(name), " ") }
 
+// Name is a name prepared for repeated comparison: its normalized form
+// plus its distinct tokens, sorted, with their token-set weights, all
+// built from one Tokens call. Prepare each name once and compare the
+// prepared forms; a Name is immutable and safe to share.
+type Name struct {
+	// Norm is the normalized form, as Normalize returns it.
+	Norm string
+	// Tokens are the name's distinct normalized tokens in ascending
+	// order.
+	Tokens  []string
+	weights []float64 // aligned with Tokens
+	total   float64   // sum of weights
+}
+
+// Prepare tokenizes a raw name once into its comparable form.
+func Prepare(name string) Name {
+	toks := Tokens(name)
+	n := Name{Norm: strings.Join(toks, " ")}
+	sort.Strings(toks)
+	distinct := toks[:0]
+	for _, t := range toks {
+		if len(distinct) == 0 || t != distinct[len(distinct)-1] {
+			distinct = append(distinct, t)
+		}
+	}
+	n.Tokens = distinct
+	n.weights = make([]float64, len(distinct))
+	for i, t := range distinct {
+		n.weights[i] = tokenWeight(t)
+		n.total += n.weights[i]
+	}
+	return n
+}
+
+// tokenWeight is a token's share of a name's identity: distinctive tokens
+// weigh 1.0, generic industry tokens 0.25. Every weight sum is therefore
+// a multiple of 0.25 and exact in any summation order.
+func tokenWeight(tok string) float64 {
+	if genericTokens[tok] {
+		return 0.25
+	}
+	return 1.0
+}
+
 // TokenSetSimilarity scores two names in [0,1] by weighted token overlap.
 // Distinctive tokens weigh 1.0; generic industry tokens weigh 0.25. Two
 // names with no distinctive overlap score near zero even if both contain
 // "telecom".
-func TokenSetSimilarity(a, b string) float64 {
-	ta, tb := Tokens(a), Tokens(b)
-	if len(ta) == 0 || len(tb) == 0 {
+func (a Name) TokenSetSimilarity(b Name) float64 {
+	if len(a.Tokens) == 0 || len(b.Tokens) == 0 {
 		return 0
 	}
-	weight := func(tok string) float64 {
-		if genericTokens[tok] {
-			return 0.25
+	// Both token lists are sorted and distinct: merge them.
+	var inter float64
+	for i, j := 0, 0; i < len(a.Tokens) && j < len(b.Tokens); {
+		switch {
+		case a.Tokens[i] < b.Tokens[j]:
+			i++
+		case a.Tokens[i] > b.Tokens[j]:
+			j++
+		default:
+			inter += a.weights[i]
+			i++
+			j++
 		}
-		return 1.0
 	}
-	setA := make(map[string]bool, len(ta))
-	for _, t := range ta {
-		setA[t] = true
-	}
-	setB := make(map[string]bool, len(tb))
-	for _, t := range tb {
-		setB[t] = true
-	}
-	var inter, wA, wB float64
-	for t := range setA {
-		if setB[t] {
-			inter += weight(t)
-		}
-		wA += weight(t)
-	}
-	for t := range setB {
-		wB += weight(t)
-	}
+	wA, wB := a.total, b.total
 	union := wA + wB - inter
 	if union == 0 {
 		return 0
@@ -210,8 +244,16 @@ func Jaro(a, b string) float64 {
 	if window < 0 {
 		window = 0
 	}
-	matchA := make([]bool, la)
-	matchB := make([]bool, lb)
+	// Names fit the fixed buffers, which stay on the stack; only longer
+	// strings allocate.
+	var bufA, bufB [64]bool
+	matchA, matchB := bufA[:], bufB[:]
+	if la > len(bufA) {
+		matchA = make([]bool, la)
+	}
+	if lb > len(bufB) {
+		matchB = make([]bool, lb)
+	}
 	var matches int
 	for i := 0; i < la; i++ {
 		lo := i - window
@@ -268,41 +310,14 @@ func JaroWinkler(a, b string) float64 {
 // the token-set score and the Jaro–Winkler score of the normalized forms.
 // Token-set handles word reordering and legal suffixes; Jaro–Winkler
 // handles small spelling variants.
-func Similarity(a, b string) float64 {
-	na, nb := Normalize(a), Normalize(b)
-	if na == "" || nb == "" {
+func (a Name) Similarity(b Name) float64 {
+	if a.Norm == "" || b.Norm == "" {
 		return 0
 	}
-	ts := TokenSetSimilarity(a, b)
-	jw := JaroWinkler(na, nb)
+	ts := a.TokenSetSimilarity(b)
+	jw := JaroWinkler(a.Norm, b.Norm)
 	if ts > jw {
 		return ts
 	}
 	return jw
-}
-
-// BestMatch returns the index of the candidate most similar to the query
-// and its score, or (-1, 0) on an empty candidate list. Ties break toward
-// the lexicographically smaller normalized candidate for determinism.
-func BestMatch(query string, candidates []string) (int, float64) {
-	best, bestScore := -1, 0.0
-	type scored struct {
-		idx   int
-		score float64
-		norm  string
-	}
-	all := make([]scored, 0, len(candidates))
-	for i, c := range candidates {
-		all = append(all, scored{i, Similarity(query, c), Normalize(c)})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].score != all[j].score {
-			return all[i].score > all[j].score
-		}
-		return all[i].norm < all[j].norm
-	})
-	if len(all) > 0 {
-		best, bestScore = all[0].idx, all[0].score
-	}
-	return best, bestScore
 }

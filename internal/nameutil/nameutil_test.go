@@ -117,27 +117,6 @@ func TestTokenSetGenericDownweight(t *testing.T) {
 	}
 }
 
-func TestBestMatch(t *testing.T) {
-	candidates := []string{"Rostelecom PJSC", "Telenor Norge AS", "Angola Cables S.A."}
-	idx, score := BestMatch("Telenor", candidates)
-	if idx != 1 {
-		t.Errorf("BestMatch idx = %d, want 1 (score %f)", idx, score)
-	}
-	if idx, _ := BestMatch("anything", nil); idx != -1 {
-		t.Errorf("BestMatch on empty candidates = %d, want -1", idx)
-	}
-}
-
-func TestBestMatchDeterministicTies(t *testing.T) {
-	// Two identical candidates: must pick a stable winner.
-	c := []string{"Zeta Telecom", "Zeta Telecom"}
-	i1, _ := BestMatch("Zeta Telecom", c)
-	i2, _ := BestMatch("Zeta Telecom", c)
-	if i1 != i2 {
-		t.Error("tie-breaking not deterministic")
-	}
-}
-
 func TestDiacriticsFolding(t *testing.T) {
 	if Similarity("Türk Telekomünikasyon", "Turk Telekomunikasyon") < 0.95 {
 		t.Error("diacritic variants should match nearly perfectly")

@@ -53,6 +53,7 @@ type Index struct {
 	countryMinority map[string][]int // CC -> minority-record indices
 
 	nameToken map[string][]int // normalized token -> organization indices
+	names     []nameutil.Name  // organization names prepared for Search, by index
 }
 
 // denseLimit caps the dense array at 64 MB worth of handles; dataset
@@ -78,6 +79,7 @@ func BuildIndex(ds *expand.Dataset) *Index {
 		countryOrgs:     make(map[string][]int),
 		countryMinority: make(map[string][]int),
 		nameToken:       make(map[string][]int),
+		names:           make([]nameutil.Name, len(ds.Organizations)),
 	}
 	var maxASN world.ASN
 	for i := range ds.ASNs {
@@ -115,12 +117,9 @@ func BuildIndex(ds *expand.Dataset) *Index {
 		for _, a := range ds.ASNs[i].ASNs {
 			setHandle(a, func(h uint32) uint32 { return h&minorityFlag | uint32(i+1) })
 		}
-		seen := map[string]bool{}
-		for _, tok := range nameutil.Tokens(org.OrgName) {
-			if !seen[tok] {
-				seen[tok] = true
-				idx.nameToken[tok] = append(idx.nameToken[tok], i)
-			}
+		idx.names[i] = nameutil.Prepare(org.OrgName)
+		for _, tok := range idx.names[i].Tokens {
+			idx.nameToken[tok] = append(idx.nameToken[tok], i)
 		}
 	}
 	for i := range ds.Minority {
@@ -281,11 +280,16 @@ const (
 // organization. Results are sorted by descending score, ties broken by
 // org ID, and truncated to limit (<=0 means 10).
 func (idx *Index) Search(query string, limit int) []SearchHit {
+	return idx.SearchName(nameutil.Prepare(query), limit)
+}
+
+// SearchName is Search for a query already prepared.
+func (idx *Index) SearchName(q nameutil.Name, limit int) []SearchHit {
 	if limit <= 0 {
 		limit = 10
 	}
 	cands := map[int]bool{}
-	for _, tok := range nameutil.Tokens(query) {
+	for _, tok := range q.Tokens {
 		for _, i := range idx.nameToken[tok] {
 			cands[i] = true
 		}
@@ -299,7 +303,7 @@ func (idx *Index) Search(query string, limit int) []SearchHit {
 	}
 	hits := make([]SearchHit, 0, len(cands))
 	for i := range cands {
-		score := nameutil.Similarity(query, idx.ds.Organizations[i].OrgName)
+		score := q.Similarity(idx.names[i])
 		if score < floor {
 			continue
 		}

@@ -423,8 +423,8 @@ type SearchHitRecord struct {
 
 func (s *Server) handleSearch(v *View, r *http.Request) Response {
 	q := r.URL.Query()
-	name := q.Get("name")
-	if nameutil.Normalize(name) == "" {
+	name := nameutil.Prepare(q.Get("name"))
+	if name.Norm == "" {
 		return ErrorResponse(http.StatusBadRequest, "missing or empty ?name= query")
 	}
 	limit := searchLimit
@@ -437,8 +437,8 @@ func (s *Server) handleSearch(v *View, r *http.Request) Response {
 			limit = n
 		}
 	}
-	body := SearchResponse{Query: nameutil.Normalize(name), Hits: []SearchHitRecord{}}
-	for _, h := range v.Index.Search(name, limit) {
+	body := SearchResponse{Query: name.Norm, Hits: []SearchHitRecord{}}
+	for _, h := range v.Index.SearchName(name, limit) {
 		body.Hits = append(body.Hits, SearchHitRecord{
 			Score: h.Score, Organization: h.Org.Record, ASNs: h.Org.ASNs,
 		})
