@@ -41,8 +41,8 @@ func FuzzSimilarity(f *testing.F) {
 	})
 }
 
-// FuzzSearchName drives the full name-search path — tokenization,
-// normalization, ranked matching — with one arbitrary query, enforcing
+// FuzzSearchName drives the name-matching path — tokenization,
+// normalization, similarity scoring — with one arbitrary query, enforcing
 // the invariants the AS-to-company mapper and the serve index's fuzzy
 // search rely on: no panics, tokens lower-cased and whitespace-free,
 // idempotent normalization, similarity scores in [0,1].
