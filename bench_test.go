@@ -73,21 +73,31 @@ func BenchmarkTopologyBuild(b *testing.B) {
 }
 
 // BenchmarkRoutePropagation runs the propagation kernel for one origin
-// on a warmed per-worker Scratch, the way CTI's collector and the graph
-// build call it; it must report 0 B/op and 0 allocs/op even at
-// -benchtime 1x. Warming takes two calls: the kernel swaps its two
+// on a warmed per-worker Scratch, over the whole graph (bgp.Propagate,
+// the hijack overlay) and within the monitors' scope (CTI's collector
+// and the graph build); both must report 0 B/op and 0 allocs/op even
+// at -benchtime 1x. Warming takes two calls: the kernel swaps its two
 // frontiers every layer, so after one call one of them is still short
 // and the first measured call would grow it.
 func BenchmarkRoutePropagation(b *testing.B) {
 	res, _ := benchSetup(b)
-	var s bgp.Scratch
-	for range 2 {
-		s.Propagate(res.Topology, 7473)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Propagate(res.Topology, 7473)
+	topo := res.Topology
+	scope := bgp.NewScope(topo, bgp.MonitorIndices(topo, res.Monitors))
+	for _, c := range []struct {
+		name  string
+		scope *bgp.Scope
+	}{{"whole-graph", nil}, {"scoped", scope}} {
+		b.Run(c.name, func(b *testing.B) {
+			var s bgp.Scratch
+			for range 2 {
+				s.Propagate(topo, 7473, c.scope)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Propagate(topo, 7473, c.scope)
+			}
+		})
 	}
 }
 
@@ -543,11 +553,9 @@ func graphBenchSetup(b *testing.B, scale float64) *graphBenchState {
 
 // BenchmarkGraphBuild measures compiling the whole relationship index —
 // classed adjacency, cone closure and the per-origin dependency
-// propagation, which dominates. This is the price a snapshot generation
-// pays at build/stage time so that /v1/graph/* never computes on the
-// request path. Scale 2.0 iterations run minutes; select this bench
-// explicitly with -benchtime=1x rather than via -bench=. on a slow
-// machine.
+// propagation. This is the price a snapshot generation pays at
+// build/stage time so that /v1/graph/* never computes on the request
+// path.
 func BenchmarkGraphBuild(b *testing.B) {
 	for _, scale := range benchRunScales {
 		b.Run(fmt.Sprintf("scale%.1f", scale), func(b *testing.B) {

@@ -145,7 +145,7 @@ func TestKernelMatchesReference(t *testing.T) {
 		monitors := SelectMonitors(w, g, 0)
 		for _, origin := range g.ASes() {
 			want := referencePropagate(g, origin)
-			if !s.Propagate(g, origin) {
+			if !s.Propagate(g, origin, nil) {
 				t.Fatalf("seed %d: kernel rejected active origin %d", kw.seed, origin)
 			}
 			if len(s.routes) != len(want.routes) {
@@ -164,7 +164,7 @@ func TestKernelMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		if s.Propagate(g, 4294967294) {
+		if s.Propagate(g, 4294967294, nil) {
 			t.Fatalf("seed %d: kernel accepted an origin outside the graph", kw.seed)
 		}
 	}
@@ -174,20 +174,138 @@ func TestKernelMatchesReference(t *testing.T) {
 }
 
 // TestKernelAllocationFree pins the kernel's point: on a warmed Scratch
-// a propagation allocates nothing, whichever origin it runs for.
+// a propagation allocates nothing, whichever origin it runs for, over
+// the whole graph or within a monitor scope.
 func TestKernelAllocationFree(t *testing.T) {
 	var s Scratch
 	origins := testG.ASes()
+	sc := NewScope(testG, MonitorIndices(testG, SelectMonitors(testW, testG, 0)))
 	for _, o := range origins {
-		s.Propagate(testG, o)
+		s.Propagate(testG, o, nil)
+		s.Propagate(testG, o, sc)
 	}
-	k := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		s.Propagate(testG, origins[k%len(origins)])
-		k += 7
-	})
-	if allocs != 0 {
-		t.Fatalf("warmed kernel allocates %.1f times per origin, want 0", allocs)
+	for _, c := range []struct {
+		name string
+		sc   *Scope
+	}{{"whole-graph", nil}, {"scoped", sc}} {
+		k := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			s.Propagate(testG, origins[k%len(origins)], c.sc)
+			k += 7
+		})
+		if allocs != 0 {
+			t.Fatalf("warmed %s kernel allocates %.1f times per origin, want 0", c.name, allocs)
+		}
+	}
+}
+
+// scopeCase is a topology and the monitors whose scope is checked on it.
+type scopeCase struct {
+	g        *topology.Graph
+	monitors []Monitor
+}
+
+// scopeEdgeCases is a hand-shaped topology for the monitor scope. The
+// origin AS100 climbs AS20 to the tier-1 AS1, which peers with the
+// tier-1 AS2. The monitor in AS60 sits two providers deep (AS30, then
+// AS1), so its path needs the scope's transitive providers; the monitor
+// in AS40 reaches the origin across its peering with AS20, an ancestry
+// AS outside the scope. AS70, a customer of the scope's AS30 but not in
+// the scope, peers with AS20 too: its two-hop peer route is shorter
+// than AS30's and AS60's, and a scoped run must give it no route.
+var scopeEdgeCases = scopeCase{
+	topology.FromEdges(
+		[]world.ASN{1, 2, 10, 20, 30, 40, 60, 70, 100},
+		[][2]world.ASN{{1, 10}, {1, 20}, {20, 100}, {1, 30}, {30, 60}, {30, 70}, {2, 40}},
+		[][2]world.ASN{{1, 2}, {20, 40}, {20, 70}}),
+	[]Monitor{{ID: "deep", AS: 60}, {ID: "across-peer", AS: 40}},
+}
+
+// seedOrderCase is a hand-shaped topology on which phase 3's seed order
+// decides a monitor's route. The origin AS100 climbs AS3, AS2 and AS1.
+// In phase 3's first layer AS1 routes AS20 at distance 4 and AS3 routes
+// AS10 at distance 2; AS10, a provider of AS20, then lowers AS20 to
+// distance 3. Seeded in dense-index order, AS1 goes first, so AS20 is
+// visited before AS10 lowers it and the monitor in AS20's customer
+// AS30 keeps distance 5. Seeded in ancestry order, AS3 goes first and
+// the monitor gets distance 4.
+var seedOrderCase = scopeCase{
+	topology.FromEdges(
+		[]world.ASN{1, 2, 3, 10, 20, 30, 100},
+		[][2]world.ASN{{3, 100}, {2, 3}, {1, 2}, {1, 20}, {3, 10}, {10, 20}, {20, 30}},
+		nil),
+	[]Monitor{{ID: "below-lowered", AS: 30}},
+}
+
+// TestScopedKernelMatchesReference proves the monitor scope's rule for
+// every origin of scopeEdgeCases, seedOrderCase and the kernel worlds,
+// on one
+// Scratch: in the scope and along the origin's provider ancestry every
+// (class, dist, next) equals referencePropagate's, every other AS has
+// no route, and every monitor's path equals the reference's. A
+// whole-graph run of another origin precedes every third scoped run,
+// so the scratch resets after whole-graph runs as well as after scoped
+// ones, and it shrinks and regrows across the kernel worlds.
+func TestScopedKernelMatchesReference(t *testing.T) {
+	cases := []scopeCase{scopeEdgeCases, seedOrderCase}
+	for _, kw := range kernelWorlds {
+		w := world.Generate(world.Config{Seed: kw.seed, Scale: kw.scale})
+		g := topology.Build(w, topology.FinalYear)
+		cases = append(cases, scopeCase{g, SelectMonitors(w, g, 0)})
+	}
+	var s Scratch
+	for k, c := range cases {
+		g := c.g
+		sc := NewScope(g, MonitorIndices(g, c.monitors))
+		in := make([]bool, g.NumASes())
+		for _, i := range sc.members {
+			in[i] = true
+		}
+		origins := g.ASes()
+		for j, origin := range origins {
+			if j%3 == 0 {
+				s.Propagate(g, origins[(j+1)%len(origins)], nil)
+			}
+			want := referencePropagate(g, origin)
+			if !s.Propagate(g, origin, sc) {
+				t.Fatalf("world %d: scoped kernel rejected active origin %d", k, origin)
+			}
+			for i, r := range want.routes {
+				if !in[i] && r.class != classCustomer {
+					r = route{}
+				}
+				if s.routes[i] != r {
+					t.Fatalf("world %d origin %d: AS%d (in scope: %v) route %+v, want %+v",
+						k, origin, g.ASNAt(i), in[i], s.routes[i], r)
+				}
+			}
+			got := &PathView{g: g, origin: origin, routes: s.routes}
+			for _, m := range c.monitors {
+				if p, wp := got.Path(m.AS), referencePath(want, m.AS); !reflect.DeepEqual(p, wp) {
+					t.Fatalf("world %d origin %d: monitor %s path %v, reference %v", k, origin, m.ID, p, wp)
+				}
+			}
+		}
+	}
+
+	// The hand-shaped cases still have the shapes their comments describe.
+	g := scopeEdgeCases.g
+	var members []world.ASN
+	for _, i := range NewScope(g, MonitorIndices(g, scopeEdgeCases.monitors)).members {
+		members = append(members, g.ASNAt(i))
+	}
+	ref := referencePropagate(g, 100)
+	paths := [][]world.ASN{referencePath(ref, 60), referencePath(ref, 40), referencePath(ref, 70)}
+	if !reflect.DeepEqual(members, []world.ASN{1, 2, 30, 40, 60}) ||
+		!reflect.DeepEqual(paths, [][]world.ASN{{60, 30, 1, 20, 100}, {40, 20, 100}, {70, 20, 100}}) {
+		t.Fatalf("scopeEdgeCases changed shape: scope %v, paths from AS60, AS40, AS70 %v", members, paths)
+	}
+	g = seedOrderCase.g
+	ref = referencePropagate(g, 100)
+	i30, _ := g.Index(30)
+	i20, _ := g.Index(20)
+	if r := ref.routes[i30]; r != (route{class: classProvider, dist: 5, next: int32(i20)}) {
+		t.Fatalf("seedOrderCase changed shape: AS30 route %+v, want distance 5 via AS20", r)
 	}
 }
 
@@ -222,7 +340,7 @@ func TestStubProviderMatchesReference(t *testing.T) {
 			}
 			stubs++
 			want := referencePropagate(g, g.ASNAt(stub))
-			s.Propagate(g, g.ASNAt(p))
+			s.Propagate(g, g.ASNAt(p), nil)
 			for i, r := range s.routes {
 				if r.class != classNone {
 					r.dist++

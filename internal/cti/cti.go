@@ -52,18 +52,19 @@ func NewComputer(paths *bgp.MonitorPaths) *Computer {
 	return &Computer{paths: paths, weights: ws}
 }
 
-// prefixRef identifies one prefix by its origin and index within the
-// origin's prefix list.
-type prefixRef struct {
-	origin world.ASN
-	idx    int
-}
-
 // Country computes CTI(·, C) for every AS observed as transit toward C's
 // prefixes, returning scores sorted descending (ties by ascending ASN).
 //
 // origins lists the responsive origin ASes whose prefixes geolocate to C,
 // with their per-origin prefix counts supplied by prefixesOf.
+//
+// Each origin's monitor row and the shares a(p,C)/A(C) of its prefixes
+// holding addresses in C are looked up once, before the monitor loop.
+// The monitor stays the outer loop because the loop order fixes the
+// order in which each score's terms are summed: a hop adds its
+// per-prefix terms in prefix order, and a path never repeats an AS, so
+// every score receives its terms in the order a loop over (monitor,
+// origin, prefix, hop) would add them.
 func (c *Computer) Country(
 	country string,
 	origins []world.ASN,
@@ -74,32 +75,52 @@ func (c *Computer) Country(
 	if totalAddr == 0 {
 		return nil
 	}
+	// observed[k] is an origin some monitor reaches whose prefixes hold
+	// addresses in C: its row, and its prefixes' shares in fracs[lo:hi].
+	type origin struct {
+		row    [][]world.ASN
+		lo, hi int
+	}
+	var observed []origin
+	var fracs []float64
+	for _, o := range origins {
+		row := c.paths.Row(o)
+		if row == nil {
+			continue // no monitor reaches the origin
+		}
+		lo := len(fracs)
+		for idx := range prefixesOf(o) {
+			if a := geo.AddressesIn(o, idx, country); a != 0 {
+				fracs = append(fracs, float64(a)/float64(totalAddr))
+			}
+		}
+		if len(fracs) > lo {
+			observed = append(observed, origin{row, lo, len(fracs)})
+		}
+	}
 	acc := make(map[world.ASN]float64)
-	for mi := range c.paths.Monitors {
+	for mi, m := range c.paths.Monitors {
 		w := c.weights[mi]
-		monitorAS := c.paths.Monitors[mi].AS
-		for _, origin := range origins {
-			path := c.paths.Path(mi, origin)
+		for _, o := range observed {
+			path := o.row[mi]
 			if len(path) < 2 {
 				continue // monitor is the origin or origin unreachable
 			}
-			for _, ref := range prefixRefs(origin, prefixesOf(origin)) {
-				a := geo.AddressesIn(ref.origin, ref.idx, country)
-				if a == 0 {
+			shares := fracs[o.lo:o.hi]
+			// path[0] is the monitor's AS, path[len-1] the origin.
+			// Transit hops are path[1:len-1]; additionally the
+			// monitor's own AS never scores (m not contained in AS).
+			for hop := 1; hop < len(path)-1; hop++ {
+				as := path[hop]
+				if as == m.AS {
 					continue
 				}
-				frac := float64(a) / float64(totalAddr)
-				// path[0] is the monitor's AS, path[len-1] the origin.
-				// Transit hops are path[1:len-1]; additionally the
-				// monitor's own AS never scores (m not contained in AS).
-				for hop := 1; hop < len(path)-1; hop++ {
-					as := path[hop]
-					if as == monitorAS {
-						continue
-					}
-					d := len(path) - 1 - hop // AS hops to the origin
-					acc[as] += w * frac / float64(d)
+				d := float64(len(path) - 1 - hop) // AS hops to the origin
+				v := acc[as]
+				for _, frac := range shares {
+					v += w * frac / d
 				}
+				acc[as] = v
 			}
 		}
 	}
@@ -113,14 +134,6 @@ func (c *Computer) Country(
 		}
 		return out[i].AS < out[j].AS
 	})
-	return out
-}
-
-func prefixRefs(origin world.ASN, n int) []prefixRef {
-	out := make([]prefixRef, n)
-	for i := range out {
-		out[i] = prefixRef{origin, i}
-	}
 	return out
 }
 

@@ -164,19 +164,21 @@ func Build(topo *topology.Graph, monitors []bgp.Monitor, orgs *as2org.Mapping, w
 	})
 
 	// Phase 3: transit-dependency scores. One valley-free propagation
-	// per non-stub AS (the same kernel CTI's path collection runs);
+	// per non-stub AS (the same kernel CTI's path collection runs),
+	// within the monitors' bgp.Scope, since only monitor paths are read;
 	// every monitor path toward origin i credits its transit hops. A
 	// single-homed stub (bgp.StubProvider) is observed from its
 	// provider's routes in the provider's iteration, which writes the
 	// stub's slots too: a stub has one provider, so each slot still has
 	// exactly one writer.
 	mon := bgp.MonitorIndices(topo, monitors)
+	scope := bgp.NewScope(topo, mon)
 	sched.ParallelFor(workers, n, func(w, i int) {
 		if _, stub := bgp.StubProvider(topo, i); stub {
 			return
 		}
 		s := &scratch[w]
-		s.prop.Propagate(topo, topo.ASNAt(i))
+		s.prop.Propagate(topo, topo.ASNAt(i), scope)
 		g.observed[i] = s.observe(topo, mon, i)
 		g.deps[i] = s.ranking(topo, g.observed[i])
 		for _, c := range topo.CustomerIdx(i) {

@@ -333,13 +333,15 @@ func TestGraphWorkerIndependence(t *testing.T) {
 }
 
 // TestDependencyPhaseAllocationFree pins phase 3's per-origin work on a
-// warmed worker scratch: propagating one origin, walking every monitor's
-// next hops and counting transits allocates nothing, and neither does
-// observing a single-homed stub off its provider's propagation. Only
-// the ranking slice the compiled graph keeps is allocated, by ranking.
+// warmed worker scratch: propagating one origin within the monitors'
+// scope, walking every monitor's next hops and counting transits
+// allocates nothing, and neither does observing a single-homed stub off
+// its provider's propagation. Only the ranking slice the compiled graph
+// keeps is allocated, by ranking.
 func TestDependencyPhaseAllocationFree(t *testing.T) {
 	topo, monitors, _ := substrate(diffSeeds[0])
 	mon := bgp.MonitorIndices(topo, monitors)
+	scope := bgp.NewScope(topo, mon)
 	var s buildScratch
 	// For origin and stub alike: the AS propagated and the AS observed.
 	origin, stub := [2]int{-1, -1}, [2]int{-1, -1}
@@ -348,7 +350,7 @@ func TestDependencyPhaseAllocationFree(t *testing.T) {
 		if !isStub {
 			p = i
 		}
-		s.prop.Propagate(topo, topo.ASNAt(p))
+		s.prop.Propagate(topo, topo.ASNAt(p), scope)
 		s.observe(topo, mon, i)
 		if len(s.touched) > 0 {
 			if isStub && stub[1] < 0 {
@@ -367,7 +369,7 @@ func TestDependencyPhaseAllocationFree(t *testing.T) {
 		pair [2]int
 	}{{"origin", origin}, {"stub", stub}} {
 		allocs := testing.AllocsPerRun(100, func() {
-			s.prop.Propagate(topo, topo.ASNAt(c.pair[0]))
+			s.prop.Propagate(topo, topo.ASNAt(c.pair[0]), scope)
 			s.observe(topo, mon, c.pair[1])
 			s.resetCounts()
 		})
