@@ -73,20 +73,27 @@ func BenchmarkTopologyBuild(b *testing.B) {
 }
 
 // BenchmarkRoutePropagation runs the propagation kernel for one origin
-// on a warmed per-worker Scratch, over the whole graph (bgp.Propagate,
-// the hijack overlay) and within the monitors' scope (CTI's collector
-// and the graph build); both must report 0 B/op and 0 allocs/op even
-// at -benchtime 1x. Warming takes two calls: the kernel swaps its two
-// frontiers every layer, so after one call one of them is still short
-// and the first measured call would grow it.
+// on a warmed per-worker Scratch, within the scope of every AS, which
+// routes the whole graph (bgp.Propagate), and within the monitors'
+// scope (CTI's collector, its hijack overlays and the graph build);
+// both must report 0 B/op and 0 allocs/op even at -benchtime 1x.
+// Warming takes two calls: the kernel swaps its two frontiers every
+// layer, so after one call one of them is still short and the first
+// measured call would grow it.
 func BenchmarkRoutePropagation(b *testing.B) {
 	res, _ := benchSetup(b)
 	topo := res.Topology
-	scope := bgp.NewScope(topo, bgp.MonitorIndices(topo, res.Monitors))
+	every := make([]int, topo.NumASes())
+	for i := range every {
+		every[i] = i
+	}
 	for _, c := range []struct {
 		name  string
 		scope *bgp.Scope
-	}{{"whole-graph", nil}, {"scoped", scope}} {
+	}{
+		{"all-ases", bgp.NewScope(topo, every)},
+		{"scoped", bgp.NewScope(topo, bgp.MonitorIndices(topo, res.Monitors))},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			var s bgp.Scratch
 			for range 2 {

@@ -106,27 +106,3 @@ func (m *Mapping) DistinctOrgs(asns []world.ASN) int {
 	}
 	return len(seen)
 }
-
-// MissedSiblings reports, against the ground-truth world, sibling pairs
-// AS2Org fails to cluster (the acquisition-renamed org records). Used by
-// tests and the ablation bench to quantify the stage-3 recall loss the
-// paper describes contributing fixes back for.
-func MissedSiblings(m *Mapping, w *world.World) int {
-	missed := 0
-	for _, id := range w.OperatorIDs {
-		op := w.Operators[id]
-		if len(op.ASNs) < 2 {
-			continue
-		}
-		base, ok := m.orgOf[op.ASNs[0]]
-		if !ok {
-			continue
-		}
-		for _, a := range op.ASNs[1:] {
-			if m.orgOf[a] != base {
-				missed++
-			}
-		}
-	}
-	return missed
-}

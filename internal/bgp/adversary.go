@@ -11,8 +11,6 @@
 package bgp
 
 import (
-	"sort"
-
 	"stateowned/internal/topology"
 	"stateowned/internal/world"
 )
@@ -95,42 +93,47 @@ func (c Campaign) tailLen() int32 {
 	return 0
 }
 
-// propagateHijack spreads one campaign's announcement through the graph
-// with the same three valley-free phases as the kernel, gated per AS:
+// propagateHijack spreads one campaign's announcement through the
+// graph with the same three valley-free phases as the kernel, within
+// the scope sc of the honest run s holds toward c.Victim, gated per AS:
 // ROV deployers drop the invalid route outright, and for same-prefix
 // campaigns an AS adopts only where the candidate beats its honest
 // route under the standard comparator. Non-adopters never re-export, so
 // removing propagation paths (more ROV) can only lengthen or remove
 // downstream candidates — adoption is monotone non-increasing in the
-// deployment set. s must hold the honest propagation toward c.Victim;
-// the per-AS hijack routes land in s.hij (classNone where the
-// announcement was not adopted), staged through s.peer and s's
-// frontiers. It reports false, computing nothing, for inert campaigns.
+// deployment set. The per-AS hijack routes land in s.hij (classNone
+// where the announcement was not adopted), and s.hijTouched lists the
+// ASes routed. It reports false, computing nothing, for inert
+// campaigns.
 //
-// adopt reads every AS's honest route, but when only monitor rows are
-// read, an honest run within the monitors' Scope is enough. That run
-// leaves exact routes on the scope's members and the victim's provider
-// ancestry, and no route anywhere else; the overlay's route on every
-// member, and so every monitor's observed path, is the same as over a
-// whole-graph honest run:
+// Within the scope of every AS the overlay routes the whole graph. Within
+// the monitors' scope the overlay's route on every member, and so every
+// monitor's observed path, is the one a whole-graph honest run and
+// overlay give, although the honest run leaves exact routes only on the
+// members and the victim's provider ancestry, and none anywhere else:
 //
 //   - Phase 1's candidates are customer routes, which beat every honest
 //     route that is not one, including none at all; the honest customer
 //     routes are the victim's ancestry, which the kernel climbs in full
-//     either way. So phase 1 adopts the same ASes with the same routes.
-//   - Phase 2 offers from those same adopters, and a member adopts by
-//     its own exact honest route.
+//     whatever the scope. So phase 1 adopts the same ASes with the same
+//     routes, and lists them.
+//   - Phase 2 offers from that list to each adopter's peers in scope,
+//     which leaves each member the same offers, and a member adopts by
+//     its own exact honest route. The best adopted offer does not depend
+//     on the order offers arrive in, as in the kernel.
 //   - In phase 3 only a member's providers, all members, offer it a
 //     route, and a non-member has no member customer (the scope is
-//     closed under providers), so each frontier holds the same members
-//     in the same order, with the same routes.
+//     closed under providers). Seeding the routed members in dense-index
+//     order and descending only members' customers in scope, each
+//     frontier holds the same members in the same order, with the same
+//     routes.
 //   - A member's observed path climbs member routes, crosses at most one
 //     peer into phase 1's adopters and descends their routes; where the
 //     member did not adopt, it is the member's exact honest path.
 //
-// Only ASes outside the scope may adopt differently, so Spread, which
-// returns every adopter, runs over the whole graph.
-func (s *Scratch) propagateHijack(g *topology.Graph, c Campaign, rov map[world.ASN]bool) bool {
+// TestCollectPathsAdversaryMatchesPerOrigin holds every monitor row to
+// the overlay's reference laid on the reference propagation.
+func (s *Scratch) propagateHijack(g *topology.Graph, c Campaign, rov map[world.ASN]bool, sc *Scope) bool {
 	if inert(g, c, rov) {
 		return false
 	}
@@ -139,12 +142,10 @@ func (s *Scratch) propagateHijack(g *topology.Graph, c Campaign, rov map[world.A
 		return false
 	}
 	vIdx, _ := g.Index(c.Victim)
-	n := g.NumASes()
 	honest := s.routes
-	routes := resetRoutes(s.hij, n)
-	peerRoutes := resetRoutes(s.peer, n)
-	s.hij, s.peer = routes, peerRoutes
+	routes, touched := resetRoutes(s.hij, s.hijTouched, g.NumASes())
 	routes[hIdx] = route{class: classCustomer, dist: c.tailLen(), next: -1}
+	touched = append(touched, hIdx)
 
 	adopt := func(p int, cand route) bool {
 		if p == vIdx || p == hIdx {
@@ -170,6 +171,7 @@ func (s *Scratch) propagateHijack(g *topology.Graph, c Campaign, rov map[world.A
 				if (routes[p].class == classNone || better(cand, routes[p])) && adopt(p, cand) {
 					if routes[p].class == classNone {
 						next = append(next, p)
+						touched = append(touched, p)
 					}
 					routes[p] = cand
 				}
@@ -178,30 +180,28 @@ func (s *Scratch) propagateHijack(g *topology.Graph, c Campaign, rov map[world.A
 		queue, next = next, queue
 	}
 
-	// Phase 2: one peer hop from customer-class adopters.
-	for i := 0; i < n; i++ {
-		if routes[i].class != classCustomer {
-			continue
-		}
-		for _, p := range g.PeerIdx(i) {
+	// Phase 2: one peer hop from the customer-class adopters phase 1
+	// listed.
+	climbed := len(touched)
+	for _, i := range touched[:climbed] {
+		for _, p := range sc.peers[i] {
 			if routes[p].class == classCustomer {
 				continue
 			}
 			cand := route{class: classPeer, dist: routes[i].dist + 1, next: int32(i)}
-			if (peerRoutes[p].class == classNone || better(cand, peerRoutes[p])) && adopt(p, cand) {
-				peerRoutes[p] = cand
+			if (routes[p].class == classNone || better(cand, routes[p])) && adopt(p, cand) {
+				if routes[p].class == classNone {
+					touched = append(touched, p)
+				}
+				routes[p] = cand
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		if peerRoutes[i].class == classPeer && routes[i].class == classNone {
-			routes[i] = peerRoutes[i]
-		}
-	}
 
-	// Phase 3: the invalid route descends customer edges from adopters.
+	// Phase 3: the invalid route descends customer edges from adopters
+	// in scope.
 	queue = queue[:0]
-	for i := 0; i < n; i++ {
+	for _, i := range sc.members {
 		if routes[i].class != classNone {
 			queue = append(queue, i)
 		}
@@ -209,7 +209,7 @@ func (s *Scratch) propagateHijack(g *topology.Graph, c Campaign, rov map[world.A
 	for len(queue) > 0 {
 		next = next[:0]
 		for _, cur := range queue {
-			for _, cidx := range g.CustomerIdx(cur) {
+			for _, cidx := range sc.customers[cur] {
 				cand := route{class: classProvider, dist: routes[cur].dist + 1, next: int32(cur)}
 				if routes[cidx].class == classNone {
 					if adopt(cidx, cand) {
@@ -223,28 +223,14 @@ func (s *Scratch) propagateHijack(g *topology.Graph, c Campaign, rov map[world.A
 		}
 		queue, next = next, queue
 	}
-	s.queue, s.next = queue, next
-	return true
-}
-
-// Spread returns the ASes that adopt campaign c's announcement under the
-// given ROV set, sorted ascending — the campaign's infection footprint.
-// The metamorphic battery asserts this set shrinks as ROV deployment
-// grows; CollectPathsAdversary uses the identical propagation.
-func Spread(g *topology.Graph, c Campaign, rov map[world.ASN]bool) []world.ASN {
-	var s Scratch
-	if !s.Propagate(g, c.Victim, nil) || !s.propagateHijack(g, c, rov) {
-		return nil
-	}
-	hIdx, _ := g.Index(c.Hijacker)
-	var out []world.ASN
-	for i, r := range s.hij {
-		if r.class != classNone && i != hIdx {
-			out = append(out, g.ASNAt(i))
+	// Phase 3 routed exactly the members holding provider routes.
+	for _, i := range sc.members {
+		if routes[i].class == classProvider {
+			touched = append(touched, i)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	s.hij, s.hijTouched, s.queue, s.next = routes, touched, queue, next
+	return true
 }
 
 // observedLen is the length of appendObserved's path for dense index i

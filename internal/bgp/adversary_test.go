@@ -2,10 +2,147 @@ package bgp
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
+	"stateowned/internal/topology"
 	"stateowned/internal/world"
 )
+
+// referencePropagateHijack is the campaign overlay as it stood before it
+// took the honest run's scope, kept verbatim but for fresh arrays and
+// frontiers per call: every phase runs over the whole graph, phase 2
+// stages peer offers in a second n-sized array, and phase 3 seeds every
+// routed AS. honest holds the honest routes toward c.Victim. It returns
+// the overlay's routes, or nil for an inert campaign.
+func referencePropagateHijack(g *topology.Graph, honest []route, c Campaign, rov map[world.ASN]bool) []route {
+	if inert(g, c, rov) {
+		return nil
+	}
+	hIdx, ok := g.Index(c.Hijacker)
+	if !ok {
+		return nil
+	}
+	vIdx, _ := g.Index(c.Victim)
+	n := g.NumASes()
+	routes := make([]route, n)
+	peerRoutes := make([]route, n)
+	routes[hIdx] = route{class: classCustomer, dist: c.tailLen(), next: -1}
+
+	adopt := func(p int, cand route) bool {
+		if p == vIdx || p == hIdx {
+			return false // the victim filters its own space; the hijacker originated
+		}
+		if rov[g.ASNAt(p)] {
+			return false
+		}
+		if c.Kind == SubPrefix {
+			return true // longest-prefix match: no competition with the honest route
+		}
+		hr := honest[p]
+		return hr.class == classNone || better(cand, hr)
+	}
+
+	// Phase 1: the invalid route climbs provider edges from adopters.
+	queue := []int{hIdx}
+	for len(queue) > 0 {
+		var next []int
+		for _, cur := range queue {
+			for _, p := range g.ProviderIdx(cur) {
+				cand := route{class: classCustomer, dist: routes[cur].dist + 1, next: int32(cur)}
+				if (routes[p].class == classNone || better(cand, routes[p])) && adopt(p, cand) {
+					if routes[p].class == classNone {
+						next = append(next, p)
+					}
+					routes[p] = cand
+				}
+			}
+		}
+		queue = next
+	}
+
+	// Phase 2: one peer hop from customer-class adopters.
+	for i := 0; i < n; i++ {
+		if routes[i].class != classCustomer {
+			continue
+		}
+		for _, p := range g.PeerIdx(i) {
+			if routes[p].class == classCustomer {
+				continue
+			}
+			cand := route{class: classPeer, dist: routes[i].dist + 1, next: int32(i)}
+			if (peerRoutes[p].class == classNone || better(cand, peerRoutes[p])) && adopt(p, cand) {
+				peerRoutes[p] = cand
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		if peerRoutes[i].class == classPeer && routes[i].class == classNone {
+			routes[i] = peerRoutes[i]
+		}
+	}
+
+	// Phase 3: the invalid route descends customer edges from adopters.
+	queue = queue[:0]
+	for i := 0; i < n; i++ {
+		if routes[i].class != classNone {
+			queue = append(queue, i)
+		}
+	}
+	for len(queue) > 0 {
+		var next []int
+		for _, cur := range queue {
+			for _, cidx := range g.CustomerIdx(cur) {
+				cand := route{class: classProvider, dist: routes[cur].dist + 1, next: int32(cur)}
+				if routes[cidx].class == classNone {
+					if adopt(cidx, cand) {
+						routes[cidx] = cand
+						next = append(next, cidx)
+					}
+				} else if routes[cidx].class == classProvider && better(cand, routes[cidx]) && adopt(cidx, cand) {
+					routes[cidx] = cand
+				}
+			}
+		}
+		queue = next
+	}
+	return routes
+}
+
+// spread returns the ASes that adopt campaign c's announcement under the
+// given ROV set, sorted ascending — the campaign's infection footprint —
+// from the collector's overlay run within the scope of every AS. It
+// fails t unless they are the adopters of referencePropagateHijack laid
+// on referencePropagate, so every campaign a test builds checks the
+// overlay.
+func spread(t *testing.T, g *topology.Graph, c Campaign, rov map[world.ASN]bool) []world.ASN {
+	t.Helper()
+	hIdx, _ := g.Index(c.Hijacker)
+	adopters := func(hij []route) []world.ASN {
+		var out []world.ASN
+		for i, r := range hij {
+			if r.class != classNone && i != hIdx {
+				out = append(out, g.ASNAt(i))
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	var got, want []world.ASN
+	var s Scratch
+	if all := allScope(g); s.Propagate(g, c.Victim, all) && s.propagateHijack(g, c, rov, all) {
+		got = adopters(s.hij)
+	}
+	if view := referencePropagate(g, c.Victim); view != nil {
+		if hij := referencePropagateHijack(g, view.routes, c, rov); hij != nil {
+			want = adopters(hij)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s campaign by AS%d against AS%d: overlay adopters %v, reference %v", c.Kind, c.Hijacker, c.Victim, got, want)
+	}
+	return got
+}
 
 // pickCampaign returns a deterministic (victim, hijacker) pair whose
 // exact-prefix campaign actually infects somebody, so the assertions
@@ -17,7 +154,7 @@ func pickCampaign(t *testing.T) (victim, hijacker world.ASN) {
 		if h == victim {
 			continue
 		}
-		if len(Spread(testG, Campaign{Kind: ExactPrefix, Victim: victim, Hijacker: h}, nil)) > 0 {
+		if len(spread(t, testG, Campaign{Kind: ExactPrefix, Victim: victim, Hijacker: h}, nil)) > 0 {
 			return victim, h
 		}
 	}
@@ -81,7 +218,7 @@ func TestInertCampaigns(t *testing.T) {
 		"validating-self": {Campaign{Kind: ExactPrefix, Victim: victim, Hijacker: hijacker}, map[world.ASN]bool{hijacker: true}},
 	}
 	for name, tc := range cases {
-		if s := Spread(testG, tc.c, tc.rov); s != nil {
+		if s := spread(t, testG, tc.c, tc.rov); s != nil {
 			t.Errorf("%s: inert campaign spread to %d ASes", name, len(s))
 		}
 	}
@@ -89,7 +226,7 @@ func TestInertCampaigns(t *testing.T) {
 
 func TestExactPrefixSpreadExcludesPrincipals(t *testing.T) {
 	victim, hijacker := pickCampaign(t)
-	spread := Spread(testG, Campaign{Kind: ExactPrefix, Victim: victim, Hijacker: hijacker}, nil)
+	spread := spread(t, testG, Campaign{Kind: ExactPrefix, Victim: victim, Hijacker: hijacker}, nil)
 	if len(spread) == 0 {
 		t.Fatal("picked campaign stopped spreading")
 	}
@@ -109,8 +246,8 @@ func TestExactPrefixSpreadExcludesPrincipals(t *testing.T) {
 // honest route.
 func TestSubPrefixSupersetOfExact(t *testing.T) {
 	victim, hijacker := pickCampaign(t)
-	exact := Spread(testG, Campaign{Kind: ExactPrefix, Victim: victim, Hijacker: hijacker}, nil)
-	sub := Spread(testG, Campaign{Kind: SubPrefix, Victim: victim, Hijacker: hijacker}, nil)
+	exact := spread(t, testG, Campaign{Kind: ExactPrefix, Victim: victim, Hijacker: hijacker}, nil)
+	sub := spread(t, testG, Campaign{Kind: SubPrefix, Victim: victim, Hijacker: hijacker}, nil)
 	inSub := map[world.ASN]bool{}
 	for _, a := range sub {
 		inSub[a] = true
@@ -135,7 +272,7 @@ func TestForgedPathKeepsRegisteredOrigin(t *testing.T) {
 	monitors := SelectMonitors(testW, testG, 30)
 	mp := CollectPathsAdversary(testG, monitors, []world.ASN{victim}, 2, &Adversary{Campaigns: []Campaign{c}})
 	infected := map[world.ASN]bool{hijacker: true}
-	for _, a := range Spread(testG, c, nil) {
+	for _, a := range spread(t, testG, c, nil) {
 		infected[a] = true
 	}
 	want := append(append([]world.ASN{hijacker}, forged...), victim)
@@ -167,7 +304,7 @@ func TestForgedPathKeepsRegisteredOrigin(t *testing.T) {
 func TestSpreadMonotoneInROV(t *testing.T) {
 	victim, hijacker := pickCampaign(t)
 	c := Campaign{Kind: SubPrefix, Victim: victim, Hijacker: hijacker}
-	base := Spread(testG, c, nil)
+	base := spread(t, testG, c, nil)
 	if len(base) < 4 {
 		t.Skipf("footprint of %d ASes too small to partition", len(base))
 	}
@@ -177,7 +314,7 @@ func TestSpreadMonotoneInROV(t *testing.T) {
 		for _, a := range base[:k] {
 			rov[a] = true
 		}
-		cur := Spread(testG, c, rov)
+		cur := spread(t, testG, c, rov)
 		inPrev := map[world.ASN]bool{}
 		for _, a := range prev {
 			inPrev[a] = true
@@ -211,7 +348,7 @@ func TestCollectPathsAdversaryOverlay(t *testing.T) {
 	got := CollectPathsAdversary(testG, monitors, origins, 3, adv)
 
 	infected := map[world.ASN]bool{hijacker: true}
-	for _, a := range Spread(testG, c, nil) {
+	for _, a := range spread(t, testG, c, nil) {
 		infected[a] = true
 	}
 	for mi, m := range monitors {

@@ -1,7 +1,8 @@
-// Package bgp simulates the parts of the global routing system the paper's
-// pipeline consumes: the prefix-to-origin-AS table (CAIDA's prefix2as
-// equivalent) and the preferred AS paths observed by a set of BGP monitors
-// (the RouteViews / RIPE RIS equivalent that CTI is computed from).
+// Package bgp simulates the part of the global routing system the paper's
+// pipeline consumes beyond prefix origination (each world AS's prefix
+// list, CAIDA's prefix2as equivalent): the preferred AS paths observed by
+// a set of BGP monitors (the RouteViews / RIPE RIS equivalent that CTI is
+// computed from).
 //
 // Route selection follows the standard Gao-Rexford (valley-free) model:
 // routes learned from customers are preferred over routes learned from
@@ -16,33 +17,11 @@ import (
 	"slices"
 	"sort"
 
-	"stateowned/internal/netaddr"
 	"stateowned/internal/rng"
 	"stateowned/internal/sched"
 	"stateowned/internal/topology"
 	"stateowned/internal/world"
 )
-
-// OriginEntry pairs a routed prefix with its origin AS — one row of the
-// prefix-to-AS file.
-type OriginEntry struct {
-	Prefix netaddr.Prefix
-	Origin world.ASN
-}
-
-// OriginTable lists every announced prefix with its origin, sorted by
-// prefix. Almost all prefixes have exactly one origin (footnote 1 of the
-// paper); the simulator enforces exactly one.
-func OriginTable(w *world.World) []OriginEntry {
-	var out []OriginEntry
-	for _, asn := range w.ASNList {
-		for _, p := range w.ASes[asn].Prefixes {
-			out = append(out, OriginEntry{Prefix: p, Origin: asn})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Prefix.Less(out[j].Prefix) })
-	return out
-}
 
 // Monitor is one BGP vantage point: a collector session hosted inside an
 // AS. Several monitors can live in the same AS (RouteViews and RIS both
@@ -155,75 +134,78 @@ func better(a, b route) bool {
 }
 
 // Scratch is one worker's reusable propagation state: the route array
-// a result lives in, the list of ASes a scoped run routed, the hijack
-// overlay's route and peer-route arrays, and two BFS frontiers.
+// a result lives in, the hijack overlay's route array, the lists of
+// ASes the last run and the last overlay routed, and two BFS frontiers.
 // Propagate resets and reuses them, so once a Scratch has seen the
 // largest topology and the widest frontiers it will meet, the kernel
 // allocates nothing. A Scratch belongs to one goroutine at a time; the
 // zero value is ready to use.
 type Scratch struct {
 	routes []route
-	// touched lists every AS the last scoped run routed, so the next
-	// scoped run resets only those. whole marks a whole-graph run, which
-	// routes ASes touched does not list: the next scoped run clears
-	// every route.
-	touched []int
-	whole   bool
-	peer    []route
-	hij     []route
-	queue   []int
-	next    []int
+	hij    []route
+	// touched and hijTouched list every AS the last run and the last
+	// overlay routed, so the next resets only those.
+	touched    []int
+	hijTouched []int
+	queue      []int
+	next       []int
 }
 
-// resetRoutes returns rs resized to n entries, all classNone.
-func resetRoutes(rs []route, n int) []route {
-	if cap(rs) < n {
-		return make([]route, n)
+// resetRoutes returns rs resized to n entries, all classNone, and
+// touched emptied with room for n entries (an AS is listed at most
+// once). touched must list every entry of rs that is not classNone;
+// when rs already has n entries, only those are cleared.
+func resetRoutes(rs []route, touched []int, n int) ([]route, []int) {
+	switch {
+	case len(rs) == n:
+		for _, i := range touched {
+			rs[i] = route{}
+		}
+	case cap(rs) >= n:
+		rs = rs[:n]
+		clear(rs)
+	default:
+		rs = make([]route, n)
 	}
-	rs = rs[:n]
-	clear(rs)
-	return rs
+	if cap(touched) < n {
+		touched = make([]int, 0, n)
+	}
+	return rs, touched[:0]
 }
 
 // Propagate is the propagation kernel: it computes valley-free best
-// routes toward one origin into s, replacing the previous result. With
-// a nil scope it routes every AS in the graph; with a Scope of g it
-// routes the origin's provider ancestry and the scope's ASes, exactly
-// as the whole-graph run routes them, and leaves every other AS without
-// a route (see Scope). It reports false, leaving no result to read,
-// when the origin is not in the graph.
+// routes toward one origin into s, replacing the previous result. It
+// routes the origin's provider ancestry and the scope's ASes, exactly as
+// a run over the whole graph routes them, and leaves every other AS
+// without a route (see Scope); a scope listing every AS routes the whole
+// graph. It reports false, leaving no result to read, when the origin
+// is not in the graph.
 //
 // The visit order is part of the result. Within a BFS layer a later
 // frontier entry reads the distance an earlier entry of the same layer
-// lowered, and phase 3 seeds its frontier with every routed AS in
+// lowered, and phase 3 seeds its frontier with every routed member in
 // dense-index order; reordering either changes the routes some ASes
 // keep, so both are load-bearing (TestKernelMatchesReference).
+//
+// Walking NextHop from any routed AS ends at the origin. Once an AS has
+// a route, a phase replaces it only with a better route of the same
+// class, so its distance never rises; and a route that takes a next hop
+// is one hop longer than that hop's route was then. So distances fall
+// strictly along next hops, down to the origin's 0.
 func (s *Scratch) Propagate(g *topology.Graph, origin world.ASN, sc *Scope) bool {
 	oIdx, ok := g.Index(origin)
 	if !ok {
 		return false
 	}
-	if sc != nil && sc.g != g {
+	if sc.g != g {
 		panic("bgp: scope built for another topology")
 	}
-	n := g.NumASes()
-	if sc == nil || s.whole || len(s.routes) != n {
-		s.routes = resetRoutes(s.routes, n)
-	} else {
-		for _, i := range s.touched {
-			s.routes[i] = route{}
-		}
-	}
-	if cap(s.touched) < n { // an AS is listed at most once
-		s.touched = make([]int, 0, n)
-	}
-	s.whole = sc == nil
-	routes := s.routes
+	routes, touched := resetRoutes(s.routes, s.touched, g.NumASes())
 	routes[oIdx] = route{class: classCustomer, dist: 0, next: -1}
-	touched := append(s.touched[:0], oIdx)
+	touched = append(touched, oIdx)
 
 	// Phase 1: customer routes climb provider edges (BFS by distance)
-	// through the origin's whole provider ancestry, scoped or not.
+	// through the origin's whole provider ancestry, in scope or not.
 	queue, next := append(s.queue[:0], oIdx), s.next
 	for len(queue) > 0 {
 		next = next[:0]
@@ -248,7 +230,7 @@ func (s *Scratch) Propagate(g *topology.Graph, origin world.ASN, sc *Scope) bool
 	// order offers arrive in cannot change which one wins.
 	climbed := len(touched)
 	for _, i := range touched[:climbed] {
-		for _, p := range sc.peerIdx(g, i) {
+		for _, p := range sc.peers[i] {
 			if routes[p].class == classCustomer {
 				continue
 			}
@@ -265,23 +247,15 @@ func (s *Scratch) Propagate(g *topology.Graph, origin world.ASN, sc *Scope) bool
 	// Phase 3: provider routes descend customer edges, BFS by distance
 	// from every routed AS in scope.
 	queue = queue[:0]
-	if sc == nil {
-		for i := 0; i < n; i++ {
-			if routes[i].class != classNone {
-				queue = append(queue, i)
-			}
-		}
-	} else {
-		for _, i := range sc.members {
-			if routes[i].class != classNone {
-				queue = append(queue, i)
-			}
+	for _, i := range sc.members {
+		if routes[i].class != classNone {
+			queue = append(queue, i)
 		}
 	}
 	for len(queue) > 0 {
 		next = next[:0]
 		for _, cur := range queue {
-			for _, c := range sc.customerIdx(g, cur) {
+			for _, c := range sc.customers[cur] {
 				cand := route{class: classProvider, dist: routes[cur].dist + 1, next: int32(cur)}
 				if routes[c].class == classNone {
 					routes[c] = cand
@@ -296,32 +270,30 @@ func (s *Scratch) Propagate(g *topology.Graph, origin world.ASN, sc *Scope) bool
 		}
 		queue, next = next, queue
 	}
-	if sc != nil {
-		// Phase 3 routed exactly the members holding provider routes.
-		for _, i := range sc.members {
-			if routes[i].class == classProvider {
-				touched = append(touched, i)
-			}
+	// Phase 3 routed exactly the members holding provider routes.
+	for _, i := range sc.members {
+		if routes[i].class == classProvider {
+			touched = append(touched, i)
 		}
 	}
-	s.touched, s.queue, s.next = touched, queue, next
+	s.routes, s.touched, s.queue, s.next = routes, touched, queue, next
 	return true
 }
 
 // Scope is the part of a topology that monitor paths read routes from:
 // the ASes hosting the monitors plus every transitive provider of
 // theirs, with each AS's peers and each member's customers filtered to
-// the scope in their original order. Propagate with a scope computes,
-// for every member, the route the whole-graph run computes, and so
-// every monitor's path:
+// the scope in their original order. Propagate computes, for every
+// member, the route a run over the whole graph computes, and so every
+// monitor's path:
 //
 //   - A monitor path climbs provider routes, each of whose next hops is
 //     a provider of the AS holding it, which stays in scope because the
 //     scope is closed under providers. It crosses at most one peer, into
 //     the origin's provider ancestry, and then descends customer routes,
 //     whose next hops are customers within the ancestry. Phase 1 climbs
-//     the whole ancestry in either mode, so every route a monitor path
-//     reads is a member's route or one phase 1 computed in full.
+//     the whole ancestry whatever the scope, so every route a monitor
+//     path reads is a member's route or one phase 1 computed in full.
 //   - Phase 2 gives an AS without a customer route the best of its
 //     peers' offers, and each AS holding a customer route offers to
 //     every peer. Filtering the offers to members leaves each member
@@ -341,9 +313,12 @@ func (s *Scratch) Propagate(g *topology.Graph, origin world.ASN, sc *Scope) bool
 // reference propagation for every origin of the kernel worlds and of a
 // hand-shaped topology. An AS outside both the scope and the origin's
 // ancestry has no route after a scoped run, even where the whole graph
-// gives it one, so only callers that read nothing but monitor paths
-// may pass a scope: CTI's collector, campaign overlays included
-// (propagateHijack), and the graph's transit-dependency phase.
+// gives it one. CTI's collector, campaign overlays included
+// (propagateHijack), and the graph's transit-dependency phase read
+// nothing but monitor paths, so they pass the monitors' scope; a caller
+// that reads every AS's route passes the scope of every AS (allScope),
+// in which every AS is a member and every filtered list is the graph's
+// own, so the run is the whole graph's.
 type Scope struct {
 	g         *topology.Graph
 	members   []int   // ascending dense indices
@@ -394,23 +369,6 @@ func filterIdx(idxs []int, in []bool) []int {
 	return out
 }
 
-// peerIdx returns i's peers, filtered to the scope unless sc is nil.
-func (sc *Scope) peerIdx(g *topology.Graph, i int) []int {
-	if sc == nil {
-		return g.PeerIdx(i)
-	}
-	return sc.peers[i]
-}
-
-// customerIdx returns i's customers, filtered to the scope unless sc is
-// nil.
-func (sc *Scope) customerIdx(g *topology.Graph, i int) []int {
-	if sc == nil {
-		return g.CustomerIdx(i)
-	}
-	return sc.customers[i]
-}
-
 // StubProvider reports whether dense index i of g is a single-homed
 // stub — exactly one provider, no peers, no customers — and returns
 // that provider's dense index. A stub's routes are its provider's
@@ -427,9 +385,8 @@ func (sc *Scope) customerIdx(g *topology.Graph, i int) []int {
 //     for frontier, so every customer route is the provider's route one
 //     hop longer. The stub is no AS's provider, so the climb never
 //     returns to it.
-//   - Phase 2 adds nothing at the stub, which has no peers. Phase 3
-//     seeds the stub as well, but adds nothing through it: it has no
-//     customers.
+//   - Phase 2 adds nothing at the stub, which has no peers, and phase 3
+//     adds nothing through it, seeded or not: it has no customers.
 //   - Adding 1 to every distance preserves every comparison better
 //     makes. Its next-hop guard (b.next >= 0) only protects an origin,
 //     and no candidate can reach the provider at distance 1 except from
@@ -446,14 +403,13 @@ func StubProvider(g *topology.Graph, i int) (provider int, ok bool) {
 	return -1, false
 }
 
-// PathLen returns the number of ASes on dense index i's path toward the
-// origin of the last Propagate, both ends inclusive — len of the
-// matching PathView.Path — or 0 when i has no route.
-func (s *Scratch) PathLen(i int) int { return pathLen(s.routes, i) }
+// Routed reports whether dense index i has a route toward the origin of
+// the last Propagate.
+func (s *Scratch) Routed(i int) bool { return s.routes[i].class != classNone }
 
 // NextHop returns the dense index of i's next hop toward the origin of
-// the last Propagate, or -1 at the origin itself. i must have a route
-// (PathLen(i) > 0).
+// the last Propagate, or -1 at the origin itself. i must be Routed.
+// Following NextHop from a routed AS reaches the origin (Propagate).
 func (s *Scratch) NextHop(i int) int { return int(s.routes[i].next) }
 
 // pathLen counts the ASes on i's route to the origin, both ends
@@ -500,21 +456,26 @@ type PathView struct {
 }
 
 // Propagate computes valley-free best routes toward one origin for every
-// AS in the graph. It runs the kernel on a fresh Scratch, whose route
-// array the returned view then owns; loops over many origins should
-// reuse one Scratch per worker instead.
+// AS in the graph. It runs the kernel on a fresh Scratch within the
+// scope of every AS, and the returned view owns the route array; loops
+// over many origins should reuse one Scratch per worker and one scope
+// instead.
 func Propagate(g *topology.Graph, origin world.ASN) *PathView {
 	var s Scratch
-	if !s.Propagate(g, origin, nil) {
+	if !s.Propagate(g, origin, allScope(g)) {
 		return nil
 	}
 	return &PathView{g: g, origin: origin, routes: s.routes}
 }
 
-// Reachable reports whether the AS has any route to the origin.
-func (v *PathView) Reachable(from world.ASN) bool {
-	i, ok := v.g.Index(from)
-	return ok && v.routes[i].class != classNone
+// allScope returns the scope of every AS of g, within which the kernel
+// routes the whole graph.
+func allScope(g *topology.Graph) *Scope {
+	all := make([]int, g.NumASes())
+	for i := range all {
+		all[i] = i
+	}
+	return NewScope(g, all)
 }
 
 // Path returns the AS path from the given AS to the origin (inclusive on
@@ -591,7 +552,7 @@ func collect(g *topology.Graph, monitors []Monitor, origins []world.ASN, workers
 		s := &scratch[w]
 		s.Propagate(g, origins[oi], scope)
 		var camp *Campaign
-		if c, attacked := byVictim[origins[oi]]; attacked && s.propagateHijack(g, c, rov) {
+		if c, attacked := byVictim[origins[oi]]; attacked && s.propagateHijack(g, c, rov, scope) {
 			camp = &c
 		}
 		rows[oi] = s.row(g, mon, camp)

@@ -16,21 +16,6 @@ var (
 	testG = topology.Build(testW, topology.FinalYear)
 )
 
-func TestOriginTableUnique(t *testing.T) {
-	table := OriginTable(testW)
-	if len(table) == 0 {
-		t.Fatal("empty origin table")
-	}
-	for i := 1; i < len(table); i++ {
-		if table[i].Prefix == table[i-1].Prefix {
-			t.Fatalf("prefix %v originated twice", table[i].Prefix)
-		}
-		if table[i].Prefix.Less(table[i-1].Prefix) {
-			t.Fatal("origin table not sorted")
-		}
-	}
-}
-
 func TestSelectMonitors(t *testing.T) {
 	ms := SelectMonitors(testW, testG, 40)
 	if len(ms) != 43 { // 40 + 3 duplicate-host monitors
@@ -78,6 +63,12 @@ func TestSelectMonitors(t *testing.T) {
 	}
 }
 
+// reachable reports whether the AS has any route to the origin.
+func reachable(v *PathView, from world.ASN) bool {
+	i, ok := v.g.Index(from)
+	return ok && v.routes[i].class != classNone
+}
+
 func TestPropagateReachability(t *testing.T) {
 	// Nearly every AS should reach a well-connected origin.
 	view := Propagate(testG, 7473) // SingTel
@@ -86,7 +77,7 @@ func TestPropagateReachability(t *testing.T) {
 	}
 	reached := 0
 	for _, asn := range testG.ASes() {
-		if view.Reachable(asn) {
+		if reachable(view, asn) {
 			reached++
 		}
 	}
@@ -190,7 +181,7 @@ func TestPathConsistency(t *testing.T) {
 		from := asns[int(fPick)%len(asns)]
 		view := Propagate(testG, origin)
 		p := view.Path(from)
-		if view.Reachable(from) != (p != nil) {
+		if reachable(view, from) != (p != nil) {
 			return false
 		}
 		return len(p) <= testG.NumASes()
@@ -265,12 +256,12 @@ func TestCollectPathsMatchesPropagate(t *testing.T) {
 	}
 }
 
-// TestCollectPathsAdversaryMatchesPerOrigin checks the collector's
-// overlays, laid on honest runs within the monitors' scope, against a
-// reference that overlays each campaign on its victim's whole-graph
-// propagation, for a campaign of every kind: one against an AS without
-// customers, one against its provider and one against that provider's
-// provider.
+// TestCollectPathsAdversaryMatchesPerOrigin checks every monitor row of
+// the collector, whose overlays run within the monitors' scope on
+// honest runs within it, against referencePropagateHijack laid on
+// referencePropagate, for a campaign of every kind: one against an AS
+// without customers, one against its provider and one against that
+// provider's provider.
 func TestCollectPathsAdversaryMatchesPerOrigin(t *testing.T) {
 	g := testG
 	monitors := SelectMonitors(testW, g, 0)
@@ -280,7 +271,7 @@ func TestCollectPathsAdversaryMatchesPerOrigin(t *testing.T) {
 	live := func(kind CampaignKind, victim int) Campaign {
 		for _, h := range g.ASes() {
 			c := Campaign{Kind: kind, Victim: g.ASNAt(victim), Hijacker: h, Forged: []world.ASN{64512}}
-			if h != c.Victim && len(Spread(g, c, nil)) > 0 {
+			if h != c.Victim && len(spread(t, g, c, nil)) > 0 {
 				return c
 			}
 		}
@@ -305,18 +296,19 @@ func TestCollectPathsAdversaryMatchesPerOrigin(t *testing.T) {
 	origins := g.ASes()
 	mp := CollectPathsAdversary(g, monitors, origins, 2, adv)
 	honest := CollectPaths(g, monitors, origins, 2)
-	var s Scratch
 	polluted := map[world.ASN]int{}
 	for _, o := range origins {
-		s.Propagate(g, o, nil)
+		ref := Scratch{routes: referencePropagate(g, o).routes}
 		var camp *Campaign
 		for _, c := range adv.Campaigns {
-			if c.Victim == o && s.propagateHijack(g, c, nil) {
-				camp = &c
+			if c.Victim == o {
+				if ref.hij = referencePropagateHijack(g, ref.routes, c, nil); ref.hij != nil {
+					camp = &c
+				}
 			}
 		}
 		for mi, i := range mon {
-			want := s.appendObserved(nil, g, i, camp)
+			want := ref.appendObserved(nil, g, i, camp)
 			if got := mp.Path(mi, o); !reflect.DeepEqual(got, want) {
 				t.Fatalf("monitor %s toward AS%d collected %v, per-origin reference %v", monitors[mi].ID, o, got, want)
 			}

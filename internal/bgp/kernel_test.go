@@ -143,9 +143,10 @@ func TestKernelMatchesReference(t *testing.T) {
 		g := topology.Build(w, topology.FinalYear)
 		sizes[k] = g.NumASes()
 		monitors := SelectMonitors(w, g, 0)
+		all := allScope(g)
 		for _, origin := range g.ASes() {
 			want := referencePropagate(g, origin)
-			if !s.Propagate(g, origin, nil) {
+			if !s.Propagate(g, origin, all) {
 				t.Fatalf("seed %d: kernel rejected active origin %d", kw.seed, origin)
 			}
 			if len(s.routes) != len(want.routes) {
@@ -164,7 +165,7 @@ func TestKernelMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		if s.Propagate(g, 4294967294, nil) {
+		if s.Propagate(g, 4294967294, all) {
 			t.Fatalf("seed %d: kernel accepted an origin outside the graph", kw.seed)
 		}
 	}
@@ -174,20 +175,21 @@ func TestKernelMatchesReference(t *testing.T) {
 }
 
 // TestKernelAllocationFree pins the kernel's point: on a warmed Scratch
-// a propagation allocates nothing, whichever origin it runs for, over
-// the whole graph or within a monitor scope.
+// a propagation allocates nothing, whichever origin it runs for, within
+// the scope of every AS or of the monitors.
 func TestKernelAllocationFree(t *testing.T) {
 	var s Scratch
 	origins := testG.ASes()
+	all := allScope(testG)
 	sc := NewScope(testG, MonitorIndices(testG, SelectMonitors(testW, testG, 0)))
 	for _, o := range origins {
-		s.Propagate(testG, o, nil)
+		s.Propagate(testG, o, all)
 		s.Propagate(testG, o, sc)
 	}
 	for _, c := range []struct {
 		name string
 		sc   *Scope
-	}{{"whole-graph", nil}, {"scoped", sc}} {
+	}{{"all-ases", all}, {"scoped", sc}} {
 		k := 0
 		allocs := testing.AllocsPerRun(200, func() {
 			s.Propagate(testG, origins[k%len(origins)], c.sc)
@@ -239,13 +241,13 @@ var seedOrderCase = scopeCase{
 
 // TestScopedKernelMatchesReference proves the monitor scope's rule for
 // every origin of scopeEdgeCases, seedOrderCase and the kernel worlds,
-// on one
-// Scratch: in the scope and along the origin's provider ancestry every
-// (class, dist, next) equals referencePropagate's, every other AS has
-// no route, and every monitor's path equals the reference's. A
-// whole-graph run of another origin precedes every third scoped run,
-// so the scratch resets after whole-graph runs as well as after scoped
-// ones, and it shrinks and regrows across the kernel worlds.
+// on one Scratch: in the scope and along the origin's provider ancestry
+// every (class, dist, next) equals referencePropagate's, every other AS
+// has no route, and every monitor's path equals the reference's. A run
+// of another origin within the scope of every AS precedes every third
+// monitor-scoped run, so the scratch resets after runs over the whole
+// graph as well as after scoped ones, and it shrinks and regrows across
+// the kernel worlds.
 func TestScopedKernelMatchesReference(t *testing.T) {
 	cases := []scopeCase{scopeEdgeCases, seedOrderCase}
 	for _, kw := range kernelWorlds {
@@ -256,7 +258,7 @@ func TestScopedKernelMatchesReference(t *testing.T) {
 	var s Scratch
 	for k, c := range cases {
 		g := c.g
-		sc := NewScope(g, MonitorIndices(g, c.monitors))
+		sc, all := NewScope(g, MonitorIndices(g, c.monitors)), allScope(g)
 		in := make([]bool, g.NumASes())
 		for _, i := range sc.members {
 			in[i] = true
@@ -264,7 +266,7 @@ func TestScopedKernelMatchesReference(t *testing.T) {
 		origins := g.ASes()
 		for j, origin := range origins {
 			if j%3 == 0 {
-				s.Propagate(g, origins[(j+1)%len(origins)], nil)
+				s.Propagate(g, origins[(j+1)%len(origins)], all)
 			}
 			want := referencePropagate(g, origin)
 			if !s.Propagate(g, origin, sc) {
@@ -332,7 +334,7 @@ func TestStubProviderMatchesReference(t *testing.T) {
 	}
 	var s Scratch
 	for k, g := range graphs {
-		stubs := 0
+		stubs, all := 0, allScope(g)
 		for stub := 0; stub < g.NumASes(); stub++ {
 			p, ok := StubProvider(g, stub)
 			if !ok {
@@ -340,7 +342,7 @@ func TestStubProviderMatchesReference(t *testing.T) {
 			}
 			stubs++
 			want := referencePropagate(g, g.ASNAt(stub))
-			s.Propagate(g, g.ASNAt(p), nil)
+			s.Propagate(g, g.ASNAt(p), all)
 			for i, r := range s.routes {
 				if r.class != classNone {
 					r.dist++

@@ -17,6 +17,7 @@ package candidates
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -309,7 +310,7 @@ func Run(in Inputs) *Result {
 	var companies []Company
 	for _, orgID := range orgIDs {
 		g := orgGroups[orgID]
-		sort.Slice(g.asns, func(i, j int) bool { return g.asns[i] < g.asns[j] })
+		slices.Sort(g.asns)
 		name, nameSrc, country := mapASToCompany(in, g.asns[0])
 		if name == "" {
 			// No registry, PeeringDB or web-search name at all: stage 2
@@ -406,7 +407,7 @@ func setToSorted(m map[world.ASN]bool) []world.ASN {
 	for a := range m {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -501,7 +502,7 @@ func unionASNs(a, b []world.ASN) []world.ASN {
 			seen[x] = true
 		}
 	}
-	sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
+	slices.Sort(a)
 	return a
 }
 

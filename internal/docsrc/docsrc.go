@@ -121,7 +121,6 @@ type CountryListing struct {
 // Corpus is the frozen document universe.
 type Corpus struct {
 	docs []Document
-	byOp map[string][]int
 	// names[i] is docs[i].CompanyName prepared for matching; byCountry
 	// lists each country's document indices in ascending order, so a
 	// search scores only the documents of its country.
@@ -140,7 +139,6 @@ const FHCoverageTarget = 65
 func Build(w *world.World) *Corpus {
 	r := rng.New(w.Seed).Sub("docsrc")
 	c := &Corpus{
-		byOp:         make(map[string][]int),
 		fhListings:   make(map[string]CountryListing),
 		wikiListings: make(map[string]CountryListing),
 		fhCountries:  fhCountries(w),
@@ -162,16 +160,14 @@ func Build(w *world.World) *Corpus {
 	return c
 }
 
-// reindex rebuilds the by-operator, by-country and prepared-name indices
+// reindex rebuilds the by-country and prepared-name indices
 // from the docs slice (after Build, and again after degradation removes
 // docs).
 func (c *Corpus) reindex() {
-	c.byOp = make(map[string][]int)
 	c.byCountry = make(map[string][]int)
 	c.names = make([]nameutil.Name, len(c.docs))
 	for i := range c.docs {
 		d := &c.docs[i]
-		c.byOp[d.OperatorID] = append(c.byOp[d.OperatorID], i)
 		c.byCountry[d.Country] = append(c.byCountry[d.Country], i)
 		c.names[i] = nameutil.Prepare(d.CompanyName)
 	}
@@ -552,16 +548,6 @@ func (c *Corpus) Search(name, country string) []Document {
 	return out
 }
 
-// DocsFor returns all documents linked to an operator (used by scoring
-// and tests; the pipeline retrieves through Search).
-func (c *Corpus) DocsFor(opID string) []Document {
-	var out []Document
-	for _, i := range c.byOp[opID] {
-		out = append(out, c.docs[i])
-	}
-	return out
-}
-
 // FreedomHouseListings returns FH's per-country state-owned company
 // lists, sorted by country.
 func (c *Corpus) FreedomHouseListings() []CountryListing { return sortListings(c.fhListings) }
@@ -577,9 +563,3 @@ func sortListings(m map[string]CountryListing) []CountryListing {
 	sort.Slice(out, func(i, j int) bool { return out[i].Country < out[j].Country })
 	return out
 }
-
-// FHCovered reports whether Freedom House covers the country.
-func (c *Corpus) FHCovered(cc string) bool { return c.fhCountries[cc] }
-
-// NumDocs reports the corpus size.
-func (c *Corpus) NumDocs() int { return len(c.docs) }

@@ -11,16 +11,27 @@ var (
 	testC = Build(testW)
 )
 
+// docsFor returns all documents linked to an operator, in corpus order.
+func docsFor(c *Corpus, opID string) []Document {
+	var out []Document
+	for _, d := range c.docs {
+		if d.OperatorID == opID {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 func TestCorpusNonEmpty(t *testing.T) {
-	if testC.NumDocs() < 500 {
-		t.Fatalf("corpus too small: %d docs", testC.NumDocs())
+	if len(testC.docs) < 500 {
+		t.Fatalf("corpus too small: %d docs", len(testC.docs))
 	}
 }
 
 func TestFHCoverage(t *testing.T) {
 	n := 0
 	for _, cc := range testW.Countries {
-		if testC.FHCovered(cc) {
+		if testC.fhCountries[cc] {
 			n++
 		}
 	}
@@ -65,7 +76,7 @@ func TestAuthoritativeDocsTruthful(t *testing.T) {
 	for _, id := range testW.OperatorIDs {
 		op := testW.Operators[id]
 		ctrl := testW.Graph.ControlOf(op.Entity)
-		for _, d := range testC.DocsFor(id) {
+		for _, d := range docsFor(testC, id) {
 			if !d.StatesOwnership {
 				continue
 			}
@@ -113,7 +124,7 @@ func TestSubsidiaryMentions(t *testing.T) {
 	// SingTel -> Optus.
 	singtel, _ := testW.OperatorOfAS(7473)
 	mentions := 0
-	for _, d := range testC.DocsFor(singtel.ID) {
+	for _, d := range docsFor(testC, singtel.ID) {
 		for _, s := range d.Subsidiaries {
 			if s.Country == "AU" {
 				mentions++
@@ -128,7 +139,7 @@ func TestSubsidiaryMentions(t *testing.T) {
 func TestQuoteLanguages(t *testing.T) {
 	langs := map[string]int{}
 	for _, id := range testW.OperatorIDs {
-		for _, d := range testC.DocsFor(id) {
+		for _, d := range docsFor(testC, id) {
 			langs[d.Lang]++
 		}
 	}
@@ -141,8 +152,8 @@ func TestQuoteLanguages(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	c2 := Build(testW)
-	if c2.NumDocs() != testC.NumDocs() {
-		t.Fatalf("doc counts differ: %d vs %d", c2.NumDocs(), testC.NumDocs())
+	if len(c2.docs) != len(testC.docs) {
+		t.Fatalf("doc counts differ: %d vs %d", len(c2.docs), len(testC.docs))
 	}
 	a := testC.Search("Ooredoo", "QA")
 	b := c2.Search("Ooredoo", "QA")

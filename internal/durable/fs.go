@@ -31,8 +31,6 @@ package durable
 import (
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 )
 
 // FS is the filesystem seam the archive writes and recovers through.
@@ -56,8 +54,6 @@ type FS interface {
 	SyncDir(dir string) error
 	// ReadFile returns the file's full contents.
 	ReadFile(name string) ([]byte, error)
-	// ReadDir lists the file names in dir, sorted.
-	ReadDir(dir string) ([]string, error)
 }
 
 // FileWriter is an open file on the write path.
@@ -110,19 +106,3 @@ func (OSFS) SyncDir(dir string) error {
 
 // ReadFile implements FS via os.ReadFile.
 func (OSFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
-
-// ReadDir implements FS, listing plain files sorted by name.
-func (OSFS) ReadDir(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range ents {
-		if !e.IsDir() {
-			names = append(names, filepath.Base(e.Name()))
-		}
-	}
-	sort.Strings(names)
-	return names, nil
-}

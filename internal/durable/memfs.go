@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -122,20 +121,6 @@ func (m *MemFS) ReadFile(name string) ([]byte, error) {
 		return nil, &os.PathError{Op: "open", Path: name, Err: os.ErrNotExist}
 	}
 	return append([]byte(nil), ino.data...), nil
-}
-
-// ReadDir implements FS over the live namespace.
-func (m *MemFS) ReadDir(dir string) ([]string, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var names []string
-	for name := range m.live {
-		if inDir(name, dir) {
-			names = append(names, baseName(name))
-		}
-	}
-	sort.Strings(names)
-	return names, nil
 }
 
 // Crash simulates a process kill plus restart: the namespace reverts to

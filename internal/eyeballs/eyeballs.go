@@ -31,7 +31,6 @@ type Estimate struct {
 // Dataset is a frozen eyeball snapshot.
 type Dataset struct {
 	byCountry map[string][]Estimate
-	byAS      map[world.ASN]Estimate
 }
 
 // samplingFloor is the minimum estimated population that survives the
@@ -41,10 +40,7 @@ const samplingFloor = 200
 // Build estimates eyeball populations for the world.
 func Build(w *world.World) *Dataset {
 	r := rng.New(w.Seed).Sub("eyeballs")
-	ds := &Dataset{
-		byCountry: make(map[string][]Estimate),
-		byAS:      make(map[world.ASN]Estimate),
-	}
+	ds := &Dataset{byCountry: make(map[string][]Estimate)}
 	raw := make(map[string][]Estimate)
 	for _, id := range w.OperatorIDs {
 		op := w.Operators[id]
@@ -89,31 +85,9 @@ func Build(w *world.World) *Dataset {
 			return list[i].AS < list[j].AS
 		})
 		ds.byCountry[cc] = list
-		for _, e := range list {
-			ds.byAS[e.AS] = e
-		}
 	}
 	return ds
 }
 
 // Country returns the country's estimates, largest first.
 func (d *Dataset) Country(cc string) []Estimate { return d.byCountry[cc] }
-
-// ByAS returns an AS's estimate (zero value if the AS is not covered).
-func (d *Dataset) ByAS(a world.ASN) (Estimate, bool) {
-	e, ok := d.byAS[a]
-	return e, ok
-}
-
-// CoveredASes reports how many ASes carry an estimate.
-func (d *Dataset) CoveredASes() int { return len(d.byAS) }
-
-// CountryShare returns the share of a country's eyeballs on the given AS.
-func (d *Dataset) CountryShare(cc string, a world.ASN) float64 {
-	for _, e := range d.byCountry[cc] {
-		if e.AS == a {
-			return e.Share
-		}
-	}
-	return 0
-}

@@ -31,9 +31,22 @@ func TestSharesSumToOne(t *testing.T) {
 	}
 }
 
+// byAS indexes d's estimates by AS; an AS has estimates in its
+// operator's country only.
+func byAS(d *Dataset) map[world.ASN]Estimate {
+	out := make(map[world.ASN]Estimate)
+	for _, list := range d.byCountry {
+		for _, e := range list {
+			out[e.AS] = e
+		}
+	}
+	return out
+}
+
 func TestOnlyAccessASesCovered(t *testing.T) {
+	covered := byAS(testDS)
 	for _, asn := range testW.ASNList {
-		if e, ok := testDS.ByAS(asn); ok {
+		if e, ok := covered[asn]; ok {
 			op, _ := testW.OperatorOfAS(asn)
 			if op.Subscribers == 0 {
 				t.Fatalf("AS%d covered with zero-subscriber operator %s", asn, op.ID)
@@ -43,18 +56,19 @@ func TestOnlyAccessASesCovered(t *testing.T) {
 			}
 		}
 	}
-	if testDS.CoveredASes() == 0 {
+	if len(covered) == 0 {
 		t.Fatal("no coverage at all")
 	}
 	// Coverage must be partial: stubs and transit networks are absent.
-	if testDS.CoveredASes() >= len(testW.ASNList)/2 {
-		t.Errorf("coverage %d of %d too broad", testDS.CoveredASes(), len(testW.ASNList))
+	if len(covered) >= len(testW.ASNList)/2 {
+		t.Errorf("coverage %d of %d too broad", len(covered), len(testW.ASNList))
 	}
 }
 
 func TestEstimatesTrackTruth(t *testing.T) {
 	// Per operator, estimates should be within ~2x of truth (log-normal
 	// sigma 0.2 makes >2x deviations vanishingly rare).
+	covered := byAS(testDS)
 	for _, id := range testW.OperatorIDs {
 		op := testW.Operators[id]
 		if op.Subscribers < 5000 || len(op.ASNs) == 0 {
@@ -62,7 +76,7 @@ func TestEstimatesTrackTruth(t *testing.T) {
 		}
 		var est int
 		for _, asn := range op.ASNs {
-			if e, ok := testDS.ByAS(asn); ok {
+			if e, ok := covered[asn]; ok {
 				est += e.Users
 			}
 		}
@@ -89,7 +103,7 @@ func TestSortedDescending(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	ds2 := Build(testW)
-	if ds2.CoveredASes() != testDS.CoveredASes() {
+	if len(byAS(ds2)) != len(byAS(testDS)) {
 		t.Fatal("coverage differs across builds")
 	}
 	for _, cc := range testW.Countries {
@@ -102,18 +116,5 @@ func TestDeterminism(t *testing.T) {
 				t.Fatalf("%s estimate %d differs", cc, i)
 			}
 		}
-	}
-}
-
-func TestCountryShare(t *testing.T) {
-	ests := testDS.Country("CU")
-	if len(ests) == 0 {
-		t.Skip("no CU estimates")
-	}
-	if got := testDS.CountryShare("CU", ests[0].AS); got != ests[0].Share {
-		t.Errorf("CountryShare = %f, want %f", got, ests[0].Share)
-	}
-	if got := testDS.CountryShare("CU", 4242424); got != 0 {
-		t.Errorf("missing AS share = %f", got)
 	}
 }

@@ -11,26 +11,20 @@ import (
 
 	"stateowned/internal/ccodes"
 	"stateowned/internal/faults"
-	"stateowned/internal/netaddr"
 	"stateowned/internal/rng"
 	"stateowned/internal/world"
 )
 
 // DB is a frozen geolocation snapshot for one world.
 type DB struct {
-	// loc[prefix] = assigned country
-	loc map[netaddr.Prefix]string
 	// perOrigin[origin][country] = addresses the DB places there
 	perOrigin map[world.ASN]map[string]uint64
 	// prefixCountry[origin][i] = assigned country of origin's i-th prefix
 	prefixCountry map[world.ASN][]string
 	// prefixAddrs[origin][i] = address count of origin's i-th prefix
 	prefixAddrs map[world.ASN][]uint64
-	// prefixes[origin][i] = origin's i-th prefix (keeps loc consistent
-	// when degradation reassigns or unassigns entries)
-	prefixes map[world.ASN][]netaddr.Prefix
-	totals   map[string]uint64
-	accuracy map[string]float64
+	totals      map[string]uint64
+	accuracy    map[string]float64
 	// byCountry[cc] is CountryOrigins(cc). Build, Degrade and Quarantine
 	// rebuild it as their last step, never lazily: a published DB is
 	// shared read-only between generations.
@@ -41,11 +35,9 @@ type DB struct {
 func Build(w *world.World) *DB {
 	r := rng.New(w.Seed).Sub("geo")
 	db := &DB{
-		loc:           make(map[netaddr.Prefix]string),
 		perOrigin:     make(map[world.ASN]map[string]uint64),
 		prefixCountry: make(map[world.ASN][]string),
 		prefixAddrs:   make(map[world.ASN][]uint64),
-		prefixes:      make(map[world.ASN][]netaddr.Prefix),
 		totals:        make(map[string]uint64),
 		accuracy:      make(map[string]float64),
 	}
@@ -79,10 +71,8 @@ func Build(w *world.World) *DB {
 					}
 				}
 			}
-			db.loc[p] = assigned
 			db.prefixCountry[asn] = append(db.prefixCountry[asn], assigned)
 			db.prefixAddrs[asn] = append(db.prefixAddrs[asn], p.NumAddresses())
-			db.prefixes[asn] = append(db.prefixes[asn], p)
 			po := db.perOrigin[asn]
 			if po == nil {
 				po = make(map[string]uint64)
@@ -117,9 +107,6 @@ func (d *DB) bucket() {
 	}
 }
 
-// Locate returns the assigned country of a prefix ("" if unknown).
-func (d *DB) Locate(p netaddr.Prefix) string { return d.loc[p] }
-
 // sortedOrigins lists origins ascending — the deterministic iteration
 // order every degradation mutation uses.
 func (d *DB) sortedOrigins() []world.ASN {
@@ -149,7 +136,6 @@ func (d *DB) unassign(origin world.ASN, i int) {
 		delete(d.totals, cc)
 	}
 	d.prefixCountry[origin][i] = ""
-	delete(d.loc, d.prefixes[origin][i])
 }
 
 // reassign moves one prefix assignment to another country.
@@ -164,7 +150,6 @@ func (d *DB) reassign(origin world.ASN, i int, to string) {
 	po[to] += n
 	d.totals[to] += n
 	d.prefixCountry[origin][i] = to
-	d.loc[d.prefixes[origin][i]] = to
 }
 
 // Degrade injects geolocation-feed faults: prefixes missing from the
@@ -206,36 +191,12 @@ func (d *DB) Quarantine() int {
 	return n
 }
 
-// Accuracy returns the simulated accuracy for a country's prefixes.
-func (d *DB) Accuracy(cc string) float64 { return d.accuracy[cc] }
-
 // Triplet is the paper's §4.1 unit: <origin ASN, country, #addresses the
 // origin originates in that country (per this DB)>.
 type Triplet struct {
 	Origin    world.ASN
 	Country   string
 	Addresses uint64
-}
-
-// Triplets returns all nonzero triplets, sorted by (country, -addresses,
-// origin) for stable consumption.
-func (d *DB) Triplets() []Triplet {
-	var out []Triplet
-	for origin, per := range d.perOrigin {
-		for cc, n := range per {
-			out = append(out, Triplet{origin, cc, n})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Country != out[j].Country {
-			return out[i].Country < out[j].Country
-		}
-		if out[i].Addresses != out[j].Addresses {
-			return out[i].Addresses > out[j].Addresses
-		}
-		return out[i].Origin < out[j].Origin
-	})
-	return out
 }
 
 // AddressesIn implements cti.PrefixGeo: a(p, C) for origin's idx-th

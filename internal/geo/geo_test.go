@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"sort"
 	"testing"
 
 	"stateowned/internal/ccodes"
@@ -14,7 +15,7 @@ var (
 
 func TestAccuracyBand(t *testing.T) {
 	for _, cc := range testW.Countries {
-		a := testDB.Accuracy(cc)
+		a := testDB.accuracy[cc]
 		if a < 0.74 || a > 0.98 {
 			t.Errorf("%s accuracy %.3f outside NetAcuity band", cc, a)
 		}
@@ -25,8 +26,8 @@ func TestDeterminism(t *testing.T) {
 	db2 := Build(testW)
 	for _, asn := range testW.ASNList[:200] {
 		a := testW.ASes[asn]
-		for _, p := range a.Prefixes {
-			if testDB.Locate(p) != db2.Locate(p) {
+		for i, p := range a.Prefixes {
+			if testDB.prefixCountry[asn][i] != db2.prefixCountry[asn][i] {
 				t.Fatalf("prefix %v located differently across builds", p)
 			}
 		}
@@ -37,9 +38,9 @@ func TestMostPrefixesCorrect(t *testing.T) {
 	correct, total := 0, 0
 	for _, asn := range testW.ASNList {
 		a := testW.ASes[asn]
-		for _, p := range a.Prefixes {
+		for i := range a.Prefixes {
 			total++
-			if testDB.Locate(p) == a.Country {
+			if testDB.prefixCountry[asn][i] == a.Country {
 				correct++
 			}
 		}
@@ -56,10 +57,31 @@ func TestMostPrefixesCorrect(t *testing.T) {
 	}
 }
 
+// triplets returns all nonzero triplets, sorted by (country, -addresses,
+// origin) for stable consumption.
+func triplets(d *DB) []Triplet {
+	var out []Triplet
+	for origin, per := range d.perOrigin {
+		for cc, n := range per {
+			out = append(out, Triplet{origin, cc, n})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Country != out[j].Country {
+			return out[i].Country < out[j].Country
+		}
+		if out[i].Addresses != out[j].Addresses {
+			return out[i].Addresses > out[j].Addresses
+		}
+		return out[i].Origin < out[j].Origin
+	})
+	return out
+}
+
 func TestTotalsConsistent(t *testing.T) {
 	// Sum of triplets per country must equal TotalIn.
 	sums := map[string]uint64{}
-	for _, tr := range testDB.Triplets() {
+	for _, tr := range triplets(testDB) {
 		sums[tr.Country] += tr.Addresses
 	}
 	for cc, sum := range sums {
@@ -74,7 +96,7 @@ func TestAddressesInMatchesPrefixes(t *testing.T) {
 		a := testW.ASes[asn]
 		var viaAPI uint64
 		for i := range a.Prefixes {
-			viaAPI += testDB.AddressesIn(asn, i, testDB.Locate(a.Prefixes[i]))
+			viaAPI += testDB.AddressesIn(asn, i, testDB.prefixCountry[asn][i])
 		}
 		if viaAPI != a.NumAddresses() {
 			t.Fatalf("AS%d AddressesIn sums to %d, want %d", asn, viaAPI, a.NumAddresses())
@@ -101,8 +123,8 @@ func TestMisgeolocationStaysInRegion(t *testing.T) {
 	// Errors should land in the same macro-region (our declared model).
 	for _, asn := range testW.ASNList {
 		a := testW.ASes[asn]
-		for _, p := range a.Prefixes {
-			got := testDB.Locate(p)
+		for i := range a.Prefixes {
+			got := testDB.prefixCountry[asn][i]
 			if got == a.Country {
 				continue
 			}

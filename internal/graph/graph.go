@@ -28,7 +28,6 @@ package graph
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"strings"
 
 	"stateowned/internal/as2org"
@@ -264,13 +263,14 @@ func (s *buildScratch) observe(topo *topology.Graph, mon []int, o int) (total in
 			total++
 			continue
 		}
-		if m < 0 || s.prop.PathLen(m) == 0 {
+		if m < 0 || !s.prop.Routed(m) {
 			continue
 		}
 		total++
 		// The walk ends at o, or past the provider of a stub o, which
 		// the propagation reaches as its origin, the one hop without a
-		// next hop.
+		// next hop: distances fall strictly along next hops
+		// (bgp.Scratch.Propagate).
 		for t := s.prop.NextHop(m); t >= 0 && t != o; t = s.prop.NextHop(t) {
 			if s.counts[t] == 0 {
 				s.touched = append(s.touched, int32(t))
@@ -351,18 +351,6 @@ func (g *Graph) ConeSize(a world.ASN) int {
 		return 0
 	}
 	return len(g.cones[i])
-}
-
-// InCone reports whether member is inside a's customer cone — a binary
-// search over the precomputed closure.
-func (g *Graph) InCone(a, member world.ASN) bool {
-	i, ok := g.topo.Index(a)
-	if !ok {
-		return false
-	}
-	cone := g.cones[i]
-	k := sort.Search(len(cone), func(j int) bool { return cone[j] >= member })
-	return k < len(cone) && cone[k] == member
 }
 
 // Upstreams returns the transits the observed monitor paths toward a

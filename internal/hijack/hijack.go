@@ -17,6 +17,7 @@
 package hijack
 
 import (
+	"slices"
 	"sort"
 
 	"stateowned/internal/bgp"
@@ -69,9 +70,9 @@ func NewPlan(w *world.World, g *topology.Graph, cfg Config) *Plan {
 			origins = append(origins, asn)
 		}
 	}
-	sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
+	slices.Sort(origins)
 	hijackers := append([]world.ASN(nil), g.ASes()...)
-	sort.Slice(hijackers, func(i, j int) bool { return hijackers[i] < hijackers[j] })
+	slices.Sort(hijackers)
 	if len(origins) == 0 || len(hijackers) < 2 {
 		return p
 	}
@@ -161,7 +162,7 @@ func (p *Plan) Victims() []world.ASN {
 	for _, c := range p.Campaigns {
 		out = append(out, c.Victim)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -185,7 +186,7 @@ func (p *Plan) Fingerprint() sched.Fingerprint {
 	for asn := range p.ROV {
 		rov = append(rov, asn)
 	}
-	sort.Slice(rov, func(i, j int) bool { return rov[i] < rov[j] })
+	slices.Sort(rov)
 	h.U64(uint64(len(rov)))
 	for _, asn := range rov {
 		h.U64(uint64(asn))

@@ -99,23 +99,6 @@ func (p Prefix) NumAddresses() uint64 { return 1 << (32 - uint(p.Bits)) }
 // Contains reports whether addr falls inside the prefix.
 func (p Prefix) Contains(addr uint32) bool { return addr&mask(p.Bits) == p.Base }
 
-// Covers reports whether p covers all of q (p is q or a supernet of q).
-func (p Prefix) Covers(q Prefix) bool {
-	return p.Bits <= q.Bits && q.Base&mask(p.Bits) == p.Base
-}
-
-// Overlaps reports whether the two prefixes share any address.
-func (p Prefix) Overlaps(q Prefix) bool { return p.Covers(q) || q.Covers(p) }
-
-// Less orders prefixes by base address, then by length (shorter first).
-// Useful for stable iteration orders.
-func (p Prefix) Less(q Prefix) bool {
-	if p.Base != q.Base {
-		return p.Base < q.Base
-	}
-	return p.Bits < q.Bits
-}
-
 // SumAddresses totals the address counts of the given prefixes. The caller
 // is responsible for the prefixes being disjoint if an exact population is
 // required; the simulator's allocator only produces disjoint blocks.
@@ -165,13 +148,4 @@ func (a *Allocator) Alloc(bits uint8) (Prefix, bool) {
 		a.done = true
 	}
 	return Make(start, bits), true
-}
-
-// Remaining returns the number of addresses still unallocated in the pool.
-func (a *Allocator) Remaining() uint64 {
-	if a.done {
-		return 0
-	}
-	poolEnd := uint64(a.pool.Base) + uint64(a.pool.NumAddresses())
-	return poolEnd - uint64(a.next)
 }

@@ -261,16 +261,3 @@ func (d *DB) StateOwnedTelecoms() []Entry {
 	}
 	return out
 }
-
-// LookupCompany returns the entry exactly matching a legal name.
-func (d *DB) LookupCompany(name string) (Entry, bool) {
-	for _, e := range d.entries {
-		if e.CompanyName == name {
-			return e, true
-		}
-	}
-	return Entry{}, false
-}
-
-// NumEntries reports the database size.
-func (d *DB) NumEntries() int { return len(d.entries) }

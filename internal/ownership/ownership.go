@@ -13,6 +13,7 @@ package ownership
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -197,7 +198,7 @@ func (g *Graph) Entities() []EntityID {
 	for id := range g.entities {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -272,18 +273,6 @@ func (g *Graph) Holders(target EntityID) []Holding {
 			return hs[i].Share > hs[j].Share
 		}
 		return hs[i].Holder < hs[j].Holder
-	})
-	return hs
-}
-
-// HoldingsOf returns the positions the holder owns, largest share first.
-func (g *Graph) HoldingsOf(holder EntityID) []Holding {
-	hs := append([]Holding(nil), g.outbound[holder]...)
-	sort.Slice(hs, func(i, j int) bool {
-		if hs[i].Share != hs[j].Share {
-			return hs[i].Share > hs[j].Share
-		}
-		return hs[i].Target < hs[j].Target
 	})
 	return hs
 }
@@ -482,37 +471,6 @@ func (g *Graph) ControllingParent(id EntityID) (EntityID, bool) {
 	return "", false
 }
 
-// JointVenture reports whether two or more states hold at least the given
-// floor of the entity's equity each (e.g., PTCL: Pakistan + UAE). Returns
-// the participating countries sorted by descending share.
-func (g *Graph) JointVenture(id EntityID, floor float64) ([]string, bool) {
-	c := g.ControlOf(id)
-	type cs struct {
-		country string
-		share   float64
-	}
-	var parts []cs
-	for country, share := range c.StateShares {
-		if share >= floor {
-			parts = append(parts, cs{country, share})
-		}
-	}
-	if len(parts) < 2 {
-		return nil, false
-	}
-	sort.Slice(parts, func(i, j int) bool {
-		if parts[i].share != parts[j].share {
-			return parts[i].share > parts[j].share
-		}
-		return parts[i].country < parts[j].country
-	})
-	out := make([]string, len(parts))
-	for i, p := range parts {
-		out[i] = p.country
-	}
-	return out, true
-}
-
 // WriteDOT renders the ownership neighborhood of an entity as a GraphViz
 // digraph: every holder chain into the entity (recursively), with
 // state-controlled entities highlighted. Useful for documenting how a
@@ -551,18 +509,4 @@ func (g *Graph) WriteDOT(w io.Writer, root EntityID) error {
 	b.WriteString("}\n")
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// Descendants returns every entity controlled (transitively) by the given
-// country, sorted by ID. Useful for subsidiary discovery in stage 2.
-func (g *Graph) Descendants(country string) []EntityID {
-	g.resolve()
-	var out []EntityID
-	for id, c := range g.control {
-		if c.Controller == country && g.entities[id].Kind != KindGovernment {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

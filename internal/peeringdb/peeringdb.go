@@ -110,6 +110,3 @@ func (d *DB) Lookup(a world.ASN) (Entry, bool) {
 	e, ok := d.entries[a]
 	return e, ok
 }
-
-// NumEntries reports how many ASNs are registered.
-func (d *DB) NumEntries() int { return len(d.entries) }

@@ -12,7 +12,7 @@ var (
 )
 
 func TestPartialCoverage(t *testing.T) {
-	frac := float64(testDB.NumEntries()) / float64(len(testW.ASNList))
+	frac := float64(len(testDB.entries)) / float64(len(testW.ASNList))
 	// Paper: roughly 20% of WHOIS-registered ASes.
 	if frac < 0.05 || frac > 0.45 {
 		t.Errorf("coverage %.2f outside plausible PeeringDB band", frac)
@@ -69,7 +69,7 @@ func TestTransitBias(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	db2 := Build(testW)
-	if db2.NumEntries() != testDB.NumEntries() {
+	if len(db2.entries) != len(testDB.entries) {
 		t.Fatal("entry counts differ across builds")
 	}
 }

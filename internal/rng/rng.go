@@ -12,7 +12,6 @@ package rng
 import (
 	"hash/fnv"
 	"math"
-	"sort"
 )
 
 // Stream is a deterministic PRNG. The zero value is not usable; construct
@@ -126,16 +125,6 @@ func (s *Stream) LogNorm(mu, sigma float64) float64 {
 	return math.Exp(s.Norm(mu, sigma))
 }
 
-// Pareto returns a Pareto(alpha)-distributed value with minimum xm. Heavy
-// tails model AS sizes and company market shares well.
-func (s *Stream) Pareto(xm, alpha float64) float64 {
-	u := s.Float64()
-	for u == 0 {
-		u = s.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (s *Stream) Perm(n int) []int {
 	p := make([]int, n)
@@ -152,59 +141,4 @@ func (s *Stream) ShuffleInts(p []int) {
 		j := s.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
-}
-
-// Shuffle shuffles n elements using the provided swap function.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// PickString returns a uniformly chosen element of the slice.
-// It panics on an empty slice.
-func (s *Stream) PickString(xs []string) string {
-	return xs[s.Intn(len(xs))]
-}
-
-// WeightedPick returns an index of weights chosen with probability
-// proportional to its weight. Zero and negative weights are treated as
-// unselectable; if all weights are unselectable it returns 0.
-func (s *Stream) WeightedPick(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		return 0
-	}
-	r := s.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		r -= w
-		if r < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
-// SampleStrings returns k distinct elements chosen uniformly from xs,
-// in a stable pseudo-random order. If k >= len(xs) a shuffled copy of xs
-// is returned.
-func (s *Stream) SampleStrings(xs []string, k int) []string {
-	cp := make([]string, len(xs))
-	copy(cp, xs)
-	s.Shuffle(len(cp), func(i, j int) { cp[i], cp[j] = cp[j], cp[i] })
-	if k > len(cp) {
-		k = len(cp)
-	}
-	out := cp[:k]
-	sort.Strings(out)
-	return out
 }

@@ -108,15 +108,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestParetoTail(t *testing.T) {
-	s := New(13)
-	for i := 0; i < 10000; i++ {
-		if v := s.Pareto(1, 1.2); v < 1 {
-			t.Fatalf("Pareto below xm: %f", v)
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		s := New(seed)
@@ -135,28 +126,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestWeightedPick(t *testing.T) {
-	s := New(17)
-	weights := []float64{0, 1, 3, 0}
-	counts := make([]int, 4)
-	for i := 0; i < 40000; i++ {
-		counts[s.WeightedPick(weights)]++
-	}
-	if counts[0] != 0 || counts[3] != 0 {
-		t.Errorf("zero-weight indices picked: %v", counts)
-	}
-	ratio := float64(counts[2]) / float64(counts[1])
-	if ratio < 2.7 || ratio > 3.3 {
-		t.Errorf("weight ratio = %f, want ~3", ratio)
-	}
-}
-
-func TestWeightedPickAllZero(t *testing.T) {
-	if got := New(1).WeightedPick([]float64{0, 0}); got != 0 {
-		t.Errorf("all-zero weights pick = %d, want 0", got)
-	}
-}
-
 func TestIntBetween(t *testing.T) {
 	s := New(19)
 	for i := 0; i < 1000; i++ {
@@ -167,24 +136,5 @@ func TestIntBetween(t *testing.T) {
 	}
 	if got := s.IntBetween(4, 4); got != 4 {
 		t.Errorf("degenerate IntBetween = %d", got)
-	}
-}
-
-func TestSampleStrings(t *testing.T) {
-	s := New(23)
-	xs := []string{"a", "b", "c", "d", "e"}
-	got := s.SampleStrings(xs, 3)
-	if len(got) != 3 {
-		t.Fatalf("sample size = %d", len(got))
-	}
-	seen := map[string]bool{}
-	for _, g := range got {
-		if seen[g] {
-			t.Errorf("duplicate sample %q", g)
-		}
-		seen[g] = true
-	}
-	if got := s.SampleStrings(xs, 10); len(got) != 5 {
-		t.Errorf("oversized sample length = %d, want 5", len(got))
 	}
 }

@@ -79,8 +79,8 @@ func TestChurnBoundQuarantines(t *testing.T) {
 	if d == nil || d.FailedGen != 1 || d.Failures != 1 || d.GaveUp {
 		t.Fatalf("degraded state = %+v", d)
 	}
-	if s.Quarantines() != 1 {
-		t.Fatalf("quarantines = %d", s.Quarantines())
+	if s.quarantines.Load() != 1 {
+		t.Fatalf("quarantines = %d", s.quarantines.Load())
 	}
 	// Advance (the error-swallowing wrapper) reports the quarantine as
 	// a nil generation.
@@ -113,7 +113,7 @@ func TestQuarantineVerdictRemembered(t *testing.T) {
 	if builds != 1 {
 		t.Errorf("%d builds across 3 quarantines of one generation, want 1", builds)
 	}
-	if q := s.Quarantines(); q != 3 {
+	if q := s.quarantines.Load(); q != 3 {
 		t.Errorf("quarantines = %d, want 3", q)
 	}
 	if err := s.Stage(2); err == nil {
@@ -278,7 +278,7 @@ func TestReloadBackoffAndGiveUp(t *testing.T) {
 	if got := len(tc.waitCalls(t, 3)); got != 3 {
 		t.Fatalf("reload kept scheduling after giving up: %d timers", got)
 	}
-	if q := s.Quarantines(); q != 3 {
+	if q := s.quarantines.Load(); q != 3 {
 		t.Fatalf("quarantines = %d, want 3", q)
 	}
 	if s.Current().Gen != 0 {

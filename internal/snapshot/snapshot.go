@@ -822,10 +822,6 @@ func (s *Store) giveUp(d *Degradation) {
 // Current returns the live generation.
 func (s *Store) Current() *Generation { return s.current.Load() }
 
-// Swaps reports how many generations have been published (including
-// generation 0).
-func (s *Store) Swaps() uint64 { return s.swaps.Load() }
-
 // Reloading reports whether a rebuild is in flight.
 func (s *Store) Reloading() bool { return s.reloading.Load() }
 
@@ -833,10 +829,6 @@ func (s *Store) Reloading() bool { return s.reloading.Load() }
 // newest rebuild was published normally. The returned value is a
 // snapshot — safe to read without locks.
 func (s *Store) Degraded() *Degradation { return s.degraded.Load() }
-
-// Quarantines reports how many rebuilds the validation gate has
-// refused to publish (cumulative across recoveries).
-func (s *Store) Quarantines() uint64 { return s.quarantines.Load() }
 
 // IncrementalCounters reports the cumulative memoized-rebuild counters:
 // build-graph nodes executed vs restored from a memo, and whole

@@ -11,6 +11,7 @@
 package topology
 
 import (
+	"slices"
 	"sort"
 
 	"stateowned/internal/ccodes"
@@ -154,7 +155,7 @@ func (g *Graph) CustomerCone(a world.ASN) []world.ASN {
 			out = append(out, g.asns[j])
 		}
 	}
-	sort.Slice(out, func(x, y int) bool { return out[x] < out[y] })
+	slices.Sort(out)
 	return out
 }
 
@@ -180,37 +181,6 @@ func (g *Graph) ConeSize(a world.ASN) int {
 		}
 	}
 	return n
-}
-
-// ValleyFreeCheck verifies structural sanity: no AS is simultaneously a
-// provider and customer of the same neighbor, and peer lists are
-// symmetric. Returns the number of violations (0 = sane).
-func (g *Graph) ValleyFreeCheck() int {
-	bad := 0
-	for i := range g.asns {
-		cust := make(map[int]bool, len(g.customers[i]))
-		for _, c := range g.customers[i] {
-			cust[c] = true
-		}
-		for _, p := range g.providers[i] {
-			if cust[p] {
-				bad++
-			}
-		}
-		for _, p := range g.peers[i] {
-			found := false
-			for _, q := range g.peers[p] {
-				if q == i {
-					found = true
-					break
-				}
-			}
-			if !found {
-				bad++
-			}
-		}
-	}
-	return bad
 }
 
 // coneAnchor is one planted transit attractor.

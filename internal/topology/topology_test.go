@@ -13,11 +13,42 @@ var (
 	testG = Build(testW, FinalYear)
 )
 
+// valleyFreeCheck verifies structural sanity: no AS is simultaneously a
+// provider and customer of the same neighbor, and peer lists are
+// symmetric. Returns the number of violations (0 = sane).
+func valleyFreeCheck(g *Graph) int {
+	bad := 0
+	for i := range g.asns {
+		cust := make(map[int]bool, len(g.customers[i]))
+		for _, c := range g.customers[i] {
+			cust[c] = true
+		}
+		for _, p := range g.providers[i] {
+			if cust[p] {
+				bad++
+			}
+		}
+		for _, p := range g.peers[i] {
+			found := false
+			for _, q := range g.peers[p] {
+				if q == i {
+					found = true
+					break
+				}
+			}
+			if !found {
+				bad++
+			}
+		}
+	}
+	return bad
+}
+
 func TestBuildSanity(t *testing.T) {
 	if testG.NumASes() == 0 {
 		t.Fatal("empty graph")
 	}
-	if v := testG.ValleyFreeCheck(); v != 0 {
+	if v := valleyFreeCheck(testG); v != 0 {
 		t.Errorf("structural violations: %d", v)
 	}
 	// Every AS registered by the final year must be in the graph.

@@ -208,6 +208,3 @@ func (r *Registry) Orgs() []string {
 	sort.Strings(out)
 	return out
 }
-
-// NumRecords reports the registry size.
-func (r *Registry) NumRecords() int { return len(r.records) }

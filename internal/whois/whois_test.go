@@ -13,8 +13,8 @@ var (
 )
 
 func TestEveryASHasRecord(t *testing.T) {
-	if testReg.NumRecords() != len(testW.ASNList) {
-		t.Fatalf("records %d != ASes %d", testReg.NumRecords(), len(testW.ASNList))
+	if len(testReg.records) != len(testW.ASNList) {
+		t.Fatalf("records %d != ASes %d", len(testReg.records), len(testW.ASNList))
 	}
 	for _, asn := range testW.ASNList {
 		rec, ok := testReg.Lookup(asn)

@@ -3,6 +3,7 @@ package world
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"stateowned/internal/ccodes"
@@ -22,9 +23,6 @@ type Config struct {
 	// Anchors whose home or host country is excluded are skipped.
 	Countries []string
 }
-
-// DefaultConfig is the configuration the experiments run with.
-func DefaultConfig() Config { return Config{Seed: 42, Scale: 1.0} }
 
 // opPlan is the pre-entity plan for one operator.
 type opPlan struct {
@@ -116,7 +114,7 @@ func Generate(cfg Config) *World {
 	g.assignSubscribers()
 
 	sort.Strings(w.OperatorIDs)
-	sort.Slice(w.ASNList, func(i, j int) bool { return w.ASNList[i] < w.ASNList[j] })
+	slices.Sort(w.ASNList)
 	return w
 }
 

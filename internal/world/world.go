@@ -14,7 +14,7 @@ package world
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"stateowned/internal/ccodes"
 	"stateowned/internal/netaddr"
@@ -27,7 +27,7 @@ type ASN uint32
 // SortASNs sorts an ASN slice ascending in place. Every package that
 // materializes ASN lists for stable consumption goes through this helper.
 func SortASNs(asns []ASN) {
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
+	slices.Sort(asns)
 }
 
 // OperatorKind classifies a network-operating company. The paper's scope
@@ -234,17 +234,6 @@ func (w *World) TrueStateOwnedAS(n ASN) (string, bool) {
 	return c.Controller, true
 }
 
-// TrueForeignSubsidiaryAS reports whether the AS belongs to an in-scope
-// operator controlled by a state other than its country of operation.
-func (w *World) TrueForeignSubsidiaryAS(n ASN) (string, bool) {
-	op, ok := w.OperatorOfAS(n)
-	if !ok || !op.Kind.InScope() {
-		return "", false
-	}
-	owner, ok := w.Graph.IsForeignSubsidiary(op.Entity)
-	return owner, ok
-}
-
 // OperatorsIn returns the operators registered in a country, sorted by ID.
 func (w *World) OperatorsIn(country string) []*Operator {
 	var out []*Operator
@@ -253,16 +242,6 @@ func (w *World) OperatorsIn(country string) []*Operator {
 			out = append(out, op)
 		}
 	}
-	return out
-}
-
-// ASesOf returns the AS records of an operator in ASN order.
-func (w *World) ASesOf(op *Operator) []*AS {
-	out := make([]*AS, 0, len(op.ASNs))
-	for _, n := range op.ASNs {
-		out = append(out, w.ASes[n])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Number < out[j].Number })
 	return out
 }
 

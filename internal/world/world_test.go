@@ -103,18 +103,29 @@ func TestAnchorsPlanted(t *testing.T) {
 	}
 }
 
+// trueForeignSubsidiaryAS reports whether the AS belongs to an in-scope
+// operator controlled by a state other than its country of operation.
+func trueForeignSubsidiaryAS(w *World, n ASN) (string, bool) {
+	op, ok := w.OperatorOfAS(n)
+	if !ok || !op.Kind.InScope() {
+		return "", false
+	}
+	owner, ok := w.Graph.IsForeignSubsidiary(op.Entity)
+	return owner, ok
+}
+
 func TestForeignSubsidiaries(t *testing.T) {
-	owner, ok := testW.TrueForeignSubsidiaryAS(7474) // Optus
+	owner, ok := trueForeignSubsidiaryAS(testW, 7474) // Optus
 	if !ok || owner != "SG" {
 		t.Errorf("Optus foreign-subsidiary = %q %v, want SG", owner, ok)
 	}
-	if _, ok := testW.TrueForeignSubsidiaryAS(7473); ok {
+	if _, ok := trueForeignSubsidiaryAS(testW, 7473); ok {
 		t.Error("SingTel home AS flagged as foreign subsidiary")
 	}
 	// Every Table 3 owner country must control at least one foreign AS.
 	owners := map[string]int{}
 	for _, asn := range testW.ASNList {
-		if cc, ok := testW.TrueForeignSubsidiaryAS(asn); ok {
+		if cc, ok := trueForeignSubsidiaryAS(testW, asn); ok {
 			owners[cc]++
 		}
 	}
@@ -146,11 +157,23 @@ func TestExcludedKindsNotStateOwnedASes(t *testing.T) {
 	}
 }
 
+// TestJointVenturesPlanted requires PTCL to be a joint venture: two or
+// more states hold at least 20% each, Pakistan the largest share (ties
+// go to the alphabetically first country).
 func TestJointVenturesPlanted(t *testing.T) {
 	op, _ := testW.OperatorOfAS(17557)
-	parts, ok := testW.Graph.JointVenture(op.Entity, 0.20)
-	if !ok || parts[0] != "PK" {
-		t.Errorf("PTCL joint venture = %v %v", parts, ok)
+	shares := testW.ControlOf(op).StateShares
+	parts := 0
+	for cc, share := range shares {
+		if share >= 0.20 {
+			parts++
+		}
+		if share > shares["PK"] || share == shares["PK"] && cc < "PK" {
+			t.Errorf("PTCL: %s holds %.2f, more than Pakistan's %.2f", cc, share, shares["PK"])
+		}
+	}
+	if parts < 2 {
+		t.Errorf("PTCL state shares %v: want two or more states at 20%% or more", shares)
 	}
 }
 

@@ -131,9 +131,6 @@ type Config struct {
 	Memo *sched.Memo
 }
 
-// DefaultConfig is the configuration all experiments run with.
-func DefaultConfig() Config { return Config{Seed: 42, Scale: 1.0} }
-
 // Result carries every intermediate and final product of a run.
 type Result struct {
 	Config Config
