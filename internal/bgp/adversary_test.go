@@ -380,3 +380,94 @@ func TestCollectPathsAdversaryOverlay(t *testing.T) {
 		}
 	}
 }
+
+// hijackOrderCase is a hand-shaped topology on which one order inside
+// the overlay decides a route: the campaign's principals, the monitors
+// whose scope is checked, and the route the case turns on, AS at's
+// overlay route under an exact-prefix campaign.
+type hijackOrderCase struct {
+	name             string
+	g                *topology.Graph
+	victim, hijacker world.ASN
+	monitors         []Monitor
+	at, via          world.ASN
+	class            routeClass
+	dist             int32
+}
+
+// hijackOrderCases pin the overlay's two order-sensitive choices. The
+// victim AS200 sits in its own component under AS300, so every AS the
+// announcement reaches has no honest route and adopts.
+//
+// "phase-3 seed order" is seedOrderCase with the hijacker in the
+// origin's place: the announcement climbs AS3, AS2 and AS1; in phase
+// 3's first layer AS1 routes AS20 at distance 4 and AS3 routes AS10 at
+// distance 2, and AS10 then lowers AS20 to distance 3. Seeded in
+// dense-index order, AS1 goes first, AS20 is visited before it is
+// lowered, and the monitor in AS30 keeps distance 5. Seeded in reverse,
+// AS3 goes first and AS30 gets distance 4.
+//
+// "phase-2 best peer offer": the announcement climbs AS10 and AS20, then
+// AS50 (above AS10) and AS5 (above AS20), both at distance 2, and both
+// peer with the monitor's AS60. Phase 1 lists AS50 before AS5, so
+// AS50's offer reaches AS60 first, but AS5's offer ties on distance and
+// wins on the lower next hop: AS60 routes via AS5 only if phase 2 keeps
+// the best adopted offer rather than the first.
+var hijackOrderCases = []hijackOrderCase{
+	{
+		name: "phase-3 seed order",
+		g: topology.FromEdges(
+			[]world.ASN{1, 2, 3, 10, 20, 30, 100, 200, 300},
+			[][2]world.ASN{{3, 100}, {2, 3}, {1, 2}, {1, 20}, {3, 10}, {10, 20}, {20, 30}, {300, 200}},
+			nil),
+		victim: 200, hijacker: 100,
+		monitors: []Monitor{{ID: "below-lowered", AS: 30}},
+		at:       30, via: 20, class: classProvider, dist: 5,
+	},
+	{
+		name: "phase-2 best peer offer",
+		g: topology.FromEdges(
+			[]world.ASN{5, 10, 20, 50, 60, 100, 200, 300},
+			[][2]world.ASN{{10, 100}, {20, 100}, {50, 10}, {5, 20}, {300, 200}},
+			[][2]world.ASN{{50, 60}, {5, 60}}),
+		victim: 200, hijacker: 100,
+		monitors: []Monitor{{ID: "two-offers", AS: 60}},
+		at:       60, via: 5, class: classPeer, dist: 3,
+	},
+}
+
+// TestHijackOverlayOrderCases holds the overlay to
+// referencePropagateHijack route for route on hijackOrderCases, for
+// every campaign kind: on every AS within the scope of every AS, and on
+// every member of the monitors' scope. It also checks that each case
+// still turns on the route its comment describes.
+func TestHijackOverlayOrderCases(t *testing.T) {
+	for _, hc := range hijackOrderCases {
+		g := hc.g
+		scopes := []*Scope{allScope(g), NewScope(g, MonitorIndices(g, hc.monitors))}
+		for _, kind := range []CampaignKind{ExactPrefix, SubPrefix, ForgedPath} {
+			c := Campaign{Kind: kind, Victim: hc.victim, Hijacker: hc.hijacker}
+			want := referencePropagateHijack(g, referencePropagate(g, c.Victim).routes, c, nil)
+			for k, sc := range scopes {
+				var s Scratch
+				if !s.Propagate(g, c.Victim, sc) || !s.propagateHijack(g, c, nil, sc) {
+					t.Fatalf("%s, %s, scope %d: the overlay did not run", hc.name, kind, k)
+				}
+				for _, i := range sc.members {
+					if s.hij[i] != want[i] {
+						t.Fatalf("%s, %s, scope %d: AS%d overlay route %+v, reference %+v",
+							hc.name, kind, k, g.ASNAt(i), s.hij[i], want[i])
+					}
+				}
+			}
+			if kind != ExactPrefix {
+				continue
+			}
+			at, _ := g.Index(hc.at)
+			via, _ := g.Index(hc.via)
+			if r := want[at]; r != (route{class: hc.class, dist: hc.dist, next: int32(via)}) {
+				t.Fatalf("%s changed shape: AS%d route %+v, want distance %d via AS%d", hc.name, hc.at, r, hc.dist, hc.via)
+			}
+		}
+	}
+}

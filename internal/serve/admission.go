@@ -122,6 +122,9 @@ type Limiter struct {
 	cfg   AdmissionConfig
 	after After
 	slots chan struct{}
+	// free is release bound once, so that Acquire hands it out without
+	// allocating a method value per request.
+	free func()
 
 	mu            sync.Mutex
 	queued        int
@@ -138,7 +141,9 @@ func NewLimiter(cfg AdmissionConfig, after After) *Limiter {
 	if after == nil {
 		after = TimerAfter
 	}
-	return &Limiter{cfg: cfg, after: after, slots: make(chan struct{}, cfg.MaxInFlight)}
+	l := &Limiter{cfg: cfg, after: after, slots: make(chan struct{}, cfg.MaxInFlight)}
+	l.free = l.release
+	return l
 }
 
 // done is a context-shaped dependency: the caller's cancellation
@@ -157,7 +162,7 @@ func (l *Limiter) Acquire(cancel done) (release func(), v Verdict) {
 	select {
 	case l.slots <- struct{}{}:
 		l.count(&l.admitted)
-		return l.release, Admitted
+		return l.free, Admitted
 	default:
 	}
 	l.mu.Lock()
@@ -178,7 +183,7 @@ func (l *Limiter) Acquire(cancel done) (release func(), v Verdict) {
 	select {
 	case l.slots <- struct{}{}:
 		l.count(&l.admitted)
-		return l.release, Admitted
+		return l.free, Admitted
 	case <-expired:
 		l.count(&l.shedTimeout)
 		return nil, ShedTimeout

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"stateowned/internal/graph"
@@ -119,7 +120,7 @@ func inactiveASN(a world.ASN) Response {
 		fmt.Sprintf("AS%d is not in this generation's topology", a))
 }
 
-func (s *Server) handleGraphNeighbors(v *View, r *http.Request) Response {
+func (s *Server) handleGraphNeighbors(v *View, r *http.Request, q url.Values) Response {
 	g, errResp := graphFor(v)
 	if g == nil {
 		return errResp
@@ -131,7 +132,7 @@ func (s *Server) handleGraphNeighbors(v *View, r *http.Request) Response {
 	if !g.Active(a) {
 		return inactiveASN(a)
 	}
-	if raw := r.URL.Query().Get("class"); raw != "" {
+	if raw := q.Get("class"); raw != "" {
 		c, ok := graph.ParseClass(raw)
 		if !ok {
 			return ErrorResponse(http.StatusBadRequest,
@@ -152,7 +153,7 @@ func (s *Server) handleGraphNeighbors(v *View, r *http.Request) Response {
 	})
 }
 
-func (s *Server) handleGraphUpstreams(v *View, r *http.Request) Response {
+func (s *Server) handleGraphUpstreams(v *View, r *http.Request, _ url.Values) Response {
 	g, errResp := graphFor(v)
 	if g == nil {
 		return errResp
@@ -173,7 +174,7 @@ func (s *Server) handleGraphUpstreams(v *View, r *http.Request) Response {
 	})
 }
 
-func (s *Server) handleGraphCone(v *View, r *http.Request) Response {
+func (s *Server) handleGraphCone(v *View, r *http.Request, _ url.Values) Response {
 	g, errResp := graphFor(v)
 	if g == nil {
 		return errResp
@@ -191,12 +192,11 @@ func (s *Server) handleGraphCone(v *View, r *http.Request) Response {
 	})
 }
 
-func (s *Server) handleGraphPath(v *View, r *http.Request) Response {
+func (s *Server) handleGraphPath(v *View, _ *http.Request, q url.Values) Response {
 	g, errResp := graphFor(v)
 	if g == nil {
 		return errResp
 	}
-	q := r.URL.Query()
 	rawFrom, rawTo := q.Get("from"), q.Get("to")
 	if rawFrom == "" || rawTo == "" {
 		return ErrorResponse(http.StatusBadRequest, "need both ?from= and ?to= ASNs")
@@ -224,12 +224,12 @@ func (s *Server) handleGraphPath(v *View, r *http.Request) Response {
 	return JSONResponse(http.StatusOK, body)
 }
 
-// canonASNParam numerically normalizes an ASN query value for cache
-// keys (leading zeros dropped); malformed values stay raw so distinct
-// garbage stays distinct.
-func canonASNParam(raw string) string {
+// appendASNParam appends an ASN value's cache-key form: numerically
+// normalized (leading zeros dropped), while malformed values stay raw so
+// distinct garbage stays distinct.
+func appendASNParam(b []byte, raw string) []byte {
 	if n, err := strconv.ParseUint(raw, 10, 32); err == nil {
-		return strconv.FormatUint(n, 10)
+		return strconv.AppendUint(b, n, 10)
 	}
-	return "raw:" + raw
+	return append(append(b, "raw:"...), raw...)
 }

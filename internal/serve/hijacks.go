@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 
 	"stateowned/internal/hijack"
@@ -32,12 +33,11 @@ func hijacksFor(v *View) (*hijack.Report, Response) {
 	return v.Hijacks, Response{}
 }
 
-func (s *Server) handleHijacks(v *View, r *http.Request) Response {
+func (s *Server) handleHijacks(v *View, _ *http.Request, q url.Values) Response {
 	rep, errResp := hijacksFor(v)
 	if rep == nil {
 		return errResp
 	}
-	q := r.URL.Query()
 
 	var victim uint64
 	if raw := q.Get("victim"); raw != "" {

@@ -311,3 +311,145 @@ func TestOverloadSoak(t *testing.T) {
 		t.Fatalf("/metrics shed_fraction = %v", wire.ShedFraction)
 	}
 }
+
+// switchAfter is an After that a flag switches between never firing
+// and having fired already.
+type switchAfter struct{ fire atomic.Bool }
+
+func (a *switchAfter) after(d time.Duration) (<-chan time.Time, func() bool) {
+	if a.fire.Load() {
+		return instantFire(d)
+	}
+	return neverFire(d)
+}
+
+// newReplayServer is a cached server with one admission slot, no
+// queue and a budget whose timer a decides.
+func newReplayServer(src Source, a *switchAfter) *Server {
+	return NewDynamic(src, Options{
+		Clock:          testClock(1),
+		CacheSize:      8,
+		Admission:      &AdmissionConfig{MaxInFlight: 1, MaxQueue: -1},
+		RequestTimeout: time.Second, // virtual: the switch decides
+		After:          a.after,
+	})
+}
+
+// TestReplayHitsRunOutsideTheBudget proves that a cache hit is answered
+// before any budget starts: with a timer that has already fired, every
+// hit still answers 200 with the bytes the miss filled, no deadline is
+// counted, and each hit gives its admission slot back.
+func TestReplayHitsRunOutsideTheBudget(t *testing.T) {
+	a := &switchAfter{}
+	s := newReplayServer(&staticSource{view: View{Index: BuildIndex(fixtureDataset())}}, a)
+	fill := do(t, s, "/v1/asn/100")
+	if fill.Code != http.StatusOK {
+		t.Fatalf("filling miss = %d, want 200", fill.Code)
+	}
+	// The miss's worker frees its slot just after handing its answer
+	// back; wait for that, so each hit below finds the one slot free
+	// only if the hit before it gave the slot back.
+	waitSlotFree(t, s)
+	before := s.AdmissionStats()
+	a.fire.Store(true)
+	for i := 0; i < 100; i++ {
+		w := do(t, s, "/v1/asn/100")
+		if w.Code != http.StatusOK || w.Body.String() != fill.Body.String() {
+			t.Fatalf("hit %d = %d %s, want the filled 200", i, w.Code, w.Body.String())
+		}
+		if g := w.Header().Get(GenerationHeader); g != "0" {
+			t.Fatalf("hit %d: %s = %q, want 0", i, GenerationHeader, g)
+		}
+	}
+	if n := s.Metrics().Snapshot().DeadlineExceededTotal; n != 0 {
+		t.Fatalf("deadline_exceeded_total = %d after hits, want 0", n)
+	}
+	if st := s.CacheStats(); st.Hits != 100 || st.Misses != 1 {
+		t.Fatalf("cache stats = %+v, want 100 hits and 1 miss", st)
+	}
+	if st := s.AdmissionStats(); st.Admitted-before.Admitted != 100 || st.ShedQueueFull != before.ShedQueueFull {
+		t.Fatalf("admission stats = %+v after %+v, want 100 more admitted and none shed", st, before)
+	}
+}
+
+// waitSlotFree waits until s's admission slot is free, taking it and
+// giving it back.
+func waitSlotFree(t *testing.T, s *Server) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		rel, v := s.limiter.Acquire(nil)
+		if v == Admitted {
+			rel()
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("admission slot never freed after the miss's worker finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestReplayMissKeepsTheBudget proves that a miss still runs in the
+// worker under its budget: with a timer that has already fired when
+// the spine starts waiting, misses answer 504 and count the deadline.
+// The worker has only just started when the spine waits, so the fired
+// timer is nearly always the one ready case; if the scheduler runs the
+// worker to its end first, the spine may pick either answer. So each of
+// several missing keys must answer 504 or its handler's answer, at
+// least one must answer 504, and the count must match the 504s.
+func TestReplayMissKeepsTheBudget(t *testing.T) {
+	a := &switchAfter{}
+	a.fire.Store(true)
+	s := newReplayServer(&staticSource{view: View{Index: BuildIndex(fixtureDataset())}}, a)
+	var timeouts uint64
+	for _, asn := range []string{"100", "101", "200", "300", "301", "400", "500", "999"} {
+		waitSlotFree(t, s) // an abandoned worker holds the one slot until it ends
+		switch w := do(t, s, "/v1/asn/"+asn); w.Code {
+		case http.StatusGatewayTimeout:
+			timeouts++
+		case http.StatusOK, http.StatusNotFound:
+		default:
+			t.Fatalf("miss for AS%s under a fired budget = %d, want 504", asn, w.Code)
+		}
+	}
+	if timeouts == 0 {
+		t.Fatal("no miss under a fired budget answered 504: misses ran outside the budget")
+	}
+	if n := s.Metrics().Snapshot().DeadlineExceededTotal; n != timeouts {
+		t.Fatalf("deadline_exceeded_total = %d, want %d (one per 504)", n, timeouts)
+	}
+}
+
+// panicSource is a Source whose Current panics while broken is set.
+type panicSource struct {
+	Source
+	broken atomic.Bool
+}
+
+func (p *panicSource) Current() *View {
+	if p.broken.Load() {
+		panic("view resolution failed")
+	}
+	return p.Source.Current()
+}
+
+// TestReplayPanicIsContained proves that the replay stage runs behind
+// the panic barrier: view resolution panicking on a cached server
+// answers 500 and counts the panic, the admission slot comes back, and
+// the next request is served.
+func TestReplayPanicIsContained(t *testing.T) {
+	src := &panicSource{Source: &staticSource{view: View{Index: BuildIndex(fixtureDataset())}}}
+	s := newReplayServer(src, &switchAfter{})
+	src.broken.Store(true)
+	if w := do(t, s, "/v1/asn/100"); w.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking view resolution = %d, want 500", w.Code)
+	}
+	if n := s.Metrics().Snapshot().PanicsTotal; n != 1 {
+		t.Fatalf("panics_total = %d, want 1", n)
+	}
+	src.broken.Store(false)
+	if w := do(t, s, "/v1/asn/100"); w.Code != http.StatusOK {
+		t.Fatalf("request after the contained panic = %d, want 200", w.Code)
+	}
+}

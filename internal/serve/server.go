@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -142,7 +143,7 @@ func NewDynamic(src Source, opts Options) *Server {
 		cache:        NewCache(opts.CacheSize),
 		drainTimeout: opts.DrainTimeout,
 	}
-	for pattern, fn := range map[string]func(*View, *http.Request) Response{
+	for pattern, fn := range map[string]viewFunc{
 		"GET /v1/asn/{asn}":             s.handleASN,
 		"GET /v1/country/{cc}":          s.handleCountry,
 		"GET /v1/org/{id}":              s.handleOrg,
@@ -154,7 +155,13 @@ func NewDynamic(src Source, opts Options) *Server {
 		"GET /v1/graph/path":            s.handleGraphPath,
 		"GET /v1/hijacks":               s.handleHijacks,
 	} {
-		s.Handle(pattern, true, s.viewHandler(pattern, fn))
+		rp := s.viewReplay(pattern, fn)
+		if s.cache == nil {
+			// Nothing to replay: the worker resolves the view too.
+			s.Handle(pattern, true, rp.answer)
+			continue
+		}
+		s.handleReplay(pattern, rp)
 	}
 	s.Handle("GET /v1/diff", true, s.handleDiff)
 	s.Handle("GET /readyz", false, s.handleReadyz)
@@ -226,13 +233,24 @@ func ServeHandler(ctx context.Context, ln net.Listener, h http.Handler, opts Lif
 	return nil
 }
 
-// resolveView resolves the generation a request addresses: the live
-// generation by default, or the retained generation ?gen=N pins. On
-// failure the returned view is nil and the response distinguishes a
-// malformed number (400), a generation never built (404) and one
-// evicted from the retention ring (410).
-func (s *Server) resolveView(r *http.Request) (*View, Response) {
-	raw, ok := r.URL.Query()["gen"]
+// query parses r's query string once for all its readers. It returns
+// nil, without allocating, when there is none; a nil url.Values reads
+// as empty.
+func query(r *http.Request) url.Values {
+	if r.URL.RawQuery == "" {
+		return nil
+	}
+	q, _ := url.ParseQuery(r.URL.RawQuery)
+	return q
+}
+
+// resolveView resolves the generation a request with query q
+// addresses: the live generation by default, or the retained
+// generation ?gen=N pins. On failure the returned view is nil and the
+// response distinguishes a malformed number (400), a generation never
+// built (404) and one evicted from the retention ring (410).
+func (s *Server) resolveView(q url.Values) (*View, Response) {
+	raw, ok := q["gen"]
 	if !ok {
 		return s.src.Current(), Response{}
 	}
@@ -258,11 +276,17 @@ func (s *Server) lookupGen(raw, param string) (*View, Response) {
 	}
 }
 
-// viewHandler wraps a /v1 handler with generation resolution and the
-// LRU response cache. Every /v1 answer other than a 400 is a pure
-// function of the (generation, route, canonicalized request) triple —
-// each generation's Index is immutable — so hits and misses (404s)
-// alike are cacheable. A 400 is not: its body quotes the raw input, and
+// viewFunc answers one /v1 read from the view it addresses; q is the
+// request's query, parsed once (nil when it has none).
+type viewFunc func(v *View, r *http.Request, q url.Values) Response
+
+// viewReplay is a /v1 route's replay stage: it resolves the view, builds
+// the cache key and answers a hit. A miss hands the worker the handler
+// call and the fill, with the view, the key and the parsed query
+// already made. Every /v1 answer other than a 400 is a pure function of
+// the (generation, route, canonicalized request) triple — each
+// generation's Index is immutable — so hits and misses (404s) alike are
+// cacheable. A 400 is not: its body quotes the raw input, and
 // canonicalization maps distinct spellings ("00" and "0", "usa" and
 // "USA") to one key, so a cached 400 would answer one request with
 // another's text. The generation lands in the cache key (a swap can
@@ -271,65 +295,71 @@ func (s *Server) lookupGen(raw, param string) (*View, Response) {
 // request's context was canceled (a deadline 504, or partial work cut
 // off mid-handler) are never cached either: they are functions of
 // timing, not of the (generation, request) pair.
-func (s *Server) viewHandler(route string, fn func(*View, *http.Request) Response) func(*http.Request) Response {
-	return func(r *http.Request) Response {
-		view, errResp := s.resolveView(r)
+func (s *Server) viewReplay(route string, fn viewFunc) replay {
+	return func(r *http.Request) (Response, func(*http.Request) Response) {
+		q := query(r)
+		view, errResp := s.resolveView(q)
 		if view == nil {
-			return errResp
+			return errResp, nil
 		}
-		gen := strconv.Itoa(view.Gen)
-		key := "g" + gen + "\x00" + route + "\x00" + canonicalKey(r)
+		key := cacheKey(view.Gen, route, r, q)
 		if hit, ok := s.cache.Get(key); ok {
-			return hit
+			return hit, nil
 		}
-		resp := fn(view, r)
-		resp.Gen = gen
-		if resp.Status != http.StatusBadRequest && r.Context().Err() == nil {
-			s.cache.Put(key, view.Gen, resp)
+		return Response{}, func(r *http.Request) Response {
+			resp := fn(view, r, q)
+			resp.Gen = strconv.Itoa(view.Gen)
+			if resp.Status != http.StatusBadRequest && r.Context().Err() == nil {
+				s.cache.Put(key, view.Gen, resp)
+			}
+			return resp
 		}
-		return resp
 	}
 }
 
-// canonicalKey reduces a request to its canonical lookup form so that
+// cacheKey is a request's cache key: its generation, its route and its
+// canonical form, in one allocation.
+func cacheKey(gen int, route string, r *http.Request, q url.Values) string {
+	var buf [128]byte
+	b := strconv.AppendInt(append(buf[:0], 'g'), int64(gen), 10)
+	b = append(append(append(b, 0), route...), 0)
+	return string(appendCanonical(b, r, q))
+}
+
+// appendCanonical appends a request's canonical lookup form, so that
 // equivalent requests share one cache entry: country codes upper-cased,
 // ASNs numerically normalized (leading zeros dropped), search names
-// name-normalized, the effective search limit spelled out. The
-// generation is not part of this form — the cache wrapper prefixes it.
-func canonicalKey(r *http.Request) string {
+// name-normalized, the effective search limit spelled out. q is r's
+// parsed query.
+func appendCanonical(b []byte, r *http.Request, q url.Values) []byte {
 	if cc := r.PathValue("cc"); cc != "" {
-		return "cc:" + CanonicalCC(cc)
+		return append(append(b, "cc:"...), CanonicalCC(cc)...)
 	}
 	if asn := r.PathValue("asn"); asn != "" {
-		key := "asn-raw:" + asn
-		if n, err := strconv.ParseUint(asn, 10, 32); err == nil {
-			key = "asn:" + strconv.FormatUint(n, 10)
-		}
+		b = appendASNParam(append(b, "asn:"...), asn)
 		// The neighbors endpoint's class filter is part of its canonical
 		// form (case-insensitive).
 		if strings.HasPrefix(r.URL.Path, "/v1/graph/neighbors/") {
-			key += "\x00class:" + strings.ToLower(r.URL.Query().Get("class"))
+			b = append(append(b, "\x00class:"...), strings.ToLower(q.Get("class"))...)
 		}
-		return key
+		return b
 	}
 	if id := r.PathValue("id"); id != "" {
-		return "id:" + id
+		return append(append(b, "id:"...), id...)
 	}
-	if r.URL.Path == "/v1/search" {
-		q := r.URL.Query()
-		return "name:" + nameutil.Normalize(q.Get("name")) + "\x00limit:" + q.Get("limit")
+	switch r.URL.Path {
+	case "/v1/search":
+		b = append(append(b, "name:"...), nameutil.Normalize(q.Get("name"))...)
+		return append(append(b, "\x00limit:"...), q.Get("limit")...)
+	case "/v1/graph/path":
+		b = appendASNParam(append(b, "from:"...), q.Get("from"))
+		return appendASNParam(append(b, "\x00to:"...), q.Get("to"))
+	case "/v1/hijacks":
+		b = appendASNParam(append(b, "victim:"...), q.Get("victim"))
+		b = append(append(b, "\x00cc:"...), CanonicalCC(q.Get("cc"))...)
+		return append(append(b, "\x00xb:"...), canonBoolParam(q.Get("cross_border"))...)
 	}
-	if r.URL.Path == "/v1/graph/path" {
-		q := r.URL.Query()
-		return "from:" + canonASNParam(q.Get("from")) + "\x00to:" + canonASNParam(q.Get("to"))
-	}
-	if r.URL.Path == "/v1/hijacks" {
-		q := r.URL.Query()
-		return "victim:" + canonASNParam(q.Get("victim")) +
-			"\x00cc:" + CanonicalCC(q.Get("cc")) +
-			"\x00xb:" + canonBoolParam(q.Get("cross_border"))
-	}
-	return r.URL.Path
+	return append(b, r.URL.Path...)
 }
 
 // --- /v1 handlers ----------------------------------------------------------
@@ -345,7 +375,7 @@ type ASNResponse struct {
 	Minority     []expand.MinorityRecord `json:"minority,omitempty"`
 }
 
-func (s *Server) handleASN(v *View, r *http.Request) Response {
+func (s *Server) handleASN(v *View, r *http.Request, _ url.Values) Response {
 	raw := r.PathValue("asn")
 	n, err := strconv.ParseUint(raw, 10, 32)
 	if err != nil || n == 0 {
@@ -377,7 +407,7 @@ type OrgResponse struct {
 	ASNs         ASNList           `json:"asn"`
 }
 
-func (s *Server) handleOrg(v *View, r *http.Request) Response {
+func (s *Server) handleOrg(v *View, r *http.Request, _ url.Values) Response {
 	id := r.PathValue("id")
 	org, ok := v.Index.Org(id)
 	if !ok {
@@ -394,7 +424,7 @@ type CountryResponse struct {
 	Minority      []expand.MinorityRecord `json:"minority,omitempty"`
 }
 
-func (s *Server) handleCountry(v *View, r *http.Request) Response {
+func (s *Server) handleCountry(v *View, r *http.Request, _ url.Values) Response {
 	cc := CanonicalCC(r.PathValue("cc"))
 	if len(cc) != 2 || cc[0] < 'A' || cc[0] > 'Z' || cc[1] < 'A' || cc[1] > 'Z' {
 		return ErrorResponse(http.StatusBadRequest, fmt.Sprintf("invalid country code %q", r.PathValue("cc")))
@@ -421,8 +451,7 @@ type SearchHitRecord struct {
 	ASNs         []world.ASN       `json:"asn"`
 }
 
-func (s *Server) handleSearch(v *View, r *http.Request) Response {
-	q := r.URL.Query()
+func (s *Server) handleSearch(v *View, _ *http.Request, q url.Values) Response {
 	name := nameutil.Prepare(q.Get("name"))
 	if name.Norm == "" {
 		return ErrorResponse(http.StatusBadRequest, "missing or empty ?name= query")
@@ -454,7 +483,7 @@ type DatasetResponse struct {
 	Dataset    json.RawMessage `json:"dataset"`
 }
 
-func (s *Server) handleDataset(v *View, _ *http.Request) Response {
+func (s *Server) handleDataset(v *View, _ *http.Request, _ url.Values) Response {
 	var buf bytes.Buffer
 	if err := v.Index.Dataset().Export(&buf); err != nil {
 		return ErrorResponse(http.StatusInternalServerError, "exporting dataset")

@@ -99,6 +99,14 @@ type ReloadStatus struct {
 	NodesRebuilt uint64 `json:"nodes_rebuilt,omitempty"`
 	IndexReuses  uint64 `json:"index_reuses,omitempty"`
 	GraphReuses  uint64 `json:"graph_reuses,omitempty"`
+	// Swaps counts generations published, cumulative since the process
+	// started: the first build (or each generation a warm start adopts
+	// from the archive) and every advance after it. Quarantines counts
+	// rebuilds the validation gate refused to publish, cumulative too,
+	// unlike ConsecutiveFailures, which restarts at every swap. Both are
+	// zero for static sources.
+	Swaps       uint64 `json:"swaps,omitempty"`
+	Quarantines uint64 `json:"quarantines,omitempty"`
 	// Archive reports that the source persists generations to the
 	// durable on-disk archive. Recovered means this process warm-started
 	// from it, with RecoveredGen the newest adopted generation (a

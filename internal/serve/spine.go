@@ -56,7 +56,9 @@ func ErrorResponse(status int, msg string) Response {
 // can never race a timeout answer on the wire.
 //
 // Every spine answers GET /healthz and the 404 envelope for unknown
-// routes; surfaces register the rest with Handle.
+// routes; surfaces register the rest with Handle. A route may also
+// carry a replay stage (handleReplay), which answers on the request
+// goroutine what needs no work, such as a cached response.
 type Spine struct {
 	metrics *Metrics
 	limiter *Limiter
@@ -80,10 +82,10 @@ func NewSpine(clock Clock, admission *AdmissionConfig, after After, budgets map[
 	}
 	sp.route("GET /healthz", "/healthz", false, func(*http.Request) Response {
 		return JSONResponse(http.StatusOK, map[string]string{"status": "ok"})
-	})
+	}, nil)
 	sp.route("/", "other", true, func(*http.Request) Response {
 		return ErrorResponse(http.StatusNotFound, "unknown endpoint")
-	})
+	}, nil)
 	return sp
 }
 
@@ -93,19 +95,49 @@ func NewSpine(clock Clock, admission *AdmissionConfig, after After, budgets map[
 // the others — the operational and control planes — must answer
 // precisely when the data plane is shedding.
 func (sp *Spine) Handle(pattern string, admitted bool, fn func(*http.Request) Response) {
+	sp.route(pattern, endpointOf(pattern), admitted, fn, nil)
+}
+
+// replay is a route's replay stage. It runs on the request goroutine
+// after admission and answers with work == nil when the answer is
+// already made; otherwise work is what the worker runs for this
+// request.
+type replay func(r *http.Request) (resp Response, work func(*http.Request) Response)
+
+// answer runs rp and then the work it hands back, both on the calling
+// goroutine: rp as a plain handler, for a route registered with Handle.
+func (rp replay) answer(r *http.Request) Response {
+	resp, work := rp(r)
+	if work != nil {
+		resp = work(r)
+	}
+	return resp
+}
+
+// handleReplay registers an admitted route whose requests pass rp
+// before any worker starts: only the work rp hands back runs under the
+// endpoint's budget.
+func (sp *Spine) handleReplay(pattern string, rp replay) {
+	sp.route(pattern, endpointOf(pattern), true, nil, rp)
+}
+
+// endpointOf is a pattern's registry row: its path up to the first
+// wildcard.
+func endpointOf(pattern string) string {
 	path := pattern
 	if _, p, ok := strings.Cut(pattern, " "); ok {
 		path = p
 	}
 	endpoint, _, _ := strings.Cut(path, "/{")
-	sp.route(pattern, endpoint, admitted, fn)
+	return endpoint
 }
 
-// route registers fn under pattern, accounted as endpoint.
-func (sp *Spine) route(pattern, endpoint string, admitted bool, fn func(*http.Request) Response) {
+// route registers a route under pattern, accounted as endpoint: fn is
+// its handler, or rp its replay stage.
+func (sp *Spine) route(pattern, endpoint string, admitted bool, fn func(*http.Request) Response, rp replay) {
 	sp.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		start := sp.metrics.Begin()
-		resp := sp.dispatch(endpoint, admitted, fn, r)
+		resp := sp.dispatch(endpoint, admitted, fn, rp, r)
 		write(w, resp)
 		sp.metrics.End(endpoint, resp.Status, start)
 	})
@@ -123,14 +155,20 @@ func (sp *Spine) AdmissionStats() AdmissionStats { return sp.limiter.Stats() }
 
 // dispatch applies the overload policy to one request. The decision
 // ladder: (1) admission — no free slot and no queue room, or the queue
-// wait expires → 503 + Retry-After, the request never runs; (2)
-// deadline — the handler runs but overshoots its endpoint budget → its
-// context is canceled (partial-work cancellation) and the answer is
-// 504; (3) the handler's materialized response. An admitted slot is
-// held until the handler actually finishes — even past its deadline —
-// so abandoned-but-running work still counts against MaxInFlight and a
-// flood of timeouts cannot stack unbounded concurrency.
-func (sp *Spine) dispatch(endpoint string, admitted bool, fn func(*http.Request) Response, r *http.Request) Response {
+// wait expires → 503 + Retry-After, the request never runs; (2) replay
+// — a route with a replay stage answers on the request goroutine what
+// is already made (a cached response, a bad ?gen=), releasing its slot
+// at once; (3) deadline — the handler runs in a worker but overshoots
+// its endpoint budget → its context is canceled (partial-work
+// cancellation) and the answer is 504; (4) the handler's materialized
+// response. The replay runs outside the budget because it does no work
+// that could overrun one: a pointer load (a read lock for ?gen=), a
+// key and a map lookup, against a budget measured in seconds. An
+// admitted slot is held until the handler actually finishes — even
+// past its deadline — so abandoned-but-running work still counts
+// against MaxInFlight and a flood of timeouts cannot stack unbounded
+// concurrency.
+func (sp *Spine) dispatch(endpoint string, admitted bool, fn func(*http.Request) Response, rp replay, r *http.Request) Response {
 	release := func() {}
 	if admitted && sp.limiter != nil {
 		rel, verdict := sp.limiter.Acquire(r.Context().Done())
@@ -141,6 +179,14 @@ func (sp *Spine) dispatch(endpoint string, admitted bool, fn func(*http.Request)
 			return resp
 		}
 		release = rel
+	}
+	if rp != nil {
+		resp, work := sp.runReplay(endpoint, rp, r)
+		if work == nil {
+			release()
+			return resp
+		}
+		fn = work
 	}
 	budget := sp.budgets[endpoint]
 	if budget <= 0 {
@@ -167,19 +213,30 @@ func (sp *Spine) dispatch(endpoint string, admitted bool, fn func(*http.Request)
 	}
 }
 
-// invoke runs one handler behind the panic barrier: a panicking handler
-// becomes a 500 and a panics_total tick instead of a dead process. The
-// recover lives here — inside whatever goroutine runs the handler —
-// because a deferred recover in the caller cannot catch a panic on the
-// deadline path's worker goroutine.
+// runReplay runs a replay stage behind the same panic barrier as
+// invoke: a panic answers 500 with no work left to run.
+func (sp *Spine) runReplay(endpoint string, rp replay, r *http.Request) (resp Response, work func(*http.Request) Response) {
+	defer sp.contain(endpoint, &resp)
+	return rp(r)
+}
+
+// invoke runs one handler behind the panic barrier. The barrier lives
+// here — inside whatever goroutine runs the handler — because a
+// deferred recover in the caller cannot catch a panic on the deadline
+// path's worker goroutine.
 func (sp *Spine) invoke(endpoint string, fn func(*http.Request) Response, r *http.Request) (resp Response) {
-	defer func() {
-		if p := recover(); p != nil {
-			sp.metrics.Panicked(endpoint)
-			resp = ErrorResponse(http.StatusInternalServerError, "internal error (handler panic contained)")
-		}
-	}()
+	defer sp.contain(endpoint, &resp)
 	return fn(r)
+}
+
+// contain is the per-request panic barrier, deferred by whatever runs
+// route code: a panic becomes a 500 in *resp and a panics_total tick
+// instead of a dead process.
+func (sp *Spine) contain(endpoint string, resp *Response) {
+	if p := recover(); p != nil {
+		sp.metrics.Panicked(endpoint)
+		*resp = ErrorResponse(http.StatusInternalServerError, "internal error (handler panic contained)")
+	}
 }
 
 // write emits a materialized response — the only code in the serving

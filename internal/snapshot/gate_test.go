@@ -79,8 +79,8 @@ func TestChurnBoundQuarantines(t *testing.T) {
 	if d == nil || d.FailedGen != 1 || d.Failures != 1 || d.GaveUp {
 		t.Fatalf("degraded state = %+v", d)
 	}
-	if s.quarantines.Load() != 1 {
-		t.Fatalf("quarantines = %d", s.quarantines.Load())
+	if q := s.Source().ReloadStatus().Quarantines; q != 1 {
+		t.Fatalf("quarantines = %d", q)
 	}
 	// Advance (the error-swallowing wrapper) reports the quarantine as
 	// a nil generation.
@@ -113,7 +113,7 @@ func TestQuarantineVerdictRemembered(t *testing.T) {
 	if builds != 1 {
 		t.Errorf("%d builds across 3 quarantines of one generation, want 1", builds)
 	}
-	if q := s.quarantines.Load(); q != 3 {
+	if q := s.Source().ReloadStatus().Quarantines; q != 3 {
 		t.Errorf("quarantines = %d, want 3", q)
 	}
 	if err := s.Stage(2); err == nil {
@@ -278,7 +278,7 @@ func TestReloadBackoffAndGiveUp(t *testing.T) {
 	if got := len(tc.waitCalls(t, 3)); got != 3 {
 		t.Fatalf("reload kept scheduling after giving up: %d timers", got)
 	}
-	if q := s.quarantines.Load(); q != 3 {
+	if q := s.Source().ReloadStatus().Quarantines; q != 3 {
 		t.Fatalf("quarantines = %d, want 3", q)
 	}
 	if s.Current().Gen != 0 {
@@ -413,6 +413,9 @@ func TestServeLastKnownGoodUnderFailingRebuild(t *testing.T) {
 	if !ready.Degraded || ready.DegradedReason == "" || ready.Generation != 1 || ready.ConsecutiveFailures != 1 {
 		t.Fatalf("readyz = %+v, want degraded on generation 1", ready)
 	}
+	if ready.Swaps != 2 || ready.Quarantines != 1 {
+		t.Fatalf("readyz swaps, quarantines = %d, %d, want 2, 1", ready.Swaps, ready.Quarantines)
+	}
 
 	code, _, body = get("/metrics")
 	if code != http.StatusOK {
@@ -424,6 +427,9 @@ func TestServeLastKnownGoodUnderFailingRebuild(t *testing.T) {
 	}
 	if !snap.Degraded || snap.DegradedReason == "" {
 		t.Fatalf("metrics degraded = (%v, %q)", snap.Degraded, snap.DegradedReason)
+	}
+	if snap.Swaps != 2 || snap.Quarantines != 1 {
+		t.Fatalf("metrics swaps, quarantines = %d, %d, want 2, 1", snap.Swaps, snap.Quarantines)
 	}
 
 	// Fault clears: the dataset advances again and the flag drops.
@@ -437,5 +443,10 @@ func TestServeLastKnownGoodUnderFailingRebuild(t *testing.T) {
 	}
 	if ready.Degraded || ready.Generation != 2 {
 		t.Fatalf("readyz after recovery = %+v", ready)
+	}
+	// Both counts are cumulative: the swap does not reset the
+	// quarantine count the way it resets consecutive failures.
+	if ready.Swaps != 3 || ready.Quarantines != 1 {
+		t.Fatalf("readyz after recovery: swaps, quarantines = %d, %d, want 3, 1", ready.Swaps, ready.Quarantines)
 	}
 }

@@ -257,7 +257,9 @@ type Store struct {
 	current atomic.Pointer[Generation]
 	// reloading is true while a rebuild is in flight.
 	reloading atomic.Bool
-	swaps     atomic.Uint64
+	// swaps counts published generations (cumulative, the first
+	// included); ReloadStatus serves it.
+	swaps atomic.Uint64
 	// Cumulative rebuild counters: build-graph nodes executed vs
 	// restored, and whole-structure index/graph adoptions.
 	nodesBuilt  atomic.Uint64
@@ -265,7 +267,7 @@ type Store struct {
 	indexReuses atomic.Uint64
 	graphReuses atomic.Uint64
 	// quarantines counts rebuilds the validation gate refused to
-	// publish (cumulative, across recoveries).
+	// publish (cumulative, across recoveries); ReloadStatus serves it.
 	quarantines atomic.Uint64
 	// degraded, when non-nil, is the reload gate's failure state: the
 	// store is serving last-known-good. Cleared by the next successful
@@ -916,6 +918,7 @@ func (ss storeSource) ReloadStatus() serve.ReloadStatus {
 		st.GaveUp = d.GaveUp
 	}
 	st.NodesRebuilt, st.NodesReused, st.IndexReuses, st.GraphReuses = ss.s.IncrementalCounters()
+	st.Swaps, st.Quarantines = ss.s.swaps.Load(), ss.s.quarantines.Load()
 	if a := ss.s.archive; a != nil {
 		st.Archive = true
 		if rg := ss.s.RecoveredGen(); rg >= 0 {

@@ -136,7 +136,7 @@ func TestRetentionRing(t *testing.T) {
 	if got := s.Current().Gen; got != 3 {
 		t.Fatalf("current generation = %d, want 3", got)
 	}
-	if got := s.swaps.Load(); got != 4 {
+	if got := s.Source().ReloadStatus().Swaps; got != 4 {
 		t.Fatalf("swaps = %d, want 4", got)
 	}
 	if got := s.Retained(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
