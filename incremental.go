@@ -2,15 +2,16 @@ package stateowned
 
 // Memoized rebuild support: input fingerprints for every build-graph
 // node, the artifact capture/restore adapters that let the scheduler
-// skip clean nodes, and the CTI node's cutoff.
+// skip clean nodes, and the topology node's output fingerprint.
 //
 // Every run fingerprints its world before the graph runs and hands its
-// artifact cache to the next rebuild; a nil Config.Memo makes every
-// node dirty, which is the full build. The projection a node's
-// fingerprint hashes must cover every byte the node reads that its
-// dependencies do not carry — the differential harness in
-// internal/snapshot holds each node to that contract by proving
-// memoized chains byte-identical to memo-less rebuilds.
+// artifact cache to the next rebuild; a nil Config.Memo rebuilds every
+// node, which is the full build. The projection a node's fingerprint
+// hashes must cover every byte the node reads that its dependencies do
+// not carry, and an output fingerprint everything its dependents read —
+// the differential harness in internal/snapshot holds each node to that
+// contract by proving memoized chains byte-identical to memo-less
+// rebuilds.
 
 import (
 	"stateowned/internal/as2org"
@@ -39,7 +40,6 @@ import (
 func fingerprintInputs(cfg Config, w *world.World) map[string]sched.Fingerprint {
 	structFP := w.FingerprintStructure()
 	ownFP := w.FingerprintOwnership()
-	topoOwnFP := w.FingerprintTopologyOwnership()
 
 	ch := sched.NewHasher("config")
 	ch.U64(cfg.Seed)
@@ -80,9 +80,13 @@ func fingerprintInputs(cfg Config, w *world.World) map[string]sched.Fingerprint 
 		return h.Sum()
 	}
 	return map[string]sched.Fingerprint{
-		// Topology reads structure plus the narrow two-bit ownership
-		// view; ownership churn outside that view leaves it clean.
-		"topology": mk("node/topology", structFP, topoOwnFP),
+		// Topology reads structure and, of ownership, whether each
+		// gateway operator is state-controlled and (a non-incumbent) a
+		// foreign state's subsidiary: a subset of what the full
+		// ownership view hashes. Churn outside that subset rebuilds the
+		// same graph, which the output fingerprint keeps from the
+		// dependents.
+		"topology": mk("node/topology", structFP, ownFP),
 		// These sources never read the equity graph.
 		"geo":       mk("node/geo", structFP),
 		"eyeballs":  mk("node/eyeballs", structFP),
@@ -95,7 +99,8 @@ func fingerprintInputs(cfg Config, w *world.World) map[string]sched.Fingerprint 
 		"orbis": mk("node/orbis", structFP, ownFP),
 		"docs":  mk("node/docs", structFP, ownFP),
 		// CTI reads the topology and geo artifacts (dependencies) plus
-		// world structure (country profiles) and config.
+		// world structure (country profiles, prefixes, the world seed)
+		// and config; computeCTI says why that is all.
 		"cti": mk("node/cti", structFP),
 		// The adversary reads world structure (prefixes, ICT, ROV
 		// thresholds) and ownership (the detection report's ground
@@ -113,11 +118,13 @@ func fingerprintInputs(cfg Config, w *world.World) map[string]sched.Fingerprint 
 // nodeMemoIO declares how one node's product maps onto Result fields
 // and Health state, so a generic capture/restore adapter can memoize
 // it. get/set move the node's Result field(s); source names the Health
-// row the node owns ("" when it owns none).
+// row the node owns ("" when it owns none); output, set only for
+// topology, fingerprints the built product (sched.MemoSpec.Output).
 type nodeMemoIO struct {
 	source string
 	get    func(res *Result) any
 	set    func(res *Result, v any)
+	output func(res *Result) sched.Fingerprint
 }
 
 // memoArtifact is the captured product of one node: its Result value,
@@ -136,8 +143,9 @@ type memoArtifact struct {
 func memoIO() map[string]nodeMemoIO {
 	return map[string]nodeMemoIO{
 		"topology": {
-			get: func(r *Result) any { return r.Topology },
-			set: func(r *Result, v any) { r.Topology, _ = v.(*topology.Graph) },
+			get:    func(r *Result) any { return r.Topology },
+			set:    func(r *Result, v any) { r.Topology, _ = v.(*topology.Graph) },
+			output: func(r *Result) sched.Fingerprint { return topologyContentFP(r.Topology) },
 		},
 		"geo": {
 			source: "geo",
@@ -177,11 +185,11 @@ func memoIO() map[string]nodeMemoIO {
 		"cti": {
 			source: "bgp",
 			get: func(r *Result) any {
-				return &ctiArtifact{monitors: r.Monitors, top: r.CTITop, fp: r.ctiFP}
+				return &ctiArtifact{monitors: r.Monitors, top: r.CTITop}
 			},
 			set: func(r *Result, v any) {
 				a := v.(*ctiArtifact)
-				r.Monitors, r.CTITop, r.ctiFP = a.monitors, a.top, a.fp
+				r.Monitors, r.CTITop = a.monitors, a.top
 			},
 		},
 		"hijack": {
@@ -204,51 +212,18 @@ func memoIO() map[string]nodeMemoIO {
 }
 
 // ctiArtifact is the CTI node's memoized product: the (possibly
-// outage-thinned) monitor set, the per-country top picks, and the
-// cutoff fingerprint the next rebuild checks before recomputing them.
+// outage-thinned) monitor set and the per-country top picks.
 type ctiArtifact struct {
 	monitors []bgp.Monitor
 	top      map[string][]world.ASN
-	fp       sched.Fingerprint
 }
 
-// prevCTIArtifact unwraps the previous generation's CTI artifact from
-// the memo, if one survived trust filtering.
-func prevCTIArtifact(m *sched.Memo) *ctiArtifact {
-	art, ok := m.Lookup("cti")
-	if !ok {
-		return nil
-	}
-	wrapped, ok := art.Value.(memoArtifact)
-	if !ok {
-		return nil
-	}
-	ca, _ := wrapped.value.(*ctiArtifact)
-	return ca
-}
-
-// ctiCutoff fingerprints everything the CTI computation reads once
-// its node re-runs: the node fingerprint (config and world structure,
-// which fix the country selection and every country's geolocation
-// slice), the built topology's full content, the live monitor set and
-// the adversary plan (zero when the adversary is off). A match proves
-// every country's picks unchanged, so the previous top picks are
-// reused whole; any difference recomputes every country.
-func ctiCutoff(nodeFP sched.Fingerprint, t *topology.Graph, monitors []bgp.Monitor, advFP sched.Fingerprint) sched.Fingerprint {
-	h := sched.NewHasher("cti/cutoff")
-	h.FP(nodeFP)
-	h.FP(topologyContentFP(t))
-	h.FP(monitorsContentFP(monitors))
-	h.FP(advFP)
-	return h.Sum()
-}
-
-// topologyContentFP hashes the built topology graph's full content:
-// year, active ASN list and the three adjacency structures in dense
-// order. Two topologies with equal content fingerprints yield identical
-// path collections for any monitor/origin set, which is what lets a
-// re-run CTI node prove its picks unchanged even though the topology
-// node itself was rebuilt.
+// topologyContentFP is the topology node's output fingerprint: it
+// hashes the built graph's full content, the year, the active ASN list
+// and the three adjacency structures in dense order. Those are every
+// field of topology.Graph (the ASN index is derived from the list), so
+// two graphs with equal content fingerprints answer every query alike,
+// and a rebuilt topology that matches its parent's can stand in for it.
 func topologyContentFP(t *topology.Graph) sched.Fingerprint {
 	h := sched.NewHasher("topology/content")
 	h.I64(int64(t.Year))
@@ -269,16 +244,5 @@ func topologyContentFP(t *topology.Graph) sched.Fingerprint {
 	hashAdj(t.ProviderIdx)
 	hashAdj(t.CustomerIdx)
 	hashAdj(t.PeerIdx)
-	return h.Sum()
-}
-
-// monitorsContentFP hashes the live monitor set after outage injection.
-func monitorsContentFP(monitors []bgp.Monitor) sched.Fingerprint {
-	h := sched.NewHasher("bgp/monitors")
-	h.I64(int64(len(monitors)))
-	for _, m := range monitors {
-		h.Str(m.ID)
-		h.U64(uint64(m.AS))
-	}
 	return h.Sum()
 }

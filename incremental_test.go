@@ -3,20 +3,19 @@ package stateowned
 // Run-level tests of the memoized build: artifact reuse on an unchanged
 // world, byte identity under churn, config-sensitivity of the
 // fingerprints, exclusion of failed nodes from the memo, a generated
-// world against the same world passed in, and the CTI cutoff.
+// world against the same world passed in, and CTI's reuse behind the
+// topology's output fingerprint.
 
 import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"stateowned/internal/churn"
-	"stateowned/internal/faults"
-	"stateowned/internal/runner"
-	"stateowned/internal/topology"
 	"stateowned/internal/world"
 )
 
@@ -253,31 +252,18 @@ func TestRunGeneratedWorldMatchesSuppliedWorld(t *testing.T) {
 	}
 }
 
-// TestCTICutoff pins what the cti node's cutoff proves. Its node
-// fingerprint is held fixed here, so only the cutoff's own evidence —
-// topology content, monitor set, adversary plan — decides: a rebuilt
-// topology with identical content reuses the previous picks (the same
-// map object), while a different monitor set or an active adversary
-// recomputes every country, matching a computation with no previous
-// artifact at all.
+// TestCTICutoff: the monitor count and the hijack
+// severity decide what CTI computes but not the topology, so under a
+// changed value the topology rebuilds to the same content and restores
+// its previous graph, and only the cti node's own fingerprint stands
+// between the old picks and the new run. A memo recorded at the zero
+// value must not restore cti, and the picks must equal a memo-less
+// run's.
 func TestCTICutoff(t *testing.T) {
 	w := incWorld(t, 42, 0)
-	cfg := Config{Seed: 42, Scale: incScale, World: w}
-	r0 := Run(cfg)
-	prev := prevCTIArtifact(r0.Memo)
-	if prev == nil || !sameMap(prev.top, r0.CTITop) || len(r0.CTITop) == 0 {
-		t.Fatal("the memo does not carry the run's CTI picks")
-	}
-	nodeFP := fingerprintInputs(cfg, w)["cti"]
-	compute := func(c Config, topo *topology.Graph, prev *ctiArtifact) map[string][]world.ASN {
-		res := &Result{World: w, Topology: topo, Geo: r0.Geo}
-		_, top, _ := computeCTI(res, c, faults.NewPlan(c.Seed, 0), runner.NewHealth(0), 2,
-			nodeFP, prev, func(string, bool, string) {})
-		return top
-	}
-
-	if top := compute(cfg, topology.Build(w, topology.FinalYear), prev); !sameMap(top, r0.CTITop) {
-		t.Error("a rebuilt topology with identical content recomputed the CTI picks")
+	r0 := Run(Config{Seed: 42, Scale: incScale, World: w})
+	if len(r0.CTITop) == 0 {
+		t.Fatal("the base run picked no CTI transit ASes")
 	}
 	for _, tc := range []struct {
 		name string
@@ -286,46 +272,54 @@ func TestCTICutoff(t *testing.T) {
 		{"monitors", Config{Seed: 42, Scale: incScale, World: w, Monitors: 25}},
 		{"adversary", Config{Seed: 42, Scale: incScale, World: w, HijackSeverity: 1}},
 	} {
-		top := compute(tc.cfg, r0.Topology, prev)
-		if sameMap(top, r0.CTITop) {
-			t.Errorf("%s changed, yet the previous CTI picks were reused", tc.name)
+		full := Run(tc.cfg)
+		tc.cfg.Memo = r0.Memo
+		res := Run(tc.cfg)
+		assertRunsEqual(t, tc.name, full, res)
+		if slices.Contains(res.Reused, "cti") || sameMap(res.CTITop, r0.CTITop) {
+			t.Errorf("%s changed, yet the previous CTI picks were restored", tc.name)
 		}
-		if want := compute(tc.cfg, r0.Topology, nil); !reflect.DeepEqual(top, want) {
-			t.Errorf("%s changed: picks differ from a computation with no previous artifact", tc.name)
+		if !reflect.DeepEqual(res.CTITop, full.CTITop) {
+			t.Errorf("%s changed: picks differ from a memo-less run's", tc.name)
 		}
-		if reflect.DeepEqual(top, r0.CTITop) {
+		if reflect.DeepEqual(res.CTITop, r0.CTITop) {
 			t.Errorf("%s changed, yet every country's picks stayed the same: the case tests nothing", tc.name)
 		}
 	}
 }
 
-// TestCTICutoffAcrossChurn drives the cutoff through a churned chain:
-// whenever the topology node re-runs, the cti node reuses the previous
-// picks exactly when the rebuilt topology's content is unchanged. The
-// chain must include such a generation, or the test proves nothing.
+// TestCTICutoffAcrossChurn drives the topology's output cutoff through
+// a churned chain. Ownership churn rebuilds the topology
+// every generation; whenever the rebuilt content equals the parent's,
+// the run keeps the parent's graph object, cti restores the parent's
+// picks (the same map object), and the run equals a memo-less one.
+// When the content differs, cti rebuilds. The chain must include a
+// generation of each kind, or the test proves nothing.
 func TestCTICutoffAcrossChurn(t *testing.T) {
 	prev := Run(Config{Seed: 42, Scale: incScale, World: incWorld(t, 42, 0)})
-	cutoffs := 0
-	for g := 1; g <= 3; g++ { // generations 1 and 2 recompute, 3 hits the cutoff
+	cutoffs, changes := 0, 0
+	for g := 1; g <= 3; g++ { // generations 1 and 2 change the topology, 3 does not
 		res := Run(Config{Seed: 42, Scale: incScale, World: incWorld(t, 42, g), Memo: prev.Memo})
 		full := Run(Config{Seed: 42, Scale: incScale, World: incWorld(t, 42, g)})
-		assertRunsEqual(t, fmt.Sprintf("generation %d", g), full, res)
-		topoReused := false
-		for _, n := range res.Reused {
-			topoReused = topoReused || n == "topology"
+		label := fmt.Sprintf("generation %d", g)
+		assertRunsEqual(t, label, full, res)
+		if slices.Contains(res.Reused, "topology") {
+			t.Fatalf("%s: ownership churn left the topology's input fingerprint unchanged", label)
 		}
-		if !topoReused {
-			same := topologyContentFP(res.Topology) == topologyContentFP(prev.Topology)
-			if reused := sameMap(res.CTITop, prev.CTITop); reused != same {
-				t.Errorf("generation %d: identical topology content %v, CTI picks reused %v", g, same, reused)
-			}
-			if same {
-				cutoffs++
-			}
+		same := topologyContentFP(full.Topology) == topologyContentFP(prev.Topology)
+		ctiReused := slices.Contains(res.Reused, "cti")
+		if ctiReused != same || sameMap(res.CTITop, prev.CTITop) != same || (res.Topology == prev.Topology) != same {
+			t.Errorf("%s: unchanged topology content %v, yet cti restored %v, picks kept %v, graph kept %v",
+				label, same, ctiReused, sameMap(res.CTITop, prev.CTITop), res.Topology == prev.Topology)
+		}
+		if same {
+			cutoffs++
+		} else {
+			changes++
 		}
 		prev = res
 	}
-	if cutoffs == 0 {
-		t.Fatal("no generation rebuilt its topology with identical content")
+	if cutoffs == 0 || changes == 0 {
+		t.Fatalf("chain had %d generations with unchanged topology content and %d with changed; want both", cutoffs, changes)
 	}
 }

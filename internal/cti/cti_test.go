@@ -29,6 +29,11 @@ func (f fakeGeo) TotalIn(country string) uint64 { return f.total }
 // collector on a generated graph; for formula-level tests we instead use
 // a hand-built world below.
 
+// scoreMax bounds every CTI score from above, with room for rounding:
+// the monitor weights w(m)/|M| and the address shares a(p,C)/A(C) each
+// sum to at most 1, and 1/d <= 1.
+const scoreMax = 1 + 1e-12
+
 func TestFormulaOnGeneratedWorld(t *testing.T) {
 	w := world.Generate(world.Config{Seed: 7, Scale: 0.1})
 	g := topology.Build(w, topology.FinalYear)
@@ -63,8 +68,8 @@ func TestFormulaOnGeneratedWorld(t *testing.T) {
 	}
 	// Scores are sorted and bounded.
 	for i, s := range scores {
-		if s.Value <= 0 {
-			t.Fatalf("non-positive score %f", s.Value)
+		if s.Value <= 0 || s.Value > scoreMax {
+			t.Fatalf("score %f outside (0, 1]", s.Value)
 		}
 		if i > 0 && s.Value > scores[i-1].Value {
 			t.Fatal("scores not sorted")

@@ -107,7 +107,7 @@ func TestCountryMatchesReference(t *testing.T) {
 		}
 		world.SortASNs(all)
 		comp := NewComputer(bgp.CollectPaths(g, bgp.SelectMonitors(w, g, 0), all, 0))
-		scored := 0
+		scored, largest := 0, 0.0
 		for _, cc := range w.Countries {
 			got := comp.Country(cc, perCountry[cc], db.NumPrefixes, db)
 			want := referenceCountry(comp, cc, perCountry[cc], db.NumPrefixes, db)
@@ -118,11 +118,16 @@ func TestCountryMatchesReference(t *testing.T) {
 				if got[i] != want[i] {
 					t.Fatalf("seed %d %s: score %d is %+v, reference %+v", seed, cc, i, got[i], want[i])
 				}
+				if v := got[i].Value; v < 0 || v > scoreMax {
+					t.Fatalf("seed %d %s: score %d is %g, outside [0, 1]", seed, cc, i, v)
+				}
+				largest = max(largest, got[i].Value)
 			}
 			scored += len(got)
 		}
 		if scored == 0 {
 			t.Fatalf("seed %d: no country scored any AS", seed)
 		}
+		t.Logf("seed %d: largest score %.3f", seed, largest)
 	}
 }

@@ -22,7 +22,6 @@ import (
 
 	"stateowned/internal/bgp"
 	"stateowned/internal/rng"
-	"stateowned/internal/sched"
 	"stateowned/internal/topology"
 	"stateowned/internal/world"
 )
@@ -164,34 +163,6 @@ func (p *Plan) Victims() []world.ASN {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// Fingerprint content-hashes the plan — campaigns in order plus sorted
-// ROV membership — so memo keys that cover it invalidate exactly when
-// the adversary's effect on paths can change.
-func (p *Plan) Fingerprint() sched.Fingerprint {
-	h := sched.NewHasher("hijack/plan")
-	h.F64(p.ROVFraction)
-	h.U64(uint64(len(p.Campaigns)))
-	for _, c := range p.Campaigns {
-		h.U64(uint64(c.Kind))
-		h.U64(uint64(c.Victim))
-		h.U64(uint64(c.Hijacker))
-		h.U64(uint64(len(c.Forged)))
-		for _, f := range c.Forged {
-			h.U64(uint64(f))
-		}
-	}
-	rov := make([]world.ASN, 0, len(p.ROV))
-	for asn := range p.ROV {
-		rov = append(rov, asn)
-	}
-	slices.Sort(rov)
-	h.U64(uint64(len(rov)))
-	for _, asn := range rov {
-		h.U64(uint64(asn))
-	}
-	return h.Sum()
 }
 
 // Detection records one observed origin change: prefixes registered to

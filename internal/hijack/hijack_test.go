@@ -25,17 +25,11 @@ func TestNewPlanDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a.ROV, b.ROV) {
 		t.Fatal("ROV deployment not deterministic")
 	}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("fingerprint not deterministic")
-	}
 	// A different seed must draw a different roster (astronomically
 	// unlikely to collide on a non-trivial roster).
 	c := NewPlan(testW, testG, Config{Severity: 0.6, Seed: 99, ROVFraction: 0.3})
 	if reflect.DeepEqual(a.Campaigns, c.Campaigns) {
 		t.Fatal("distinct seeds drew identical rosters")
-	}
-	if a.Fingerprint() == c.Fingerprint() {
-		t.Fatal("distinct rosters share a fingerprint")
 	}
 }
 

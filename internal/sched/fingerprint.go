@@ -11,10 +11,13 @@
 //
 // A Memo is the artifact cache one RunMemo execution hands to the next:
 // for every node that completed trustworthily it stores the input
-// fingerprint the node was built under and an opaque captured artifact.
-// The next run reuses the artifact iff the node's freshly computed
-// fingerprint matches — the differential harness in the root package
-// and internal/snapshot proves byte-identity of the shortcut.
+// fingerprint the node was built under, an opaque captured artifact
+// and, for a node that declares one, the artifact's output
+// fingerprint. The next run reuses the artifact when the node's freshly
+// computed input fingerprint matches and no dependency changed, or when
+// the node rebuilds to the same output (RunMemo states the rule) — the
+// differential harness in the root package and internal/snapshot proves
+// byte-identity of the shortcut.
 package sched
 
 import (
@@ -131,6 +134,9 @@ type Artifact struct {
 	FP Fingerprint
 	// Value is the captured artifact, opaque to the scheduler.
 	Value any
+	// output is the node's MemoSpec.Output over Value; zero when the
+	// node declares none.
+	output Fingerprint
 }
 
 // Memo is the artifact cache produced by one RunMemo execution and

@@ -1,8 +1,8 @@
 package sched
 
-// Unit tests of the incremental scheduler: dirty-set computation,
-// restore semantics, and the trust rule that keeps failed builds out of
-// the next memo.
+// Unit tests of the incremental scheduler: the reuse rule, the output
+// cutoff, restore semantics, and the trust rule that keeps failed
+// builds out of the next memo.
 
 import (
 	"errors"
@@ -30,20 +30,40 @@ type memoGraph struct {
 	values   [3]any
 }
 
-func newMemoGraph(fps [3]Fingerprint) *memoGraph {
+func newMemoGraph(fps [3]Fingerprint) *memoGraph { return newHeadGraph(fps, head{}) }
+
+// head varies the memoGraph chain's first node a.
+type head struct {
+	// tag suffixes every artifact the chain captures, so a test can
+	// tell which run built the value a node holds.
+	tag string
+	// output becomes a's MemoSpec.Output (nil: none).
+	output func() Fingerprint
+	// build runs inside a's fn (nil: a succeeds).
+	build func() error
+}
+
+func newHeadGraph(fps [3]Fingerprint, h head) *memoGraph {
 	m := &memoGraph{g: New()}
 	names := []string{"a", "b", "c"}
 	for i, name := range names {
 		i, name := i, name
 		var deps []string
+		spec := MemoSpec{
+			FP:      fps[i],
+			Capture: func() any { return name + "-artifact" + h.tag },
+			Restore: func(v any) { m.restored = append(m.restored, name); m.values[i] = v },
+		}
+		fn := func() error { m.built[i].Add(1); return nil }
 		if i > 0 {
 			deps = []string{names[i-1]}
+		} else {
+			spec.Output = h.output
+			if h.build != nil {
+				fn = func() error { m.built[i].Add(1); return h.build() }
+			}
 		}
-		m.g.AddMemo(name, MemoSpec{
-			FP:      fps[i],
-			Capture: func() any { return name + "-artifact" },
-			Restore: func(v any) { m.restored = append(m.restored, name); m.values[i] = v },
-		}, func() error { m.built[i].Add(1); return nil }, deps...)
+		m.g.AddMemo(name, spec, fn, deps...)
 	}
 	return m
 }
@@ -87,7 +107,7 @@ func TestAddMemoPanics(t *testing.T) {
 	}
 }
 
-// TestRunMemoNilPrevMatchesRun: with no prior memo every node is dirty,
+// TestRunMemoNilPrevMatchesRun: with no prior memo every node rebuilds,
 // so RunMemo is the full build — every node runs once — and the
 // returned memo captures every node.
 func TestRunMemoNilPrevMatchesRun(t *testing.T) {
@@ -218,7 +238,7 @@ func TestRunMemoPanickingRestoreIsGuarded(t *testing.T) {
 	}
 }
 
-// TestRunMemoParallelMatchesSerial: the dirty-set machinery must not
+// TestRunMemoParallelMatchesSerial: the reuse decision must not
 // depend on worker count — same reuse decisions and same memo at any
 // pool size.
 func TestRunMemoParallelMatchesSerial(t *testing.T) {
@@ -239,5 +259,144 @@ func TestRunMemoParallelMatchesSerial(t *testing.T) {
 	}
 	if !reflect.DeepEqual(m1.Nodes(), m8.Nodes()) {
 		t.Errorf("memo contents differ: serial %v vs parallel %v", m1.Nodes(), m8.Nodes())
+	}
+}
+
+// constOutput returns an Output func that always reports label's
+// fingerprint.
+func constOutput(label string) func() Fingerprint {
+	fp := testFP(label)
+	return func() Fingerprint { return fp }
+}
+
+// outputRun records a chain under the first head, then rebuilds it
+// with a's input fingerprint changed under the second head and returns
+// the rebuilt chain, its results and its memo.
+func outputRun(t *testing.T, workers int, first, second head) (*memoGraph, []NodeResult, *Memo) {
+	t.Helper()
+	fps := [3]Fingerprint{testFP("a"), testFP("b"), testFP("c")}
+	first.tag = "-first"
+	_, memo := newHeadGraph(fps, first).g.RunMemo(workers, nil)
+	fps[0] = testFP("a-changed")
+	second.tag = "-second"
+	m := newHeadGraph(fps, second)
+	results, next := m.g.RunMemo(workers, memo)
+	return m, results, next
+}
+
+// TestRunMemoOutputCutoff: a node that rebuilds to the output its
+// memoized artifact recorded restores that artifact, and its
+// dependents count it unchanged: they restore the stored values without
+// building, and the next memo carries the previous artifacts under the
+// head's new input fingerprint.
+func TestRunMemoOutputCutoff(t *testing.T) {
+	same := head{output: constOutput("same")}
+	m, results, next := outputRun(t, 1, same, same)
+	if n := m.built[0].Load(); n != 1 || results[0].Reused || results[0].Err != nil {
+		t.Errorf("a: built %d times, reused=%v err=%v; want one clean build, not reused",
+			n, results[0].Reused, results[0].Err)
+	}
+	for i := 1; i < 3; i++ {
+		if n := m.built[i].Load(); n != 0 || !results[i].Reused {
+			t.Errorf("%s: built %d times, reused=%v; want restored behind an unchanged output",
+				results[i].Name, n, results[i].Reused)
+		}
+	}
+	if want := [3]any{"a-artifact-first", "b-artifact-first", "c-artifact-first"}; m.values != want {
+		t.Errorf("values = %v, want the stored artifacts %v", m.values, want)
+	}
+	a, _ := next.Lookup("a")
+	if a.FP != testFP("a-changed") || a.Value != "a-artifact-first" || a.output != testFP("same") {
+		t.Errorf("next memo a = %+v, want the stored value and output under the new fingerprint", a)
+	}
+
+	// The memo the cutoff wrote cuts off again.
+	third := newHeadGraph([3]Fingerprint{testFP("a-third"), testFP("b"), testFP("c")}, same)
+	results, _ = third.g.RunMemo(1, next)
+	if third.built[0].Load() != 1 || !results[1].Reused || !results[2].Reused {
+		t.Errorf("a memo written by the cutoff did not cut off again: %+v", results)
+	}
+}
+
+// TestRunMemoOutputChangedRebuilds: an output that differs from the
+// stored one, or a memo that stored none, rebuilds the dependents.
+func TestRunMemoOutputChangedRebuilds(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		first, second head
+	}{
+		{"unequal output", head{output: constOutput("same")}, head{output: constOutput("other")}},
+		{"no stored output", head{}, head{output: constOutput("same")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, results, next := outputRun(t, 1, tc.first, tc.second)
+			for i, r := range results {
+				if n := m.built[i].Load(); n != 1 || r.Reused {
+					t.Errorf("%s: built %d times, reused=%v; want rebuilt", r.Name, n, r.Reused)
+				}
+			}
+			if a, _ := next.Lookup("a"); a.Value != "a-artifact-second" || a.output != tc.second.output() {
+				t.Errorf("next memo a = %+v, want the new build and its output", a)
+			}
+		})
+	}
+}
+
+// TestRunMemoOutputFailedBuild: a node with Output whose build errors or
+// panics counts as changed even though its output was never taken, so
+// its dependents rebuild, and the trust rule keeps all of them out of
+// the next memo.
+func TestRunMemoOutputFailedBuild(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() error
+	}{
+		{"error", func() error { return errors.New("boom") }},
+		{"panic", func() error { panic("boom") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			same := head{output: constOutput("same")}
+			failing := head{output: same.output, build: tc.build}
+			m, results, next := outputRun(t, 1, same, failing)
+			if results[0].Err == nil {
+				t.Fatal("a's failure was not reported")
+			}
+			for i := 1; i < 3; i++ {
+				if n := m.built[i].Load(); n != 1 || results[i].Reused {
+					t.Errorf("%s: built %d times, reused=%v; want rebuilt after a failed head",
+						results[i].Name, n, results[i].Reused)
+				}
+			}
+			if got := next.Nodes(); len(got) != 0 {
+				t.Errorf("memo nodes = %v, want none: a failed and b, c were built over it", got)
+			}
+		})
+	}
+}
+
+// TestRunMemoOutputParallelMatchesSerial: the output cutoff decides the
+// same at any pool size. Dependents read the head's outcome on pool
+// goroutines, so run it under -race.
+func TestRunMemoOutputParallelMatchesSerial(t *testing.T) {
+	cases := map[string][2]head{
+		"equal":   {{output: constOutput("same")}, {output: constOutput("same")}},
+		"unequal": {{output: constOutput("same")}, {output: constOutput("other")}},
+		"failed":  {{output: constOutput("same")}, {output: constOutput("same"), build: func() error { panic("boom") }}},
+	}
+	for name, hs := range cases {
+		m1, r1, n1 := outputRun(t, 1, hs[0], hs[1])
+		m4, r4, n4 := outputRun(t, 4, hs[0], hs[1])
+		for i := range r1 {
+			if r1[i].Reused != r4[i].Reused || (r1[i].Err == nil) != (r4[i].Err == nil) ||
+				m1.built[i].Load() != m4.built[i].Load() {
+				t.Errorf("%s: node %s differs between 1 and 4 workers", name, r1[i].Name)
+			}
+		}
+		if m1.values != m4.values {
+			t.Errorf("%s: restored values %v (1 worker) vs %v (4 workers)", name, m1.values, m4.values)
+		}
+		if !reflect.DeepEqual(n1.Nodes(), n4.Nodes()) {
+			t.Errorf("%s: memo %v (1 worker) vs %v (4 workers)", name, n1.Nodes(), n4.Nodes())
+		}
 	}
 }

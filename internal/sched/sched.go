@@ -2,8 +2,12 @@
 // runs its substrate builds on. A Graph declares the dependency DAG
 // explicitly — every node names the nodes it needs — and RunMemo
 // executes ready nodes on a bounded worker pool, restoring clean nodes
-// from the previous run's memo. Determinism is the design constraint
-// the whole package bends around:
+// from the previous run's memo. One rule decides reuse: a node restores
+// its previous artifact when its input fingerprint is unchanged and no
+// dependency changed, and a node that declares an output fingerprint
+// and rebuilds to the same output restores it too, so its dependents
+// see it unchanged. Determinism is the design constraint the whole
+// package bends around:
 //
 //   - dependencies must already be declared when a node is added, so
 //     cycles are unrepresentable and declaration order is a topological
@@ -75,6 +79,11 @@ type MemoSpec struct {
 	Capture func() any
 	// Restore adopts a previously captured artifact instead of running fn.
 	Restore func(value any)
+	// Output, when non-nil, fingerprints the artifact fn just built. It
+	// must cover everything a dependent reads of the artifact: a build
+	// whose output equals the stored artifact's restores that artifact,
+	// and its dependents count the node as unchanged.
+	Output func() Fingerprint
 }
 
 type node struct {
@@ -144,45 +153,69 @@ func Workers(n int) int {
 // declaration index starts first, so the assignment of work to time is
 // the only thing concurrency changes.
 //
-// A node is dirty — and re-executes its declared fn — when the memo
-// holds no artifact under its name, its fingerprint differs from the
-// memoized one, or any of its dependencies is itself dirty. A
-// clean node instead runs its Restore over the memoized artifact, under
-// the same scheduler slot, ordering, timing and panic guard as a real
-// build — so scheduling is identical and a panicking Restore degrades
-// exactly like a panicking build.
+// Each node decides at its start. It restores — runs Restore over the
+// memoized artifact instead of fn, and reports Reused — when the memo
+// holds an artifact under its name with an equal input fingerprint and
+// no dependency changed. Otherwise it runs fn and counts as changed,
+// unless it declares Output, fn succeeded and the output equals the
+// memoized artifact's: then it restores that artifact after all (the
+// output cutoff), so dependents and the results see the previous
+// object. A restore never counts as changed, and runs under the same
+// slot, ordering, timing and panic guard as a build, so a panicking
+// Restore degrades like a failed build without rebuilding dependents.
+// A node records its outcome before it completes and exec starts a
+// dependent only after that, so the decision needs no lock.
 //
 // The returned memo holds artifacts only for trustworthy nodes: a node
 // whose fn (or Restore) returned an error or panicked is excluded, and
 // the exclusion propagates to dependents along every edge — a node
 // built downstream of a failed dependency may have consumed degraded
-// state, so its artifact must not seed the next generation.
-// Passing a nil prev dirties every node: RunMemo(w, nil) is the full
-// build.
+// state, so its artifact must not seed the next generation. A node
+// that restored is memoized with the artifact and output it restored,
+// under its current input fingerprint. Passing a nil prev rebuilds
+// every node: RunMemo(w, nil) is the full build.
 func (g *Graph) RunMemo(workers int, prev *Memo) ([]NodeResult, *Memo) {
-	dirty := g.dirtySet(prev)
+	type outcome struct {
+		changed, reused bool
+		kept            Artifact    // the memoized artifact a restore adopted
+		output          Fingerprint // what Output returned after a build
+	}
+	outs := make([]outcome, len(g.nodes))
 	fns := make([]func() error, len(g.nodes))
-	arts := make([]Artifact, len(g.nodes))
 	for i := range g.nodes {
-		n := &g.nodes[i]
-		if dirty[i] {
-			fns[i] = n.fn
-			continue
+		n, o := &g.nodes[i], &outs[i]
+		fns[i] = func() error {
+			art, ok := prev.Lookup(n.name)
+			depChanged := false
+			for _, d := range n.deps {
+				depChanged = depChanged || outs[d].changed
+			}
+			if ok && art.FP == n.memo.FP && !depChanged {
+				o.reused, o.kept = true, art
+				n.memo.Restore(art.Value)
+				return nil
+			}
+			// Set before fn runs, so a panicking build counts as changed.
+			o.changed = true
+			if err := n.fn(); err != nil || n.memo.Output == nil {
+				return err
+			}
+			o.output = n.memo.Output()
+			if art.output != o.output {
+				return nil
+			}
+			o.changed, o.kept = false, art
+			n.memo.Restore(art.Value)
+			return nil
 		}
-		art, _ := prev.Lookup(n.name)
-		arts[i] = art
-		restore, value := n.memo.Restore, art.Value
-		fns[i] = func() error { restore(value); return nil }
 	}
 	results := g.exec(workers, fns)
 
 	next := &Memo{nodes: make(map[string]Artifact, len(g.nodes))}
 	trusted := make([]bool, len(g.nodes))
 	for i := range g.nodes {
-		n := &g.nodes[i]
-		if !dirty[i] {
-			results[i].Reused = true
-		}
+		n, o := &g.nodes[i], &outs[i]
+		results[i].Reused = o.reused
 		if results[i].Err != nil {
 			continue
 		}
@@ -194,33 +227,13 @@ func (g *Graph) RunMemo(workers int, prev *Memo) ([]NodeResult, *Memo) {
 			continue
 		}
 		trusted[i] = true
-		if dirty[i] {
-			next.nodes[n.name] = Artifact{FP: n.memo.FP, Value: n.memo.Capture()}
+		if o.changed {
+			next.nodes[n.name] = Artifact{FP: n.memo.FP, Value: n.memo.Capture(), output: o.output}
 		} else {
-			next.nodes[n.name] = Artifact{FP: n.memo.FP, Value: arts[i].Value}
+			next.nodes[n.name] = Artifact{FP: n.memo.FP, Value: o.kept.Value, output: o.kept.output}
 		}
 	}
 	return results, next
-}
-
-// dirtySet computes which nodes must re-execute against prev. Dirtiness
-// propagates along every dependency edge.
-func (g *Graph) dirtySet(prev *Memo) []bool {
-	dirty := make([]bool, len(g.nodes))
-	for i := range g.nodes {
-		n := &g.nodes[i]
-		if art, ok := prev.Lookup(n.name); !ok || art.FP != n.memo.FP {
-			dirty[i] = true
-			continue
-		}
-		for _, d := range n.deps {
-			if dirty[d] {
-				dirty[i] = true
-				break
-			}
-		}
-	}
-	return dirty
 }
 
 // exec runs fns[i] in place of each node's declared fn, preserving the

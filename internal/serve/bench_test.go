@@ -61,14 +61,19 @@ func (w *discardWriter) WriteHeader(status int)      { w.status = status }
 // resolution, the cache and, on a miss, the handler's worker and its
 // budget. A hit reads one key over and over. A miss cycles over twice
 // the cache's capacity of keys in order, so each read's key was evicted
-// by the 1024 reads before it. Requests carry a cancelable context, as
-// net/http's do.
+// by the 1024 reads before it. Uncached cycles over the same keys on a
+// server with no cache, admission or budget, whose reads all run the
+// handler. Requests carry a cancelable context, as net/http's do.
 func BenchmarkServeHTTP(b *testing.B) {
-	s := NewDynamic(&staticSource{view: View{Index: BuildIndex(benchDataset())}}, Options{
+	src := &staticSource{view: View{Index: BuildIndex(benchDataset())}}
+	s := NewDynamic(src, Options{
 		CacheSize:      1024,
 		Admission:      &AdmissionConfig{MaxInFlight: DefaultMaxInFlight, QueueWait: DefaultQueueWait},
 		RequestTimeout: DefaultRequestTimeout,
 	})
+	// The server fleet's BenchmarkSingle* and perfbench's warm-start
+	// check build.
+	bare := NewDynamic(src, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for _, ep := range []struct {
@@ -88,6 +93,7 @@ func BenchmarkServeHTTP(b *testing.B) {
 		}
 		b.Run(ep.name+"/hit", func(b *testing.B) { benchServe(b, s, reqs[:1]) })
 		b.Run(ep.name+"/miss", func(b *testing.B) { benchServe(b, s, reqs) })
+		b.Run(ep.name+"/uncached", func(b *testing.B) { benchServe(b, bare, reqs) })
 	}
 }
 

@@ -280,10 +280,10 @@ func (s *Server) lookupGen(raw, param string) (*View, Response) {
 // request's query, parsed once (nil when it has none).
 type viewFunc func(v *View, r *http.Request, q url.Values) Response
 
-// viewReplay is a /v1 route's replay stage: it resolves the view, builds
-// the cache key and answers a hit. A miss hands the worker the handler
-// call and the fill, with the view, the key and the parsed query
-// already made. Every /v1 answer other than a 400 is a pure function of
+// viewReplay is a /v1 route's replay stage: it resolves the view and,
+// on a server with a cache, builds the cache key and answers a hit. A
+// miss hands the worker the handler call and the fill, with the view,
+// the key and the parsed query already made. Every /v1 answer other than a 400 is a pure function of
 // the (generation, route, canonicalized request) triple — each
 // generation's Index is immutable — so hits and misses (404s) alike are
 // cacheable. A 400 is not: its body quotes the raw input, and
@@ -302,9 +302,13 @@ func (s *Server) viewReplay(route string, fn viewFunc) replay {
 		if view == nil {
 			return errResp, nil
 		}
-		key := cacheKey(view.Gen, route, r, q)
-		if hit, ok := s.cache.Get(key); ok {
-			return hit, nil
+		// Without a cache the key would go unread: Get and Put are no-ops.
+		var key string
+		if s.cache != nil {
+			key = cacheKey(view.Gen, route, r, q)
+			if hit, ok := s.cache.Get(key); ok {
+				return hit, nil
+			}
 		}
 		return Response{}, func(r *http.Request) Response {
 			resp := fn(view, r, q)

@@ -60,7 +60,8 @@ var churnLevels = []struct {
 
 // BenchmarkAdvanceChurn times Advance cycles — each generation rebuilt
 // through its parent's artifact memo — on one chain per scale × churn
-// cell, and reports the fraction of build-graph nodes restored.
+// cell, and reports the fraction of build-graph nodes restored and the
+// fraction of advances that adopted the parent's graph plane.
 func BenchmarkAdvanceChurn(b *testing.B) {
 	for _, scale := range advanceScales {
 		for _, cl := range churnLevels {
@@ -79,10 +80,11 @@ func BenchmarkAdvanceChurn(b *testing.B) {
 					}
 				}
 				b.StopTimer()
-				built, reused, _, _ := s.IncrementalCounters()
+				built, reused, _, graphs := s.IncrementalCounters()
 				if total := built + reused; total > 0 {
 					b.ReportMetric(float64(reused)/float64(total), "reused-frac")
 				}
+				b.ReportMetric(float64(graphs)/float64(b.N), "graph-reused-frac")
 			})
 		}
 	}

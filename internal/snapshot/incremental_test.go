@@ -16,6 +16,7 @@ import (
 	"io"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -266,6 +267,10 @@ func TestIncrementalChainByteIdentical(t *testing.T) {
 			}
 		}
 	}
+	// cutoffAdoptions counts generations of the default-churn cases that
+	// rebuilt the topology yet adopted the parent's graph plane: the
+	// topology's output fingerprint matched, so cti and as2org restored.
+	cutoffAdoptions, defaultRan := 0, false
 	for i, c := range cases {
 		c := c
 		t.Run(c.label, func(t *testing.T) {
@@ -285,7 +290,21 @@ func TestIncrementalChainByteIdentical(t *testing.T) {
 			if int(reused) != reusedTotal {
 				t.Errorf("cumulative reuse counter %d != summed per-generation stats %d", reused, reusedTotal)
 			}
+			if c.rates != churn.DefaultRates() {
+				return
+			}
+			defaultRan = true
+			for gen := 1; gen <= chainGens; gen++ {
+				g, _ := memo.Lookup(gen)
+				if g.Stats.GraphReused && !slices.Contains(g.Stats.ReusedNodes, "topology") {
+					cutoffAdoptions++
+				}
+			}
 		})
+	}
+	if defaultRan && cutoffAdoptions == 0 {
+		t.Error("no default-churn generation adopted its parent's graph behind a rebuilt topology: " +
+			"the output cutoff went untested")
 	}
 }
 

@@ -160,11 +160,15 @@ type Options struct {
 type BuildStats struct {
 	// NodesTotal is how many build-graph nodes the pipeline has;
 	// NodesReused how many were restored from the memo instead of built.
+	// A topology that rebuilt to its parent's content ran, so it counts
+	// as built, though its dependents restore behind it.
 	NodesTotal  int
 	NodesReused int
 	// IndexReused/GraphReused report that the compiled serving index /
 	// graph plane were adopted from the previous generation because
-	// every input feeding them was clean.
+	// every input feeding them was unchanged. The graph is adopted
+	// whenever cti and as2org restored, so also after a topology that
+	// rebuilt to its parent's content.
 	IndexReused bool
 	GraphReused bool
 	// ReusedNodes lists the restored nodes in canonical build order.
@@ -450,12 +454,14 @@ func (s *Store) build(gen int, parent *Generation) *Generation {
 		// The serving index compiles from the dataset alone, so a reused
 		// stage3 artifact (the identical dataset object) makes the
 		// previous index valid verbatim. The graph plane reads topology,
-		// the monitor set (the cti artifact) and AS2Org.
+		// the monitor set (the cti artifact) and AS2Org; cti restores
+		// only when the topology is unchanged, whether the topology node
+		// restored or rebuilt to the same content.
 		if reused["stage3"] && parent.Index != nil {
 			res.AdoptIndex(parent.Index)
 			st.IndexReused = true
 		}
-		if reused["topology"] && reused["cti"] && reused["as2org"] && parent.view.Graph != nil {
+		if reused["cti"] && reused["as2org"] && parent.view.Graph != nil {
 			res.AdoptGraph(parent.view.Graph)
 			st.GraphReused = true
 		}

@@ -6,13 +6,13 @@ import (
 )
 
 // This file defines the canonical input projections the memoized build
-// fingerprints a world through. Three projections exist
-// because the pipeline's sources read the world at three granularities:
-// everything except the equity graph (geo, eyeballs, WHOIS, PeeringDB),
-// the full derived ownership view (Orbis, the documents corpus), and
-// the narrow two-bit ownership view the topology builder consults. A
-// source's fingerprint combines exactly the projections it reads, so
-// churn that leaves a projection untouched leaves the source clean.
+// fingerprints a world through. Two projections exist because the
+// pipeline's sources read the world at two granularities: everything
+// except the equity graph (geo, eyeballs, WHOIS, PeeringDB), and the
+// full derived ownership view (Orbis, the documents corpus, and the
+// topology builder, whose few ownership reads it covers). A source's
+// fingerprint combines the projections it reads, so churn that leaves
+// a projection untouched leaves the source clean.
 
 // FingerprintStructure hashes every world field except the equity
 // graph: seed, countries and their profiles, all operator attributes
@@ -77,8 +77,9 @@ func (w *World) FingerprintStructure() sched.Fingerprint {
 // minority-state status, the controlling parent with its entity
 // attributes, and the sorted holder list with each holder's entity
 // attributes. This covers every equity-graph read the Orbis and
-// documents sources (and the analysis truth scorer) perform, so two
-// worlds with equal structure and ownership fingerprints are
+// documents sources, the topology builder (gateway control and
+// foreign-subsidiary status) and the analysis truth scorer perform, so
+// two worlds with equal structure and ownership fingerprints are
 // indistinguishable to the whole pipeline.
 func (w *World) FingerprintOwnership() sched.Fingerprint {
 	h := sched.NewHasher("world/ownership")
@@ -117,38 +118,6 @@ func (w *World) FingerprintOwnership() sched.Fingerprint {
 			h.F64(hd.Share)
 			hashEntity(hd.Holder)
 		}
-	}
-	return h.Sum()
-}
-
-// FingerprintTopologyOwnership hashes the narrow ownership projection
-// the topology builder reads while classifying gateways and tier-1
-// candidates: for every operator with ASes of a gateway kind
-// (incumbent, transit, submarine cable), whether it is a foreign
-// state's subsidiary (consulted for non-incumbents only) and whether it
-// is state-controlled. Churn that flips neither bit for any gateway
-// operator leaves the topology — and every path computed over it —
-// provably unchanged.
-func (w *World) FingerprintTopologyOwnership() sched.Fingerprint {
-	h := sched.NewHasher("world/topology-ownership")
-	g := w.Graph
-	for _, id := range w.OperatorIDs {
-		op := w.Operators[id]
-		if len(op.ASNs) == 0 {
-			continue
-		}
-		switch op.Kind {
-		case KindIncumbent, KindTransit, KindSubmarineCable:
-		default:
-			continue
-		}
-		h.Str(op.ID)
-		if op.Kind != KindIncumbent {
-			fcc, foreign := g.IsForeignSubsidiary(op.Entity)
-			h.Str(fcc)
-			h.Bool(foreign)
-		}
-		h.Bool(g.ControlOf(op.Entity).Controlled())
 	}
 	return h.Sum()
 }

@@ -89,9 +89,11 @@ func SetBuildHook(fn func(node string)) (restore func()) {
 // store's churn-evolved ground truth) or one generated from
 // Seed/Scale/Countries. Every node is fingerprinted over it up front
 // and memoized against Config.Memo, so a node whose inputs are
-// unchanged restores its previous artifact; a nil memo builds every
-// node. The build graph (stage1 additionally depends on every source
-// node):
+// unchanged and whose dependencies did not change restores its
+// previous artifact; a nil memo builds every node. A rebuilt topology
+// whose content equals the previous one restores the previous graph
+// (its output fingerprint), so cti and hijack can still restore. The
+// build graph (stage1 additionally depends on every source node):
 //
 //	topology ──┬─ cti ─┬─ hijack
 //	geo ───────┘       └─ stage1 ── stage2 ── stage3
@@ -150,7 +152,7 @@ func runHardened(cfg Config, plan faults.Plan) *Result {
 			return fn(mark)
 		}
 		io := memoWiring[name]
-		g.AddMemo(name, sched.MemoSpec{
+		spec := sched.MemoSpec{
 			FP: fps[name],
 			Capture: func() any {
 				a := memoArtifact{value: io.get(res), notes: append([]stageNote(nil), *buf...)}
@@ -168,7 +170,11 @@ func runHardened(cfg Config, plan faults.Plan) *Result {
 				}
 				*buf = append([]stageNote(nil), a.notes...)
 			},
-		}, wrapped, deps...)
+		}
+		if io.output != nil {
+			spec.Output = func() sched.Fingerprint { return io.output(res) }
+		}
+		g.AddMemo(name, spec, wrapped, deps...)
 	}
 
 	add("topology", func(func(string, bool, string)) error {
@@ -254,8 +260,7 @@ func runHardened(cfg Config, plan faults.Plan) *Result {
 			res.CTITop = map[string][]world.ASN{}
 			return nil
 		}
-		res.Monitors, res.CTITop, res.ctiFP = computeCTI(res, cfg, plan, h, workers,
-			fps["cti"], prevCTIArtifact(cfg.Memo), mark)
+		res.Monitors, res.CTITop = computeCTI(res, cfg, plan, h, workers, mark)
 		return nil
 	}, "topology", "geo")
 

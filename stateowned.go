@@ -173,10 +173,6 @@ type Result struct {
 	// on a full build. Build metadata, like Memo.
 	Reused []string
 
-	// ctiFP is the CTI cutoff fingerprint riding inside the cti node's
-	// artifact (see ctiCutoff).
-	ctiFP sched.Fingerprint
-
 	indexOnce sync.Once
 	index     *serve.Index
 
@@ -198,7 +194,9 @@ func (r *Result) AdoptIndex(idx *serve.Index) {
 
 // AdoptGraph pre-seeds the lazily compiled relationship query plane,
 // the graph-plane analogue of AdoptIndex: safe exactly when the
-// topology, monitor set and AS2Org inputs are unchanged.
+// topology's content, the monitor set and AS2Org are unchanged. The
+// snapshot store adopts when the cti and as2org nodes restored; cti
+// restores only over an unchanged topology and carries the monitors.
 func (r *Result) AdoptGraph(g *graph.Graph) {
 	if g == nil {
 		return
@@ -253,12 +251,11 @@ const minMonitorQuorum = 2
 
 // computeCTI runs the transit-influence metric over the monitor paths for
 // every transit-dominated country (the paper applies CTI in 75 such
-// countries) and returns the monitor set, the per-country top-2
-// transit ASes and the cutoff fingerprint. Under a fault plan, monitors
-// go dark first: the surviving set feeds CTI, and if it falls below
-// quorum the whole source degrades to unavailable (the pipeline then
-// simply lacks the C source, the same pathway as the DisableCTI
-// ablation).
+// countries) and returns the monitor set and the per-country top-2
+// transit ASes. Under a fault plan, monitors go dark first: the
+// surviving set feeds CTI, and if it falls below quorum the whole
+// source degrades to unavailable (the pipeline then simply lacks the C
+// source, the same pathway as the DisableCTI ablation).
 //
 // workers bounds the internal fan-out (per-origin path collection,
 // per-country CTI — the per-country computations are independent, which
@@ -266,14 +263,18 @@ const minMonitorQuorum = 2
 // rather than straight into Health so the scheduler can flush them in
 // canonical node order regardless of execution interleaving.
 //
-// When the node re-runs because the topology was rebuilt, the previous
-// generation's artifact (prev) is checked against the cutoff (see
-// ctiCutoff): a rebuilt topology with identical content, the same
-// monitors and the same adversary reuse the previous picks without
-// collecting a single path.
+// It is a plain function of what it reads, so the scheduler's rule is
+// all the memo needs: the cti node's input fingerprint (world
+// structure and config) and its dependencies, the geo artifact and a
+// topology whose content is unchanged, cover every read. Besides those
+// it reads two derived things, and neither reads ownership:
+//   - the monitor set: bgp.SelectMonitors reads the topology and the
+//     world seed, and outages come from the config's fault plan;
+//   - the adversary plan: hijack.NewPlan reads the ASes' prefixes, the
+//     ROV thresholds (country ICT and the world seed), the topology's
+//     providers and the hijack config.
 func computeCTI(res *Result, cfg Config, plan faults.Plan, h *runner.Health, workers int,
-	nodeFP sched.Fingerprint, prev *ctiArtifact,
-	mark func(stage string, degraded bool, note string)) ([]bgp.Monitor, map[string][]world.ASN, sched.Fingerprint) {
+	mark func(stage string, degraded bool, note string)) ([]bgp.Monitor, map[string][]world.ASN) {
 	monitors := bgp.SelectMonitors(res.World, res.Topology, cfg.Monitors)
 	if plan.Enabled() && plan.BGP.MonitorOutageRate > 0 {
 		inj := plan.Injector("bgp", faults.RecordSpec{DropRate: plan.BGP.MonitorOutageRate})
@@ -283,7 +284,7 @@ func computeCTI(res *Result, cfg Config, plan faults.Plan, h *runner.Health, wor
 		if len(monitors) < minMonitorQuorum {
 			h.MarkUnavailable("bgp", "monitor set below quorum")
 			mark("cti", true, "too few live monitors; CTI skipped")
-			return nil, map[string][]world.ASN{}, sched.Fingerprint{}
+			return nil, map[string][]world.ASN{}
 		}
 	}
 
@@ -339,16 +340,8 @@ func computeCTI(res *Result, cfg Config, plan faults.Plan, h *runner.Health, wor
 	// The plan is a pure function of (world, topology, hijack knobs), so
 	// building it here and in the hijack node yields the same campaigns.
 	var adv *bgp.Adversary
-	var advFP sched.Fingerprint
 	if cfg.HijackSeverity > 0 {
-		plan := hijack.NewPlan(res.World, res.Topology, hijackConfig(cfg))
-		adv = plan.Adversary()
-		advFP = plan.Fingerprint()
-	}
-
-	fp := ctiCutoff(nodeFP, res.Topology, monitors, advFP)
-	if prev != nil && prev.fp == fp {
-		return monitors, prev.top, fp
+		adv = hijack.NewPlan(res.World, res.Topology, hijackConfig(cfg)).Adversary()
 	}
 
 	originSet := map[world.ASN]bool{}
@@ -382,7 +375,7 @@ func computeCTI(res *Result, cfg Config, plan faults.Plan, h *runner.Health, wor
 			top[cc] = ccPicks[i]
 		}
 	}
-	return monitors, top, fp
+	return monitors, top
 }
 
 // hijackConfig projects the adversary knobs for internal/hijack.
