@@ -75,8 +75,9 @@ func BenchmarkTopologyBuild(b *testing.B) {
 // BenchmarkRoutePropagation runs the propagation kernel for one origin
 // on a warmed per-worker Scratch, within the scope of every AS, which
 // routes the whole graph (bgp.Propagate), and within the monitors'
-// scope (CTI's collector, its hijack overlays and the graph build);
-// both must report 0 B/op and 0 allocs/op even at -benchtime 1x.
+// scope (CTI's collector and the graph build; BenchmarkHijackOverlay in
+// internal/bgp times a campaign overlay, which runs the same body); both
+// must report 0 B/op and 0 allocs/op even at -benchtime 1x.
 // Warming takes two calls: the kernel swaps its two frontiers every
 // layer, so after one call one of them is still short and the first
 // measured call would grow it.

@@ -113,7 +113,7 @@ func TestHijackDetectionMatchesNaiveScan(t *testing.T) {
 					Severity: cfg.HijackSeverity, Seed: cfg.HijackSeed, ROVFraction: cfg.ROVFraction,
 				})
 				victims := plan.Victims()
-				mp := bgp.CollectPathsAdversary(res.Topology, res.Monitors, victims, 1, plan.Adversary())
+				mp := bgp.CollectPaths(res.Topology, res.Monitors, victims, 1, plan.Adversary())
 
 				type change struct{ victim, observed world.ASN }
 				naive := map[change]int{}

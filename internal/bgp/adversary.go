@@ -1,12 +1,13 @@
 // Adversarial origination: seeded prefix-hijack campaigns layered on the
 // honest Gao-Rexford simulator. Each campaign is one invalid announcement
 // competing with the victim's legitimate route inside the same valley-free
-// selection; per-AS ROV flags gate both adoption and re-export of the
-// invalid route, so raising ROV deployment can only shrink the infected
-// set. The honest route field is computed first and never perturbed — we
-// model pollution of observed paths, not withdrawal-induced re-selection —
-// which is exactly what makes rov=1.0 runs byte-identical to the honest
-// simulator.
+// selection: it spreads through the kernel's own body, seeded at the
+// hijacker, behind a gate that decides whether an AS takes it. Per-AS ROV
+// flags gate both adoption and re-export of the invalid route, so raising
+// ROV deployment can only shrink the infected set. The honest route field
+// is computed first and never perturbed — we model pollution of observed
+// paths, not withdrawal-induced re-selection — which is exactly what
+// makes rov=1.0 runs byte-identical to the honest simulator.
 
 package bgp
 
@@ -62,8 +63,8 @@ type Campaign struct {
 }
 
 // Adversary bundles a generation's campaigns with the ROV deployment set
-// gating them. A nil or campaign-less adversary is inert and the
-// collectors below delegate to the honest path.
+// gating them. A nil or campaign-less adversary is inert: CollectPaths
+// then collects the honest paths.
 type Adversary struct {
 	Campaigns []Campaign
 	ROV       map[world.ASN]bool
@@ -72,14 +73,17 @@ type Adversary struct {
 // Active reports whether the adversary can perturb any route at all.
 func (a *Adversary) Active() bool { return a != nil && len(a.Campaigns) > 0 }
 
-// inert reports whether one campaign cannot inject routes: the hijacker
-// is outside the topology, self-targeting, or itself validates origins
-// (a validating operator drops its own invalid route before export).
-func inert(g *topology.Graph, c Campaign, rov map[world.ASN]bool) bool {
-	if c.Hijacker == c.Victim || !g.Active(c.Hijacker) {
-		return true
+// rovIndex returns the ROV deployment rov as a dense slice over g's
+// ASes, true where the AS validates origins. ASNs outside g and false
+// entries are ignored.
+func rovIndex(g *topology.Graph, rov map[world.ASN]bool) []bool {
+	dense := make([]bool, g.NumASes())
+	for asn, on := range rov {
+		if i, ok := g.Index(asn); ok && on {
+			dense[i] = true
+		}
 	}
-	return rov[c.Hijacker]
+	return dense
 }
 
 // tailLen is the AS-path length the announcement already carries when it
@@ -93,18 +97,41 @@ func (c Campaign) tailLen() int32 {
 	return 0
 }
 
+// gate decides whether an AS takes a campaign's invalid announcement as
+// its first route in an overlay. The kernel's body consults it nowhere
+// else (propagate says why no later route needs it), so never at the
+// hijacker, which holds the seed's route from the start.
+type gate struct {
+	rov    []bool  // dense over the graph: the ASes that validate origins
+	honest []route // the honest routes toward the victim; nil for a sub-prefix campaign
+	victim int     // the victim's dense index
+}
+
+// adopts reports whether AS i takes cand. The victim filters its own
+// space and a validating AS drops the invalid route outright; a
+// sub-prefix route wins wherever it arrives, by longest-prefix match;
+// a same-prefix route wins only where it beats i's honest route under
+// the standard comparator.
+func (gt *gate) adopts(i int, cand route) bool {
+	if i == gt.victim || gt.rov[i] {
+		return false
+	}
+	return gt.honest == nil || gt.honest[i].class == classNone || better(cand, gt.honest[i])
+}
+
 // propagateHijack spreads one campaign's announcement through the
-// graph with the same three valley-free phases as the kernel, within
-// the scope sc of the honest run s holds toward c.Victim, gated per AS:
-// ROV deployers drop the invalid route outright, and for same-prefix
-// campaigns an AS adopts only where the candidate beats its honest
-// route under the standard comparator. Non-adopters never re-export, so
-// removing propagation paths (more ROV) can only lengthen or remove
-// downstream candidates — adoption is monotone non-increasing in the
-// deployment set. The per-AS hijack routes land in s.hij (classNone
-// where the announcement was not adopted), and s.hijTouched lists the
-// ASes routed. It reports false, computing nothing, for inert
-// campaigns.
+// kernel's body (propagate), seeded at the hijacker at its claimed
+// tail's length, within the scope sc of the honest run s holds toward
+// c.Victim, behind a gate (gate.adopts) built from that run's routes
+// and the ROV deployment rov, dense over g (rovIndex). Non-adopters
+// never re-export, so removing propagation paths (more ROV) can only
+// lengthen or remove downstream candidates — adoption is monotone
+// non-increasing in the deployment set. The per-AS hijack routes land
+// in s.hij (classNone where the announcement was not adopted), and
+// s.hijTouched lists the ASes routed. It reports false, computing
+// nothing, for an inert campaign: the hijacker is outside the topology,
+// self-targeting, or itself validates origins (a validating operator
+// drops its own invalid route before export).
 //
 // Within the scope of every AS the overlay routes the whole graph. Within
 // the monitors' scope the overlay's route on every member, and so every
@@ -115,12 +142,12 @@ func (c Campaign) tailLen() int32 {
 //   - Phase 1's candidates are customer routes, which beat every honest
 //     route that is not one, including none at all; the honest customer
 //     routes are the victim's ancestry, which the kernel climbs in full
-//     whatever the scope. So phase 1 adopts the same ASes with the same
-//     routes, and lists them.
+//     whatever the scope. So phase 1's gate admits the same ASes, which
+//     take the same routes, and phase 1 lists them.
 //   - Phase 2 offers from that list to each adopter's peers in scope,
-//     which leaves each member the same offers, and a member adopts by
-//     its own exact honest route. The best adopted offer does not depend
-//     on the order offers arrive in, as in the kernel.
+//     which leaves each member the same offers, and the gate judges a
+//     member by its own exact honest route. The best adopted offer does
+//     not depend on the order offers arrive in, as in the honest run.
 //   - In phase 3 only a member's providers, all members, offer it a
 //     route, and a non-member has no member customer (the scope is
 //     closed under providers). Seeding the routed members in dense-index
@@ -132,104 +159,20 @@ func (c Campaign) tailLen() int32 {
 //     member did not adopt, it is the member's exact honest path.
 //
 // TestCollectPathsAdversaryMatchesPerOrigin holds every monitor row to
-// the overlay's reference laid on the reference propagation.
-func (s *Scratch) propagateHijack(g *topology.Graph, c Campaign, rov map[world.ASN]bool, sc *Scope) bool {
-	if inert(g, c, rov) {
-		return false
-	}
+// the overlay's reference laid on the reference propagation, and
+// TestHijackOverlaySweep and FuzzKernelMatchesReference hold the
+// overlay's routes to it in both scopes.
+func (s *Scratch) propagateHijack(g *topology.Graph, c Campaign, rov []bool, sc *Scope) bool {
 	hIdx, ok := g.Index(c.Hijacker)
-	if !ok {
+	if !ok || c.Hijacker == c.Victim || rov[hIdx] {
 		return false
 	}
 	vIdx, _ := g.Index(c.Victim)
-	honest := s.routes
-	routes, touched := resetRoutes(s.hij, s.hijTouched, g.NumASes())
-	routes[hIdx] = route{class: classCustomer, dist: c.tailLen(), next: -1}
-	touched = append(touched, hIdx)
-
-	adopt := func(p int, cand route) bool {
-		if p == vIdx || p == hIdx {
-			return false // the victim filters its own space; the hijacker originated
-		}
-		if rov[g.ASNAt(p)] {
-			return false
-		}
-		if c.Kind == SubPrefix {
-			return true // longest-prefix match: no competition with the honest route
-		}
-		hr := honest[p]
-		return hr.class == classNone || better(cand, hr)
+	gt := gate{rov: rov, honest: s.routes, victim: vIdx}
+	if c.Kind == SubPrefix {
+		gt.honest = nil // longest-prefix match: no competition with the honest route
 	}
-
-	// Phase 1: the invalid route climbs provider edges from adopters.
-	queue, next := append(s.queue[:0], hIdx), s.next
-	for len(queue) > 0 {
-		next = next[:0]
-		for _, cur := range queue {
-			for _, p := range g.ProviderIdx(cur) {
-				cand := route{class: classCustomer, dist: routes[cur].dist + 1, next: int32(cur)}
-				if (routes[p].class == classNone || better(cand, routes[p])) && adopt(p, cand) {
-					if routes[p].class == classNone {
-						next = append(next, p)
-						touched = append(touched, p)
-					}
-					routes[p] = cand
-				}
-			}
-		}
-		queue, next = next, queue
-	}
-
-	// Phase 2: one peer hop from the customer-class adopters phase 1
-	// listed.
-	climbed := len(touched)
-	for _, i := range touched[:climbed] {
-		for _, p := range sc.peers[i] {
-			if routes[p].class == classCustomer {
-				continue
-			}
-			cand := route{class: classPeer, dist: routes[i].dist + 1, next: int32(i)}
-			if (routes[p].class == classNone || better(cand, routes[p])) && adopt(p, cand) {
-				if routes[p].class == classNone {
-					touched = append(touched, p)
-				}
-				routes[p] = cand
-			}
-		}
-	}
-
-	// Phase 3: the invalid route descends customer edges from adopters
-	// in scope.
-	queue = queue[:0]
-	for _, i := range sc.members {
-		if routes[i].class != classNone {
-			queue = append(queue, i)
-		}
-	}
-	for len(queue) > 0 {
-		next = next[:0]
-		for _, cur := range queue {
-			for _, cidx := range sc.customers[cur] {
-				cand := route{class: classProvider, dist: routes[cur].dist + 1, next: int32(cur)}
-				if routes[cidx].class == classNone {
-					if adopt(cidx, cand) {
-						routes[cidx] = cand
-						next = append(next, cidx)
-					}
-				} else if routes[cidx].class == classProvider && better(cand, routes[cidx]) && adopt(cidx, cand) {
-					routes[cidx] = cand
-				}
-			}
-		}
-		queue, next = next, queue
-	}
-	// Phase 3 routed exactly the members holding provider routes.
-	for _, i := range sc.members {
-		if routes[i].class == classProvider {
-			touched = append(touched, i)
-		}
-	}
-	s.hij, s.hijTouched, s.queue, s.next = routes, touched, queue, next
+	s.hij, s.hijTouched = s.propagate(g, hIdx, c.tailLen(), s.hij, s.hijTouched, sc, &gt)
 	return true
 }
 
@@ -267,23 +210,4 @@ func (s *Scratch) appendObserved(dst []world.ASN, g *topology.Graph, i int, c *C
 		dst = append(dst, c.Victim)
 	}
 	return dst
-}
-
-// CollectPathsAdversary is CollectPaths with an adversary in the control
-// plane. Origins without a campaign — and every origin when the
-// adversary is inert — take the honest propagation byte-for-byte; a
-// campaigned origin has its monitors' observed paths overlaid with the
-// hijack spread. At most one campaign applies per victim origin (the
-// first listed wins), mirroring one-prefix-one-attack plan generation.
-func CollectPathsAdversary(g *topology.Graph, monitors []Monitor, origins []world.ASN, workers int, adv *Adversary) *MonitorPaths {
-	if !adv.Active() {
-		return CollectPaths(g, monitors, origins, workers)
-	}
-	byVictim := make(map[world.ASN]Campaign, len(adv.Campaigns))
-	for _, c := range adv.Campaigns {
-		if _, dup := byVictim[c.Victim]; !dup {
-			byVictim[c.Victim] = c
-		}
-	}
-	return collect(g, monitors, origins, workers, byVictim, adv.ROV)
 }

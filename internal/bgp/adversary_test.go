@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -8,6 +9,16 @@ import (
 	"stateowned/internal/topology"
 	"stateowned/internal/world"
 )
+
+// inert reports whether one campaign cannot inject routes: the hijacker
+// is outside the topology, self-targeting, or itself validates origins
+// (a validating operator drops its own invalid route before export).
+func inert(g *topology.Graph, c Campaign, rov map[world.ASN]bool) bool {
+	if c.Hijacker == c.Victim || !g.Active(c.Hijacker) {
+		return true
+	}
+	return rov[c.Hijacker]
+}
 
 // referencePropagateHijack is the campaign overlay as it stood before it
 // took the honest run's scope, kept verbatim but for fresh arrays and
@@ -130,7 +141,7 @@ func spread(t *testing.T, g *topology.Graph, c Campaign, rov map[world.ASN]bool)
 	}
 	var got, want []world.ASN
 	var s Scratch
-	if all := allScope(g); s.Propagate(g, c.Victim, all) && s.propagateHijack(g, c, rov, all) {
+	if all := allScope(g); s.Propagate(g, c.Victim, all) && s.propagateHijack(g, c, rovIndex(g, rov), all) {
 		got = adopters(s.hij)
 	}
 	if view := referencePropagate(g, c.Victim); view != nil {
@@ -181,14 +192,14 @@ func samplePaths(t *testing.T, mp *MonitorPaths, origins []world.ASN) map[string
 func TestCollectPathsAdversaryInertDelegates(t *testing.T) {
 	monitors := SelectMonitors(testW, testG, 20)
 	origins := testG.ASes()[:40]
-	honest := CollectPaths(testG, monitors, origins, 2)
+	honest := CollectPaths(testG, monitors, origins, 2, nil)
 	for name, adv := range map[string]*Adversary{
 		"nil":       nil,
 		"empty":     {},
 		"rov-only":  {ROV: map[world.ASN]bool{origins[0]: true}},
 		"all-inert": {Campaigns: []Campaign{{Kind: ExactPrefix, Victim: origins[0], Hijacker: origins[0]}}},
 	} {
-		got := CollectPathsAdversary(testG, monitors, origins, 2, adv)
+		got := CollectPaths(testG, monitors, origins, 2, adv)
 		if adv.Active() {
 			// all-inert is Active (it has a campaign) but each campaign is
 			// individually inert; paths must still match.
@@ -270,7 +281,7 @@ func TestForgedPathKeepsRegisteredOrigin(t *testing.T) {
 	forged := []world.ASN{64500, 64501}
 	c := Campaign{Kind: ForgedPath, Victim: victim, Hijacker: hijacker, Forged: forged}
 	monitors := SelectMonitors(testW, testG, 30)
-	mp := CollectPathsAdversary(testG, monitors, []world.ASN{victim}, 2, &Adversary{Campaigns: []Campaign{c}})
+	mp := CollectPaths(testG, monitors, []world.ASN{victim}, 2, &Adversary{Campaigns: []Campaign{c}})
 	infected := map[world.ASN]bool{hijacker: true}
 	for _, a := range spread(t, testG, c, nil) {
 		infected[a] = true
@@ -343,9 +354,9 @@ func TestCollectPathsAdversaryOverlay(t *testing.T) {
 	c := Campaign{Kind: ExactPrefix, Victim: victim, Hijacker: hijacker}
 	monitors := SelectMonitors(testW, testG, 30)
 	origins := append([]world.ASN{victim}, testG.ASes()[:20]...)
-	honest := CollectPaths(testG, monitors, origins, 3)
+	honest := CollectPaths(testG, monitors, origins, 3, nil)
 	adv := &Adversary{Campaigns: []Campaign{c}}
-	got := CollectPathsAdversary(testG, monitors, origins, 3, adv)
+	got := CollectPaths(testG, monitors, origins, 3, adv)
 
 	infected := map[world.ASN]bool{hijacker: true}
 	for _, a := range spread(t, testG, c, nil) {
@@ -370,7 +381,7 @@ func TestCollectPathsAdversaryOverlay(t *testing.T) {
 	// Worker-count invariance: the sharded loop must assemble identical
 	// overlays for any pool size.
 	for _, workers := range []int{1, 4} {
-		other := CollectPathsAdversary(testG, monitors, origins, workers, adv)
+		other := CollectPaths(testG, monitors, origins, workers, adv)
 		for mi := range monitors {
 			for _, o := range origins {
 				if !reflect.DeepEqual(got.Path(mi, o), other.Path(mi, o)) {
@@ -450,7 +461,7 @@ func TestHijackOverlayOrderCases(t *testing.T) {
 			want := referencePropagateHijack(g, referencePropagate(g, c.Victim).routes, c, nil)
 			for k, sc := range scopes {
 				var s Scratch
-				if !s.Propagate(g, c.Victim, sc) || !s.propagateHijack(g, c, nil, sc) {
+				if !s.Propagate(g, c.Victim, sc) || !s.propagateHijack(g, c, rovIndex(g, nil), sc) {
 					t.Fatalf("%s, %s, scope %d: the overlay did not run", hc.name, kind, k)
 				}
 				for _, i := range sc.members {
@@ -469,5 +480,121 @@ func TestHijackOverlayOrderCases(t *testing.T) {
 				t.Fatalf("%s changed shape: AS%d route %+v, want distance %d via AS%d", hc.name, hc.at, r, hc.dist, hc.via)
 			}
 		}
+	}
+}
+
+// overlayDiff lays campaign c's overlay (ROV deployment rov, dense over
+// g) on the honest run toward its victim within each scope, and
+// describes the first member whose overlay route differs from want, the
+// reference overlay's routes (nil for an inert campaign), or returns ""
+// when none does.
+func overlayDiff(s *Scratch, g *topology.Graph, c Campaign, rov []bool, scopes []*Scope, want []route) string {
+	for k, sc := range scopes {
+		if !s.Propagate(g, c.Victim, sc) {
+			return fmt.Sprintf("scope %d: the kernel rejected victim AS%d", k, c.Victim)
+		}
+		if ran := s.propagateHijack(g, c, rov, sc); ran != (want != nil) {
+			return fmt.Sprintf("scope %d: overlay ran %v, reference %v", k, ran, want != nil)
+		}
+		for _, i := range sc.members {
+			if want != nil && s.hij[i] != want[i] {
+				return fmt.Sprintf("scope %d: AS%d overlay route %+v, reference %+v", k, g.ASNAt(i), s.hij[i], want[i])
+			}
+		}
+	}
+	return ""
+}
+
+// TestHijackOverlaySweep holds the overlay to referencePropagateHijack
+// laid on referencePropagate, route for route, over 3,000 campaigns on
+// testG: every kind, with no ROV and with ROV on every third AS, against
+// 100 victims a fixed stride apart, each attacked by five hijackers a
+// fixed stride apart. Within the scope of every AS it compares every
+// AS's route, and within the monitors' scope every member's route. The
+// hand-shaped hijackOrderCases pin two orders inside the overlay; this
+// sweep pins what it adopts, where one missing gate adopts a route an
+// AS would refuse. -short runs a tenth of the campaigns.
+func TestHijackOverlaySweep(t *testing.T) {
+	g := testG
+	n := g.NumASes()
+	scopes := []*Scope{allScope(g), NewScope(g, MonitorIndices(g, SelectMonitors(testW, g, 0)))}
+	everyThird := map[world.ASN]bool{}
+	for i := 0; i < n; i += 3 {
+		everyThird[g.ASNAt(i)] = true
+	}
+	rovs := []map[world.ASN]bool{nil, everyThird}
+	dense := [][]bool{rovIndex(g, nil), rovIndex(g, everyThird)}
+	kinds := []CampaignKind{ExactPrefix, SubPrefix, ForgedPath}
+	victims := 100
+	if testing.Short() {
+		victims /= 10
+	}
+	var s Scratch
+	campaigns, mismatched, live := 0, 0, map[CampaignKind]int{}
+	var first string
+	for v := 0; v < victims; v++ {
+		victim := (v * 131) % n
+		honest := referencePropagate(g, g.ASNAt(victim)).routes
+		for h := 1; h <= 5; h++ {
+			hijacker := (victim + h*577) % n
+			for _, kind := range kinds {
+				for r, rov := range rovs {
+					c := Campaign{Kind: kind, Victim: g.ASNAt(victim), Hijacker: g.ASNAt(hijacker), Forged: []world.ASN{64512, 64513}[:h%3]}
+					want := referencePropagateHijack(g, honest, c, rov)
+					campaigns++
+					if d := overlayDiff(&s, g, c, dense[r], scopes, want); d != "" {
+						if mismatched++; first == "" {
+							first = fmt.Sprintf("%s campaign by AS%d against AS%d (ROV %v): %s", kind, c.Hijacker, c.Victim, rov != nil, d)
+						}
+					}
+					for _, i := range scopes[1].members {
+						if want != nil && i != hijacker && want[i].class != classNone {
+							live[kind]++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d campaigns over %d ASes; adopting members of the monitors' scope by kind: %v", campaigns, n, live)
+	if mismatched > 0 {
+		t.Fatalf("%d of %d campaigns differ from the reference; first: %s", mismatched, campaigns, first)
+	}
+	for _, kind := range kinds {
+		if live[kind] == 0 {
+			t.Fatalf("no %s campaign routed a member of the monitors' scope; the sweep is vacuous", kind)
+		}
+	}
+}
+
+// BenchmarkHijackOverlay lays one exact-prefix campaign against AS7473
+// on a warmed Scratch, within the monitors' scope of the scale-0.5
+// world (seed 42), as the collector does for every attacked origin;
+// the honest run toward the victim is computed once, outside the timer.
+// The hijacker is the first AS whose announcement some other AS
+// adopts. It must report 0 B/op and 0 allocs/op.
+func BenchmarkHijackOverlay(b *testing.B) {
+	w := world.Generate(world.Config{Seed: 42, Scale: 0.5})
+	g := topology.Build(w, topology.FinalYear)
+	sc := NewScope(g, MonitorIndices(g, SelectMonitors(w, g, 0)))
+	rov := rovIndex(g, nil)
+	var s Scratch
+	if !s.Propagate(g, 7473, sc) {
+		b.Fatal("AS7473 is not in the topology")
+	}
+	c := Campaign{Kind: ExactPrefix, Victim: 7473}
+	for _, h := range g.ASes() {
+		c.Hijacker = h
+		if s.propagateHijack(g, c, rov, sc) && len(s.hijTouched) > 1 {
+			break
+		}
+	}
+	for range 2 {
+		s.propagateHijack(g, c, rov, sc)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.propagateHijack(g, c, rov, sc)
 	}
 }

@@ -136,10 +136,10 @@ func better(a, b route) bool {
 // Scratch is one worker's reusable propagation state: the route array
 // a result lives in, the hijack overlay's route array, the lists of
 // ASes the last run and the last overlay routed, and two BFS frontiers.
-// Propagate resets and reuses them, so once a Scratch has seen the
-// largest topology and the widest frontiers it will meet, the kernel
-// allocates nothing. A Scratch belongs to one goroutine at a time; the
-// zero value is ready to use.
+// The kernel's body resets and reuses them for honest runs and overlays
+// alike, so once a Scratch has seen the largest topology and the widest
+// frontiers it will meet, the kernel allocates nothing. A Scratch
+// belongs to one goroutine at a time; the zero value is ready to use.
 type Scratch struct {
 	routes []route
 	hij    []route
@@ -179,55 +179,97 @@ func resetRoutes(rs []route, touched []int, n int) ([]route, []int) {
 // a run over the whole graph routes them, and leaves every other AS
 // without a route (see Scope); a scope listing every AS routes the whole
 // graph. It reports false, leaving no result to read, when the origin
-// is not in the graph.
-//
-// The visit order is part of the result. Within a BFS layer a later
-// frontier entry reads the distance an earlier entry of the same layer
-// lowered, and phase 3 seeds its frontier with every routed member in
-// dense-index order; reordering either changes the routes some ASes
-// keep, so both are load-bearing (TestKernelMatchesReference).
-//
-// Walking NextHop from any routed AS ends at the origin. Once an AS has
-// a route, a phase replaces it only with a better route of the same
-// class, so its distance never rises; and a route that takes a next hop
-// is one hop longer than that hop's route was then. So distances fall
-// strictly along next hops, down to the origin's 0.
+// is not in the graph. It runs the body a campaign overlay runs too
+// (propagate), seeded at the origin and ungated.
 func (s *Scratch) Propagate(g *topology.Graph, origin world.ASN, sc *Scope) bool {
 	oIdx, ok := g.Index(origin)
 	if !ok {
 		return false
 	}
+	s.routes, s.touched = s.propagate(g, oIdx, 0, s.routes, s.touched, sc, nil)
+	return true
+}
+
+// propagate is the kernel's body, which the honest run (Propagate) and
+// every campaign overlay (propagateHijack) share: the three valley-free
+// phases, within the scope sc, from the dense index seed holding a
+// customer route at distance dist (0 at an origin, the claimed tail's
+// length at a hijacker). It resets routes through touched and returns
+// both; each phase appends the ASes it routes to touched. An AS takes
+// its first route only where gt admits it; a nil gt admits every route.
+//
+// The visit order is part of the result. Within a BFS layer a later
+// frontier entry reads the distance an earlier entry of the same layer
+// lowered, and phase 3 seeds its frontier with every routed member in
+// dense-index order; reordering either changes the routes some ASes
+// keep, so both are load-bearing (TestKernelMatchesReference,
+// hijackOrderCases).
+//
+// Walking NextHop from any routed AS ends at the seed. Once an AS has a
+// route, a phase replaces it only with a better route of the same
+// class, so its distance never rises; and a route that takes a next hop
+// is one hop longer than that hop's route was then. So distances fall
+// strictly along next hops, down to the seed's.
+//
+// Only first routes are gated. A later route replaces one only if it is
+// better, so it beats a route the gate admitted, which beat the AS's
+// honest route (or the AS had none, or the campaign is sub-prefix);
+// better is a strict order, transitive on routes with next hops (every
+// gated route, and every honest route but the victim's), and an AS's
+// victim and ROV status are fixed within a run. So the gate would admit
+// every replacement: a gate on an improvement branch is an equivalent
+// mutant, and the phases have none.
+//
+// Each phase is its own function because Go does not unswitch loops:
+// the gate's code sits in the honest run's loops too. With the three
+// phases in one function, phase 3's loop spilled registers and the
+// honest kernel ran about 10% slower; with only phase 3 split off, about
+// 7% slower in the monitors' scope (EXPERIMENTS.md, "One propagation
+// kernel").
+func (s *Scratch) propagate(g *topology.Graph, seed int, dist int32, routes []route, touched []int, sc *Scope, gt *gate) ([]route, []int) {
 	if sc.g != g {
 		panic("bgp: scope built for another topology")
 	}
-	routes, touched := resetRoutes(s.routes, s.touched, g.NumASes())
-	routes[oIdx] = route{class: classCustomer, dist: 0, next: -1}
-	touched = append(touched, oIdx)
+	routes, touched = resetRoutes(routes, touched, g.NumASes())
+	routes[seed] = route{class: classCustomer, dist: dist, next: -1}
+	touched = s.climb(g, routes, append(touched, seed), gt)
+	touched = offerPeers(routes, touched, sc, gt)
+	return routes, s.descend(routes, touched, sc, gt)
+}
 
-	// Phase 1: customer routes climb provider edges (BFS by distance)
-	// through the origin's whole provider ancestry, in scope or not.
-	queue, next := append(s.queue[:0], oIdx), s.next
+// climb is phase 1: customer routes climb provider edges (BFS by
+// distance) from the seed, touched's one entry, through its whole
+// provider ancestry, in scope or not.
+func (s *Scratch) climb(g *topology.Graph, routes []route, touched []int, gt *gate) []int {
+	queue, next := append(s.queue[:0], touched[0]), s.next
 	for len(queue) > 0 {
 		next = next[:0]
 		for _, cur := range queue {
 			for _, p := range g.ProviderIdx(cur) {
 				cand := route{class: classCustomer, dist: routes[cur].dist + 1, next: int32(cur)}
-				if routes[p].class == classNone || better(cand, routes[p]) {
-					if routes[p].class == classNone {
+				if routes[p].class == classNone {
+					if gt == nil || gt.adopts(p, cand) {
+						routes[p] = cand
 						next = append(next, p)
 						touched = append(touched, p)
 					}
+				} else if better(cand, routes[p]) {
 					routes[p] = cand
 				}
 			}
 		}
 		queue, next = next, queue
 	}
+	s.queue, s.next = queue, next
+	return touched
+}
 
-	// Phase 2: one peer hop from any AS holding a customer route — the
-	// ancestry phase 1 just listed. An AS without a customer route takes
-	// the best offer; better orders peer routes by (dist, next), so the
-	// order offers arrive in cannot change which one wins.
+// offerPeers is phase 2: one peer hop from every AS holding a customer
+// route, the ancestry phase 1 listed. An AS without a customer route
+// takes the best offer; better orders peer routes by (dist, next), so
+// the order offers arrive in cannot change which one wins, nor which
+// one a gate admits.
+func offerPeers(routes []route, touched []int, sc *Scope, gt *gate) []int {
 	climbed := len(touched)
 	for _, i := range touched[:climbed] {
 		for _, p := range sc.peers[i] {
@@ -236,17 +278,22 @@ func (s *Scratch) Propagate(g *topology.Graph, origin world.ASN, sc *Scope) bool
 			}
 			cand := route{class: classPeer, dist: routes[i].dist + 1, next: int32(i)}
 			if routes[p].class == classNone {
-				routes[p] = cand
-				touched = append(touched, p)
+				if gt == nil || gt.adopts(p, cand) {
+					routes[p] = cand
+					touched = append(touched, p)
+				}
 			} else if better(cand, routes[p]) {
 				routes[p] = cand
 			}
 		}
 	}
+	return touched
+}
 
-	// Phase 3: provider routes descend customer edges, BFS by distance
-	// from every routed AS in scope.
-	queue = queue[:0]
+// descend is phase 3: provider routes descend customer edges, BFS by
+// distance from every routed AS in scope.
+func (s *Scratch) descend(routes []route, touched []int, sc *Scope, gt *gate) []int {
+	queue, next := s.queue[:0], s.next
 	for _, i := range sc.members {
 		if routes[i].class != classNone {
 			queue = append(queue, i)
@@ -258,8 +305,10 @@ func (s *Scratch) Propagate(g *topology.Graph, origin world.ASN, sc *Scope) bool
 			for _, c := range sc.customers[cur] {
 				cand := route{class: classProvider, dist: routes[cur].dist + 1, next: int32(cur)}
 				if routes[c].class == classNone {
-					routes[c] = cand
-					next = append(next, c)
+					if gt == nil || gt.adopts(c, cand) {
+						routes[c] = cand
+						next = append(next, c)
+					}
 				} else if routes[c].class == classProvider && better(cand, routes[c]) {
 					routes[c] = cand
 					// Distance improvements do not re-propagate in this
@@ -276,8 +325,8 @@ func (s *Scratch) Propagate(g *topology.Graph, origin world.ASN, sc *Scope) bool
 			touched = append(touched, i)
 		}
 	}
-	s.routes, s.touched, s.queue, s.next = routes, touched, queue, next
-	return true
+	s.queue, s.next = queue, next
+	return touched
 }
 
 // Scope is the part of a topology that monitor paths read routes from:
@@ -310,15 +359,18 @@ func (s *Scratch) Propagate(g *topology.Graph, origin world.ASN, sc *Scope) bool
 //     layer lowered.
 //
 // TestScopedKernelMatchesReference checks the rule against the
-// reference propagation for every origin of the kernel worlds and of a
-// hand-shaped topology. An AS outside both the scope and the origin's
-// ancestry has no route after a scoped run, even where the whole graph
-// gives it one. CTI's collector, campaign overlays included
-// (propagateHijack), and the graph's transit-dependency phase read
-// nothing but monitor paths, so they pass the monitors' scope; a caller
-// that reads every AS's route passes the scope of every AS (allScope),
-// in which every AS is a member and every filtered list is the graph's
-// own, so the run is the whole graph's.
+// reference propagation for every origin of the kernel worlds and of
+// two hand-shaped topologies, and FuzzKernelMatchesReference on small
+// topologies of any shape. An AS outside both the scope and the
+// origin's ancestry has no route after a scoped run, even where the
+// whole graph gives it one. A campaign overlay runs the same body from
+// the hijacker behind its gate, and propagateHijack carries the rule
+// over to it. CTI's collector, campaign overlays included, and the
+// graph's transit-dependency phase read nothing but monitor paths, so
+// they pass the monitors' scope; a caller that reads every AS's route
+// passes the scope of every AS (allScope), in which every AS is a
+// member and every filtered list is the graph's own, so the run is the
+// whole graph's.
 type Scope struct {
 	g         *topology.Graph
 	members   []int   // ascending dense indices
@@ -409,7 +461,7 @@ func (s *Scratch) Routed(i int) bool { return s.routes[i].class != classNone }
 
 // NextHop returns the dense index of i's next hop toward the origin of
 // the last Propagate, or -1 at the origin itself. i must be Routed.
-// Following NextHop from a routed AS reaches the origin (Propagate).
+// Following NextHop from a routed AS reaches the origin (propagate).
 func (s *Scratch) NextHop(i int) int { return int(s.routes[i].next) }
 
 // pathLen counts the ASes on i's route to the origin, both ends
@@ -497,18 +549,6 @@ type MonitorPaths struct {
 	rows map[world.ASN][][]world.ASN
 }
 
-// CollectPaths propagates each origin and records the monitors' preferred
-// paths. Origins outside the graph are skipped.
-//
-// Per-origin propagations are independent, so they run on
-// sched.ParallelFor with the given worker count (<= 0 selects
-// GOMAXPROCS, 1 is fully serial — the pipeline's Workers knob plumbs
-// through here so a serial run really is serial), one kernel Scratch
-// per worker.
-func CollectPaths(g *topology.Graph, monitors []Monitor, origins []world.ASN, workers int) *MonitorPaths {
-	return collect(g, monitors, origins, workers, nil, nil)
-}
-
 // MonitorIndices maps each monitor to its AS's dense index in g, or -1
 // for a monitor outside g (which observes no paths). Monitors sharing
 // an AS each keep their entry.
@@ -524,16 +564,28 @@ func MonitorIndices(g *topology.Graph, monitors []Monitor) []int {
 	return mon
 }
 
-// collect is the one path collector behind CollectPaths and
-// CollectPathsAdversary. It runs the kernel once per origin, within the
-// monitors' Scope, since a row reads nothing but monitor paths. Each
-// origin's row — every monitor's observed path toward it, carved from
-// one exact-size backing array — is owned by one origin index, so the
-// result is identical for every worker count. A campaign against an
-// origin is a per-origin overlay on the honest routes the kernel just
-// computed, which the scoped run leaves exact where a row reads them
-// (propagateHijack).
-func collect(g *topology.Graph, monitors []Monitor, origins []world.ASN, workers int, byVictim map[world.ASN]Campaign, rov map[world.ASN]bool) *MonitorPaths {
+// CollectPaths propagates each origin and records the monitors'
+// preferred paths, with adv's campaigns in the control plane; a nil or
+// campaign-less adversary collects the honest paths. Origins outside
+// the graph are skipped.
+//
+// It runs the kernel once per origin, within the monitors' Scope, since
+// a row reads nothing but monitor paths. A campaign against an origin is
+// a per-origin overlay on the honest routes the kernel just computed,
+// which the scoped run leaves exact where a row reads them
+// (propagateHijack). At most one campaign applies per victim origin
+// (the first listed wins), mirroring one-prefix-one-attack plan
+// generation; origins without a live campaign keep their honest paths
+// byte for byte. Each origin's row — every monitor's observed path
+// toward it, carved from one exact-size backing array — is owned by one
+// origin index, so the result is identical for every worker count.
+//
+// Per-origin propagations are independent, so they run on
+// sched.ParallelFor with the given worker count (<= 0 selects
+// GOMAXPROCS, 1 is fully serial — the pipeline's Workers knob plumbs
+// through here so a serial run really is serial), one kernel Scratch
+// per worker.
+func CollectPaths(g *topology.Graph, monitors []Monitor, origins []world.ASN, workers int, adv *Adversary) *MonitorPaths {
 	mon := MonitorIndices(g, monitors)
 	// in[oi] reports whether origin oi is in g. Resolving the origins on
 	// the pool keeps g's first use on a worker, where a panic reaches the
@@ -543,6 +595,17 @@ func collect(g *topology.Graph, monitors []Monitor, origins []world.ASN, workers
 
 	// Built after the pass above, which is g's first use.
 	scope := NewScope(g, mon)
+	var byVictim map[world.ASN]Campaign
+	var rov []bool
+	if adv.Active() {
+		byVictim = make(map[world.ASN]Campaign, len(adv.Campaigns))
+		for _, c := range adv.Campaigns {
+			if _, dup := byVictim[c.Victim]; !dup {
+				byVictim[c.Victim] = c
+			}
+		}
+		rov = rovIndex(g, adv.ROV)
+	}
 	rows := make([][][]world.ASN, len(origins))
 	scratch := make([]Scratch, sched.Workers(workers))
 	sched.ParallelFor(workers, len(origins), func(w, oi int) {

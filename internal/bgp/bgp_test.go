@@ -194,7 +194,7 @@ func TestPathConsistency(t *testing.T) {
 func TestCollectPaths(t *testing.T) {
 	monitors := SelectMonitors(testW, testG, 20)
 	origins := []world.ASN{7473, 2119, 11960}
-	mp := CollectPaths(testG, monitors, origins, 0)
+	mp := CollectPaths(testG, monitors, origins, 0, nil)
 	found := 0
 	for mi := range monitors {
 		for _, o := range origins {
@@ -244,7 +244,7 @@ func TestCollectPathsMatchesPropagate(t *testing.T) {
 		monitors := append(SelectMonitors(w, g, 0),
 			Monitor{ID: "in-leaf", AS: g.ASNAt(leaf)}, Monitor{ID: "outside", AS: 4294967294})
 		origins := g.ASes()
-		mp := CollectPaths(g, monitors, origins, 2)
+		mp := CollectPaths(g, monitors, origins, 2, nil)
 		for _, o := range origins {
 			view := Propagate(g, o)
 			for mi, m := range monitors {
@@ -294,8 +294,8 @@ func TestCollectPathsAdversaryMatchesPerOrigin(t *testing.T) {
 		live(SubPrefix, g.ProviderIdx(provider)[0]),
 	}}
 	origins := g.ASes()
-	mp := CollectPathsAdversary(g, monitors, origins, 2, adv)
-	honest := CollectPaths(g, monitors, origins, 2)
+	mp := CollectPaths(g, monitors, origins, 2, adv)
+	honest := CollectPaths(g, monitors, origins, 2, nil)
 	polluted := map[world.ASN]int{}
 	for _, o := range origins {
 		ref := Scratch{routes: referencePropagate(g, o).routes}
@@ -376,5 +376,5 @@ func TestCollectPathsWorkerPanicReachesCaller(t *testing.T) {
 			t.Fatal("collector worker panic did not reach the caller as a *sched.PanicError")
 		}
 	}()
-	CollectPaths(nil, nil, []world.ASN{1, 2, 3, 4}, 2)
+	CollectPaths(nil, nil, []world.ASN{1, 2, 3, 4}, 2, nil)
 }

@@ -1,7 +1,9 @@
 package bgp
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"stateowned/internal/topology"
@@ -176,15 +178,33 @@ func TestKernelMatchesReference(t *testing.T) {
 
 // TestKernelAllocationFree pins the kernel's point: on a warmed Scratch
 // a propagation allocates nothing, whichever origin it runs for, within
-// the scope of every AS or of the monitors.
+// the scope of every AS or of the monitors, and neither does a campaign
+// overlay laid on it, of any kind, with ROV on every third AS or on
+// none.
 func TestKernelAllocationFree(t *testing.T) {
 	var s Scratch
 	origins := testG.ASes()
 	all := allScope(testG)
 	sc := NewScope(testG, MonitorIndices(testG, SelectMonitors(testW, testG, 0)))
-	for _, o := range origins {
-		s.Propagate(testG, o, all)
-		s.Propagate(testG, o, sc)
+	everyThird := map[world.ASN]bool{}
+	for i := 0; i < len(origins); i += 3 {
+		everyThird[origins[i]] = true
+	}
+	rovs := [][]bool{rovIndex(testG, nil), rovIndex(testG, everyThird)}
+	forged := []world.ASN{64512}
+	// campaign returns the k-th campaign of the sweep below: victims and
+	// hijackers a fixed stride apart, the kinds and ROV sets in turn.
+	campaign := func(k int) (Campaign, []bool) {
+		c := Campaign{Kind: CampaignKind(k % 3), Victim: origins[k%len(origins)],
+			Hijacker: origins[(k*577+1)%len(origins)], Forged: forged}
+		return c, rovs[(k/3)%2]
+	}
+	for k := range origins { // campaign k's victim is origins[k]
+		c, rov := campaign(k)
+		for _, scope := range []*Scope{all, sc} {
+			s.Propagate(testG, c.Victim, scope)
+			s.propagateHijack(testG, c, rov, scope)
+		}
 	}
 	for _, c := range []struct {
 		name string
@@ -197,6 +217,21 @@ func TestKernelAllocationFree(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("warmed %s kernel allocates %.1f times per origin, want 0", c.name, allocs)
+		}
+		k, live := 0, 0
+		allocs = testing.AllocsPerRun(600, func() {
+			camp, rov := campaign(k)
+			s.Propagate(testG, camp.Victim, c.sc)
+			if s.propagateHijack(testG, camp, rov, c.sc) {
+				live++
+			}
+			k++
+		})
+		if allocs != 0 {
+			t.Fatalf("warmed %s overlay allocates %.1f times per campaign, want 0", c.name, allocs)
+		}
+		if live == 0 {
+			t.Fatalf("no %s overlay ran; the check is vacuous", c.name)
 		}
 	}
 }
@@ -363,4 +398,221 @@ func TestStubProviderMatchesReference(t *testing.T) {
 			t.Fatalf("graph %d: no single-homed stubs to check", k)
 		}
 	}
+}
+
+// fuzzReader hands out a fuzz input's bytes in order, then zeros.
+type fuzzReader []byte
+
+func (r *fuzzReader) next() int {
+	if len(*r) == 0 {
+		return 0
+	}
+	b := (*r)[0]
+	*r = (*r)[1:]
+	return int(b)
+}
+
+// fuzzCase is a small topology with monitors, an origin, a campaign
+// against it and a ROV set, as FuzzKernelMatchesReference decodes them.
+type fuzzCase struct {
+	g        *topology.Graph
+	monitors []Monitor
+	origin   world.ASN
+	c        Campaign
+	rov      map[world.ASN]bool
+}
+
+// decodeFuzzCase builds a fuzzCase from data: the AS count (2–17), one
+// ASN label per AS position, edges as (position, position, kind) triples
+// — a provider edge always runs from the lower position to the higher,
+// so there is no provider cycle, and a pair keeps only its first edge,
+// so none is both a provider edge and a peer edge — then up to three
+// monitor positions, the origin's position, the campaign's kind,
+// hijacker position and forged tail length, and one ROV byte per
+// position (ROV where it is 0 mod 4).
+func decodeFuzzCase(data []byte) fuzzCase {
+	r := fuzzReader(data)
+	n := 2 + r.next()%16
+	asns := make([]world.ASN, n)
+	used := map[world.ASN]bool{}
+	for p := range asns {
+		a := world.ASN(1 + r.next())
+		for used[a] {
+			a++
+		}
+		used[a], asns[p] = true, a
+	}
+	var links, peerings [][2]world.ASN
+	paired := map[[2]int]bool{}
+	for e := r.next() % 48; e > 0; e-- {
+		a, b, kind := r.next()%n, r.next()%n, r.next()%2
+		if a == b {
+			continue
+		}
+		lo, hi := min(a, b), max(a, b)
+		if paired[[2]int{lo, hi}] {
+			continue
+		}
+		paired[[2]int{lo, hi}] = true
+		if kind == 0 {
+			links = append(links, [2]world.ASN{asns[lo], asns[hi]})
+		} else {
+			peerings = append(peerings, [2]world.ASN{asns[lo], asns[hi]})
+		}
+	}
+	fc := fuzzCase{g: topology.FromEdges(asns, links, peerings)}
+	for m := r.next() % 4; m > 0; m-- {
+		fc.monitors = append(fc.monitors, Monitor{ID: fmt.Sprint(len(fc.monitors)), AS: asns[r.next()%n]})
+	}
+	fc.origin = asns[r.next()%n]
+	fc.c = Campaign{Kind: CampaignKind(r.next() % 3), Victim: fc.origin, Hijacker: asns[r.next()%n]}
+	for k := r.next() % 3; k > 0; k-- {
+		fc.c.Forged = append(fc.c.Forged, world.ASN(64511+k))
+	}
+	fc.rov = map[world.ASN]bool{}
+	for _, a := range asns {
+		if r.next()%4 == 0 {
+			fc.rov[a] = true
+		}
+	}
+	return fc
+}
+
+// encodeFuzzCase is decodeFuzzCase's inverse for a hand-shaped
+// topology: it lists the ASes providers first, labels each by its rank
+// in ASN order (which keeps every dense index and so every tie break),
+// sets no ROV, and attacks origin from hijacker with an exact-prefix
+// campaign.
+func encodeFuzzCase(g *topology.Graph, monitors []Monitor, origin, hijacker world.ASN) []byte {
+	n := g.NumASes()
+	var order []int // providers before customers
+	placed := make([]bool, n)
+	for len(order) < n {
+		for i := 0; i < n; i++ {
+			ready := !placed[i]
+			for _, p := range g.ProviderIdx(i) {
+				ready = ready && placed[p]
+			}
+			if ready {
+				placed[i] = true
+				order = append(order, i)
+			}
+		}
+	}
+	pos := make([]int, n)
+	data := []byte{byte(n - 2)}
+	for p, i := range order {
+		pos[i] = p
+		data = append(data, byte(i)) // label i+1: the rank in ASN order
+	}
+	var edges []byte
+	for i := 0; i < n; i++ {
+		for _, c := range g.CustomerIdx(i) {
+			edges = append(edges, byte(pos[i]), byte(pos[c]), 0)
+		}
+		for _, p := range g.PeerIdx(i) {
+			if i < p {
+				edges = append(edges, byte(pos[i]), byte(pos[p]), 1)
+			}
+		}
+	}
+	data = append(data, byte(len(edges)/3))
+	data = append(data, edges...)
+	at := func(a world.ASN) byte { i, _ := g.Index(a); return byte(pos[i]) }
+	data = append(data, byte(len(monitors)))
+	for _, m := range monitors {
+		data = append(data, at(m.AS))
+	}
+	data = append(data, at(origin), byte(ExactPrefix), at(hijacker), 0)
+	for range n {
+		data = append(data, 1)
+	}
+	return data
+}
+
+// FuzzKernelMatchesReference holds the kernel and the campaign overlay
+// to referencePropagate and referencePropagateHijack on small
+// topologies of any shape the decoder makes: the honest run on every AS
+// within the scope of every AS, and on the members and the origin's
+// ancestry within the monitors' scope (every other AS unrouted); the
+// overlay on the members of both scopes. The seed corpus holds
+// scopeEdgeCases, seedOrderCase and hijackOrderCases, each re-decoded
+// and checked to be the same topology.
+func FuzzKernelMatchesReference(f *testing.F) {
+	seeds := []struct {
+		g                *topology.Graph
+		monitors         []Monitor
+		origin, hijacker world.ASN
+	}{
+		{scopeEdgeCases.g, scopeEdgeCases.monitors, 100, 70},
+		{seedOrderCase.g, seedOrderCase.monitors, 100, 10},
+	}
+	for _, hc := range hijackOrderCases {
+		seeds = append(seeds, struct {
+			g                *topology.Graph
+			monitors         []Monitor
+			origin, hijacker world.ASN
+		}{hc.g, hc.monitors, hc.victim, hc.hijacker})
+	}
+	for _, sd := range seeds {
+		data := encodeFuzzCase(sd.g, sd.monitors, sd.origin, sd.hijacker)
+		if got, want := edgeList(decodeFuzzCase(data).g), edgeList(sd.g); !reflect.DeepEqual(got, want) {
+			f.Fatalf("a seed decodes to edges %v, want %v", got, want)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fc := decodeFuzzCase(data)
+		g := fc.g
+		ref := referencePropagate(g, fc.origin)
+		all, sc := allScope(g), NewScope(g, MonitorIndices(g, fc.monitors))
+		in := make([]bool, g.NumASes())
+		for _, i := range sc.members {
+			in[i] = true
+		}
+		var s Scratch
+		for k, scope := range []*Scope{all, sc} {
+			if !s.Propagate(g, fc.origin, scope) {
+				t.Fatalf("scope %d: the kernel rejected origin AS%d", k, fc.origin)
+			}
+			for i, r := range ref.routes {
+				if k == 1 && !in[i] && r.class != classCustomer {
+					r = route{}
+				}
+				if s.routes[i] != r {
+					t.Fatalf("scope %d: AS%d route %+v, reference %+v", k, g.ASNAt(i), s.routes[i], r)
+				}
+			}
+		}
+		want := referencePropagateHijack(g, ref.routes, fc.c, fc.rov)
+		if d := overlayDiff(&s, g, fc.c, rovIndex(g, fc.rov), []*Scope{all, sc}, want); d != "" {
+			t.Fatalf("%s campaign by AS%d: %s", fc.c.Kind, fc.c.Hijacker, d)
+		}
+	})
+}
+
+// edgeList lists g's provider edges and peerings by rank in ASN order
+// (dense index), sorted, so topologies that differ only in their ASN
+// labels compare equal.
+func edgeList(g *topology.Graph) [][3]int {
+	var out [][3]int
+	for i := 0; i < g.NumASes(); i++ {
+		for _, c := range g.CustomerIdx(i) {
+			out = append(out, [3]int{i, c, 0})
+		}
+		for _, p := range g.PeerIdx(i) {
+			if i < p {
+				out = append(out, [3]int{i, p, 1})
+			}
+		}
+	}
+	slices.SortFunc(out, func(a, b [3]int) int {
+		for k := range a {
+			if a[k] != b[k] {
+				return a[k] - b[k]
+			}
+		}
+		return 0
+	})
+	return out
 }

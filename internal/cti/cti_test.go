@@ -50,7 +50,7 @@ func TestFormulaOnGeneratedWorld(t *testing.T) {
 	if len(origins) < 2 {
 		t.Skip("CU too small in this world")
 	}
-	mp := bgp.CollectPaths(g, monitors, origins, 0)
+	mp := bgp.CollectPaths(g, monitors, origins, 0, nil)
 	comp := NewComputer(mp)
 
 	// Ground-truth prefix geolocation: every prefix of a CU AS is in CU.
@@ -133,8 +133,8 @@ func TestMonitorWeighting(t *testing.T) {
 	for _, m := range base {
 		double = append(double, m, bgp.Monitor{ID: m.ID + "b", AS: m.AS})
 	}
-	s1 := NewComputer(bgp.CollectPaths(g, single, origins, 0)).Country("SY", origins, nPfx, geo)
-	s2 := NewComputer(bgp.CollectPaths(g, double, origins, 0)).Country("SY", origins, nPfx, geo)
+	s1 := NewComputer(bgp.CollectPaths(g, single, origins, 0, nil)).Country("SY", origins, nPfx, geo)
+	s2 := NewComputer(bgp.CollectPaths(g, double, origins, 0, nil)).Country("SY", origins, nPfx, geo)
 	if len(s1) == 0 || len(s1) != len(s2) {
 		t.Fatalf("score set changed: %d vs %d", len(s1), len(s2))
 	}
@@ -163,7 +163,7 @@ func TestTopK(t *testing.T) {
 func TestEmptyCountry(t *testing.T) {
 	w := world.Generate(world.Config{Seed: 7, Scale: 0.05})
 	g := topology.Build(w, topology.FinalYear)
-	mp := bgp.CollectPaths(g, bgp.SelectMonitors(w, g, 5), nil, 0)
+	mp := bgp.CollectPaths(g, bgp.SelectMonitors(w, g, 5), nil, 0, nil)
 	comp := NewComputer(mp)
 	if s := comp.Country("XX", nil, func(world.ASN) int { return 0 }, fakeGeo{nil, 0}); s != nil {
 		t.Errorf("expected nil scores for empty country, got %v", s)

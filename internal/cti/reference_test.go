@@ -106,7 +106,7 @@ func TestCountryMatchesReference(t *testing.T) {
 			world.SortASNs(perCountry[cc])
 		}
 		world.SortASNs(all)
-		comp := NewComputer(bgp.CollectPaths(g, bgp.SelectMonitors(w, g, 0), all, 0))
+		comp := NewComputer(bgp.CollectPaths(g, bgp.SelectMonitors(w, g, 0), all, 0, nil))
 		scored, largest := 0, 0.0
 		for _, cc := range w.Countries {
 			got := comp.Country(cc, perCountry[cc], db.NumPrefixes, db)

@@ -117,7 +117,7 @@ func TestDetectEqualsNaiveScan(t *testing.T) {
 	}
 	monitors := bgp.SelectMonitors(testW, testG, 30)
 	victims := plan.Victims()
-	mp := bgp.CollectPathsAdversary(testG, monitors, victims, 2, plan.Adversary())
+	mp := bgp.CollectPaths(testG, monitors, victims, 2, plan.Adversary())
 	rep := Detect(mp, victims, testW)
 	if rep.Monitors != len(monitors) {
 		t.Fatalf("report monitors = %d, want %d", rep.Monitors, len(monitors))
@@ -179,12 +179,12 @@ func TestDetectHonestAndFullROVEmpty(t *testing.T) {
 	plan := NewPlan(testW, testG, Config{Severity: 1})
 	monitors := bgp.SelectMonitors(testW, testG, 30)
 	victims := plan.Victims()
-	honest := Detect(bgp.CollectPaths(testG, monitors, victims, 2), victims, testW)
+	honest := Detect(bgp.CollectPaths(testG, monitors, victims, 2, nil), victims, testW)
 	if len(honest.Detections) != 0 {
 		t.Fatalf("honest paths produced %d detections", len(honest.Detections))
 	}
 	gated := NewPlan(testW, testG, Config{Severity: 1, ROVFraction: 1})
-	mp := bgp.CollectPathsAdversary(testG, monitors, victims, 2, gated.Adversary())
+	mp := bgp.CollectPaths(testG, monitors, victims, 2, gated.Adversary())
 	rep := Detect(mp, victims, testW)
 	if !reflect.DeepEqual(honest, rep) {
 		t.Fatalf("rov=1.0 report differs from honest: %+v vs %+v", rep, honest)

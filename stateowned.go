@@ -356,7 +356,7 @@ func computeCTI(res *Result, cfg Config, plan faults.Plan, h *runner.Health, wor
 	}
 	world.SortASNs(origins)
 
-	paths := bgp.CollectPathsAdversary(res.Topology, monitors, origins, workers, adv)
+	paths := bgp.CollectPaths(res.Topology, monitors, origins, workers, adv)
 	comp := cti.NewComputer(paths)
 	// Per-country CTI computations are independent reads over the frozen
 	// path collection and geo snapshot: fan them out, each iteration
@@ -411,7 +411,7 @@ func computeHijacks(res *Result, cfg Config, workers int) *hijack.Report {
 	if len(victims) == 0 {
 		return rep
 	}
-	paths := bgp.CollectPathsAdversary(res.Topology, monitors, victims, workers, plan.Adversary())
+	paths := bgp.CollectPaths(res.Topology, monitors, victims, workers, plan.Adversary())
 	return hijack.Detect(paths, victims, res.World)
 }
 
