@@ -67,7 +67,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -238,7 +237,7 @@ func runShard(ctx context.Context, cfg config, archive *durable.Archive, ln net.
 // bootstrap a coherent generation pin from the whole fleet, then serve —
 // and, with -flip-every, drive the coordinated reload loop.
 func runRouter(ctx context.Context, cfg config, ln net.Listener) error {
-	httpc := &http.Client{}
+	httpc := fleet.LegClient(admissionFor(cfg))
 	clients := make([]fleet.ShardClient, len(cfg.shardAddrs))
 	for i, base := range cfg.shardAddrs {
 		clients[i] = fleet.ShardClient{Index: i, Base: base, HTTP: httpc}

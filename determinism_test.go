@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"stateowned/internal/analysis"
+	"stateowned/internal/candidates"
+	"stateowned/internal/confirm"
 	"stateowned/internal/runner"
 )
 
@@ -128,6 +130,46 @@ func TestDeterminismWorkerCountSweep(t *testing.T) {
 		cfg.Workers = workers
 		if !bytes.Equal(want, exportBytes(t, Run(cfg))) {
 			t.Errorf("Workers=%d changed the exported dataset", workers)
+		}
+	}
+}
+
+// TestDeterminismStagesAcrossWorkers holds stages 1 and 2 to their own
+// pools: over one serial run's inputs on a scale-0.5 world,
+// candidates.Run and confirm.Run deep-equal their Workers=1 answers at
+// 2, 3 and 8 workers, for seeds {7, 21, 42}. -short (the tier-1 -race
+// leg, which checks the per-worker analyst caches) runs seed 42.
+func TestDeterminismStagesAcrossWorkers(t *testing.T) {
+	seeds := []uint64{7, 21, 42}
+	if testing.Short() {
+		seeds = seeds[2:]
+	}
+	for _, seed := range seeds {
+		res := Run(Config{Seed: seed, Scale: 0.5, Workers: 1})
+		var cands0 *candidates.Result
+		var conf0 *confirm.Result
+		for _, workers := range []int{1, 2, 3, 8} {
+			cands := runStage1(res, res.Config, workers)
+			conf := confirm.Run(confirm.Inputs{
+				WHOIS: res.WHOIS, PeeringDB: res.PeeringDB, Docs: res.Docs, Workers: workers,
+			}, cands.Companies)
+			if workers == 1 {
+				cands0, conf0 = cands, conf
+				if !reflect.DeepEqual(cands, res.Candidates) || !reflect.DeepEqual(conf, res.Confirmation) {
+					t.Fatalf("seed %d: a serial rerun of the stages differs from the run's own", seed)
+				}
+				if len(conf.Confirmed) == 0 || len(conf.Excluded) == 0 {
+					t.Fatalf("seed %d: fixture confirmed %d and excluded %d companies; want both",
+						seed, len(conf.Confirmed), len(conf.Excluded))
+				}
+				continue
+			}
+			if !reflect.DeepEqual(cands, cands0) {
+				t.Errorf("seed %d: stage-1 candidates at %d workers differ from the serial run's", seed, workers)
+			}
+			if !reflect.DeepEqual(conf, conf0) {
+				t.Errorf("seed %d: stage-2 confirmation at %d workers differs from the serial run's", seed, workers)
+			}
 		}
 	}
 }

@@ -4,16 +4,18 @@ package stateowned
 // node, the artifact capture/restore adapters that let the scheduler
 // skip clean nodes, and the topology node's output fingerprint.
 //
-// Every run fingerprints its world before the graph runs and hands its
-// artifact cache to the next rebuild; a nil Config.Memo rebuilds every
-// node, which is the full build. The projection a node's fingerprint
-// hashes must cover every byte the node reads that its dependencies do
-// not carry, and an output fingerprint everything its dependents read —
-// the differential harness in internal/snapshot holds each node to that
-// contract by proving memoized chains byte-identical to memo-less
-// rebuilds.
+// Every node fingerprints its inputs at its own start, in its scheduler
+// slot, and every run hands its artifact cache to the next rebuild; a
+// nil Config.Memo rebuilds every node, which is the full build. The
+// projection a node's fingerprint hashes must cover every byte the node
+// reads that its dependencies do not carry, and an output fingerprint
+// everything its dependents read — the differential harness in
+// internal/snapshot holds each node to that contract by proving
+// memoized chains byte-identical to memo-less rebuilds.
 
 import (
+	"sync"
+
 	"stateowned/internal/as2org"
 	"stateowned/internal/bgp"
 	"stateowned/internal/candidates"
@@ -32,14 +34,21 @@ import (
 	"stateowned/internal/world"
 )
 
-// fingerprintInputs computes every node's input fingerprint from the
-// run's world and config. The config projection covers everything that
-// parameterizes a build EXCEPT Workers: output is provably worker-count
-// independent, so a memo recorded under one pool size must stay valid
-// under any other.
-func fingerprintInputs(cfg Config, w *world.World) map[string]sched.Fingerprint {
-	structFP := w.FingerprintStructure()
-	ownFP := w.FingerprintOwnership()
+// fingerprintInputs returns, per node, the function that computes the
+// node's input fingerprint from the run's world and config
+// (sched.MemoSpec.FP): the scheduler calls it in the node's slot, so
+// independent nodes hash their inputs on different cores. The
+// functions share the config hash and two world projections, each
+// computed once on first use (the ownership projection runs the first
+// control fixpoint) and safe for the pool goroutines that race for it.
+// A node that hashes both asks for ownership first, so with two
+// workers topology resolves ownership while geo hashes the structure.
+// The config projection covers everything that parameterizes a build
+// EXCEPT Workers: output is provably worker-count independent, so a
+// memo recorded under one pool size must stay valid under any other.
+func fingerprintInputs(cfg Config, w *world.World) map[string]func() sched.Fingerprint {
+	structFP := sync.OnceValue(w.FingerprintStructure)
+	ownFP := sync.OnceValue(w.FingerprintOwnership)
 
 	ch := sched.NewHasher("config")
 	ch.U64(cfg.Seed)
@@ -71,15 +80,22 @@ func fingerprintInputs(cfg Config, w *world.World) map[string]sched.Fingerprint 
 	ch.F64(cfg.ROVFraction)
 	cfgFP := ch.Sum()
 
-	mk := func(domain string, parts ...sched.Fingerprint) sched.Fingerprint {
-		h := sched.NewHasher(domain)
-		h.FP(cfgFP)
-		for _, p := range parts {
-			h.FP(p)
+	mk := func(domain string, parts ...func() sched.Fingerprint) func() sched.Fingerprint {
+		return func() sched.Fingerprint {
+			// Last part first: ownership before structure.
+			fps := make([]sched.Fingerprint, len(parts))
+			for i := len(parts) - 1; i >= 0; i-- {
+				fps[i] = parts[i]()
+			}
+			h := sched.NewHasher(domain)
+			h.FP(cfgFP)
+			for _, p := range fps {
+				h.FP(p)
+			}
+			return h.Sum()
 		}
-		return h.Sum()
 	}
-	return map[string]sched.Fingerprint{
+	return map[string]func() sched.Fingerprint{
 		// Topology reads structure and, of ownership, whether each
 		// gateway operator is state-controlled and (a non-incumbent) a
 		// foreign state's subsidiary: a subset of what the full

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"stateowned/internal/churn"
+	"stateowned/internal/sched"
 	"stateowned/internal/world"
 )
 
@@ -247,6 +248,105 @@ func TestRunGeneratedWorldMatchesSuppliedWorld(t *testing.T) {
 			b, _ := supplied.Memo.Lookup(n)
 			if a.FP != b.FP {
 				t.Errorf("%s: node %q memoized under %s vs %s", label, n, a.FP, b.FP)
+			}
+		}
+	}
+}
+
+// eagerFingerprintInputs is fingerprintInputs as it stood when one core
+// hashed the whole world before the graph started, kept verbatim as the
+// oracle for the per-node functions the nodes now call in their slots.
+func eagerFingerprintInputs(cfg Config, w *world.World) map[string]sched.Fingerprint {
+	structFP := w.FingerprintStructure()
+	ownFP := w.FingerprintOwnership()
+
+	ch := sched.NewHasher("config")
+	ch.U64(cfg.Seed)
+	ch.F64(cfg.Scale)
+	ch.I64(int64(len(cfg.Countries)))
+	for _, cc := range cfg.Countries {
+		ch.Str(cc)
+	}
+	ch.I64(int64(cfg.Monitors))
+	ch.F64(cfg.Threshold)
+	ch.Bool(cfg.DisableGeo)
+	ch.Bool(cfg.DisableEyeballs)
+	ch.Bool(cfg.DisableCTI)
+	ch.Bool(cfg.DisableOrbis)
+	ch.Bool(cfg.DisableWikiFH)
+	ch.Bool(cfg.DisableSiblings)
+	ch.F64(cfg.ChaosSeverity)
+	chaos := cfg.ChaosSeed
+	if chaos == 0 {
+		chaos = cfg.Seed
+	}
+	ch.U64(chaos)
+	ch.F64(cfg.HijackSeverity)
+	hjSeed := cfg.HijackSeed
+	if hjSeed == 0 {
+		hjSeed = cfg.Seed
+	}
+	ch.U64(hjSeed)
+	ch.F64(cfg.ROVFraction)
+	cfgFP := ch.Sum()
+
+	mk := func(domain string, parts ...sched.Fingerprint) sched.Fingerprint {
+		h := sched.NewHasher(domain)
+		h.FP(cfgFP)
+		for _, p := range parts {
+			h.FP(p)
+		}
+		return h.Sum()
+	}
+	return map[string]sched.Fingerprint{
+		"topology":  mk("node/topology", structFP, ownFP),
+		"geo":       mk("node/geo", structFP),
+		"eyeballs":  mk("node/eyeballs", structFP),
+		"whois":     mk("node/whois", structFP),
+		"peeringdb": mk("node/peeringdb", structFP),
+		"as2org":    mk("node/as2org", structFP),
+		"orbis":     mk("node/orbis", structFP, ownFP),
+		"docs":      mk("node/docs", structFP, ownFP),
+		"cti":       mk("node/cti", structFP),
+		"hijack":    mk("node/hijack", structFP, ownFP),
+		"stage1":    mk("node/stage1", structFP),
+		"stage2":    mk("node/stage2"),
+		"stage3":    mk("node/stage3"),
+	}
+}
+
+// TestLazyFingerprintsMatchEager holds the per-node fingerprint
+// functions to the eager oracle for seeds {7, 21, 42}, at generation 0
+// and after 5 default-churn steps: called directly, every node's
+// function returns the oracle's value, also when all of them race for
+// the shared world projections; and a Run, at one worker and at four,
+// memoizes every node under it.
+func TestLazyFingerprintsMatchEager(t *testing.T) {
+	for _, seed := range []uint64{7, 21, 42} {
+		for _, steps := range []int{0, 5} {
+			label := fmt.Sprintf("seed %d after %d churn steps", seed, steps)
+			cfg := Config{Seed: seed, Scale: incScale, World: incWorld(t, seed, steps), HijackSeverity: 0.5}
+			want := eagerFingerprintInputs(cfg, cfg.World)
+			lazy := fingerprintInputs(cfg, cfg.World)
+			if len(lazy) != len(allNodes) || len(want) != len(allNodes) {
+				t.Fatalf("%s: %d lazy and %d eager fingerprints for %d nodes", label, len(lazy), len(want), len(allNodes))
+			}
+			got := make([]sched.Fingerprint, len(allNodes))
+			sched.ParallelFor(len(allNodes), len(allNodes), func(_, i int) { got[i] = lazy[allNodes[i]]() })
+			for i, n := range allNodes {
+				if got[i] != want[n] {
+					t.Errorf("%s: node %q fingerprint %s, oracle %s", label, n, got[i], want[n])
+				}
+			}
+			for _, workers := range []int{1, 4} {
+				cfg.Workers = workers
+				res := Run(cfg)
+				for _, n := range allNodes {
+					if a, ok := res.Memo.Lookup(n); !ok || a.FP != want[n] {
+						t.Errorf("%s, %d workers: node %q memoized under %s (present %v), oracle %s",
+							label, workers, n, a.FP, ok, want[n])
+					}
+				}
 			}
 		}
 	}

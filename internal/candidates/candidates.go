@@ -20,6 +20,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"stateowned/internal/as2org"
 	"stateowned/internal/ccodes"
@@ -29,6 +30,7 @@ import (
 	"stateowned/internal/nameutil"
 	"stateowned/internal/orbis"
 	"stateowned/internal/peeringdb"
+	"stateowned/internal/sched"
 	"stateowned/internal/whois"
 	"stateowned/internal/world"
 )
@@ -109,8 +111,8 @@ const (
 // Identity is a company name prepared for the same-company predicate
 // inside one country: the full name, prepared, and — when stripping the
 // country's name words leaves any — the stripped name, prepared. The
-// stripped string is tokenized again rather than reusing the kept
-// tokens, because stripping can expose a new trailing legal suffix
+// kept tokens are finished again (nameutil.Retokenize) rather than used
+// as they are, because stripping can expose a new trailing legal suffix
 // ("Mobile Co Nigeria" strips to "mobile co", which normalizes to
 // "mobile") or bring single letters together ("a Nigeria b" strips to
 // "a b", which normalizes to "ab").
@@ -120,14 +122,44 @@ type Identity struct {
 	strips   bool // stripping left at least one token
 }
 
-// NewIdentity prepares a company name operating in country cc.
+// NewIdentity prepares a company name operating in country cc. It
+// tokenizes the name once; the country's name words come from
+// countryWords. A country code outside the table strips nothing, so
+// the stripped form is the full name.
 func NewIdentity(name, cc string) Identity {
-	id := Identity{Name: nameutil.Prepare(name)}
-	if s := stripCountryTokens(name, cc); s != "" {
-		id.stripped, id.strips = nameutil.Prepare(s), true
+	toks := nameutil.Tokens(name)
+	drop, known := countryWords()[cc]
+	if !known {
+		id := Identity{Name: nameutil.PrepareTokens(toks)}
+		if name != "" {
+			id.stripped, id.strips = id.Name, true
+		}
+		return id
+	}
+	var kept []string
+	for _, t := range toks {
+		if !slices.Contains(drop, t) {
+			kept = append(kept, t)
+		}
+	}
+	id := Identity{Name: nameutil.PrepareTokens(toks)}
+	if len(kept) > 0 {
+		id.stripped, id.strips = nameutil.PrepareTokens(nameutil.Retokenize(kept)), true
 	}
 	return id
 }
+
+// countryWords maps every country code to its name's tokens ("Nigeria
+// Mobile" strips to "Mobile" for NG). It is built once, on first use,
+// and read-only after: stage 1 and stage 2 call NewIdentity from pool
+// goroutines, so the memo is a sync.OnceValue, not a lazily filled map.
+var countryWords = sync.OnceValue(func() map[string][]string {
+	out := make(map[string][]string, ccodes.Count())
+	for _, c := range ccodes.All() {
+		out[c.Code] = nameutil.Tokens(c.Name)
+	}
+	return out
+})
 
 // Same reports whether two names prepared for the same country plausibly
 // denote the same company. Both stage-1 candidate merging and stage-2
@@ -143,26 +175,6 @@ func (a Identity) Same(b Identity) bool {
 	}
 	return x.Similarity(y) >= identitySimBar &&
 		x.TokenSetSimilarity(y) >= identityTokenBar
-}
-
-// stripCountryTokens removes the country's name words from a company name
-// ("Nigeria Mobile" -> "Mobile" for cc=NG).
-func stripCountryTokens(name, cc string) string {
-	c, ok := ccodes.ByCode(cc)
-	if !ok {
-		return name
-	}
-	drop := map[string]bool{}
-	for _, t := range nameutil.Tokens(c.Name) {
-		drop[t] = true
-	}
-	var kept []string
-	for _, t := range nameutil.Tokens(name) {
-		if !drop[t] {
-			kept = append(kept, t)
-		}
-	}
-	return strings.Join(kept, " ")
 }
 
 // Company is one candidate company to be verified in stage 2.
@@ -199,6 +211,11 @@ type Inputs struct {
 	DisableWikiFH bool
 	// Threshold overrides MarketShareThreshold when > 0 (ablation sweep).
 	Threshold float64
+	// Workers bounds the pool that maps organizations to companies and
+	// merges each country's candidates (sched.Workers: 0 selects
+	// GOMAXPROCS, 1 runs serially). The result is the same for every
+	// value.
+	Workers int
 }
 
 func (in Inputs) threshold() float64 {
@@ -230,7 +247,10 @@ type Result struct {
 	Stats         Stats
 }
 
-// Run executes stage 1.
+// Run executes stage 1. Mapping an organization to a company and
+// merging one country's candidates each read only the frozen inputs and
+// write only their own slot, so both run on the in.Workers pool and are
+// assembled in sorted organization and country order.
 func Run(in Inputs) *Result {
 	res := &Result{PerSourceASes: map[Source][]world.ASN{}}
 
@@ -307,22 +327,26 @@ func Run(in Inputs) *Result {
 	}
 	sort.Strings(orgIDs)
 
-	var companies []Company
-	for _, orgID := range orgIDs {
-		g := orgGroups[orgID]
+	mapped := make([]Company, len(orgIDs))
+	sched.ParallelFor(in.Workers, len(orgIDs), func(_, i int) {
+		g := orgGroups[orgIDs[i]]
 		slices.Sort(g.asns)
 		name, nameSrc, country := mapASToCompany(in, g.asns[0])
-		if name == "" {
+		mapped[i] = Company{
+			Name: name, NameSource: nameSrc, Country: country,
+			Sources: g.ss, ASNs: g.asns, OrgIDs: []string{orgIDs[i]},
+		}
+	})
+	var companies []Company
+	for _, c := range mapped {
+		if c.Name == "" {
 			// No registry, PeeringDB or web-search name at all: stage 2
 			// has nothing to confirm against, and an unnamed candidate
 			// would match documents promiscuously. The AS stays counted in
 			// the technical stats but produces no company candidate.
 			continue
 		}
-		companies = append(companies, Company{
-			Name: name, NameSource: nameSrc, Country: country,
-			Sources: g.ss, ASNs: g.asns, OrgIDs: []string{orgID},
-		})
+		companies = append(companies, c)
 	}
 
 	// Non-technical candidates.
@@ -350,7 +374,7 @@ func Run(in Inputs) *Result {
 		res.Stats.WikiFHCompanies = wikiFH
 	}
 
-	res.Companies = mergeCandidates(companies)
+	res.Companies = mergeCandidates(companies, in.Workers)
 	res.Stats.CandidateCompanys = len(res.Companies)
 	return res
 }
@@ -445,8 +469,8 @@ func mapASToCompany(in Inputs, a world.ASN) (name, source, country string) {
 
 // mergeCandidates deduplicates candidates that refer to the same company
 // (same country, name similarity above threshold), unioning their source
-// tags and ASNs.
-func mergeCandidates(cands []Company) []Company {
+// tags and ASNs. Countries merge independently on the workers pool.
+func mergeCandidates(cands []Company, workers int) []Company {
 	byCountry := map[string][]Company{}
 	for _, c := range cands {
 		byCountry[c.Country] = append(byCountry[c.Country], c)
@@ -457,8 +481,9 @@ func mergeCandidates(cands []Company) []Company {
 	}
 	sort.Strings(countries)
 
-	var out []Company
-	for _, cc := range countries {
+	perCountry := make([][]Company, len(countries))
+	sched.ParallelFor(workers, len(countries), func(_, ci int) {
+		cc := countries[ci]
 		group := byCountry[cc]
 		// Prefer AS-backed candidates as merge anchors.
 		sort.SliceStable(group, func(i, j int) bool {
@@ -486,6 +511,10 @@ func mergeCandidates(cands []Company) []Company {
 				anchors = append(anchors, id)
 			}
 		}
+		perCountry[ci] = merged
+	})
+	var out []Company
+	for _, merged := range perCountry {
 		out = append(out, merged...)
 	}
 	return out

@@ -1,6 +1,7 @@
 package candidates
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -33,6 +34,39 @@ func referenceSameCompany(a, b, cc string) bool {
 	}
 	return similarity(a, b) >= identitySimBar &&
 		tokenSetSimilarity(a, b) >= identityTokenBar
+}
+
+// stripCountryTokens is the country-word stripping as it stood before
+// NewIdentity tokenized each name once, kept verbatim: it removes the
+// country's name words from a company name ("Nigeria Mobile" ->
+// "Mobile" for cc=NG).
+func stripCountryTokens(name, cc string) string {
+	c, ok := ccodes.ByCode(cc)
+	if !ok {
+		return name
+	}
+	drop := map[string]bool{}
+	for _, t := range nameutil.Tokens(c.Name) {
+		drop[t] = true
+	}
+	var kept []string
+	for _, t := range nameutil.Tokens(name) {
+		if !drop[t] {
+			kept = append(kept, t)
+		}
+	}
+	return strings.Join(kept, " ")
+}
+
+// referenceNewIdentity is NewIdentity as it stood before it tokenized
+// each name once, kept verbatim: the name tokenized for the full form,
+// again for stripping, and the stripped string a third time.
+func referenceNewIdentity(name, cc string) Identity {
+	id := Identity{Name: nameutil.Prepare(name)}
+	if s := stripCountryTokens(name, cc); s != "" {
+		id.stripped, id.strips = nameutil.Prepare(s), true
+	}
+	return id
 }
 
 func similarity(a, b string) float64 {
@@ -139,6 +173,29 @@ func TestIdentityMatchesReference(t *testing.T) {
 		}
 		if pairs < 10000 {
 			t.Fatalf("seed %d: only %d same-country pairs compared", seed, pairs)
+		}
+	}
+}
+
+// TestNewIdentityMatchesReference holds NewIdentity, which tokenizes a
+// name once and reads the country's words from a memo, to the version
+// that tokenized it three times: the prepared identities are deep-equal
+// for the edge names, in Nigeria and under a code outside the table
+// (which strips nothing), and for every name of three worlds.
+func TestNewIdentityMatchesReference(t *testing.T) {
+	check := func(cc string, names []string) {
+		t.Helper()
+		for _, n := range names {
+			if got, want := NewIdentity(n, cc), referenceNewIdentity(n, cc); !reflect.DeepEqual(got, want) {
+				t.Fatalf("NewIdentity(%q, %s) = %+v, reference %+v", n, cc, got, want)
+			}
+		}
+	}
+	check("NG", identityEdgeNames)
+	check("ZZ", identityEdgeNames)
+	for _, seed := range []uint64{7, 21, 42} {
+		for cc, names := range worldCompanyNames(seed) {
+			check(cc, names)
 		}
 	}
 }

@@ -96,7 +96,9 @@ type Country struct {
 }
 
 // table is the embedded country dataset. Codes follow ISO 3166-1; the RIR
-// column follows the NRO's country-to-RIR delegation.
+// column follows the NRO's country-to-RIR delegation. The source groups
+// it by registry; init sorts it by code, once, and every accessor reads
+// it in that order.
 var table = []Country{
 	// --- AFRINIC ---
 	{"AO", "Angola", Africa, "Middle Africa", AFRINIC, 32866},
@@ -309,6 +311,7 @@ var table = []Country{
 var byCode map[string]*Country
 
 func init() {
+	sort.Slice(table, func(i, j int) bool { return table[i].Code < table[j].Code })
 	byCode = make(map[string]*Country, len(table))
 	for i := range table {
 		c := &table[i]
@@ -340,16 +343,13 @@ func MustByCode(code string) Country {
 
 // All returns every country, sorted by code. The returned slice is a copy.
 func All() []Country {
-	out := make([]Country, len(table))
-	copy(out, table)
-	sort.Slice(out, func(i, j int) bool { return out[i].Code < out[j].Code })
-	return out
+	return append([]Country(nil), table...)
 }
 
 // InRIR returns the countries served by the given registry, sorted by code.
 func InRIR(r RIR) []Country {
 	var out []Country
-	for _, c := range All() {
+	for _, c := range table {
 		if c.RIR == r {
 			out = append(out, c)
 		}
@@ -360,7 +360,7 @@ func InRIR(r RIR) []Country {
 // InRegion returns the countries in the given macro-region, sorted by code.
 func InRegion(g Region) []Country {
 	var out []Country
-	for _, c := range All() {
+	for _, c := range table {
 		if c.Region == g {
 			out = append(out, c)
 		}

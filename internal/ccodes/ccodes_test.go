@@ -1,6 +1,9 @@
 package ccodes
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestTableIntegrity(t *testing.T) {
 	if Count() < 180 {
@@ -86,6 +89,59 @@ func TestRegionGrouping(t *testing.T) {
 	}
 	if total != Count() {
 		t.Errorf("region partition covers %d of %d countries", total, Count())
+	}
+}
+
+// TestAllIsSortedCopy: All returns every country sorted by code, as a
+// copy: a caller that mutates or re-sorts it changes neither the next
+// call's answer nor ByCode's.
+func TestAllIsSortedCopy(t *testing.T) {
+	all := All()
+	if len(all) != Count() {
+		t.Fatalf("All returned %d of %d countries", len(all), Count())
+	}
+	for i := 1; i < len(all); i++ {
+		if all[i-1].Code >= all[i].Code {
+			t.Fatalf("All not strictly sorted by code at %d: %s then %s", i, all[i-1].Code, all[i].Code)
+		}
+	}
+	want := append([]Country(nil), all...)
+	first := all[0]
+	all[0].Name = "Mutated"
+	all[0], all[len(all)-1] = all[len(all)-1], all[0]
+	if again := All(); !reflect.DeepEqual(again, want) {
+		t.Fatal("mutating All's result changed the next call's answer")
+	}
+	if c, _ := ByCode(first.Code); c != first {
+		t.Fatalf("mutating All's result changed ByCode(%s): %+v", first.Code, c)
+	}
+}
+
+// TestGroupingsFilterAll: InRIR and InRegion are filters over All, in
+// All's order, down to a nil answer for a grouping with no country.
+func TestGroupingsFilterAll(t *testing.T) {
+	all := All()
+	for _, r := range append(AllRIRs(), RIRUnknown) {
+		var want []Country
+		for _, c := range all {
+			if c.RIR == r {
+				want = append(want, c)
+			}
+		}
+		if got := InRIR(r); !reflect.DeepEqual(got, want) {
+			t.Errorf("InRIR(%v) = %d countries, want the %d of All's filter", r, len(got), len(want))
+		}
+	}
+	for g := RegionUnknown; g <= Oceania; g++ {
+		var want []Country
+		for _, c := range all {
+			if c.Region == g {
+				want = append(want, c)
+			}
+		}
+		if got := InRegion(g); !reflect.DeepEqual(got, want) {
+			t.Errorf("InRegion(%v) = %d countries, want the %d of All's filter", g, len(got), len(want))
+		}
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"stateowned/internal/docsrc"
 	"stateowned/internal/nameutil"
 	"stateowned/internal/peeringdb"
+	"stateowned/internal/sched"
 	"stateowned/internal/whois"
 	"stateowned/internal/world"
 )
@@ -90,6 +91,10 @@ type Inputs struct {
 	WHOIS     *whois.Registry
 	PeeringDB *peeringdb.DB
 	Docs      *docsrc.Corpus
+	// Workers bounds the pool that verifies the first-pass candidates
+	// (sched.Workers: 0 selects GOMAXPROCS, 1 runs serially). The result
+	// is the same for every value.
+	Workers int
 }
 
 // scopeKeywords maps name fragments to §5.3 exclusion categories.
@@ -128,7 +133,17 @@ func scopeCheck(name string) (string, bool) {
 	return "", false
 }
 
-// Run executes stage 2 on the stage-1 candidates.
+// Run executes stage 2 on the stage-1 candidates. Before its queue
+// loop it verifies, on the in.Workers pool, every candidate whose
+// country/name key appears for the first time: exactly the
+// verifications the loop makes without parent context before any
+// subsidiary joins the queue. The loop then reads those results and
+// still makes the re-verifications and the subsidiaries' verifications
+// itself, in queue order. verify is a pure function of its arguments
+// and the frozen inputs, and an analyst's caches only memoize it, so
+// each worker keeps its own caches (pool[0] is the loop's analyst, so
+// a serial run prepares no identity twice) and the order of work
+// cannot change the result.
 func Run(in Inputs, cands []candidates.Company) *Result {
 	a := &analyst{in: in}
 	a.buildNameIndex()
@@ -136,13 +151,31 @@ func Run(in Inputs, cands []candidates.Company) *Result {
 
 	type queued struct {
 		company candidates.Company
+		key     string // country/normalized name
 		parent  string
 		owner   string
 	}
 	queue := make([]queued, 0, len(cands))
-	for _, c := range cands {
-		queue = append(queue, queued{company: c})
+	var firsts []int // queue indices of each key's first candidate
+	seenKey := make(map[string]bool, len(cands))
+	for i, c := range cands {
+		key := c.Country + "/" + nameutil.Normalize(c.Name)
+		queue = append(queue, queued{company: c, key: key})
+		if !seenKey[key] {
+			seenKey[key] = true
+			firsts = append(firsts, i)
+		}
 	}
+	pool := make([]*analyst, sched.Workers(in.Workers))
+	pool[0] = a
+	for w := 1; w < len(pool); w++ {
+		pool[w] = a.fork()
+	}
+	verified := make([]verification, len(cands))
+	sched.ParallelFor(in.Workers, len(firsts), func(w, j int) {
+		i := firsts[j]
+		verified[i] = pool[w].verify(cands[i], "", "")
+	})
 
 	// A candidate verified without parent context can be excluded as
 	// "unconfirmed" and later reappear as a parent's listed subsidiary;
@@ -164,6 +197,7 @@ func Run(in Inputs, cands []candidates.Company) *Result {
 					NameSource: "subsidiary-listing",
 					Sources:    conf.Company.Sources,
 				},
+				key:    ref.Country + "/" + nameutil.Normalize(ref.Name),
 				parent: conf.Company.Name,
 				owner:  conf.Owner,
 			})
@@ -172,8 +206,7 @@ func Run(in Inputs, cands []candidates.Company) *Result {
 
 	for qi := 0; qi < len(queue); qi++ {
 		q := queue[qi]
-		c := q.company
-		key := c.Country + "/" + nameutil.Normalize(c.Name)
+		c, key := q.company, q.key
 		if prev, seen := outcomes[key]; seen {
 			retriable := prev.verdict == Unconfirmed || prev.verdict == NoASNFound
 			if q.parent == "" || !retriable {
@@ -196,7 +229,12 @@ func Run(in Inputs, cands []candidates.Company) *Result {
 			continue
 		}
 
-		out := a.verify(c, q.parent, q.owner)
+		var out verification
+		if qi < len(cands) {
+			out = verified[qi] // the key's first candidate, verified above
+		} else {
+			out = a.verify(c, q.parent, q.owner)
+		}
 		o := &outcome{verdict: out.verdict, exclIdx: -1, company: c}
 		outcomes[key] = o
 		switch out.verdict {
@@ -285,6 +323,17 @@ func (a *analyst) buildNameIndex() {
 		if e, ok := a.in.PeeringDB.Lookup(asns[0]); ok {
 			a.orgs[rec.Country] = append(a.orgs[rec.Country], registryName{e.Name, asns})
 		}
+	}
+}
+
+// fork returns an analyst over the same inputs and registry-name index
+// with caches of its own, for one pool worker.
+func (a *analyst) fork() *analyst {
+	return &analyst{
+		in:        a.in,
+		orgs:      a.orgs,
+		orgIdents: make(map[string][]candidates.Identity),
+		idents:    make(map[identKey]candidates.Identity),
 	}
 }
 

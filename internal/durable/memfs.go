@@ -198,13 +198,6 @@ func (f *memFile) Close() error { return nil }
 
 func inDir(name, dir string) bool { return strings.HasPrefix(name, dir+"/") }
 
-func baseName(name string) string {
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		return name[i+1:]
-	}
-	return name
-}
-
 // ErrCrashed is what FaultFS returns from every operation at and after
 // its crash point: the process is dead, nothing more happens.
 var ErrCrashed = errors.New("durable: simulated crash")

@@ -95,7 +95,6 @@ type Options struct {
 func Run(res *confirm.Result, m *as2org.Mapping, opts Options) *Dataset {
 	ds := &Dataset{}
 	claimed := map[world.ASN]bool{}
-	rec := newRecoverer(opts.WHOIS)
 
 	for i := range res.Confirmed {
 		c := &res.Confirmed[i]
@@ -104,7 +103,7 @@ func Run(res *confirm.Result, m *as2org.Mapping, opts Options) *Dataset {
 			for _, a := range c.Company.ASNs {
 				asns = append(asns, m.Siblings(a)...)
 			}
-			asns = append(asns, rec.recover(c, asns)...)
+			asns = append(asns, recoverSiblings(opts.WHOIS, c, asns)...)
 		}
 		asns = dedupeASNs(asns)
 		var free []world.ASN

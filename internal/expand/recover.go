@@ -1,7 +1,6 @@
 package expand
 
 import (
-	"sort"
 	"strings"
 
 	"stateowned/internal/ccodes"
@@ -11,44 +10,12 @@ import (
 	"stateowned/internal/world"
 )
 
-// recoverer implements the analyst-style sibling recovery of §6: while
-// investigating a company, the paper's authors noticed ASNs whose
-// registry AS names carry the company's brand even though their WHOIS
-// organization records differ (typically after acquisitions), and
-// contributed those missing sibling links back to AS2Org. The mechanized
-// equivalent scans the country's WHOIS records for AS names sharing the
-// company's distinctive brand stem.
-type recoverer struct {
-	reg       *whois.Registry
-	byCountry map[string][]whois.Record
-}
-
 // genericStems are brand stems too common to identify a company.
 var genericStems = map[string]bool{
 	"TELECOM": true, "TELE": true, "TEL": true, "NATIONAL": true,
 	"MOBILE": true, "MOBI": true, "FIBER": true, "NET": true,
 	"AIRLINK": true, "CELL": true, "INTERNET": true, "GLOBAL": true,
 	"DIGITAL": true, "BROADBAND": true,
-}
-
-func newRecoverer(reg *whois.Registry) *recoverer {
-	r := &recoverer{reg: reg}
-	if reg == nil {
-		return r
-	}
-	r.byCountry = make(map[string][]whois.Record)
-	for _, orgID := range reg.Orgs() {
-		for _, asn := range reg.ASNsOfOrg(orgID) {
-			if rec, ok := reg.Lookup(asn); ok {
-				r.byCountry[rec.Country] = append(r.byCountry[rec.Country], rec)
-			}
-		}
-	}
-	for cc := range r.byCountry {
-		recs := r.byCountry[cc]
-		sort.Slice(recs, func(i, j int) bool { return recs[i].ASN < recs[j].ASN })
-	}
-	return r
 }
 
 // brandStem extracts the distinctive uppercase stem the registry AS-name
@@ -89,11 +56,16 @@ func validStem(stem, cc string) string {
 	return stem
 }
 
-// recover returns additional sibling ASNs for the confirmed company: in-
-// country WHOIS records whose AS name starts with the company's brand
-// stem but that AS2Org did not cluster with the known ASNs.
-func (r *recoverer) recover(c *confirm.Confirmed, known []world.ASN) []world.ASN {
-	if r.reg == nil || len(known) == 0 {
+// recoverSiblings implements the analyst-style sibling recovery of §6:
+// while investigating a company, the paper's authors noticed ASNs whose
+// registry AS names carry the company's brand even though their WHOIS
+// organization records differ (typically after acquisitions), and
+// contributed those missing sibling links back to AS2Org. It returns
+// the in-country WHOIS records, read through the registry's
+// per-country index, whose AS name starts with the company's brand stem
+// but that AS2Org did not cluster with the known ASNs.
+func recoverSiblings(reg *whois.Registry, c *confirm.Confirmed, known []world.ASN) []world.ASN {
+	if reg == nil || len(known) == 0 {
 		return nil
 	}
 	stem := brandStem(c.Company.Name, c.Company.Country)
@@ -101,7 +73,7 @@ func (r *recoverer) recover(c *confirm.Confirmed, known []world.ASN) []world.ASN
 		// Try the primary AS's registry name instead: the candidate
 		// name may be a stale legal name while the AS names carry the
 		// brand.
-		if rec, ok := r.reg.Lookup(known[0]); ok {
+		if rec, ok := reg.Lookup(known[0]); ok {
 			if i := strings.IndexByte(rec.ASName, '-'); i >= 5 {
 				stem = validStem(rec.ASName[:i], c.Company.Country)
 			}
@@ -115,12 +87,12 @@ func (r *recoverer) recover(c *confirm.Confirmed, known []world.ASN) []world.ASN
 		knownSet[a] = true
 	}
 	var out []world.ASN
-	for _, rec := range r.byCountry[c.Company.Country] {
-		if knownSet[rec.ASN] {
+	for _, asn := range reg.ASNsIn(c.Company.Country) {
+		if knownSet[asn] {
 			continue
 		}
-		if strings.HasPrefix(rec.ASName, stem+"-") {
-			out = append(out, rec.ASN)
+		if rec, _ := reg.Lookup(asn); strings.HasPrefix(rec.ASName, stem+"-") {
+			out = append(out, asn)
 		}
 	}
 	return out

@@ -17,12 +17,32 @@ const maxControlBody = 1 << 20
 
 // ShardClient is the router's and coordinator's handle on one replica:
 // its position in the fleet, its base URL, and the HTTP client to reach
-// it with. Tests swap HTTP's Transport for an in-process
-// round-tripper, so the whole fleet runs without listeners.
+// it with. NewRouter gives a client without one of its own a LegClient.
+// Tests swap HTTP's Transport for an in-process round-tripper, so the
+// whole fleet runs without listeners.
 type ShardClient struct {
 	Index int
 	Base  string
 	HTTP  *http.Client
+}
+
+// LegClient returns an HTTP client for a router's legs and its
+// coordinator's control calls, on a transport of its own that keeps
+// enough idle connections to each replica for every read admission
+// lets in at once plus one hedge each: 2 × adm's MaxInFlight, after
+// Normalize. With admission off (nil adm) it sizes for
+// serve.DefaultMaxInFlight, 512 idle connections per replica. Go's
+// default transport keeps two per host: under concurrent reads, every
+// leg past the second would dial a connection and close it afterwards.
+func LegClient(adm *serve.AdmissionConfig) *http.Client {
+	reads := serve.DefaultMaxInFlight
+	if adm != nil {
+		reads = adm.Normalize().MaxInFlight
+	}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 0 // no cap across replicas; the per-replica one holds
+	tr.MaxIdleConnsPerHost = 2 * reads
+	return &http.Client{Transport: tr}
 }
 
 func (c *ShardClient) httpClient() *http.Client {

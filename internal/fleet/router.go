@@ -152,8 +152,15 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	}
 	rt.spine = serve.NewSpine(nil, opts.Admission, rt.after, nil)
 	rt.metrics.registry = rt.spine.Metrics()
+	var legs *http.Client // one LegClient, shared by the replicas without a client
 	for i, c := range opts.Shards {
 		c.Index = i
+		if c.HTTP == nil {
+			if legs == nil {
+				legs = LegClient(opts.Admission)
+			}
+			c.HTTP = legs
+		}
 		rt.shards = append(rt.shards, &shardState{client: c})
 	}
 	rt.spine.Handle("GET /v1/asn/{asn}", true, rt.handleASN)

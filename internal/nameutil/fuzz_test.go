@@ -1,6 +1,7 @@
 package nameutil
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"unicode"
@@ -115,5 +116,47 @@ func FuzzPreparedMatchesReference(f *testing.F) {
 	f.Add("a Nigeria b", "ab")
 	f.Fuzz(func(t *testing.T, a, b string) {
 		checkPrepared(t, a, b)
+	})
+}
+
+// FuzzRetokenize holds Retokenize to its contract: for any name and any
+// subsequence of its tokens (the mask picks which survive, as stripping
+// a country's words does), finishing the subsequence equals tokenizing
+// it joined by spaces, and for a non-empty subsequence (an empty one
+// finishes to nil, not to Tokens' empty slice) PrepareTokens over that
+// equals Prepare.
+func FuzzRetokenize(f *testing.F) {
+	for _, seed := range []struct {
+		name string
+		mask uint64
+	}{
+		{"Mobile Co Nigeria", 0b011},
+		{"a Nigeria b", 0b101},
+		{"Telecom Nigeria Ltd", 0b101},
+		{"S.A. Nigeria Q.S.C", 0b101},
+		{"Türk Telekomünikasyon A.Ş.", 0b111},
+		{"İstanbul ǅemal Ⅻ", 0b110},
+		{"", 0},
+	} {
+		f.Add(seed.name, seed.mask)
+	}
+	f.Fuzz(func(t *testing.T, name string, mask uint64) {
+		var kept []string
+		for i, tok := range Tokens(name) {
+			if i >= 64 || mask&(1<<i) != 0 {
+				kept = append(kept, tok)
+			}
+		}
+		joined := strings.Join(kept, " ")
+		want := Tokens(joined)
+		if got := Retokenize(append([]string(nil), kept...)); strings.Join(got, "|") != strings.Join(want, "|") {
+			t.Fatalf("Retokenize(%q) = %q, Tokens of the joined string = %q", kept, got, want)
+		}
+		if len(kept) == 0 {
+			return
+		}
+		if got, want := PrepareTokens(Retokenize(kept)), Prepare(joined); !reflect.DeepEqual(got, want) {
+			t.Fatalf("PrepareTokens = %+v, Prepare = %+v", got, want)
+		}
 	})
 }

@@ -103,7 +103,19 @@ func Tokens(name string) []string {
 			b.WriteByte(' ')
 		}
 	}
-	fields := strings.Fields(b.String())
+	return Retokenize(strings.Fields(b.String()))
+}
+
+// Retokenize finishes a list of words the way Tokens finishes a name's:
+// it collapses runs of single-letter words and drops trailing legal
+// suffixes, reusing fields' storage. Given tokens Tokens produced, or a
+// subsequence of them, it returns Tokens(strings.Join(fields, " "))
+// without scanning the joined string again: those tokens are already
+// lower-cased, folded and made of letters and digits only, and lower-
+// casing and folding leave such a token as it is. Removing tokens can
+// bring single letters together or expose a legal suffix at the tail,
+// which is why a shortened list needs this pass.
+func Retokenize(fields []string) []string {
 	// Collapse runs of single-letter tokens produced by dotted
 	// abbreviations: "S.A." -> "sa", "Q.S.C" -> "qsc". Without this the
 	// suffix-stripping below cannot recognize dotted legal forms.
@@ -153,8 +165,12 @@ type Name struct {
 }
 
 // Prepare tokenizes a raw name once into its comparable form.
-func Prepare(name string) Name {
-	toks := Tokens(name)
+func Prepare(name string) Name { return PrepareTokens(Tokens(name)) }
+
+// PrepareTokens is Prepare over a name already split by Tokens (or
+// finished by Retokenize): PrepareTokens(Tokens(name)) == Prepare(name).
+// It sorts toks in place.
+func PrepareTokens(toks []string) Name {
 	n := Name{Norm: strings.Join(toks, " ")}
 	sort.Strings(toks)
 	distinct := toks[:0]

@@ -6,6 +6,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -50,7 +51,7 @@ func newHeadGraph(fps [3]Fingerprint, h head) *memoGraph {
 		i, name := i, name
 		var deps []string
 		spec := MemoSpec{
-			FP:      fps[i],
+			FP:      func() Fingerprint { return fps[i] },
 			Capture: func() any { return name + "-artifact" + h.tag },
 			Restore: func(v any) { m.restored = append(m.restored, name); m.values[i] = v },
 		}
@@ -69,15 +70,15 @@ func newHeadGraph(fps [3]Fingerprint, h head) *memoGraph {
 }
 
 func TestAddMemoPanics(t *testing.T) {
-	ok := MemoSpec{FP: testFP("x"), Capture: func() any { return nil }, Restore: func(any) {}}
+	ok := MemoSpec{FP: func() Fingerprint { return testFP("x") }, Capture: func() any { return nil }, Restore: func(any) {}}
 	cases := []struct {
 		name string
 		want string
 		do   func(g *Graph)
 	}{
-		{"zero fingerprint", "zero fingerprint", func(g *Graph) {
+		{"nil fingerprint", "nil fingerprint", func(g *Graph) {
 			s := ok
-			s.FP = Fingerprint{}
+			s.FP = nil
 			g.AddMemo("n", s, func() error { return nil })
 		}},
 		{"nil capture", "needs Capture and Restore", func(g *Graph) {
@@ -191,11 +192,11 @@ func TestRunMemoDirtinessPropagates(t *testing.T) {
 func TestRunMemoTrustRule(t *testing.T) {
 	boom := errors.New("boom")
 	g := New()
-	g.AddMemo("src", MemoSpec{FP: testFP("src"), Capture: func() any { return 1 }, Restore: func(any) {}},
+	g.AddMemo("src", MemoSpec{FP: func() Fingerprint { return testFP("src") }, Capture: func() any { return 1 }, Restore: func(any) {}},
 		func() error { return boom })
-	g.AddMemo("down", MemoSpec{FP: testFP("down"), Capture: func() any { return 2 }, Restore: func(any) {}},
+	g.AddMemo("down", MemoSpec{FP: func() Fingerprint { return testFP("down") }, Capture: func() any { return 2 }, Restore: func(any) {}},
 		func() error { return nil }, "src")
-	g.AddMemo("apart", MemoSpec{FP: testFP("apart"), Capture: func() any { return 3 }, Restore: func(any) {}},
+	g.AddMemo("apart", MemoSpec{FP: func() Fingerprint { return testFP("apart") }, Capture: func() any { return 3 }, Restore: func(any) {}},
 		func() error { return nil })
 	results, next := g.RunMemo(1, nil)
 	if !errors.Is(results[0].Err, boom) {
@@ -214,7 +215,7 @@ func TestRunMemoPanickingRestoreIsGuarded(t *testing.T) {
 	mk := func(restore func(any)) (*Graph, *atomic.Int64) {
 		var built atomic.Int64
 		g := New()
-		g.AddMemo("n", MemoSpec{FP: testFP("n"), Capture: func() any { return "v" }, Restore: restore},
+		g.AddMemo("n", MemoSpec{FP: func() Fingerprint { return testFP("n") }, Capture: func() any { return "v" }, Restore: restore},
 			func() error { built.Add(1); return nil })
 		return g, &built
 	}
@@ -235,6 +236,59 @@ func TestRunMemoPanickingRestoreIsGuarded(t *testing.T) {
 	}
 	if len(next.Nodes()) != 0 {
 		t.Errorf("panicked restore left %v in the memo", next.Nodes())
+	}
+}
+
+// TestRunMemoFingerprintInSlot: a node computes its fingerprint once,
+// at its own start, after its dependencies completed. A fingerprint
+// that comes back zero, or panics, fails the node like a panicking
+// build: the node counts as changed, so its dependent rebuilds, and
+// neither enters the next memo.
+func TestRunMemoFingerprintInSlot(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fp   func() Fingerprint
+		want string
+	}{
+		{"zero", func() Fingerprint { return Fingerprint{} }, "zero fingerprint"},
+		{"panic", func() Fingerprint { panic("unhashable input") }, "unhashable input"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls, order []string
+			var downBuilt atomic.Int64
+			mk := func(fp func() Fingerprint) *Graph {
+				g := New()
+				g.AddMemo("n", MemoSpec{FP: func() Fingerprint {
+					calls = append(calls, "n")
+					return fp()
+				}, Capture: func() any { return "v" }, Restore: func(any) {}},
+					func() error { order = append(order, "n"); return nil })
+				g.AddMemo("down", MemoSpec{FP: func() Fingerprint {
+					calls = append(calls, "down")
+					order = append(order, "down fp")
+					return testFP("down")
+				}, Capture: func() any { return "w" }, Restore: func(any) {}},
+					func() error { downBuilt.Add(1); return nil }, "n")
+				return g
+			}
+			_, memo := mk(func() Fingerprint { return testFP("n") }).RunMemo(1, nil)
+			if !reflect.DeepEqual(calls, []string{"n", "down"}) ||
+				!reflect.DeepEqual(order, []string{"n", "down fp"}) {
+				t.Fatalf("fingerprint calls %v, order %v: want each node's once, after its dependency", calls, order)
+			}
+			downBuilt.Store(0)
+			results, next := mk(tc.fp).RunMemo(1, memo)
+			var pe *PanicError
+			if !errors.As(results[0].Err, &pe) || !strings.Contains(fmt.Sprint(pe.Value), tc.want) {
+				t.Fatalf("err = %v, want a guarded PanicError naming %q", results[0].Err, tc.want)
+			}
+			if downBuilt.Load() != 1 || results[1].Reused {
+				t.Error("the dependent restored although its dependency's fingerprint failed")
+			}
+			if got := next.Nodes(); len(got) != 0 {
+				t.Errorf("memo nodes = %v, want none", got)
+			}
+		})
 	}
 }
 

@@ -66,15 +66,20 @@ type NodeResult struct {
 }
 
 // MemoSpec declares how a node participates in memoized rebuilds.
-// FP is the node's input fingerprint: a content hash over everything
-// the node's fn reads that its dependencies do not already carry.
-// Capture extracts the node's artifact after a successful build;
+// FP computes the node's input fingerprint: a content hash over
+// everything the node's fn reads that its dependencies do not already
+// carry. Capture extracts the node's artifact after a successful build;
 // Restore re-adopts a previously captured artifact in place of running
 // fn. Restored artifacts are shared across runs, never copied — the
 // node contract is that artifacts are immutable after capture.
 type MemoSpec struct {
-	// FP is the input fingerprint covering everything fn reads.
-	FP Fingerprint
+	// FP computes the input fingerprint covering everything fn reads.
+	// RunMemo calls it once, at the start of the node, inside the
+	// node's slot, timing and panic guard, so independent nodes hash
+	// their inputs concurrently. It must be safe to call concurrently
+	// with the other nodes' FP and fn, and must not return the zero
+	// fingerprint: a node whose FP does fails as if it had panicked.
+	FP func() Fingerprint
 	// Capture extracts the artifact after fn succeeds.
 	Capture func() any
 	// Restore adopts a previously captured artifact instead of running fn.
@@ -109,9 +114,9 @@ func New() *Graph { return &Graph{byName: map[string]int{}} }
 // unchanged from the previous run. Dependencies must already be
 // declared: that makes cycles unrepresentable by construction and
 // declaration order a topological order. AddMemo panics on a duplicate
-// name, a nil fn, an undeclared dependency, a zero fingerprint or a
-// nil Capture/Restore — the graph is static program structure, so
-// these are programming errors, not runtime conditions.
+// name, a nil fn, an undeclared dependency, a nil FP or a nil
+// Capture/Restore — the graph is static program structure, so these
+// are programming errors, not runtime conditions.
 func (g *Graph) AddMemo(name string, spec MemoSpec, fn func() error, deps ...string) {
 	if _, dup := g.byName[name]; dup {
 		panic(fmt.Sprintf("sched: duplicate node %q", name))
@@ -119,8 +124,8 @@ func (g *Graph) AddMemo(name string, spec MemoSpec, fn func() error, deps ...str
 	if fn == nil {
 		panic(fmt.Sprintf("sched: node %q has nil fn", name))
 	}
-	if spec.FP.IsZero() {
-		panic(fmt.Sprintf("sched: memo node %q has zero fingerprint", name))
+	if spec.FP == nil {
+		panic(fmt.Sprintf("sched: memo node %q has nil fingerprint", name))
 	}
 	if spec.Capture == nil || spec.Restore == nil {
 		panic(fmt.Sprintf("sched: memo node %q needs Capture and Restore", name))
@@ -153,10 +158,12 @@ func Workers(n int) int {
 // declaration index starts first, so the assignment of work to time is
 // the only thing concurrency changes.
 //
-// Each node decides at its start. It restores — runs Restore over the
-// memoized artifact instead of fn, and reports Reused — when the memo
-// holds an artifact under its name with an equal input fingerprint and
-// no dependency changed. Otherwise it runs fn and counts as changed,
+// Each node decides at its start, after computing its input
+// fingerprint (FP, once, in the node's own slot: the node's Wall
+// includes it). It restores — runs Restore over the memoized artifact
+// instead of fn, and reports Reused — when the memo holds an artifact
+// under its name with an equal input fingerprint and no dependency
+// changed. Otherwise it runs fn and counts as changed,
 // unless it declares Output, fn succeeded and the output equals the
 // memoized artifact's: then it restores that artifact after all (the
 // output cutoff), so dependents and the results see the previous
@@ -177,6 +184,7 @@ func Workers(n int) int {
 func (g *Graph) RunMemo(workers int, prev *Memo) ([]NodeResult, *Memo) {
 	type outcome struct {
 		changed, reused bool
+		fp              Fingerprint // what FP returned
 		kept            Artifact    // the memoized artifact a restore adopted
 		output          Fingerprint // what Output returned after a build
 	}
@@ -185,18 +193,23 @@ func (g *Graph) RunMemo(workers int, prev *Memo) ([]NodeResult, *Memo) {
 	for i := range g.nodes {
 		n, o := &g.nodes[i], &outs[i]
 		fns[i] = func() error {
+			// Set before FP and fn run, so a panic in either counts as a
+			// change.
+			o.changed = true
+			if o.fp = n.memo.FP(); o.fp.IsZero() {
+				panic(fmt.Sprintf("sched: memo node %q has zero fingerprint", n.name))
+			}
 			art, ok := prev.Lookup(n.name)
 			depChanged := false
 			for _, d := range n.deps {
 				depChanged = depChanged || outs[d].changed
 			}
-			if ok && art.FP == n.memo.FP && !depChanged {
+			if ok && art.FP == o.fp && !depChanged {
+				o.changed = false
 				o.reused, o.kept = true, art
 				n.memo.Restore(art.Value)
 				return nil
 			}
-			// Set before fn runs, so a panicking build counts as changed.
-			o.changed = true
 			if err := n.fn(); err != nil || n.memo.Output == nil {
 				return err
 			}
@@ -228,9 +241,9 @@ func (g *Graph) RunMemo(workers int, prev *Memo) ([]NodeResult, *Memo) {
 		}
 		trusted[i] = true
 		if o.changed {
-			next.nodes[n.name] = Artifact{FP: n.memo.FP, Value: n.memo.Capture(), output: o.output}
+			next.nodes[n.name] = Artifact{FP: o.fp, Value: n.memo.Capture(), output: o.output}
 		} else {
-			next.nodes[n.name] = Artifact{FP: n.memo.FP, Value: o.kept.Value, output: o.kept.output}
+			next.nodes[n.name] = Artifact{FP: o.fp, Value: o.kept.Value, output: o.kept.output}
 		}
 	}
 	return results, next

@@ -14,7 +14,7 @@ import (
 // Capture/Restore: with no previous memo, every node builds.
 func add(g *Graph, name string, fn func() error, deps ...string) {
 	g.AddMemo(name, MemoSpec{
-		FP:      testFP(name),
+		FP:      func() Fingerprint { return testFP(name) },
 		Capture: func() any { return nil },
 		Restore: func(any) {},
 	}, fn, deps...)

@@ -333,8 +333,9 @@ func cacheKey(gen int, route string, r *http.Request, q url.Values) string {
 // appendCanonical appends a request's canonical lookup form, so that
 // equivalent requests share one cache entry: country codes upper-cased,
 // ASNs numerically normalized (leading zeros dropped), search names
-// name-normalized, the effective search limit spelled out. q is r's
-// parsed query.
+// name-normalized. The search limit goes in as the raw ?limit= value,
+// not the effective limit, so limit=10, 11 and 100 take three cache
+// entries even where they answer alike. q is r's parsed query.
 func appendCanonical(b []byte, r *http.Request, q url.Values) []byte {
 	if cc := r.PathValue("cc"); cc != "" {
 		return append(append(b, "cc:"...), CanonicalCC(cc)...)

@@ -2,7 +2,9 @@ package snapshot
 
 import (
 	"fmt"
+	"syscall"
 	"testing"
+	"time"
 
 	"stateowned"
 	"stateowned/internal/churn"
@@ -116,18 +118,34 @@ func BenchmarkAdvanceAtGeneration(b *testing.B) {
 }
 
 // BenchmarkColdStart is what a restarted process without -data-dir
-// pays before it can serve: the full generation-0 pipeline build.
+// pays before it can serve: the full generation-0 pipeline build, on
+// GOMAXPROCS workers. Beside wall time it reports the process's CPU
+// time per build (cpu-ms/op) and CPU time over wall time (cores): how
+// much of the pool the build keeps busy.
 func BenchmarkColdStart(b *testing.B) {
 	for _, scale := range advanceScales {
 		b.Run(fmt.Sprintf("scale%.1f", scale), func(b *testing.B) {
+			cpu0 := processCPU(b)
 			for i := 0; i < b.N; i++ {
 				s := New(Options{Base: stateowned.Config{Seed: 7, Scale: scale}})
 				if s.Current() == nil {
 					b.Fatal("cold start published nothing")
 				}
 			}
+			cpu := processCPU(b) - cpu0
+			b.ReportMetric(float64(cpu.Microseconds())/1e3/float64(b.N), "cpu-ms/op")
+			b.ReportMetric(cpu.Seconds()/b.Elapsed().Seconds(), "cores")
 		})
 	}
+}
+
+// processCPU is the user plus system CPU time the process has used.
+func processCPU(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatalf("getrusage: %v", err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // BenchmarkWarmStart is the same boot over a populated archive: open

@@ -38,6 +38,11 @@ type Record struct {
 type Registry struct {
 	records map[world.ASN]Record
 	byOrg   map[string][]world.ASN
+	// orgs is Orgs() and byCountry[cc] is ASNsIn(cc). Build, Degrade
+	// and Quarantine rebuild both as their last step, never lazily: a
+	// published registry is shared read-only between generations.
+	orgs      []string
+	byCountry map[string][]world.ASN
 }
 
 // Build snapshots WHOIS for the world.
@@ -86,7 +91,23 @@ func Build(w *world.World) *Registry {
 	for _, asns := range reg.byOrg {
 		world.SortASNs(asns)
 	}
+	reg.index()
 	return reg
+}
+
+// index lists the org handles in sorted order and buckets the ASNs by
+// their record's country, each country's ascending.
+func (r *Registry) index() {
+	r.orgs = make([]string, 0, len(r.byOrg))
+	for o := range r.byOrg {
+		r.orgs = append(r.orgs, o)
+	}
+	sort.Strings(r.orgs)
+	r.byCountry = make(map[string][]world.ASN)
+	for _, a := range r.sortedASNs() {
+		cc := r.records[a].Country
+		r.byCountry[cc] = append(r.byCountry[cc], a)
+	}
 }
 
 func legalTail(r *rng.Stream, c ccodes.Country) string {
@@ -169,6 +190,7 @@ func (r *Registry) Degrade(in *faults.Injector) faults.Damage {
 			r.records[a] = rec
 		}
 	}
+	r.index()
 	return in.Damage()
 }
 
@@ -185,6 +207,7 @@ func (r *Registry) Quarantine() int {
 			n++
 		}
 	}
+	r.index()
 	return n
 }
 
@@ -199,12 +222,10 @@ func (r *Registry) ASNsOfOrg(orgID string) []world.ASN {
 	return append([]world.ASN(nil), r.byOrg[orgID]...)
 }
 
-// Orgs returns all org handles, sorted.
-func (r *Registry) Orgs() []string {
-	out := make([]string, 0, len(r.byOrg))
-	for o := range r.byOrg {
-		out = append(out, o)
-	}
-	sort.Strings(out)
-	return out
-}
+// Orgs returns all org handles, sorted. The slice is shared: callers
+// must not modify it.
+func (r *Registry) Orgs() []string { return r.orgs }
+
+// ASNsIn returns the ASNs whose record names the country, ascending.
+// The slice is shared: callers must not modify it.
+func (r *Registry) ASNsIn(country string) []world.ASN { return r.byCountry[country] }

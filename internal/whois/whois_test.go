@@ -1,9 +1,12 @@
 package whois
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
+	"stateowned/internal/faults"
 	"stateowned/internal/world"
 )
 
@@ -111,5 +114,54 @@ func TestDeterminism(t *testing.T) {
 		if a != b {
 			t.Fatalf("AS%d record differs across builds", asn)
 		}
+	}
+}
+
+// TestIndexesFollowRecords: Orgs and ASNsIn are indexes over the
+// records, rebuilt by every mutation. On a fresh registry and after
+// Degrade and then Quarantine, Orgs is every org handle sorted and
+// ASNsIn(cc) every ASN whose record names cc, ascending.
+func TestIndexesFollowRecords(t *testing.T) {
+	check := func(label string, r *Registry) {
+		t.Helper()
+		wantOrgs := make([]string, 0, len(r.byOrg))
+		for o := range r.byOrg {
+			wantOrgs = append(wantOrgs, o)
+		}
+		sort.Strings(wantOrgs)
+		if !reflect.DeepEqual(r.Orgs(), wantOrgs) {
+			t.Fatalf("%s: Orgs lists %d handles, want the %d sorted", label, len(r.Orgs()), len(wantOrgs))
+		}
+		want := map[string][]world.ASN{}
+		for _, a := range r.sortedASNs() {
+			cc := r.records[a].Country
+			want[cc] = append(want[cc], a)
+		}
+		for cc, asns := range want {
+			if got := r.ASNsIn(cc); !reflect.DeepEqual(got, asns) {
+				t.Fatalf("%s: ASNsIn(%s) = %d ASNs, want %d", label, cc, len(got), len(asns))
+			}
+		}
+		if len(r.byCountry) != len(want) {
+			t.Fatalf("%s: %d countries indexed, want %d", label, len(r.byCountry), len(want))
+		}
+	}
+	r := Build(testW)
+	check("built", r)
+	plan := faults.NewPlan(7, 1)
+	dmg := r.Degrade(plan.Injector("whois", plan.WHOIS))
+	if dmg.Dropped == 0 || dmg.Corrupted == 0 {
+		t.Fatalf("fixture: degradation %+v must drop and corrupt records", dmg)
+	}
+	check("degraded", r)
+	if r.ASNsIn(faults.BadCountry) == nil {
+		t.Fatal("fixture: no corrupted country reached the index")
+	}
+	if r.Quarantine() == 0 {
+		t.Fatal("fixture: quarantine removed nothing")
+	}
+	check("quarantined", r)
+	if r.ASNsIn(faults.BadCountry) != nil {
+		t.Fatal("quarantine left the corrupted country indexed")
 	}
 }

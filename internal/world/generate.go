@@ -139,6 +139,9 @@ type gen struct {
 	inScope   map[string]bool
 	plans     []*opPlan
 	plansByID map[string]*opPlan
+	// byCountry indexes plans by country, each country's in append
+	// order, so planning a country never scans the others' plans.
+	byCountry map[string][]*opPlan
 	anchorOp  map[string]string // anchor key -> operator ID
 	nextASN   ASN
 	orgSeq    int
@@ -154,6 +157,7 @@ func newGen(w *World, root *rng.Stream, cfg Config, inScope map[string]bool) *ge
 		cfg:       cfg,
 		inScope:   inScope,
 		plansByID: make(map[string]*opPlan),
+		byCountry: make(map[string][]*opPlan),
 		anchorOp:  make(map[string]string),
 		nextASN:   50001,
 		reserved:  anchorASNs(),
@@ -165,6 +169,7 @@ func newGen(w *World, root *rng.Stream, cfg Config, inScope map[string]bool) *ge
 func (g *gen) addPlan(p *opPlan) {
 	g.plans = append(g.plans, p)
 	g.plansByID[p.id] = p
+	g.byCountry[p.country] = append(g.byCountry[p.country], p)
 }
 
 // plan builds the per-country operator plans: anchors first (homes, then
@@ -228,10 +233,7 @@ func (g *gen) planCountry(cc string) {
 
 	var planned float64
 	hasIncumbent := false
-	for _, p := range g.plans {
-		if p.country != cc {
-			continue
-		}
+	for _, p := range g.byCountry[cc] {
 		if p.kind.ProvidesAccess() && !p.transitOnly {
 			planned += p.addrShare
 		}
@@ -244,7 +246,7 @@ func (g *gen) planCountry(cc string) {
 		remaining = 0
 	}
 
-	countryStateOwned := hasStateAnchor(g.plans, cc)
+	countryStateOwned := hasStateAnchor(g.byCountry[cc], cc)
 	idx := 0
 	newID := func(kind string) string {
 		id := fmt.Sprintf("%s-%s-%d", cc, kind, idx)
@@ -256,10 +258,8 @@ func (g *gen) planCountry(cc string) {
 	// collision would otherwise let one company's documents confirm a
 	// different company's ownership.
 	usedNames := map[string]bool{}
-	for _, p := range g.plans {
-		if p.country == cc {
-			usedNames[p.brand] = true
-		}
+	for _, p := range g.byCountry[cc] {
+		usedNames[p.brand] = true
 	}
 	uniqueName := func(gen func() string) string {
 		for i := 0; i < 8; i++ {
@@ -370,7 +370,7 @@ func (g *gen) planCountry(cc string) {
 	}
 
 	// Wholesale/transit carrier.
-	if c.Population > 5000 && r.Bool(0.5) && !hasTransitPlan(g.plans, cc) {
+	if c.Population > 5000 && r.Bool(0.5) && !hasTransitPlan(g.byCountry[cc], cc) {
 		p := &opPlan{
 			id: newID("transit"), kind: KindTransit, country: cc,
 			brand: uniqueName(func() string { return transitName(r, c) }), transitOnly: true,

@@ -79,7 +79,8 @@ func SetBuildHook(fn func(node string)) (restore func()) {
 // deterministic DAG scheduler: the five independent data sources (plus
 // WHOIS-derived AS2Org and topology-derived CTI) build concurrently on
 // a bounded pool over the shared world, while the three classification
-// stages remain a serial tail. Every node runs behind the scheduler's
+// stages remain a chain at the graph's tail (stages 1 and 2 fan out
+// inside, on the same pool). Every node runs behind the scheduler's
 // panic guard (a panicking build degrades its source instead of killing
 // the run), record faults are injected and quarantined inside the
 // owning node so Health accounting is unchanged from the serial
@@ -87,8 +88,8 @@ func SetBuildHook(fn func(node string)) (restore func()) {
 //
 // The world is ready before the graph: the caller's (the snapshot
 // store's churn-evolved ground truth) or one generated from
-// Seed/Scale/Countries. Every node is fingerprinted over it up front
-// and memoized against Config.Memo, so a node whose inputs are
+// Seed/Scale/Countries. Every node fingerprints it in its own slot
+// and is memoized against Config.Memo, so a node whose inputs are
 // unchanged and whose dependencies did not change restores its
 // previous artifact; a nil memo builds every node. A rebuilt topology
 // whose content equals the previous one restores the previous graph
@@ -131,10 +132,10 @@ func runHardened(cfg Config, plan faults.Plan) *Result {
 	// Graph assembly. Each add captures a per-node note buffer: nodes
 	// never call h.MarkStage directly, so the Stages list stays in
 	// canonical order under any execution interleaving. Each node also
-	// gets its MemoSpec: the input fingerprint from fingerprintInputs
-	// and a capture/restore pair that moves the node's Result fields,
-	// its Health row and its buffered notes in and out of the artifact
-	// cache. The buildHook wraps only the real build fn — a restored
+	// gets its MemoSpec: the input fingerprint function from
+	// fingerprintInputs and a capture/restore pair that moves the node's
+	// Result fields, its Health row and its buffered notes in and out of
+	// the artifact cache. The buildHook wraps only the real build fn — a restored
 	// node never fires it, which is what lets the metamorphic tests
 	// assert "zero nodes executed".
 	g := sched.New()
@@ -272,9 +273,9 @@ func runHardened(cfg Config, plan faults.Plan) *Result {
 		return nil
 	}, "topology", "cti")
 
-	// The serial tail: the classification stages consume every source.
+	// The tail: the classification stages consume every source.
 	add("stage1", func(func(string, bool, string)) error {
-		res.Candidates = runStage1(res, cfg)
+		res.Candidates = runStage1(res, cfg, workers)
 		return nil
 	}, "geo", "eyeballs", "whois", "peeringdb", "as2org", "orbis", "docs", "cti")
 	// Stages 2 and 3 substitute an empty input when their predecessor
@@ -287,6 +288,7 @@ func runHardened(cfg Config, plan faults.Plan) *Result {
 		}
 		res.Confirmation = confirm.Run(confirm.Inputs{
 			WHOIS: res.WHOIS, PeeringDB: res.PeeringDB, Docs: res.Docs,
+			Workers: workers,
 		}, cands.Companies)
 		return nil
 	}, "stage1")

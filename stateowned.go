@@ -417,9 +417,11 @@ func computeHijacks(res *Result, cfg Config, workers int) *hijack.Report {
 
 // runStage1 assembles the candidate inputs, honoring ablation switches.
 // A source that went unavailable under faults arrives here as nil and is
-// treated exactly like its ablation switch.
-func runStage1(res *Result, cfg Config) *candidates.Result {
+// treated exactly like its ablation switch. workers bounds stage 1's
+// fan-out, as it bounds CTI's.
+func runStage1(res *Result, cfg Config, workers int) *candidates.Result {
 	in := candidates.Inputs{
+		Workers:   workers,
 		WHOIS:     res.WHOIS,
 		PeeringDB: res.PeeringDB,
 		AS2Org:    res.AS2Org,
