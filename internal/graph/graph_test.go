@@ -2,6 +2,7 @@ package graph
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"stateowned/internal/as2org"
@@ -323,7 +324,7 @@ func TestGraphWorkerIndependence(t *testing.T) {
 				t.Fatalf("seed %d: cones differ at %d workers", seed, workers)
 			}
 			if !reflect.DeepEqual(g.deps, ref.deps) {
-				t.Fatalf("seed %d: dependency scores differ at %d workers", seed, workers)
+				t.Fatalf("seed %d: dependency rankings differ at %d workers", seed, workers)
 			}
 			if !reflect.DeepEqual(g.observed, ref.observed) {
 				t.Fatalf("seed %d: observed-path counts differ at %d workers", seed, workers)
@@ -334,10 +335,10 @@ func TestGraphWorkerIndependence(t *testing.T) {
 
 // TestDependencyPhaseAllocationFree pins phase 3's per-origin work on a
 // warmed worker scratch: propagating one origin within the monitors'
-// scope, walking every monitor's next hops and counting transits
-// allocates nothing, and neither does observing a single-homed stub off
-// its provider's propagation. Only the ranking slice the compiled graph
-// keeps is allocated, by ranking.
+// scope, walking every monitor's next hops, counting transits and
+// ranking them into the worker's arena allocates nothing, and neither
+// does observing and ranking a single-homed stub off its provider's
+// propagation. Build packs the arenas into the compiled graph once.
 func TestDependencyPhaseAllocationFree(t *testing.T) {
 	topo, monitors, _ := substrate(diffSeeds[0])
 	mon := bgp.MonitorIndices(topo, monitors)
@@ -371,12 +372,100 @@ func TestDependencyPhaseAllocationFree(t *testing.T) {
 		allocs := testing.AllocsPerRun(100, func() {
 			s.prop.Propagate(topo, topo.ASNAt(c.pair[0]), scope)
 			s.observe(topo, mon, c.pair[1])
-			s.resetCounts()
+			if sp := s.ranking(topo, 0); sp.lo == sp.hi {
+				t.Fatalf("%s ranking is empty", c.name)
+			}
+			s.ranks = s.ranks[:0]
 		})
 		if allocs != 0 {
 			t.Fatalf("phase 3 allocates %.1f times per %s on warmed scratch, want 0", allocs, c.name)
 		}
 	}
+}
+
+// TestBuildAllocationsFlat pins the flat layout: Build allocates per
+// phase and per worker, never per AS, so a scale-0.5 world, about three
+// times the ASes of a scale-0.05 one, may add only the few doublings
+// its larger worker arenas and queues take. It builds on one worker:
+// with more, how the ASes split between workers decides how often each
+// worker's buffers double, and the count varies from run to run.
+func TestBuildAllocationsFlat(t *testing.T) {
+	measure := func(scale float64) (allocs float64, ases int) {
+		w := world.Generate(world.Config{Seed: 42, Scale: scale})
+		topo := topology.Build(w, topology.FinalYear)
+		monitors := bgp.SelectMonitors(w, topo, 0)
+		orgs := as2org.Infer(whois.Build(w))
+		return testing.AllocsPerRun(2, func() { Build(topo, monitors, orgs, 1) }), topo.NumASes()
+	}
+	small, smallASes := measure(0.05)
+	big, bigASes := measure(0.5)
+	t.Logf("Build allocations: %.0f for %d ASes, %.0f for %d", small, smallASes, big, bigASes)
+	if bigASes < 2*smallASes {
+		t.Fatalf("scale 0.5 has %d ASes, scale 0.05 %d: the comparison is vacuous", bigASes, smallASes)
+	}
+	if big > small+flatBuildSlack {
+		t.Fatalf("Build allocates %.0f times for %d ASes and %.0f for %d: more than %d apart", big, bigASes, small, smallASes, flatBuildSlack)
+	}
+}
+
+// flatBuildSlack bounds the allocations a larger world may add to
+// Build: each worker's growing buffers (the cone queue, the touched
+// list, both arenas and the kernel's frontiers) double a few more
+// times, where per-AS lists added thousands.
+const flatBuildSlack = 64
+
+// TestPathAllocatesOnce pins Path's pooled scratch: once the pool holds
+// a scratch, a query allocates only the path it returns.
+func TestPathAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a random share of its items")
+	}
+	topo, monitors, orgs := substrate(42)
+	g := Build(topo, monitors, orgs, 1)
+	n := topo.NumASes()
+	var from, to world.ASN
+	for i := 0; i < n && from == 0; i++ {
+		for j := n - 1; j > i; j-- {
+			if p := g.Path(topo.ASNAt(i), topo.ASNAt(j)); len(p) > 2 {
+				from, to = topo.ASNAt(i), topo.ASNAt(j)
+				break
+			}
+		}
+	}
+	if from == 0 {
+		t.Fatal("no pair with a path longer than two hops")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { g.Path(from, to) }); allocs != 1 {
+		t.Fatalf("Path(%d, %d) allocates %.1f times per call, want 1", from, to, allocs)
+	}
+}
+
+// TestPathConcurrentReaders pins the pooled scratch under concurrent
+// readers: four goroutines asking the same graph for the same paths at
+// once get the answers one reader got alone.
+func TestPathConcurrentReaders(t *testing.T) {
+	topo, monitors, orgs := substrate(42)
+	g := Build(topo, monitors, orgs, 0)
+	n := topo.NumASes()
+	pairs := make([][2]world.ASN, 64)
+	want := make([][]world.ASN, len(pairs))
+	for k := range pairs {
+		pairs[k] = [2]world.ASN{topo.ASNAt(k * n / len(pairs)), topo.ASNAt((k*37 + 11) % n)}
+		want[k] = g.Path(pairs[k][0], pairs[k][1])
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k, p := range pairs {
+				if got := g.Path(p[0], p[1]); !reflect.DeepEqual(got, want[k]) {
+					t.Errorf("Path(%d, %d) = %v under concurrent readers, alone %v", p[0], p[1], got, want[k])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestGraphInactiveASN pins the not-in-snapshot behavior of every
@@ -402,6 +491,29 @@ func TestGraphInactiveASN(t *testing.T) {
 	}
 	if g.Path(ghost, topo.ASNAt(0)) != nil || g.Path(topo.ASNAt(0), ghost) != nil {
 		t.Fatal("Path answered for a ghost endpoint")
+	}
+}
+
+// TestAccessorsCapacityCapped pins the flat layout's contract with
+// callers: every AS's lists share one array with the next AS's, so each
+// accessor hands out its range with capacity equal to length, and a
+// caller's append copies instead of writing the neighbouring AS's
+// entries.
+func TestAccessorsCapacityCapped(t *testing.T) {
+	topo, monitors, orgs := substrate(42)
+	g := Build(topo, monitors, orgs, 0)
+	for i := 0; i < topo.NumASes(); i++ {
+		a := topo.ASNAt(i)
+		lists := [][]world.ASN{g.Cone(a)}
+		for _, c := range Classes() {
+			l, _ := g.Neighbors(a, c)
+			lists = append(lists, l)
+		}
+		for k, l := range lists {
+			if cap(l) != len(l) {
+				t.Fatalf("AS%d list %d has length %d and capacity %d", a, k, len(l), cap(l))
+			}
+		}
 	}
 }
 

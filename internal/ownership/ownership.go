@@ -5,14 +5,22 @@
 // aggregated across multiple state-controlled bodies such as sovereign
 // wealth, hedge and pension funds (the Telekom Malaysia case).
 //
+// The equity graph lives on dense int32 entity handles, assigned in
+// insertion order: entities, holdings and the resolved control memo are
+// handle-indexed slices, and an EntityID is hashed only where it crosses
+// the API. The control fixpoint sweeps handles in sorted-ID order, kept
+// lazily across mutations, without hashing a string.
+//
 // The package also classifies foreign subsidiaries (§5.2): separate legal
 // entities registered in one country but majority-held by another state's
 // controlled entities.
 package ownership
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -73,18 +81,38 @@ const MajorityThreshold = 0.50
 // Graph is an equity graph. It is append-only: entities and holdings are
 // added during world generation (single-goroutine) and then analyzed.
 // The analysis entry points are safe for concurrent readers — the lazy
-// control memo is filled under a mutex, so parallel build nodes may all
-// query a frozen graph — but mutation must not overlap with reads.
+// control memo and sorted order are filled under a mutex, so parallel
+// build nodes may all query a frozen graph — but mutation must not
+// overlap with reads.
 type Graph struct {
-	entities map[EntityID]*Entity
-	inbound  map[EntityID][]Holding // holdings by target
-	outbound map[EntityID][]Holding // holdings by holder
+	// ents holds the entities by handle, in insertion order, and index
+	// maps an ID to its handle. After Clone both graphs share them
+	// (shared) until either one's next AddEntity copies them.
+	ents   []Entity
+	index  map[EntityID]int32
+	shared bool
 
-	// analysis caches, invalidated on mutation; resolveMu serializes the
-	// fill so concurrent readers of a frozen graph never race on it.
+	// in[h] lists the holdings into h in the order they were added,
+	// out[h] the holdings h has; each edge names its other end by
+	// handle.
+	in, out [][]edge
+
+	// resolveMu serializes the fill of the analysis state, so concurrent
+	// readers of a frozen graph never race on it. order lists the first
+	// len(order) handles in sorted-ID order (sortedOrder merges in any
+	// added since); control is the resolved memo by handle. Both are
+	// replaced, never updated in place, so clones may share them.
 	resolveMu sync.Mutex
-	control   map[EntityID]Control
+	order     []int32
+	control   []Control
 	dirty     bool
+}
+
+// edge is one holding seen from one end: the handle of the entity at
+// the other end and the share of the target's equity.
+type edge struct {
+	other int32
+	share float64
 }
 
 // Control describes the resolved state-control status of an entity.
@@ -97,6 +125,8 @@ type Control struct {
 	Share float64
 	// StateShares maps every country with nonzero aggregated state-held
 	// equity to its share; used for minority and joint-venture analysis.
+	// It is nil where no state holds any of the entity's equity: read it
+	// like an empty map, and never write it.
 	StateShares map[string]float64
 }
 
@@ -105,54 +135,59 @@ func (c Control) Controlled() bool { return c.Controller != "" }
 
 // NewGraph returns an empty equity graph.
 func NewGraph() *Graph {
-	return &Graph{
-		entities: make(map[EntityID]*Entity),
-		inbound:  make(map[EntityID][]Holding),
-		outbound: make(map[EntityID][]Holding),
-		dirty:    true,
-	}
+	return &Graph{index: make(map[EntityID]int32), dirty: true}
 }
 
 // Clone returns an independent copy of the graph: mutating either one
-// never shows in the other. Entity records are immutable once added, so
-// the copy shares them; the holding lists are copied, because
-// RemoveHolding rewrites a list's backing array in place. The resolved
-// control memo is shared too — resolve replaces the memo rather than
-// updating it — so a clone of a resolved graph answers ControlOf without
-// a fixpoint until its first mutation. Safe to call while other
-// goroutines read g.
+// never shows in the other. The two share the entity array, the ID
+// index and the sorted order until either one's next AddEntity copies
+// the entities and the index (copy on write); a merged order is always
+// a fresh slice. The holding lists are copied, because RemoveHolding
+// rewrites a list in place. The resolved control memo is shared too —
+// resolve replaces the memo rather than updating it — so a clone of a
+// resolved graph answers ControlOf without a fixpoint until its first
+// mutation. Clone allocates the same few objects whatever the graph's
+// size. Safe to call while other goroutines read g.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		entities: make(map[EntityID]*Entity, len(g.entities)),
-		inbound:  cloneHoldings(g.inbound),
-		outbound: cloneHoldings(g.outbound),
-	}
-	for id, e := range g.entities {
-		c.entities[id] = e
-	}
 	g.resolveMu.Lock()
-	c.control, c.dirty = g.control, g.dirty
+	g.shared = true
+	c := &Graph{
+		ents:    g.ents,
+		index:   g.index,
+		shared:  true,
+		order:   g.order,
+		control: g.control,
+		dirty:   g.dirty,
+	}
 	g.resolveMu.Unlock()
+	c.in, c.out = cloneEdges(g.in), cloneEdges(g.out)
 	return c
 }
 
-// cloneHoldings copies every holding list into one backing array. Each
-// list's capacity ends at its length, so an append on the copy moves
-// that list out instead of overwriting its neighbour.
-func cloneHoldings(m map[EntityID][]Holding) map[EntityID][]Holding {
+// cloneEdges copies every list into one backing array. Each list's
+// capacity ends at its length, so an append on the copy moves that
+// list out instead of overwriting its neighbour.
+func cloneEdges(lists [][]edge) [][]edge {
 	n := 0
-	for _, hs := range m {
-		n += len(hs)
+	for _, l := range lists {
+		n += len(l)
 	}
-	all := make([]Holding, 0, n)
-	out := make(map[EntityID][]Holding, len(m))
-	for id, hs := range m {
-		start := len(all)
-		all = append(all, hs...)
-		out[id] = all[start:len(all):len(all)]
+	all := make([]edge, 0, n)
+	out := make([][]edge, len(lists), grown(len(lists)))
+	for h, l := range lists {
+		if len(l) > 0 {
+			start := len(all)
+			all = append(all, l...)
+			out[h] = all[start:len(all):len(all)]
+		}
 	}
 	return out
 }
+
+// grown is the capacity a copied per-entity slice of length n gets: room
+// for the few entities a churn step adds, so the step's first AddEntity
+// does not double the copy.
+func grown(n int) int { return n + n/64 + 16 }
 
 // AddEntity registers an entity. It returns an error on duplicate IDs or
 // empty countries for government units.
@@ -160,14 +195,21 @@ func (g *Graph) AddEntity(e Entity) error {
 	if e.ID == "" {
 		return fmt.Errorf("ownership: empty entity ID")
 	}
-	if _, dup := g.entities[e.ID]; dup {
+	if _, dup := g.index[e.ID]; dup {
 		return fmt.Errorf("ownership: duplicate entity %q", e.ID)
 	}
 	if e.Kind == KindGovernment && e.Country == "" {
 		return fmt.Errorf("ownership: government entity %q without country", e.ID)
 	}
-	cp := e
-	g.entities[e.ID] = &cp
+	if g.shared {
+		g.ents = append(make([]Entity, 0, grown(len(g.ents))), g.ents...)
+		g.index = maps.Clone(g.index)
+		g.shared = false
+	}
+	g.index[e.ID] = int32(len(g.ents))
+	g.ents = append(g.ents, e)
+	g.in = append(g.in, nil)
+	g.out = append(g.out, nil)
 	g.dirty = true
 	return nil
 }
@@ -182,21 +224,21 @@ func (g *Graph) MustAddEntity(e Entity) {
 
 // Entity looks up an entity by ID.
 func (g *Graph) Entity(id EntityID) (Entity, bool) {
-	e, ok := g.entities[id]
+	h, ok := g.index[id]
 	if !ok {
 		return Entity{}, false
 	}
-	return *e, true
+	return g.ents[h], true
 }
 
 // NumEntities reports how many entities the graph holds.
-func (g *Graph) NumEntities() int { return len(g.entities) }
+func (g *Graph) NumEntities() int { return len(g.ents) }
 
 // Entities returns all entity IDs in sorted order.
 func (g *Graph) Entities() []EntityID {
-	ids := make([]EntityID, 0, len(g.entities))
-	for id := range g.entities {
-		ids = append(ids, id)
+	ids := make([]EntityID, len(g.ents))
+	for h, e := range g.ents {
+		ids[h] = e.ID
 	}
 	slices.Sort(ids)
 	return ids
@@ -208,24 +250,26 @@ func (g *Graph) AddHolding(h Holding) error {
 	if h.Share <= 0 || h.Share > 1 {
 		return fmt.Errorf("ownership: share %f out of (0,1]", h.Share)
 	}
-	if _, ok := g.entities[h.Holder]; !ok {
+	holder, ok := g.index[h.Holder]
+	if !ok {
 		return fmt.Errorf("ownership: unknown holder %q", h.Holder)
 	}
-	if _, ok := g.entities[h.Target]; !ok {
+	target, ok := g.index[h.Target]
+	if !ok {
 		return fmt.Errorf("ownership: unknown target %q", h.Target)
 	}
-	if h.Holder == h.Target {
+	if holder == target {
 		return fmt.Errorf("ownership: self-holding of %q", h.Target)
 	}
 	total := h.Share
-	for _, prev := range g.inbound[h.Target] {
-		total += prev.Share
+	for _, prev := range g.in[target] {
+		total += prev.share
 	}
 	if total > 1.0+1e-9 {
 		return fmt.Errorf("ownership: holdings of %q exceed 100%% (%.4f)", h.Target, total)
 	}
-	g.inbound[h.Target] = append(g.inbound[h.Target], h)
-	g.outbound[h.Holder] = append(g.outbound[h.Holder], h)
+	g.in[target] = append(g.in[target], edge{holder, h.Share})
+	g.out[holder] = append(g.out[holder], edge{target, h.Share})
 	g.dirty = true
 	return nil
 }
@@ -238,27 +282,36 @@ func (g *Graph) MustAddHolding(h Holding) {
 }
 
 // RemoveHolding deletes the position holder has in target, returning the
-// removed share (0 if none existed). Used by the ownership-churn model
-// (privatizations and nationalizations, §9 of the paper).
+// removed share (0 if none existed). The holdings that remain keep their
+// relative order, which the control fixpoint's sums depend on. Used by
+// the ownership-churn model (privatizations and nationalizations, §9 of
+// the paper).
 func (g *Graph) RemoveHolding(holder, target EntityID) float64 {
+	hh, ok := g.index[holder]
+	if !ok {
+		return 0
+	}
+	th, ok := g.index[target]
+	if !ok {
+		return 0
+	}
 	removed := 0.0
-	in := g.inbound[target][:0]
-	for _, h := range g.inbound[target] {
-		if h.Holder == holder {
-			removed += h.Share
+	in := g.in[th][:0]
+	for _, e := range g.in[th] {
+		if e.other == hh {
+			removed += e.share
 			continue
 		}
-		in = append(in, h)
+		in = append(in, e)
 	}
-	g.inbound[target] = in
-	out := g.outbound[holder][:0]
-	for _, h := range g.outbound[holder] {
-		if h.Target == target {
-			continue
+	g.in[th] = in
+	out := g.out[hh][:0]
+	for _, e := range g.out[hh] {
+		if e.other != th {
+			out = append(out, e)
 		}
-		out = append(out, h)
 	}
-	g.outbound[holder] = out
+	g.out[hh] = out
 	if removed > 0 {
 		g.dirty = true
 	}
@@ -267,7 +320,14 @@ func (g *Graph) RemoveHolding(holder, target EntityID) float64 {
 
 // Holders returns the holdings into the target, largest share first.
 func (g *Graph) Holders(target EntityID) []Holding {
-	hs := append([]Holding(nil), g.inbound[target]...)
+	th, ok := g.index[target]
+	if !ok || len(g.in[th]) == 0 {
+		return nil
+	}
+	hs := make([]Holding, len(g.in[th]))
+	for k, e := range g.in[th] {
+		hs[k] = Holding{Holder: g.ents[e.other].ID, Target: target, Share: e.share}
+	}
 	sort.Slice(hs, func(i, j int) bool {
 		if hs[i].Share != hs[j].Share {
 			return hs[i].Share > hs[j].Share
@@ -277,7 +337,72 @@ func (g *Graph) Holders(target EntityID) []Holding {
 	return hs
 }
 
-// resolve recomputes the control fixpoint.
+// sortedOrder returns every handle in sorted-ID order, first bringing
+// g.order up to date: the first call takes the order from one sort of
+// every ID (Entities); later calls insert the handles added since, by
+// binary search, into a fresh slice, since clones may share the old
+// one. Churn adds a few entities per step, so a fixpoint after churn
+// pays one copy of the order, never a sort. The caller holds
+// g.resolveMu.
+func (g *Graph) sortedOrder() []int32 {
+	if len(g.order) == len(g.ents) {
+		return g.order
+	}
+	if len(g.order) == 0 {
+		order := make([]int32, len(g.ents))
+		for k, id := range g.Entities() {
+			order[k] = g.index[id]
+		}
+		g.order = order
+		return order
+	}
+	added := make([]int32, 0, len(g.ents)-len(g.order))
+	for h := len(g.order); h < len(g.ents); h++ {
+		added = append(added, int32(h))
+	}
+	byID := func(a, b int32) int { return strings.Compare(string(g.ents[a].ID), string(g.ents[b].ID)) }
+	slices.SortFunc(added, byID)
+	order := make([]int32, 0, len(g.ents))
+	rest := g.order
+	for _, h := range added {
+		k, _ := slices.BinarySearchFunc(rest, h, byID)
+		order = append(append(order, rest[:k]...), h)
+		rest = rest[k:]
+	}
+	g.order = append(order, rest...)
+	return g.order
+}
+
+// countryShare is one country's running state-held share of an entity.
+type countryShare struct {
+	country uint16
+	share   float64
+}
+
+// aggregate appends to agg, per country, the shares of h's holders that
+// the country controls according to ctl, summed in h's inbound order,
+// and returns it sorted by country number.
+func (g *Graph) aggregate(agg []countryShare, h int32, ctl []uint16) []countryShare {
+	for _, e := range g.in[h] {
+		c := ctl[e.other]
+		if c == 0 {
+			continue
+		}
+		k := 0
+		for k < len(agg) && agg[k].country != c {
+			k++
+		}
+		if k == len(agg) {
+			agg = append(agg, countryShare{country: c})
+		}
+		agg[k].share += e.share
+	}
+	slices.SortFunc(agg, func(a, b countryShare) int { return cmp.Compare(a.country, b.country) })
+	return agg
+}
+
+// resolve returns the resolved control memo, recomputing the fixpoint
+// first if the graph changed since the last one.
 //
 // Semantics: government entities are controlled by their own country. For
 // any other entity E and country X, the state-held share is the sum of
@@ -289,103 +414,114 @@ func (g *Graph) Holders(target EntityID) []Holding {
 // The per-country aggregates are monotone non-decreasing across
 // iterations (control is only ever granted), so the loop terminates; the
 // iteration cap is a defensive bound, not a correctness requirement.
-func (g *Graph) resolve() {
+//
+// This is the rule the package computed over string-keyed maps, kept
+// exactly: the same Gauss-Seidel sweep over the non-government entities
+// in sorted-ID order, each entity's per-country sums accumulated in its
+// inbound order, ties broken by country code (the first country, in code
+// order, whose sum beats the running best by more than 1e-12), the same
+// 1e-12 below MajorityThreshold, and the same cap of len+2 sweeps. Only
+// the bookkeeping is dense: a controller is a country number, the
+// government units' countries numbered in code order, so comparing
+// numbers compares codes. Two steps differ in form, not in result. The
+// sweeps continue while a controller changes, where the maps were also
+// compared: a sweep that changes no controller recomputes every sum from
+// controllers that did not change during it, so the next sweep would
+// change nothing either. And the StateShares maps are built once, at the
+// end, from the final controllers, which are the ones the last sweep
+// summed; only if the cap cuts the sweeps off do they come from the last
+// sweep itself.
+func (g *Graph) resolve() []Control {
 	g.resolveMu.Lock()
 	defer g.resolveMu.Unlock()
 	if !g.dirty && g.control != nil {
-		return
+		return g.control
 	}
-	control := make(map[EntityID]Control, len(g.entities))
-	for id, e := range g.entities {
+	order := g.sortedOrder()
+	n := len(g.ents)
+	var countries []string
+	for _, e := range g.ents {
 		if e.Kind == KindGovernment {
-			control[id] = Control{
-				Controller:  e.Country,
-				Share:       1,
-				StateShares: map[string]float64{e.Country: 1},
-			}
+			countries = append(countries, e.Country)
 		}
 	}
-	ids := g.Entities()
-	for iter := 0; iter <= len(g.entities)+1; iter++ {
+	slices.Sort(countries)
+	countries = slices.Compact(countries)
+	ctl := make([]uint16, n) // controller by handle: 1 + its index in countries, 0 for none
+	control := make([]Control, n)
+	for h, e := range g.ents {
+		if e.Kind == KindGovernment {
+			k, _ := slices.BinarySearch(countries, e.Country)
+			ctl[h] = uint16(k + 1)
+			control[h] = Control{Controller: e.Country, Share: 1, StateShares: map[string]float64{e.Country: 1}}
+		}
+	}
+	shares := func(agg []countryShare) map[string]float64 {
+		if len(agg) == 0 {
+			return nil
+		}
+		m := make(map[string]float64, len(agg))
+		for _, a := range agg {
+			m[countries[a.country-1]] = a.share
+		}
+		return m
+	}
+	var agg []countryShare
+	last := n + 1
+	for iter := 0; iter <= last; iter++ {
 		changed := false
-		for _, id := range ids {
-			e := g.entities[id]
-			if e.Kind == KindGovernment {
+		for _, h := range order {
+			if g.ents[h].Kind == KindGovernment {
 				continue
 			}
-			// Most entities have no state-controlled holder; they keep a
-			// nil share map (ControlOf hands callers an empty one), so a
-			// resolved memo — which every retained generation's graph
-			// holds — carries no empty map per entity.
-			var agg map[string]float64
-			for _, h := range g.inbound[id] {
-				hc, ok := control[h.Holder]
-				if !ok || !hc.Controlled() {
-					continue
-				}
-				if agg == nil {
-					agg = make(map[string]float64)
-				}
-				agg[hc.Controller] += h.Share
-			}
-			best, bestShare := "", 0.0
-			countries := make([]string, 0, len(agg))
-			for c := range agg {
-				countries = append(countries, c)
-			}
-			sort.Strings(countries)
-			for _, c := range countries {
-				s := agg[c]
-				if s > bestShare+1e-12 {
-					best, bestShare = c, s
+			agg = g.aggregate(agg[:0], h, ctl)
+			best, bestShare := uint16(0), 0.0
+			for _, a := range agg {
+				if a.share > bestShare+1e-12 {
+					best, bestShare = a.country, a.share
 				}
 			}
-			next := Control{StateShares: agg}
+			next := Control{}
 			if bestShare >= MajorityThreshold-1e-12 {
-				next.Controller = best
-				next.Share = bestShare
-			}
-			prev := control[id]
-			if prev.Controller != next.Controller || !sharesEqual(prev.StateShares, next.StateShares) {
-				control[id] = next
-				changed = true
+				next.Controller, next.Share = countries[best-1], bestShare
 			} else {
-				control[id] = next // refresh share map regardless
+				best = 0
 			}
+			if ctl[h] != best {
+				changed = true
+			}
+			ctl[h] = best
+			if iter == last {
+				next.StateShares = shares(agg)
+			}
+			control[h] = next
 		}
 		if !changed {
+			for _, h := range order {
+				if g.ents[h].Kind != KindGovernment {
+					agg = g.aggregate(agg[:0], h, ctl)
+					control[h].StateShares = shares(agg)
+				}
+			}
 			break
 		}
 	}
 	g.control = control
 	g.dirty = false
-}
-
-func sharesEqual(a, b map[string]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		w, ok := b[k]
-		if !ok || v != w {
-			return false
-		}
-	}
-	return true
+	return control
 }
 
 // ControlOf returns the resolved control status of the entity. Unknown
-// entities report an uncontrolled zero value.
+// entities report an uncontrolled zero value. On a resolved graph it
+// allocates nothing: StateShares is the memo's map, nil where no state
+// holds a share (read it, never write it).
 func (g *Graph) ControlOf(id EntityID) Control {
-	g.resolve()
-	c, ok := g.control[id]
+	control := g.resolve()
+	h, ok := g.index[id]
 	if !ok {
-		return Control{StateShares: map[string]float64{}}
+		return Control{}
 	}
-	if c.StateShares == nil {
-		c.StateShares = map[string]float64{}
-	}
-	return c
+	return control[h]
 }
 
 // StateShare returns the aggregated share of the entity's equity held by
@@ -398,12 +534,12 @@ func (g *Graph) StateShare(id EntityID, country string) float64 {
 // country different from its registration country, returning the
 // controlling country when so.
 func (g *Graph) IsForeignSubsidiary(id EntityID) (string, bool) {
-	e, ok := g.entities[id]
+	h, ok := g.index[id]
 	if !ok {
 		return "", false
 	}
-	c := g.ControlOf(id)
-	if c.Controlled() && c.Controller != e.Country {
+	c := g.resolve()[h]
+	if c.Controlled() && c.Controller != g.ents[h].Country {
 		return c.Controller, true
 	}
 	return "", false
@@ -451,8 +587,7 @@ func (g *Graph) ControllingParent(id EntityID) (EntityID, bool) {
 		if hc.Controller != c.Controller {
 			continue
 		}
-		he := g.entities[h.Holder]
-		if he.Kind == KindGovernment {
+		if he, _ := g.Entity(h.Holder); he.Kind == KindGovernment {
 			if h.Share > bestGovShare {
 				bestGov, bestGovShare = h.Holder, h.Share
 			}
@@ -477,7 +612,7 @@ func (g *Graph) ControllingParent(id EntityID) (EntityID, bool) {
 // Telekom-Malaysia-style fund aggregation or an Ooredoo-style subsidiary
 // chain confers control.
 func (g *Graph) WriteDOT(w io.Writer, root EntityID) error {
-	g.resolve()
+	control := g.resolve()
 	var b strings.Builder
 	b.WriteString("digraph ownership {\n  rankdir=BT;\n  node [shape=box, fontname=\"sans-serif\"];\n")
 	visited := map[EntityID]bool{}
@@ -487,11 +622,11 @@ func (g *Graph) WriteDOT(w io.Writer, root EntityID) error {
 			return
 		}
 		visited[id] = true
-		e, ok := g.entities[id]
+		h, ok := g.index[id]
 		if !ok {
 			return
 		}
-		ctrl := g.control[id]
+		e, ctrl := g.ents[h], control[h]
 		style := ""
 		switch {
 		case e.Kind == KindGovernment:

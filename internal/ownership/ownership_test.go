@@ -249,6 +249,42 @@ func TestRemoveHolding(t *testing.T) {
 	g.MustAddHolding(Holding{Holder: "gov", Target: "co", Share: 0.9})
 }
 
+// TestRemoveHoldingKeepsOrder pins the order the fixpoint sums a
+// target's holdings in: after removals the remaining holdings, on both
+// ends, keep the order they were added in.
+func TestRemoveHoldingKeepsOrder(t *testing.T) {
+	g := NewGraph()
+	ids := []EntityID{"h1", "h2", "h3", "h4", "h5", "t1", "t2", "t3"}
+	for _, id := range ids {
+		g.MustAddEntity(Entity{ID: id, Kind: KindCompany, Name: string(id), Country: "FJ"})
+	}
+	for _, h := range ids[:5] {
+		g.MustAddHolding(Holding{Holder: h, Target: "t1", Share: 0.1})
+	}
+	for _, tg := range ids[5:] {
+		if tg != "t1" {
+			g.MustAddHolding(Holding{Holder: "h1", Target: tg, Share: 0.2})
+		}
+	}
+	names := func(es []edge) string {
+		var b strings.Builder
+		for _, e := range es {
+			b.WriteString(string(g.ents[e.other].ID) + " ")
+		}
+		return b.String()
+	}
+	for _, c := range []struct{ holder, want string }{{"h2", "h1 h3 h4 h5 "}, {"h4", "h1 h3 h5 "}} {
+		g.RemoveHolding(EntityID(c.holder), "t1")
+		if got := names(g.in[g.index["t1"]]); got != c.want {
+			t.Errorf("t1's holders after removing %s: %q, want %q", c.holder, got, c.want)
+		}
+	}
+	g.RemoveHolding("h1", "t2")
+	if got := names(g.out[g.index["h1"]]); got != "t1 t3 " {
+		t.Errorf("h1's holdings after removals: %q, want added order t1 t3", got)
+	}
+}
+
 // Property: adding private holdings never grants state control, and
 // control is stable under recomputation.
 func TestControlProperties(t *testing.T) {
@@ -380,13 +416,14 @@ func graphState(g *Graph) string {
 		for _, cc := range countries {
 			fmt.Fprintf(&b, " %s=%.6f", cc, c.StateShares[cc])
 		}
+		h := g.index[id]
 		b.WriteString(" | in:")
-		for _, h := range g.inbound[id] {
-			fmt.Fprintf(&b, " %s=%.6f", h.Holder, h.Share)
+		for _, e := range g.in[h] {
+			fmt.Fprintf(&b, " %s=%.6f", g.ents[e.other].ID, e.share)
 		}
 		b.WriteString(" | out:")
-		for _, h := range g.outbound[id] {
-			fmt.Fprintf(&b, " %s=%.6f", h.Target, h.Share)
+		for _, e := range g.out[h] {
+			fmt.Fprintf(&b, " %s=%.6f", g.ents[e.other].ID, e.share)
 		}
 		b.WriteByte('\n')
 	}
@@ -425,5 +462,34 @@ func TestCloneIndependence(t *testing.T) {
 	churnLike(parent)
 	if got := graphState(parent); got != want {
 		t.Errorf("the same operations on the original and on a clone diverged:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestSortedOrderMergesAdditions pins the lazy sorted-ID order the
+// fixpoint sweeps: entities added after a fixpoint, on a clone and on
+// its parent, are merged in at their sorted positions, and neither
+// graph's merge writes the order slice the two shared.
+func TestSortedOrderMergesAdditions(t *testing.T) {
+	parent := cloneFixture()
+	parent.ControlOf("tm") // the first fixpoint sorts every ID
+	shared := parent.order
+	before := append([]int32(nil), shared...)
+	clone := parent.Clone()
+	for _, id := range []EntityID{"zz-last", "a-first", "khazanah-2", "buyer-tm"} {
+		clone.MustAddEntity(Entity{ID: id, Kind: KindPrivate, Name: string(id), Country: "MY"})
+	}
+	parent.MustAddEntity(Entity{ID: "m-middle", Kind: KindPrivate, Name: "M", Country: "NO"})
+	for _, g := range []*Graph{clone, parent} {
+		g.ControlOf("tm")
+		got := make([]EntityID, len(g.order))
+		for k, h := range g.order {
+			got[k] = g.ents[h].ID
+		}
+		if want := g.Entities(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("sweep order after additions:\n got %v\nwant %v", got, want)
+		}
+	}
+	if fmt.Sprint(shared) != fmt.Sprint(before) {
+		t.Fatalf("a merge wrote the shared order: %v, was %v", shared, before)
 	}
 }
