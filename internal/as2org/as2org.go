@@ -25,14 +25,14 @@ type Org struct {
 
 // Mapping is the frozen AS2Org dataset.
 type Mapping struct {
-	orgOf map[world.ASN]string
+	orgOf map[world.ASN]*Org
 	orgs  map[string]*Org
 }
 
 // Infer clusters the registry's ASNs by their WHOIS org handle.
 func Infer(reg *whois.Registry) *Mapping {
 	m := &Mapping{
-		orgOf: make(map[world.ASN]string),
+		orgOf: make(map[world.ASN]*Org),
 		orgs:  make(map[string]*Org),
 	}
 	for _, orgID := range reg.Orgs() {
@@ -44,7 +44,7 @@ func Infer(reg *whois.Registry) *Mapping {
 		org := &Org{ID: orgID, Name: rec.OrgName, Country: rec.Country, ASNs: asns}
 		m.orgs[orgID] = org
 		for _, a := range asns {
-			m.orgOf[a] = orgID
+			m.orgOf[a] = org
 		}
 	}
 	return m
@@ -52,11 +52,8 @@ func Infer(reg *whois.Registry) *Mapping {
 
 // OrgOf returns the organization an ASN belongs to.
 func (m *Mapping) OrgOf(a world.ASN) (*Org, bool) {
-	id, ok := m.orgOf[a]
-	if !ok {
-		return nil, false
-	}
-	return m.orgs[id], true
+	org, ok := m.orgOf[a]
+	return org, ok
 }
 
 // Siblings returns the other ASNs in the same inferred organization.
@@ -94,15 +91,17 @@ func (m *Mapping) Org(id string) (*Org, bool) {
 }
 
 // DistinctOrgs counts the organizations behind a set of ASNs (the paper's
-// "1091 ASes ... belong to 1023 different organizations" statistic).
+// "1091 ASes ... belong to 1023 different organizations" statistic). An
+// unregistered ASN counts as its own organization.
 func (m *Mapping) DistinctOrgs(asns []world.ASN) int {
-	seen := map[string]bool{}
+	orgs := map[*Org]bool{}
+	unregistered := map[world.ASN]bool{}
 	for _, a := range asns {
-		if id, ok := m.orgOf[a]; ok {
-			seen[id] = true
+		if org, ok := m.orgOf[a]; ok {
+			orgs[org] = true
 		} else {
-			seen["asn:"+string(rune(a))] = true // unregistered: its own org
+			unregistered[a] = true
 		}
 	}
-	return len(seen)
+	return len(orgs) + len(unregistered)
 }

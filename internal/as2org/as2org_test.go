@@ -100,6 +100,22 @@ func TestDistinctOrgs(t *testing.T) {
 	}
 }
 
+// TestDistinctOrgsUnregistered is the regression test for keying an
+// unregistered ASN by its code point: every ASN in the UTF-16 surrogate
+// range (55296–57343) or above U+10FFFF became the same replacement
+// character, so those ASNs counted as one organization between them.
+func TestDistinctOrgsUnregistered(t *testing.T) {
+	unregistered := []world.ASN{55296, 55297, 57343, 1114112, 4200000000, 55296}
+	if got := testM.DistinctOrgs(unregistered); got != 5 {
+		t.Errorf("five distinct unregistered ASNs count as %d organizations", got)
+	}
+	telenor, _ := testW.OperatorOfAS(2119)
+	mixed := append(append([]world.ASN(nil), telenor.ASNs...), unregistered...)
+	if got, want := testM.DistinctOrgs(mixed), testM.DistinctOrgs(telenor.ASNs)+5; got != want {
+		t.Errorf("Telenor plus five unregistered ASNs = %d organizations, want %d", got, want)
+	}
+}
+
 func TestOrgsListed(t *testing.T) {
 	if testM.NumOrgs() == 0 {
 		t.Fatal("no orgs")

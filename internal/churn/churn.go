@@ -12,7 +12,9 @@
 package churn
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"stateowned/internal/expand"
@@ -248,8 +250,72 @@ func RunAudit(ds *expand.Dataset, w *world.World) Audit {
 // exactly RunAudit). A stale organization whose ASNs include a detected
 // victim is flagged Adversarial: the apparent ownership change
 // coincides with an observed origin change, so it may be routing
-// adversary noise rather than a registry event.
+// adversary noise rather than a registry event. It is the world's
+// ControlTable audited: the one audit implementation.
 func RunAuditFlagged(ds *expand.Dataset, w *world.World, rep *hijack.Report) Audit {
+	return NewControlTable(w).Audit(ds, rep)
+}
+
+// ControlTable is the part of a world's ground truth an audit reads:
+// every in-scope, state-controlled operator's brand and controlling
+// state, and which operator each of their ASNs belongs to. A retained
+// generation keeps its table, not its world, to answer audits against
+// it; the table is immutable and shares its strings with the world's
+// operators.
+type ControlTable struct {
+	ops  []controlled // in world.OperatorIDs order
+	asns []asnOwner   // the operators' ASNs, ascending
+}
+
+// controlled is one in-scope operator some state controls.
+type controlled struct {
+	brand, controller string
+}
+
+// asnOwner names the ControlTable row an ASN belongs to.
+type asnOwner struct {
+	asn world.ASN
+	op  int32
+}
+
+// NewControlTable resolves the world's current control of every
+// in-scope operator into a table.
+func NewControlTable(w *world.World) *ControlTable {
+	t := &ControlTable{}
+	for _, id := range w.OperatorIDs {
+		op := w.Operators[id]
+		if !op.Kind.InScope() {
+			continue
+		}
+		c := w.Graph.ControlOf(op.Entity)
+		if !c.Controlled() {
+			continue
+		}
+		for _, a := range op.ASNs {
+			t.asns = append(t.asns, asnOwner{asn: a, op: int32(len(t.ops))})
+		}
+		t.ops = append(t.ops, controlled{brand: op.BrandName, controller: c.Controller})
+	}
+	slices.SortFunc(t.asns, func(a, b asnOwner) int { return cmp.Compare(a.asn, b.asn) })
+	return t
+}
+
+// owner returns the row of the operator holding ASN a, if a state
+// controls it.
+func (t *ControlTable) owner(a world.ASN) (int32, bool) {
+	i, ok := slices.BinarySearchFunc(t.asns, a, func(e asnOwner, a world.ASN) int { return cmp.Compare(e.asn, a) })
+	if !ok {
+		return 0, false
+	}
+	return t.asns[i].op, true
+}
+
+// Audit audits a dataset against the table's ground truth, joining each
+// stale row against the detection report rep (nil or empty for honest
+// generations). An organization stays valid while one of its ASNs
+// belongs to an operator its recorded owner state controls; an operator
+// none of the dataset's ASNs reaches is a missing company.
+func (t *ControlTable) Audit(ds *expand.Dataset, rep *hijack.Report) Audit {
 	victims := map[world.ASN]bool{}
 	if rep != nil {
 		for _, d := range rep.Detections {
@@ -257,19 +323,19 @@ func RunAuditFlagged(ds *expand.Dataset, w *world.World, rep *hijack.Report) Aud
 		}
 	}
 	var a Audit
-	inDataset := map[string]bool{}
+	inDataset := make([]bool, len(t.ops))
 	for i := range ds.Organizations {
 		org := &ds.Organizations[i]
 		valid, adversarial := false, false
 		for _, asn := range ds.ASNs[i].ASNs {
-			if owner, ok := w.TrueStateOwnedAS(asn); ok && owner == org.OwnershipCC {
-				valid = true
+			if k, ok := t.owner(asn); ok {
+				if t.ops[k].controller == org.OwnershipCC {
+					valid = true
+				}
+				inDataset[k] = true
 			}
 			if victims[asn] {
 				adversarial = true
-			}
-			if op, ok := w.OperatorOfAS(asn); ok {
-				inDataset[op.ID] = true
 			}
 		}
 		if valid {
@@ -278,13 +344,9 @@ func RunAuditFlagged(ds *expand.Dataset, w *world.World, rep *hijack.Report) Aud
 			a.StaleOrgs = append(a.StaleOrgs, StaleOrg{OrgName: org.OrgName, Adversarial: adversarial})
 		}
 	}
-	for _, id := range w.OperatorIDs {
-		op := w.Operators[id]
-		if !op.Kind.InScope() || inDataset[id] {
-			continue
-		}
-		if w.Graph.ControlOf(op.Entity).Controlled() {
-			a.MissingCompanies = append(a.MissingCompanies, op.BrandName)
+	for k, op := range t.ops {
+		if !inDataset[k] {
+			a.MissingCompanies = append(a.MissingCompanies, op.brand)
 		}
 	}
 	sort.Slice(a.StaleOrgs, func(i, j int) bool { return a.StaleOrgs[i].OrgName < a.StaleOrgs[j].OrgName })

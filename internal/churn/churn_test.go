@@ -1,6 +1,8 @@
 package churn
 
 import (
+	"encoding/json"
+	"sort"
 	"testing"
 
 	"stateowned/internal/as2org"
@@ -240,4 +242,100 @@ func TestAuditAdversarialFlag(t *testing.T) {
 	if flagged.StillValid != plain.StillValid || flagged.MaintenanceFraction != plain.MaintenanceFraction {
 		t.Errorf("flag join changed audit totals: %+v vs %+v", flagged, plain)
 	}
+}
+
+// TestControlTableMatchesWorldAudit holds the control table's audit to
+// the audit it replaced, kept here verbatim as the oracle: an audit
+// that reads the world directly (TrueStateOwnedAS, OperatorOfAS,
+// ControlOf). The dataset is ground truth with every third
+// organization's recorded owner changed and every fifth dropped, so
+// valid, stale and missing rows all occur; each seed's world is
+// audited after every churn year, with and without a detection report.
+func TestControlTableMatchesWorldAudit(t *testing.T) {
+	for _, seed := range []uint64{7, 21, 42} {
+		w := world.Generate(world.Config{Seed: seed, Scale: 0.05})
+		ds := &expand.Dataset{}
+		n := 0
+		for _, id := range w.OperatorIDs {
+			op := w.Operators[id]
+			ctrl := w.Graph.ControlOf(op.Entity)
+			if !op.Kind.InScope() || !ctrl.Controlled() || len(op.ASNs) == 0 {
+				continue
+			}
+			n++
+			if n%5 == 0 {
+				continue
+			}
+			cc := ctrl.Controller
+			if n%3 == 0 {
+				cc = "ZZ"
+			}
+			ds.Organizations = append(ds.Organizations, expand.OrgRecord{
+				OrgID: op.OrgID, OrgName: op.LegalName, OwnershipCC: cc,
+			})
+			ds.ASNs = append(ds.ASNs, expand.OrgASNs{OrgID: op.OrgID, ASNs: op.ASNs})
+		}
+		rep := &hijack.Report{Detections: []hijack.Detection{{Victim: ds.ASNs[0].ASNs[0]}, {Victim: ds.ASNs[3].ASNs[0]}}}
+		for year := 0; year <= 6; year++ {
+			if year > 0 {
+				Evolve(w, 1, seed+uint64(year), Rates{Privatization: 0.1, Nationalization: 0.1})
+			}
+			for _, r := range []*hijack.Report{nil, rep} {
+				got, _ := json.Marshal(RunAuditFlagged(ds, w, r))
+				want, _ := json.Marshal(worldAudit(ds, w, r))
+				if string(got) != string(want) {
+					t.Fatalf("seed %d year %d: table audit\n%s\nworld audit\n%s", seed, year, got, want)
+				}
+			}
+		}
+	}
+}
+
+// worldAudit is the audit as it read the world before the control
+// table: the oracle TestControlTableMatchesWorldAudit holds the table
+// to.
+func worldAudit(ds *expand.Dataset, w *world.World, rep *hijack.Report) Audit {
+	victims := map[world.ASN]bool{}
+	if rep != nil {
+		for _, d := range rep.Detections {
+			victims[d.Victim] = true
+		}
+	}
+	var a Audit
+	inDataset := map[string]bool{}
+	for i := range ds.Organizations {
+		org := &ds.Organizations[i]
+		valid, adversarial := false, false
+		for _, asn := range ds.ASNs[i].ASNs {
+			if owner, ok := w.TrueStateOwnedAS(asn); ok && owner == org.OwnershipCC {
+				valid = true
+			}
+			if victims[asn] {
+				adversarial = true
+			}
+			if op, ok := w.OperatorOfAS(asn); ok {
+				inDataset[op.ID] = true
+			}
+		}
+		if valid {
+			a.StillValid++
+		} else {
+			a.StaleOrgs = append(a.StaleOrgs, StaleOrg{OrgName: org.OrgName, Adversarial: adversarial})
+		}
+	}
+	for _, id := range w.OperatorIDs {
+		op := w.Operators[id]
+		if !op.Kind.InScope() || inDataset[id] {
+			continue
+		}
+		if w.Graph.ControlOf(op.Entity).Controlled() {
+			a.MissingCompanies = append(a.MissingCompanies, op.BrandName)
+		}
+	}
+	sort.Slice(a.StaleOrgs, func(i, j int) bool { return a.StaleOrgs[i].OrgName < a.StaleOrgs[j].OrgName })
+	sort.Strings(a.MissingCompanies)
+	if n := len(ds.Organizations); n > 0 {
+		a.MaintenanceFraction = float64(len(a.StaleOrgs)+len(a.MissingCompanies)) / float64(n)
+	}
+	return a
 }

@@ -189,6 +189,17 @@ func cloneEdges(lists [][]edge) [][]edge {
 // does not double the copy.
 func grown(n int) int { return n + n/64 + 16 }
 
+// Grow reserves room for n more entities, so a builder that knows about
+// how many it will add saves the handle slices' repeated growth.
+func (g *Graph) Grow(n int) {
+	g.ents = slices.Grow(g.ents, n)
+	g.in = slices.Grow(g.in, n)
+	g.out = slices.Grow(g.out, n)
+	if len(g.index) == 0 {
+		g.index = make(map[EntityID]int32, n)
+	}
+}
+
 // AddEntity registers an entity. It returns an error on duplicate IDs or
 // empty countries for government units.
 func (g *Graph) AddEntity(e Entity) error {

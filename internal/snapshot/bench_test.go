@@ -187,36 +187,47 @@ func BenchmarkWarmStart(b *testing.B) {
 // heap (MB) and heap objects after two forced collections, less the
 // process's own before the store was built, for a seed-42 store at
 // generation 0 and again after four advances, when the default ring
-// holds four generations. It times nothing; scale 7 needs about
-// 0.5 GB.
+// holds four generations. The deep-chain row is read-cold-reload's
+// store: scale 0.5 on one build worker, measured again after twenty
+// advances. It times nothing; scale 7 needs about 0.5 GB.
 func BenchmarkStoreResident(b *testing.B) {
 	for _, scale := range []float64{0.5, 2, 7} {
 		b.Run(fmt.Sprintf("scale%.1f", scale), func(b *testing.B) {
-			var mb, objects [2]float64
-			for i := 0; i < b.N; i++ {
-				base := liveHeap()
-				s := New(Options{Base: stateowned.Config{Seed: 42, Scale: scale}})
-				for k := 0; k < 2; k++ {
-					if k == 1 {
-						for g := 0; g < 4; g++ {
-							if s.Advance() == nil {
-								b.Fatalf("advance quarantined: %v", s.Degraded())
-							}
-						}
-					}
-					m := liveHeap()
-					mb[k] += float64(m.HeapAlloc-base.HeapAlloc) / (1 << 20)
-					objects[k] += float64(m.HeapObjects - base.HeapObjects)
-				}
-				runtime.KeepAlive(s)
-			}
-			n := float64(b.N)
-			b.ReportMetric(mb[0]/n, "MB-gen0")
-			b.ReportMetric(objects[0]/n, "objects-gen0")
-			b.ReportMetric(mb[1]/n, "MB-gen4")
-			b.ReportMetric(objects[1]/n, "objects-gen4")
+			storeResident(b, stateowned.Config{Seed: 42, Scale: scale}, 4)
 		})
 	}
+	b.Run("deep-chain", func(b *testing.B) {
+		storeResident(b, stateowned.Config{Seed: 42, Scale: 0.5, Workers: 1}, 20)
+	})
+}
+
+// storeResident measures one BenchmarkStoreResident row: a store over
+// base at generation 0, then after advances more.
+func storeResident(b *testing.B, base stateowned.Config, advances int) {
+	var mb, objects [2]float64
+	for i := 0; i < b.N; i++ {
+		heap0 := liveHeap()
+		s := New(Options{Base: base})
+		for k := 0; k < 2; k++ {
+			if k == 1 {
+				for g := 0; g < advances; g++ {
+					if s.Advance() == nil {
+						b.Fatalf("advance quarantined: %v", s.Degraded())
+					}
+				}
+			}
+			m := liveHeap()
+			mb[k] += float64(m.HeapAlloc-heap0.HeapAlloc) / (1 << 20)
+			objects[k] += float64(m.HeapObjects - heap0.HeapObjects)
+		}
+		runtime.KeepAlive(s)
+	}
+	n := float64(b.N)
+	gen := fmt.Sprintf("gen%d", advances)
+	b.ReportMetric(mb[0]/n, "MB-gen0")
+	b.ReportMetric(objects[0]/n, "objects-gen0")
+	b.ReportMetric(mb[1]/n, "MB-"+gen)
+	b.ReportMetric(objects[1]/n, "objects-"+gen)
 }
 
 // liveHeap reads the heap counters after two forced collections (two,

@@ -478,7 +478,8 @@ func TestIncrementalFullChurnDegeneratesToRebuild(t *testing.T) {
 // the previous generation — under -race, as a report; under any mode,
 // as a byte diff against the pre-advance observation. The same bytes
 // must come back once the generation is superseded and its ring slot
-// trimmed to what serving reads (assertEvolvedAndTrimmed).
+// trimmed to what serving reads, its control table in place of its
+// world (assertEvolvedAndTrimmed).
 func TestIncrementalPinnedReadsDuringAdvance(t *testing.T) {
 	s := New(Options{
 		Base:   stateowned.Config{Seed: 21, Scale: testScale},
@@ -529,10 +530,13 @@ func TestIncrementalPinnedReadsDuringAdvance(t *testing.T) {
 			}
 		}()
 	}
+	published := []*Generation{g0}
 	for gen := 1; gen <= chainGens; gen++ {
-		if s.Advance() == nil {
+		g := s.Advance()
+		if g == nil {
 			t.Fatalf("advance %d quarantined: %v", gen, s.Degraded())
 		}
+		published = append(published, g)
 	}
 	close(done)
 	wg.Wait()
@@ -548,60 +552,68 @@ func TestIncrementalPinnedReadsDuringAdvance(t *testing.T) {
 			t.Errorf("pinned gen-0 read of %s drifted after %d memoized advances", p, chainGens)
 		}
 	}
-	assertEvolvedAndTrimmed(t, s, g0, fp0)
+	assertEvolvedAndTrimmed(t, s, published, fp0)
 }
 
 // sameMap reports whether two maps are one map.
 func sameMap(a, b any) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
 
-// assertEvolvedAndTrimmed checks the shape a chain of advances from g0
-// leaves behind: every later generation's world shares g0's structure
-// and owns its ownership graph; building them left g0's ownership
-// (fingerprint fp0, taken while g0 was live) untouched while the chain's
-// moved; and g0's ring slot is a trimmed copy — no memo, no substrates,
-// still everything serving reads — while the published g0 is unchanged.
-func assertEvolvedAndTrimmed(t *testing.T, s *Store, g0 *Generation, fp0 sched.Fingerprint) {
+// assertEvolvedAndTrimmed checks the shape a chain of advances leaves
+// behind. published holds each generation as Advance returned it, the
+// first one's ownership fingerprinted as fp0 while it was live. Every
+// later published world shares the first's structure and owns its
+// ownership graph, and building them left the first's ownership
+// untouched while the chain's moved. Every superseded ring slot is a
+// trimmed copy — no world, no memo, no substrates; the control table
+// and everything serving reads kept — while the published generation
+// is unchanged.
+func assertEvolvedAndTrimmed(t *testing.T, s *Store, published []*Generation, fp0 sched.Fingerprint) {
 	t.Helper()
-	w0 := g0.World
+	w0 := published[0].World
 	parent := w0
-	for gen := 1; gen <= s.Current().Gen; gen++ {
-		g, st := s.Lookup(gen)
-		if st != serve.GenOK {
-			t.Fatalf("generation %d not retained", gen)
-		}
+	for _, g := range published[1:] {
 		w := g.World
 		if !sameMap(w.Operators, w0.Operators) || !sameMap(w.ASes, w0.ASes) || !sameMap(w.Profiles, w0.Profiles) {
-			t.Errorf("generation %d's world was regenerated, not evolved from its live parent's", gen)
+			t.Errorf("generation %d's world was regenerated, not evolved from its live parent's", g.Gen)
 		}
 		if w.Graph == parent.Graph {
-			t.Errorf("generation %d evolved its parent's ownership graph in place", gen)
+			t.Errorf("generation %d evolved its parent's ownership graph in place", g.Gen)
 		}
 		parent = w
 	}
 	if w0.FingerprintOwnership() != fp0 {
-		t.Error("later generations' builds changed generation 0's ownership")
+		t.Error("later generations' builds changed the first generation's ownership")
 	}
-	if s.Current().World.FingerprintOwnership() == fp0 {
+	if parent.FingerprintOwnership() == fp0 {
 		t.Error("ownership never moved along the chain; the checks above are vacuous")
 	}
 
-	r0, _ := s.Lookup(0)
-	if r0 == g0 {
-		t.Fatal("superseded generation 0 kept its ring slot untrimmed")
+	live := published[len(published)-1]
+	if s.Current() != live {
+		t.Fatal("the live generation is not the last one published")
 	}
-	if g0.Result.Memo == nil || g0.Result.Topology == nil {
-		t.Error("trimming mutated the published generation 0")
+	for _, g := range published[:len(published)-1] {
+		r, st := s.Lookup(g.Gen)
+		if st != serve.GenOK {
+			t.Fatalf("generation %d not retained", g.Gen)
+		}
+		if r == g {
+			t.Fatalf("superseded generation %d kept its ring slot untrimmed", g.Gen)
+		}
+		if g.World == nil || g.Result.Memo == nil || g.Result.Topology == nil {
+			t.Errorf("trimming mutated the published generation %d", g.Gen)
+		}
+		res := r.Result
+		if r.World != nil || res.World != nil || res.Memo != nil || res.Topology != nil || res.Geo != nil ||
+			res.WHOIS != nil || res.Orbis != nil || res.Docs != nil || res.Candidates != nil || res.Confirmation != nil {
+			t.Errorf("superseded generation %d still carries its world or build state", g.Gen)
+		}
+		if r.controls == nil || r.controls != g.controls || r.Index != g.Index || res.Dataset != g.Result.Dataset ||
+			res.Index() != g.Index || res.Graph() != g.View().Graph {
+			t.Errorf("superseded generation %d lost something serving or its audits read", g.Gen)
+		}
 	}
-	res := r0.Result
-	if res.Memo != nil || res.Topology != nil || res.Geo != nil || res.WHOIS != nil || res.Orbis != nil ||
-		res.Docs != nil || res.Candidates != nil || res.Confirmation != nil {
-		t.Error("superseded generation 0 still carries build state")
-	}
-	if r0.World != w0 || r0.Index != g0.Index || res.Dataset != g0.Result.Dataset ||
-		res.Index() != g0.Index || res.Graph() != g0.View().Graph {
-		t.Error("superseded generation 0 lost something serving reads")
-	}
-	if s.Current().Result.Memo == nil {
-		t.Error("the live generation has no memo to build its successor from")
+	if live.World == nil || live.controls == nil || live.Result.Memo == nil {
+		t.Error("the live generation has no world, table or memo to build and audit its successor from")
 	}
 }

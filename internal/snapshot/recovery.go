@@ -118,8 +118,8 @@ func (s *Store) restoreGeneration(rg durable.RecoveredGen) (*Generation, error) 
 // archiveCommit persists a freshly published generation: the verbatim
 // dataset export, the health/provenance/hijack state its views serve,
 // and the churn-audit spans against every retained generation — the
-// /v1/diff answers a future recovery will serve when the ground-truth
-// worlds are gone.
+// /v1/diff answers a future recovery will serve when the control tables
+// are gone.
 func (s *Store) archiveCommit(g *Generation, retained []*Generation) {
 	var data bytes.Buffer
 	if err := g.Result.Dataset.Export(&data); err != nil {
@@ -132,18 +132,18 @@ func (s *Store) archiveCommit(g *Generation, retained []*Generation) {
 			continue
 		}
 		// (f → g): f's dataset audited against g's ground truth. g was
-		// just built, so its world is always present.
-		if g.World != nil {
+		// just built, so its control table is always present.
+		if g.controls != nil {
 			spans = append(spans, durable.AuditSpan{
 				From: f.Gen, To: g.Gen,
-				Audit: churn.RunAuditFlagged(f.Result.Dataset, g.World, g.view.Hijacks),
+				Audit: g.controls.Audit(f.Result.Dataset, g.view.Hijacks),
 			})
 		}
-		// (g → f): only when f still has a world (not itself recovered).
-		if f.World != nil && f.Gen != g.Gen {
+		// (g → f): only when f has a table (not itself recovered).
+		if f.controls != nil && f.Gen != g.Gen {
 			spans = append(spans, durable.AuditSpan{
 				From: g.Gen, To: f.Gen,
-				Audit: churn.RunAuditFlagged(g.Result.Dataset, f.World, f.view.Hijacks),
+				Audit: f.controls.Audit(g.Result.Dataset, f.view.Hijacks),
 			})
 		}
 	}
@@ -173,9 +173,10 @@ func (s *Store) noteArchiveErr(err error) {
 }
 
 // recoveredSpan answers /v1/diff for a pair whose `to` generation is
-// recovered (no world): the audit archived when both generations were
-// resident, byte-identical to what the pre-crash store served. Pairs
-// with no archived span — they never coexisted — report false (404).
+// recovered (no control table): the audit archived when both
+// generations were resident, byte-identical to what the pre-crash store
+// served. Pairs with no archived span — they never coexisted — report
+// false (404).
 func (s *Store) recoveredSpan(from, to int) (*churn.Audit, bool) {
 	a, ok := s.recSpans[[2]int{from, to}]
 	return a, ok

@@ -30,8 +30,9 @@
 // offline churn audits enforce it.
 //
 // Once a generation is superseded its ring slot keeps only what serving
-// reads (see Generation); the build state — substrates, stage results
-// and the artifact memo — stays with the live generation alone.
+// reads (see Generation), its control table standing in for its world;
+// the world and the build state — substrates, stage results and the
+// artifact memo — stay with the live generation alone.
 package snapshot
 
 import (
@@ -184,18 +185,20 @@ type BuildStats struct {
 // goes live, the superseded one's ring slot is replaced by a trimmed
 // copy that keeps what serving, /v1/diff and the archive read — the
 // index, the view (graph plane, health, hijacks, provenance), the churn
-// events, the build stats, the world and a minimal Result — and lets
-// the build state go. Readers that resolved the untrimmed value keep it
-// until they finish.
+// events, the build stats, the control table and a minimal Result — and
+// lets the world and the build state go. Readers that resolved the
+// untrimmed value keep it until they finish.
 type Generation struct {
 	// Gen is the generation number; 0 is the initial build with no churn
 	// applied.
 	Gen int
-	// World is this generation's ground truth. A live-built generation
-	// shares its parent's immutable structure (operators, ASes, country
-	// profiles and their iteration orders) and owns its ownership graph,
-	// a clone of the parent's evolved by one churn step. Nil for a
-	// generation recovered from the archive.
+	// World is this generation's ground truth, carried while the
+	// generation is live: the next build evolves it. A live-built
+	// generation shares its parent's immutable structure (operators,
+	// ASes, country profiles and their iteration orders) and owns its
+	// ownership graph, a clone of the parent's evolved by one churn step.
+	// Nil on a superseded ring slot, which audits through its control
+	// table instead, and on a generation recovered from the archive.
 	World *world.World
 	// Result is the pipeline output built over World. The live
 	// generation carries all of it, including the artifact memo the next
@@ -223,14 +226,19 @@ type Generation struct {
 	// recSpans are the archived churn-audit spans a recovered
 	// generation carries (nil for live-built generations).
 	recSpans []durable.AuditSpan
+	// controls is World's control table, what /v1/diff and the
+	// archive's audit spans read of this generation's ground truth; it
+	// outlives World in the ring. Nil for a recovered generation.
+	controls *churn.ControlTable
 
 	view serve.View
 }
 
 // superseded returns the copy of g that stays in the ring once a newer
 // generation is live: everything serving, /v1/diff, the archive and
-// pinned reads use, none of the build state (substrates, stage results,
-// memo). g itself is left untouched for the readers still holding it.
+// pinned reads use — the control table in place of the world — and none
+// of the build state (world, substrates, stage results, memo). g itself
+// is left untouched for the readers still holding it.
 func (g *Generation) superseded() *Generation {
 	if g.Recovered {
 		return g // restored from the archive: it carries no build state
@@ -239,6 +247,7 @@ func (g *Generation) superseded() *Generation {
 	res.AdoptIndex(g.Index)
 	res.AdoptGraph(g.view.Graph)
 	t := *g
+	t.World = nil
 	t.Result = res
 	return &t
 }
@@ -287,7 +296,7 @@ type Store struct {
 	archiveErr   atomic.Pointer[string]
 	// recSpans are the churn-audit spans archived with recovered
 	// generations: (from, to) → audit. They answer /v1/diff for pairs
-	// whose `to` generation has no world to audit against anymore.
+	// whose `to` generation has no control table to audit against.
 	// Written once during New's adoption pass, read-only after.
 	recSpans map[[2]int]*churn.Audit
 
@@ -478,6 +487,7 @@ func (s *Store) build(gen int, parent *Generation) *Generation {
 	g := &Generation{
 		Gen: gen, World: w, Result: res, Index: res.Index(),
 		Events: events, TotalEvents: total, Stats: st,
+		controls: churn.NewControlTable(w),
 	}
 	g.view = serve.View{
 		Gen:    gen,
@@ -891,25 +901,25 @@ func (ss storeSource) Generation(n int) (*serve.View, serve.GenStatus) {
 	return g.View(), st
 }
 
-// Diff audits `from`'s published dataset against `to`'s ground-truth
-// world — exactly churn.RunAuditFlagged over the two retained
-// generations (each stale row joined against `to`'s hijack detection
-// report), so the HTTP answer is byte-identical to the offline audit.
-// A recovered generation carries no world; for those, Diff serves the
-// audit span archived at `to`'s original commit, which is the same
-// bytes the pre-crash store computed. Pairs that never coexisted
-// pre-crash (from a post-recovery build to a recovered `to`) have no
-// span and answer 404.
+// Diff audits `from`'s published dataset against `to`'s ground truth
+// through `to`'s control table — the audit churn.RunAuditFlagged runs
+// over `to`'s world (each stale row joined against `to`'s hijack
+// detection report), so the HTTP answer is byte-identical to the
+// offline audit, superseded `to` included. A recovered generation
+// carries no table; for those, Diff serves the audit span archived at
+// `to`'s original commit, which is the same bytes the pre-crash store
+// computed. Pairs that never coexisted pre-crash (from a post-recovery
+// build to a recovered `to`) have no span and answer 404.
 func (ss storeSource) Diff(from, to *serve.View) (*churn.Audit, bool) {
 	gf, stf := ss.s.Lookup(from.Gen)
 	gt, stt := ss.s.Lookup(to.Gen)
 	if stf != serve.GenOK || stt != serve.GenOK {
 		return nil, false
 	}
-	if gt.World == nil {
+	if gt.controls == nil {
 		return ss.s.recoveredSpan(gf.Gen, gt.Gen)
 	}
-	a := churn.RunAuditFlagged(gf.Result.Dataset, gt.World, gt.View().Hijacks)
+	a := gt.controls.Audit(gf.Result.Dataset, gt.view.Hijacks)
 	return &a, true
 }
 

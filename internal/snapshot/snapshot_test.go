@@ -8,10 +8,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"stateowned"
 	"stateowned/internal/churn"
+	"stateowned/internal/expand"
+	"stateowned/internal/ownership"
 	"stateowned/internal/rng"
 	"stateowned/internal/serve"
 	"stateowned/internal/world"
@@ -62,11 +65,14 @@ func offlineChurnSeeds(baseSeed uint64, gens int) []uint64 {
 }
 
 // TestDiffMatchesOfflineAudit is the differential acceptance test:
-// for seeds {7, 21, 42}, the /v1/diff HTTP answer between two
-// generations is byte-for-byte the JSON of churn.RunAudit computed
-// offline — old generation's published dataset audited against the new
-// generation's independently re-derived ground truth.
+// for seeds {7, 21, 42}, the /v1/diff HTTP answer for every ordered
+// pair of retained generations — superseded `to` generations, which
+// audit through their control tables, included — is byte-for-byte the
+// JSON of churn.RunAudit computed offline: the `from` generation's
+// published dataset audited against the `to` generation's independently
+// re-derived ground truth.
 func TestDiffMatchesOfflineAudit(t *testing.T) {
+	const gens = 2
 	for _, seed := range []uint64{7, 21, 42} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -75,52 +81,76 @@ func TestDiffMatchesOfflineAudit(t *testing.T) {
 			}
 			base := stateowned.Config{Seed: seed, Scale: testScale}
 			s := New(Options{Base: base})
-			s.Advance()
-			s.Advance()
+			for g := 1; g <= gens; g++ {
+				if s.Advance() == nil {
+					t.Fatalf("advance %d quarantined: %v", g, s.Degraded())
+				}
+			}
+
+			// Offline: generation g's world is Generate + g Evolve steps
+			// with the derived seeds, and its dataset the plain pipeline
+			// run over that world. No store code involved beyond the
+			// public seed contract.
+			seeds := offlineChurnSeeds(seed, gens)
+			worlds := make([]*world.World, gens+1)
+			datasets := make([]*expand.Dataset, gens+1)
+			for g := range worlds {
+				w := world.Generate(world.Config{Seed: seed, Scale: testScale})
+				for i := 1; i <= g; i++ {
+					churn.Evolve(w, 1, seeds[i], churn.DefaultRates())
+				}
+				cfg := base
+				cfg.World = w
+				worlds[g], datasets[g] = w, stateowned.Run(cfg).Dataset
+			}
 
 			srv := httptest.NewServer(serve.NewDynamic(s.Source(), serve.Options{}))
 			defer srv.Close()
-			resp, err := http.Get(srv.URL + "/v1/diff?from=0&to=2")
-			if err != nil {
-				t.Fatalf("GET /v1/diff: %v", err)
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("diff status %d", resp.StatusCode)
-			}
-			var envelope struct {
-				From  int             `json:"from"`
-				To    int             `json:"to"`
-				Audit json.RawMessage `json:"audit"`
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
-				t.Fatalf("decoding diff envelope: %v", err)
-			}
-			var served bytes.Buffer
-			if err := json.Compact(&served, envelope.Audit); err != nil {
-				t.Fatalf("compacting served audit: %v", err)
-			}
-
-			// Offline: generation 0's dataset is the plain pipeline run;
-			// generation 2's world is Generate + two Evolve steps with the
-			// derived seeds. No store code involved beyond the public seed
-			// contract.
-			run0 := stateowned.Run(base)
-			w2 := world.Generate(world.Config{Seed: seed, Scale: testScale})
-			seeds := offlineChurnSeeds(seed, 2)
-			for i := 1; i <= 2; i++ {
-				churn.Evolve(w2, 1, seeds[i], churn.DefaultRates())
-			}
-			offline, err := json.Marshal(churn.RunAudit(run0.Dataset, w2))
-			if err != nil {
-				t.Fatalf("marshaling offline audit: %v", err)
-			}
-			if !bytes.Equal(served.Bytes(), offline) {
-				t.Fatalf("served diff diverges from offline audit\nserved:  %s\noffline: %s",
-					served.Bytes(), offline)
+			for from := 0; from <= gens; from++ {
+				for to := 0; to <= gens; to++ {
+					served := servedDiff(t, srv, from, to)
+					offline, err := json.Marshal(churn.RunAudit(datasets[from], worlds[to]))
+					if err != nil {
+						t.Fatalf("marshaling offline audit: %v", err)
+					}
+					if !bytes.Equal(served, offline) {
+						t.Fatalf("served diff %d→%d diverges from offline audit\nserved:  %s\noffline: %s",
+							from, to, served, offline)
+					}
+				}
 			}
 		})
 	}
+}
+
+// servedDiff fetches /v1/diff for (from, to) and returns the audit the
+// envelope carries, compacted.
+func servedDiff(t *testing.T, srv *httptest.Server, from, to int) []byte {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("%s/v1/diff?from=%d&to=%d", srv.URL, from, to))
+	if err != nil {
+		t.Fatalf("GET /v1/diff: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("diff %d→%d status %d", from, to, resp.StatusCode)
+	}
+	var envelope struct {
+		From  int             `json:"from"`
+		To    int             `json:"to"`
+		Audit json.RawMessage `json:"audit"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
+		t.Fatalf("decoding diff envelope: %v", err)
+	}
+	if envelope.From != from || envelope.To != to {
+		t.Fatalf("diff %d→%d answered for %d→%d", from, to, envelope.From, envelope.To)
+	}
+	var served bytes.Buffer
+	if err := json.Compact(&served, envelope.Audit); err != nil {
+		t.Fatalf("compacting served audit: %v", err)
+	}
+	return served.Bytes()
 }
 
 // TestRetentionRing exercises pinning, eviction and the status
@@ -189,6 +219,128 @@ func TestGenerationsWorkerIndependent(t *testing.T) {
 				gen, len(gs.Events), len(gp.Events))
 		}
 	}
+}
+
+// TestSupersededSlotHoldsNoWorld pins what a superseded ring slot keeps
+// alive: nothing reachable from it — through any pointer, slice, map or
+// interface, exported or not — is a world or an ownership graph, while
+// from the live generation both are, so the walk can find them.
+func TestSupersededSlotHoldsNoWorld(t *testing.T) {
+	s := New(Options{Base: stateowned.Config{Seed: 7, Scale: testScale}})
+	for g := 1; g <= 2; g++ {
+		if s.Advance() == nil {
+			t.Fatalf("advance %d quarantined: %v", g, s.Degraded())
+		}
+	}
+	targets := []reflect.Type{reflect.TypeOf((*world.World)(nil)), reflect.TypeOf((*ownership.Graph)(nil))}
+	for _, gen := range s.Retained() {
+		g, _ := s.Lookup(gen)
+		live := g == s.Current()
+		for _, target := range targets {
+			if found := reaches(g, target); found != live {
+				t.Errorf("generation %d (live %v): reaches a %v = %v", gen, live, target, found)
+			}
+		}
+		if g.controls == nil {
+			t.Errorf("generation %d has no control table", gen)
+		}
+	}
+}
+
+// reaches reports whether a non-nil pointer of type target is reachable
+// from root.
+func reaches(root any, target reflect.Type) bool {
+	w := walker{target: target, seen: map[walked]bool{}, points: map[reflect.Type]bool{}}
+	return w.walk(reflect.ValueOf(root))
+}
+
+// walker is one reachability walk. seen holds the pointers and maps it
+// has entered; points memoizes mayPoint.
+type walker struct {
+	target reflect.Type
+	seen   map[walked]bool
+	points map[reflect.Type]bool
+}
+
+// walked is one pointer or map the walk has entered.
+type walked struct {
+	addr uintptr
+	typ  reflect.Type
+}
+
+func (w *walker) walk(v reflect.Value) bool {
+	if !w.mayPoint(v.Type()) {
+		return false
+	}
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return false
+		}
+		if v.Type() == w.target {
+			return true
+		}
+		return w.enter(v) && w.walk(v.Elem())
+	case reflect.Interface:
+		return !v.IsNil() && w.walk(v.Elem())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if w.walk(v.Field(i)) {
+				return true
+			}
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if w.walk(v.Index(i)) {
+				return true
+			}
+		}
+	case reflect.Map:
+		if v.IsNil() || !w.enter(v) {
+			return false
+		}
+		for it := v.MapRange(); it.Next(); {
+			if w.walk(it.Key()) || w.walk(it.Value()) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// enter marks a pointer or map as walked, reporting false if it was.
+func (w *walker) enter(v reflect.Value) bool {
+	k := walked{v.Pointer(), v.Type()}
+	if w.seen[k] {
+		return false
+	}
+	w.seen[k] = true
+	return true
+}
+
+// mayPoint reports whether a value of type t can hold a pointer the
+// walk follows. Functions, channels and unsafe pointers are opaque to
+// it; a type that contains itself counts as pointing.
+func (w *walker) mayPoint(t reflect.Type) bool {
+	if p, ok := w.points[t]; ok {
+		return p
+	}
+	w.points[t] = true
+	p := false
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		p = true
+	case reflect.Slice, reflect.Array:
+		p = w.mayPoint(t.Elem())
+	case reflect.Map:
+		p = w.mayPoint(t.Key()) || w.mayPoint(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField() && !p; i++ {
+			p = w.mayPoint(t.Field(i).Type)
+		}
+	}
+	w.points[t] = p
+	return p
 }
 
 // TestStoreRejectsPrebuiltWorld pins the Base.World guard.

@@ -108,6 +108,10 @@ func Generate(cfg Config) *World {
 
 	g := newGen(w, root, cfg, inScopeCountry)
 	g.plan()
+	// About two entities per plan: its company and its public float. The
+	// governments, state funds and holding companies roughly make up for
+	// the plans that float no equity.
+	w.Graph.Grow(2 * len(g.plans))
 	g.createOperators()
 	g.wireSpecialHoldings()
 	g.assignASNsAndPrefixes()

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -66,7 +67,8 @@ func scanCountry(ds *expand.Dataset, cc string) (orgIDs, minorityOrgs []string) 
 }
 
 // TestIndexMatchesScan is the differential proof: for every ASN the
-// world contains (plus every dataset ASN) and for every country, the
+// world contains, every dataset ASN and the numbers either side of it,
+// the extremes 0, 1<<24 and math.MaxUint32, and for every country, the
 // index must answer exactly what the brute-force scan answers — across
 // multiple seeds so the equivalence isn't an artifact of one world.
 func TestIndexMatchesScan(t *testing.T) {
@@ -79,7 +81,10 @@ func TestIndexMatchesScan(t *testing.T) {
 
 			probes := append([]world.ASN(nil), res.World.ASNList...)
 			probes = append(probes, ds.AllASNs()...)
-			probes = append(probes, 0, 1, 1<<31) // never-allocated ASNs
+			for _, a := range ds.AllASNs() {
+				probes = append(probes, a-1, a+1) // the ASN table's neighbours
+			}
+			probes = append(probes, 0, 1, 1<<24, 1<<31, math.MaxUint32) // never-allocated ASNs
 			for _, a := range probes {
 				wantOrg, wantOwned, wantMin := scanASN(ds, a)
 				org, minority, owned := idx.ASN(a)
